@@ -68,11 +68,23 @@ def boltzmann_rows(matrix: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def boltzmann_rows_grad(matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, jacobian) for row-wise boltzmann; jacobian[i, k] = dB(row i)/dx_ik."""
-    s = _softmax(alpha * matrix, axis=1)
-    vals = np.clip((matrix * s).sum(axis=1), matrix.min(axis=1), matrix.max(axis=1))
-    grad = s * (1.0 + alpha * (matrix - vals[:, None]))
-    return vals, grad
+    """(values, jacobian) for row-wise boltzmann; jacobian[i, k] = dB(row i)/dx_ik.
+
+    Works in two buffers of the matrix's shape that take its memory layout,
+    as fresh temporaries would, so a transposed view reduces its rows in the
+    same order and gives the same bits.
+    """
+    s = alpha * matrix
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    buf = matrix * s
+    vals = np.clip(buf.sum(axis=1), matrix.min(axis=1), matrix.max(axis=1))
+    np.subtract(matrix, vals[:, None], out=buf)
+    buf *= alpha
+    buf += 1.0
+    s *= buf
+    return vals, s
 
 
 def extremum_error_and_bound(values, alpha: float) -> tuple[float, float, float, float]:

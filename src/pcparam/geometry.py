@@ -122,23 +122,76 @@ def edge_incidence(mesh: TriangleMesh) -> dict[tuple[int, int], list[int]]:
     return inc
 
 
+def _same_dim_clouds(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = as_cloud(a)
+    b = as_cloud(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
+
+
+# elements of one row block of _sq_dists, 512 kB: the block and its scratch
+# stay in cache across the per-coordinate passes
+_BLOCK_ELEMS = 1 << 16
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances S[i, k] = |a_i - b_k|^2 of two validated clouds.
+
+    Adds the squared coordinate differences into the (n, m) result one
+    coordinate at a time, x then y then z: the order in which summing the
+    (n, m, d) difference tensor over its last axis adds them, so the bits are
+    the same without that tensor. Works through the result in row blocks.
+    """
+    at = np.ascontiguousarray(a.T)  # one contiguous row per coordinate
+    bt = np.ascontiguousarray(b.T)
+    out = np.empty((len(a), len(b)))
+    rows = max(1, _BLOCK_ELEMS // len(b))
+    scratch = np.empty((min(rows, len(a)), len(b)))
+    for lo in range(0, len(a), rows):
+        blk = out[lo : lo + rows]
+        t = scratch[: len(blk)]
+        np.subtract.outer(at[0, lo : lo + rows], bt[0], out=blk)
+        blk *= blk
+        for c in range(1, len(at)):
+            np.subtract.outer(at[c, lo : lo + rows], bt[c], out=t)
+            t *= t
+            blk += t
+    return out
+
+
 def pairwise_distances(a, b) -> np.ndarray:
     """Euclidean distance matrix D with D[i, k] = |a_i - b_k|.
 
     Computed by explicit coordinate differences so each entry equals the
     per-pair scalar recomputation bit for bit (no cancellation tricks).
     """
-    a = as_cloud(a)
-    b = as_cloud(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    a, b = _same_dim_clouds(a, b)
+    d = _sq_dists(a, b)
+    return np.sqrt(d, out=d)
+
+
+# squared distances per block in _directed_terms, 32 MB
+_EXTREMA_BLOCK_ELEMS = 1 << 22
 
 
 def _directed_terms(a, b) -> tuple[float, float]:
-    d = pairwise_distances(a, b)
-    return float(d.min(axis=1).max()), float(d.min(axis=0).max())
+    """(max_i min_k |a_i - b_k|, max_k min_i |a_i - b_k|), exactly.
+
+    Walks `a` in row blocks of at most 32 MB of distances (one row if a row
+    alone is larger), so memory does not grow with len(a) * len(b). Works on
+    squared distances and takes one square root at the end: sqrt is
+    monotone, so the extrema are the same bits as over distances.
+    """
+    a, b = _same_dim_clouds(a, b)
+    rows = max(1, _EXTREMA_BLOCK_ELEMS // len(b))
+    worst_ab = 0.0
+    col_min = np.full(len(b), np.inf)
+    for lo in range(0, len(a), rows):
+        sq = _sq_dists(a[lo : lo + rows], b)
+        worst_ab = max(worst_ab, float(sq.min(axis=1).max()))
+        np.minimum(col_min, sq.min(axis=0), out=col_min)
+    return float(np.sqrt(worst_ab)), float(np.sqrt(col_min.max()))
 
 
 def hausdorff_exact(a, b) -> float:
@@ -232,5 +285,4 @@ def sampling_gap_estimate(sample, denser_sample) -> float:
     denser sample standing in for the region this is the directed term
     max over denser of min over sample. Reported, never asserted.
     """
-    d = pairwise_distances(denser_sample, sample)
-    return float(d.min(axis=1).max())
+    return _directed_terms(denser_sample, sample)[0]

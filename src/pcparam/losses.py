@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows, boltzmann_rows_grad
-from .geometry import TriangleMesh, angle_distortion, as_cloud, edge_incidence, pairwise_distances
+from .geometry import (
+    TriangleMesh,
+    _sq_dists,
+    angle_distortion,
+    as_cloud,
+    edge_incidence,
+    pairwise_distances,
+)
 
 __all__ = [
     "HandConfig",
@@ -108,21 +115,28 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
 
     Coincident pairs (zero distance) get a zero subgradient contribution.
     """
-    y = as_cloud(y)
-    w = as_cloud(w)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     a = cfg.alpha
-    d = pairwise_distances(y, w)
+    d = pairwise_distances(y, w)  # validates both clouds
 
-    r, jr = boltzmann_rows_grad(d, -a)  # jr[i,k] = d r_i / d d_ik
+    r, g1 = boltzmann_rows_grad(d, -a)  # g1[i,k] = d r_i / d d_ik
     term1 = boltzmann(r, a)
-    g1 = boltzmann_gradient(r, a)[:, None] * jr
+    g1 *= boltzmann_gradient(r, a)[:, None]
 
+    # d.T stays a transposed view: a contiguous copy would sum its rows in
+    # another order and change the bits
     c, jc = boltzmann_rows_grad(d.T, -a)  # jc[k,i] = d c_k / d d_ik
     term2 = boltzmann(c, a)
-    g2 = (boltzmann_gradient(c, a)[:, None] * jc).T
+    jc *= boltzmann_gradient(c, a)[:, None]
 
+    # coef = (g1 + jc.T) / d where d > 0, else 0
+    coef = g1
+    coef += jc.T
+    del jc
     with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(d > 0.0, (g1 + g2) / d, 0.0)
+        coef /= d
+    coef[~(d > 0.0)] = 0.0
     gy = coef.sum(axis=1)[:, None] * y - coef @ w
     gw = coef.sum(axis=0)[:, None] * w - coef.T @ y
     return term1 + term2, gy, gw
@@ -133,12 +147,7 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(p: np.ndarray) -> np.ndarray:
-    diff = p[:, None, :] - p[None, :, :]
-    return (diff * diff).sum(axis=2)
-
-
-def _leg_parts(original, mapped, lambda_pair, cfg: LegConfig):
+def _check_leg_inputs(original, mapped, lambda_pair):
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
     n = len(x)
@@ -149,11 +158,26 @@ def _leg_parts(original, mapped, lambda_pair, cfg: LegConfig):
         raise ValueError(f"lambda_pair must have shape ({n}, {n}), got {lam.shape}")
     if not (np.isfinite(lam).all() and (lam > 0.0).all()):
         raise ValueError("lambda_pair entries must be positive and finite")
-    s2 = cfg.sigma * cfg.sigma
-    gx = np.exp(-_sq_dists(x) / s2)
-    sqy = _sq_dists(y)
-    hy = np.exp(-sqy / (s2 * lam * lam))
-    return x, y, n, lam, s2, gx, sqy, hy
+    return x, y, lam
+
+
+def _leg_mismatch(x, y, lam, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, hy, sqy) on validated inputs: e = gx - hy, the affinity mismatch,
+    with gx = exp(-|x_i - x_j|^2 / s2), hy = exp(-sqy / (s2 lam^2)) and
+    sqy = |y_i - y_j|^2. Built in place in four n x n buffers."""
+    e = _sq_dists(x, x)
+    np.negative(e, out=e)
+    e /= s2
+    np.exp(e, out=e)  # gx
+    sqy = _sq_dists(y, y)
+    q = lam * s2
+    q *= lam
+    hy = np.negative(sqy)
+    hy /= q
+    del q
+    np.exp(hy, out=hy)
+    e -= hy
+    return e, hy, sqy
 
 
 def leg(original, mapped, lambda_pair, cfg: LegConfig) -> float:
@@ -164,25 +188,43 @@ def leg(original, mapped, lambda_pair, cfg: LegConfig) -> float:
     lambda-compensated Gaussian affinity of their images. Zero exactly when
     every image pair distance equals lambda_ij times the original distance.
     """
-    *_, gx, _, hy = _leg_parts(original, mapped, lambda_pair, cfg)
-    e = gx - hy
+    x, y, lam = _check_leg_inputs(original, mapped, lambda_pair)
+    e, _, _ = _leg_mismatch(x, y, lam, cfg.sigma * cfg.sigma)
     n = len(e)
-    return float((e * e).sum() / (n * n))
+    e *= e
+    return float(e.sum() / (n * n))
 
 
 def leg_with_grad(
     original, mapped, lambda_pair, cfg: LegConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """leg() value plus gradients in the mapped coordinates and in lambda_pair."""
-    _, y, n, lam, s2, gx, sqy, hy = _leg_parts(original, mapped, lambda_pair, cfg)
-    e = gx - hy
-    value = float((e * e).sum() / (n * n))
+    x, y, lam = _check_leg_inputs(original, mapped, lambda_pair)
+    n = len(x)
+    s2 = cfg.sigma * cfg.sigma
+    e, hy, sqy = _leg_mismatch(x, y, lam, s2)
+    buf = e * e
+    value = float(buf.sum() / (n * n))
 
     # d value / d h_ij = -2 e_ij / n^2, h_ij = exp(-sqy_ij / (s2 lam_ij^2))
-    k = 4.0 * e * hy / (n * n * s2 * lam * lam)
-    c = k + k.T
+    # p = 4 e hy; k = p / (n^2 s2 lam^2); g_lambda = -p sqy / (n^2 s2 lam^3).
+    # Negating p gives the bits of -4 e hy: rounding is symmetric in sign.
+    p = np.multiply(e, 4.0, out=buf)
+    p *= hy
+    del e, hy
+    k = lam * (n * n * s2)
+    k *= lam
+    np.divide(p, k, out=k)
+    c = np.add(k, k.T)
+    del k
     g_mapped = c.sum(axis=1)[:, None] * y - c @ y
-    g_lambda = -4.0 * e * hy * sqy / (n * n * s2 * lam**3)
+    del c
+    np.negative(p, out=p)
+    p *= sqy
+    del sqy
+    den = np.power(lam, 3)
+    den *= n * n * s2
+    g_lambda = np.divide(p, den, out=p)
     return value, g_mapped, g_lambda
 
 
@@ -203,7 +245,7 @@ def lambda_pair_from_inverse(values) -> np.ndarray:
     if (s <= 0.0).any():
         i, j = np.argwhere(s <= 0.0)[0]
         raise ValueError(f"pair ({int(i)}, {int(j)}) of inverse factors sums to zero")
-    return 1.0 / s
+    return np.divide(1.0, s, out=s)
 
 
 def lambda_inv_chain(g_lambda: np.ndarray, lambda_pair: np.ndarray) -> np.ndarray:
@@ -212,7 +254,8 @@ def lambda_inv_chain(g_lambda: np.ndarray, lambda_pair: np.ndarray) -> np.ndarra
     With lambda_ij = 1/(v_i + v_j): d lambda_ij / d v_a = -lambda_ij^2 for
     a in {i, j}, both roles accumulated (the diagonal picks up both).
     """
-    t = g_lambda * lambda_pair * lambda_pair
+    t = g_lambda * lambda_pair
+    t *= lambda_pair
     return -(t.sum(axis=1) + t.sum(axis=0))
 
 

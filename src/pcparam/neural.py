@@ -4,7 +4,9 @@ Parameters live in one flat float64 vector laid out layer by layer, weights
 then bias per layer; weights are (fan_in, fan_out) raveled row-major. Hidden
 layers apply sin(omega * (a W + b)); the output layer is affine, optionally
 followed by a softplus (used to keep inverse conformal factors positive).
-Reverse-mode gradients are implemented directly.
+Reverse-mode gradients are implemented directly: forward() can record a tape
+of the activations it computed, and backward() reuses that tape instead of
+running the network forward a second time.
 """
 
 from __future__ import annotations
@@ -119,60 +121,76 @@ def _check_inputs(spec: NetworkSpec, inputs) -> np.ndarray:
     return a
 
 
-def _forward_cached(spec: NetworkSpec, params, inputs):
+def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> np.ndarray:
+    """Evaluate the network on a batch of rows.
+
+    If `tape` is a list, its contents are replaced by what backward() needs
+    of this pass: per layer, the weights, the layer's input rows and its
+    pre-activation (scaled by omega on hidden layers).
+    """
     layers = _unpack(spec, params)
     a = _check_inputs(spec, inputs)
-    acts = [a]  # inputs of each layer
-    pre = []  # pre-activations
+    if tape is not None:
+        tape.clear()
+    last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre.append(z)
-        if li < len(layers) - 1:
-            a = np.sin(spec.omega * z)
+        z = a @ w
+        z += b
+        if li < last:
+            z *= spec.omega
+            out = np.sin(z)
         elif spec.output_activation == "softplus":
-            a = softplus(z)
+            out = softplus(z)
         else:
-            a = z
-        acts.append(a)
-    return acts, pre
-
-
-def forward(spec: NetworkSpec, params, inputs) -> np.ndarray:
-    """Evaluate the network on a batch of rows."""
-    acts, _ = _forward_cached(spec, params, inputs)
-    return acts[-1]
+            out = z
+        if tape is not None:
+            tape.append((w, a, z))
+        a = out
+    return a
 
 
 def backward(
-    spec: NetworkSpec, params, inputs, output_cotangent
+    spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass: (d loss / d params flat, d loss / d inputs).
 
-    `output_cotangent` is d loss / d outputs, shape (n, output_dim).
+    `output_cotangent` is d loss / d outputs, shape (n, output_dim). `tape`
+    is the tape a forward() of the same spec, params and inputs filled; its
+    activations are reused, so a training step runs each net forward once.
+    Without a tape, backward records one with its own forward pass.
     """
-    layers = _unpack(spec, params)
-    acts, pre = _forward_cached(spec, params, inputs)
+    if tape is None:
+        tape = []
+        forward(spec, params, inputs, tape=tape)
+    dims = spec.layer_dims
+    if len(tape) != len(dims):
+        raise ValueError(f"tape has {len(tape)} layers, {spec} has {len(dims)}")
     ct = np.asarray(output_cotangent, dtype=np.float64)
-    if ct.shape != acts[-1].shape:
-        raise ValueError(f"cotangent shape {ct.shape} != output shape {acts[-1].shape}")
+    out_shape = (len(tape[0][1]), spec.output_dim)
+    if ct.shape != out_shape:
+        raise ValueError(f"cotangent shape {ct.shape} != output shape {out_shape}")
 
     grad = np.zeros(param_count(spec), dtype=np.float64)
     offsets = []
     off = 0
-    for fi, fo in spec.layer_dims:
+    for fi, fo in dims:
         offsets.append(off)
         off += fi * fo + fo
 
-    dz = ct * _sigmoid(pre[-1]) if spec.output_activation == "softplus" else ct
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        fi, fo = spec.layer_dims[li]
+    dz = ct * _sigmoid(tape[-1][2]) if spec.output_activation == "softplus" else ct
+    for li in range(len(dims) - 1, -1, -1):
+        w, a, _ = tape[li]
+        fi, fo = dims[li]
         o = offsets[li]
-        grad[o : o + fi * fo] = (acts[li].T @ dz).ravel()
+        grad[o : o + fi * fo] = (a.T @ dz).ravel()
         grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
         da = dz @ w.T
         if li > 0:
-            dz = da * (spec.omega * np.cos(spec.omega * pre[li - 1]))
+            # d sin(omega z) / dz = omega cos(omega z); the tape holds omega z
+            deriv = np.cos(tape[li - 1][2])
+            deriv *= spec.omega
+            da *= deriv
+            dz = da
     return grad, da
 
 

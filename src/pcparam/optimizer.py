@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .geometry import TriangleMesh, angle_distortion, as_cloud, pairwise_distances
+from .geometry import TriangleMesh, angle_distortion, as_cloud
+from .geometry import hausdorff_exact as _chunked_hausdorff
 from .losses import LossBreakdown, ObjectiveConfig, total_loss_with_grad
 from .neural import (
     NetworkSpec,
@@ -208,17 +209,6 @@ class TrainingError(RuntimeError):
     """Raised when a loss or gradient goes non-finite, naming the batch."""
 
 
-def _chunked_hausdorff(a: np.ndarray, b: np.ndarray, chunk: int = 1024) -> float:
-    """Exact Hausdorff max(sup-inf, sup-inf) without the full (n, m) matrix."""
-    worst_ab = 0.0
-    col_min = np.full(len(b), np.inf)
-    for lo in range(0, len(a), chunk):
-        d = pairwise_distances(a[lo : lo + chunk], b)
-        worst_ab = max(worst_ab, float(d.min(axis=1).max()))
-        np.minimum(col_min, d.min(axis=0), out=col_min)
-    return max(worst_ab, float(col_min.max()))
-
-
 def _flatten_landmarks(landmarks, n_points: int) -> tuple[list[np.ndarray], np.ndarray]:
     groups = []
     for k, rows in enumerate(landmarks):
@@ -372,10 +362,12 @@ def train(
                 else:
                     rows = chunk
                 x_batch = x[rows]
-                pos = {int(r): p for p, r in enumerate(rows)}
-                landmark_rows = [
-                    np.array([pos[int(i)] for i in g], dtype=np.int64) for g in groups
-                ]
+                landmark_rows = []
+                if groups:
+                    pos = {int(r): p for p, r in enumerate(rows)}
+                    landmark_rows = [
+                        np.array([pos[int(i)] for i in g], dtype=np.int64) for g in groups
+                    ]
 
                 if pool is not None:
                     sel = stage_rng.choice(domain_size, stage_cfg.batch_domain, replace=False)
@@ -383,7 +375,8 @@ def train(
                 else:
                     w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
 
-                mapped = forward(map_spec, map_params, x_batch)
+                map_tape: list = []
+                mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
                 # coordinates past ~1e150 overflow every squared distance
                 # downstream, which would surface as a cryptic validation
                 # error deep inside the loss; report the divergence here
@@ -393,8 +386,11 @@ def train(
                         f"stage {stage_idx} epoch {epoch} batch {bi}: mapped "
                         f"coordinates diverged (max magnitude {worst:g})"
                     )
+                lambda_tape: list = []
                 if use_lambda:
-                    lam_inv = forward(lambda_spec, lambda_params, x_batch).ravel()
+                    lam_inv = forward(
+                        lambda_spec, lambda_params, x_batch, tape=lambda_tape
+                    ).ravel()
                     if not np.isfinite(lam_inv).all():
                         raise TrainingError(
                             f"stage {stage_idx} epoch {epoch} batch {bi}: "
@@ -416,11 +412,14 @@ def train(
                         f"loss is {breakdown.total}"
                     )
                 try:
-                    g_map, _ = backward(map_spec, map_params, x_batch, g_mapped)
+                    g_map, _ = backward(
+                        map_spec, map_params, x_batch, g_mapped, tape=map_tape
+                    )
                     map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
                     if use_lambda:
                         g_lam, _ = backward(
-                            lambda_spec, lambda_params, x_batch, g_v[:, None]
+                            lambda_spec, lambda_params, x_batch, g_v[:, None],
+                            tape=lambda_tape,
                         )
                         lambda_params = rmsprop_step(
                             lambda_params, g_lam, lambda_state, opt_cfg

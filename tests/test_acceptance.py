@@ -406,6 +406,7 @@ def test_c05_angle_bound_audit():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c06_shape_matching_alpha_trend(training_runs):
     dense = preset_domain("square").sample_area(4000, seed=999)
     for seed in (0, 1):
@@ -423,6 +424,7 @@ def test_c06_shape_matching_alpha_trend(training_runs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c07_staged_parametrization_trend(training_runs):
     for seed in (0, 1):
         rows = _log_rows(training_runs["dirs"][f"c7_s{seed}"])
@@ -440,6 +442,7 @@ def test_c07_staged_parametrization_trend(training_runs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c08_landmark_trend(training_runs):
     rows = _log_rows(training_runs["dirs"]["c8"])
     assert len(rows) >= 2
@@ -454,6 +457,7 @@ def test_c08_landmark_trend(training_runs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c09_annulus_boundary_recovery():
     t0 = time.monotonic()
     rng = np.random.default_rng(21)
@@ -496,6 +500,7 @@ def test_c09_annulus_boundary_recovery():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c10_adapted_reconstruction_uniformity():
     t0 = time.monotonic()
     amp, width = 1.1, 0.04
@@ -531,6 +536,7 @@ def test_c10_adapted_reconstruction_uniformity():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c11_training_determinism(workdir, training_runs):
     compare = ("log.csv", "mapped.csv", "map.ckpt.json", "lambda.ckpt.json")
     for key, cfg in training_runs["configs"].items():

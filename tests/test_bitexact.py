@@ -1,0 +1,238 @@
+"""Bit equality of the in-place kernels with the plain formulas they replace.
+
+Each reference below is the straightforward expression: fresh temporaries,
+the (n, m, d) difference tensor, a second forward pass in backward. The
+kernels must reproduce them exactly (np.array_equal), not just closely,
+because training runs thousands of steps on them and the golden outputs
+pin every bit.
+"""
+
+import numpy as np
+import pytest
+
+from pcparam.boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows_grad
+from pcparam.geometry import (
+    _sq_dists,
+    hausdorff_exact,
+    modified_hausdorff_exact,
+    pairwise_distances,
+    sampling_gap_estimate,
+)
+from pcparam.losses import (
+    HandConfig,
+    LegConfig,
+    hand_with_grad,
+    lambda_inv_chain,
+    lambda_pair_from_inverse,
+    leg,
+    leg_with_grad,
+)
+from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_sq_dists(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def ref_rows_grad(matrix, alpha):
+    t = alpha * matrix
+    w = np.exp(t - t.max(axis=1, keepdims=True))
+    s = w / w.sum(axis=1, keepdims=True)
+    vals = np.clip((matrix * s).sum(axis=1), matrix.min(axis=1), matrix.max(axis=1))
+    return vals, s * (1.0 + alpha * (matrix - vals[:, None]))
+
+
+def ref_hand_with_grad(y, w, alpha):
+    d = np.sqrt(ref_sq_dists(y, w))
+    r, jr = ref_rows_grad(d, -alpha)
+    term1 = boltzmann(r, alpha)
+    g1 = boltzmann_gradient(r, alpha)[:, None] * jr
+    c, jc = ref_rows_grad(d.T, -alpha)
+    term2 = boltzmann(c, alpha)
+    g2 = (boltzmann_gradient(c, alpha)[:, None] * jc).T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coef = np.where(d > 0.0, (g1 + g2) / d, 0.0)
+    gy = coef.sum(axis=1)[:, None] * y - coef @ w
+    gw = coef.sum(axis=0)[:, None] * w - coef.T @ y
+    return term1 + term2, gy, gw
+
+
+def ref_leg_with_grad(x, y, lam, sigma):
+    n = len(x)
+    s2 = sigma * sigma
+    gx = np.exp(-ref_sq_dists(x, x) / s2)
+    sqy = ref_sq_dists(y, y)
+    hy = np.exp(-sqy / (s2 * lam * lam))
+    e = gx - hy
+    value = float((e * e).sum() / (n * n))
+    k = 4.0 * e * hy / (n * n * s2 * lam * lam)
+    c = k + k.T
+    g_mapped = c.sum(axis=1)[:, None] * y - c @ y
+    g_lambda = -4.0 * e * hy * sqy / (n * n * s2 * lam**3)
+    return value, g_mapped, g_lambda
+
+
+def ref_backward(spec, params, inputs, ct):
+    """Reverse pass that recomputes the forward activations itself."""
+    layers, off = [], 0
+    for fi, fo in spec.layer_dims:
+        layers.append((params[off : off + fi * fo].reshape(fi, fo),
+                       params[off + fi * fo : off + fi * fo + fo]))
+        off += fi * fo + fo
+    acts, pre, a = [inputs], [], inputs
+    for li, (w, b) in enumerate(layers):
+        z = a @ w + b
+        pre.append(z)
+        if li < len(layers) - 1:
+            a = np.sin(spec.omega * z)
+        elif spec.output_activation == "softplus":
+            a = softplus(z)
+        else:
+            a = z
+        acts.append(a)
+    grad = np.zeros_like(params)
+    offsets = np.cumsum([0] + [fi * fo + fo for fi, fo in spec.layer_dims])
+    dz = ct * _sigmoid(pre[-1]) if spec.output_activation == "softplus" else ct
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        fi, fo = spec.layer_dims[li]
+        o = offsets[li]
+        grad[o : o + fi * fo] = (acts[li].T @ dz).ravel()
+        grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
+        da = dz @ w.T
+        if li > 0:
+            dz = da * (spec.omega * np.cos(spec.omega * pre[li - 1]))
+    return grad, da
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def _cloud(rng, n, dim, scale=1.0):
+    # per-point scales spread over orders of magnitude, so rounding differs
+    # between summation orders and a reordered kernel would show
+    return rng.normal(size=(n, dim)) * np.exp(rng.normal(size=(n, 1))) * scale
+
+
+def _with_coincident_pair(y, w):
+    w = w.copy()
+    w[3] = y[5]
+    return w
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n, m", [(1000, 200), (1, 300), (300, 1), (3, 70000)])
+def test_sq_dists_matches_difference_tensor(dim, n, m):
+    rng = np.random.default_rng(n + m + dim)
+    a = _cloud(rng, n, dim)
+    b = _cloud(rng, m, dim)
+    assert np.array_equal(_sq_dists(a, b), ref_sq_dists(a, b))
+    assert np.array_equal(pairwise_distances(a, b), np.sqrt(ref_sq_dists(a, b)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sq_dists_with_duplicate_points(dim):
+    rng = np.random.default_rng(4)
+    a = _cloud(rng, 50, dim)
+    a = np.vstack([a, a[:20], a[:1], a[:1]])
+    sq = _sq_dists(a, a)
+    assert np.array_equal(sq, ref_sq_dists(a, a))
+    assert sq[0, 50] == 0.0 and sq[70, 71] == 0.0
+    assert np.array_equal(np.diag(sq), np.zeros(len(a)))
+
+
+def test_boltzmann_rows_grad_matches_reference_in_both_layouts():
+    rng = np.random.default_rng(5)
+    d = np.sqrt(ref_sq_dists(_cloud(rng, 300, 2), _cloud(rng, 200, 2)))
+    for matrix in (d, d.T):
+        for alpha in (-20.0, -1.5, 0.0, 3.0):
+            vals, grad = boltzmann_rows_grad(matrix, alpha)
+            ref_vals, ref_grad = ref_rows_grad(matrix, alpha)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 20.0, 80.0])
+def test_hand_with_grad_matches_reference(alpha):
+    rng = np.random.default_rng(6)
+    y = _cloud(rng, 300, 2, 0.3)
+    w = _with_coincident_pair(y, _cloud(rng, 200, 2, 0.3))
+    value, gy, gw = hand_with_grad(y, w, HandConfig(alpha))
+    ref_value, ref_gy, ref_gw = ref_hand_with_grad(y, w, alpha)
+    assert value == ref_value
+    assert np.array_equal(gy, ref_gy)
+    assert np.array_equal(gw, ref_gw)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leg_with_grad_matches_reference(dim):
+    rng = np.random.default_rng(7 + dim)
+    x = _cloud(rng, 300, dim, 0.5)
+    y = _cloud(rng, 300, 2, 0.5)
+    x[9] = x[4]
+    y[9] = y[4]  # a coincident pair in both clouds
+    v = rng.uniform(0.2, 2.0, 300)
+    lam = lambda_pair_from_inverse(v)
+    assert np.array_equal(lam, 1.0 / (v[:, None] + v[None, :]))
+    value, g_mapped, g_lambda = leg_with_grad(x, y, lam, LegConfig(0.3))
+    ref_value, ref_mapped, ref_lambda = ref_leg_with_grad(x, y, lam, 0.3)
+    assert value == ref_value
+    assert leg(x, y, lam, LegConfig(0.3)) == ref_value
+    assert np.array_equal(g_mapped, ref_mapped)
+    assert np.array_equal(g_lambda, ref_lambda)
+    t = ref_lambda * lam * lam
+    assert np.array_equal(lambda_inv_chain(g_lambda, lam), -(t.sum(axis=1) + t.sum(axis=0)))
+
+
+def test_chunked_extrema_match_full_matrix():
+    rng = np.random.default_rng(8)
+    a = _cloud(rng, 15000, 2)  # more rows than one block of 2^22 distances
+    b = _cloud(rng, 300, 2)
+    d = np.sqrt(ref_sq_dists(a, b))
+    t_ab, t_ba = float(d.min(axis=1).max()), float(d.min(axis=0).max())
+    assert hausdorff_exact(a, b) == max(t_ab, t_ba)
+    assert modified_hausdorff_exact(a, b) == t_ab + t_ba
+    assert sampling_gap_estimate(b, a) == t_ab
+
+
+@pytest.mark.parametrize("activation", ["linear", "softplus"])
+def test_backward_with_tape_matches_backward_without(activation):
+    spec = NetworkSpec(3, (32, 16, 8), 2, output_activation=activation, omega=1.7)
+    rng = np.random.default_rng(9)
+    params = init_params(spec, 3)
+    x = _cloud(rng, 200, 3)
+    ct = rng.normal(size=(200, 2))
+    tape = []
+    out = forward(spec, params, x, tape=tape)
+    assert np.array_equal(out, forward(spec, params, x))
+    with_tape = backward(spec, params, x, ct, tape=tape)
+    without = backward(spec, params, x, ct)
+    reference = ref_backward(spec, params, x, ct)
+    for got, want, ref in zip(with_tape, without, reference):
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, ref)
+
+
+def test_backward_rejects_mismatched_tape():
+    spec = NetworkSpec(2, (8,), 2)
+    params = init_params(spec, 0)
+    x = np.random.default_rng(1).normal(size=(10, 2))
+    tape = []
+    forward(NetworkSpec(2, (8, 8), 2), init_params(NetworkSpec(2, (8, 8), 2), 0), x, tape=tape)
+    with pytest.raises(ValueError, match="tape has 3 layers"):
+        backward(spec, params, x, np.zeros((10, 2)), tape=tape)
+    forward(spec, params, x[:4], tape=tape)
+    with pytest.raises(ValueError, match="cotangent shape"):
+        backward(spec, params, x, np.zeros((10, 2)), tape=tape)
