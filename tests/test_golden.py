@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcparam.io import save_cloud, save_mesh
 from pcparam.geometry import TriangleMesh
+from pcparam.io import save_cloud, save_mesh
 from pcparam.meshing import delaunay
 
 SRC = Path(__file__).resolve().parent.parent / "src"
