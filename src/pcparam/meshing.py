@@ -231,12 +231,13 @@ class _Triangulator:
         return out
 
 
-def _dedup_points(points: np.ndarray) -> tuple[np.ndarray, bool]:
+def _dedup_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in first-occurrence order, and the kept row indices."""
     _, first = np.unique(points, axis=0, return_index=True)
     if len(first) == len(points):
-        return points, False
+        return points, np.arange(len(points))
     keep = np.sort(first)
-    return points[keep], True
+    return points[keep], keep
 
 
 def delaunay(points) -> TriangleMesh:
@@ -249,8 +250,9 @@ def delaunay(points) -> TriangleMesh:
     or a fully collinear cloud.
     """
     pts = as_cloud(points, dim=2)
-    pts, merged = _dedup_points(pts)
-    if merged:
+    n_in = len(pts)
+    pts, _ = _dedup_points(pts)
+    if len(pts) < n_in:
         warnings.warn(
             "duplicate points merged before triangulation", DuplicatePointsWarning,
             stacklevel=2,
@@ -335,6 +337,62 @@ def boundary_edges(mesh: TriangleMesh) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# uniform-grid bucket index
+# ---------------------------------------------------------------------------
+
+
+class _Grid:
+    """Uniform grid of square cells; item i is filed under every cell its box meets.
+
+    The cell of a point is floor((x - lo) / cell) per axis, clipped to the
+    grid. That map is monotone in x, so a point inside an item's box
+    [bmin, bmax] always falls in one of the item's cells, and two points
+    whose cells differ by more than k along an axis are at least about
+    k * cell apart along it (the grid of Bridson 2007, "Fast Poisson disk
+    sampling in arbitrary dimensions").
+    """
+
+    def __init__(self, lo, hi, cell: float, bmin: np.ndarray, bmax: np.ndarray):
+        self.lo = np.asarray(lo, dtype=np.float64)
+        self.cell = float(cell)
+        self.shape = (np.floor((np.asarray(hi) - self.lo) / self.cell).astype(np.int64) + 1)
+        ny = int(self.shape[1])
+        x0, y0 = self.cells(bmin)
+        x1, y1 = self.cells(bmax)
+        wx = x1 - x0 + 1
+        per = wx * (y1 - y0 + 1)
+        item = np.repeat(np.arange(len(bmin)), per)
+        r = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
+        cid = (x0[item] + r % wx[item]) * ny + y0[item] + r // wx[item]
+        self.items = item[np.argsort(cid, kind="stable")]
+        counts = np.bincount(cid, minlength=int(self.shape.prod()))
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+
+    def cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = np.clip(np.floor((pts - self.lo) / self.cell), 0, self.shape - 1)
+        c = c.astype(np.int64)
+        return c[:, 0], c[:, 1]
+
+    def pairs(self, pts: np.ndarray, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(query row, item) for every item filed within `ring` cells of each query's cell."""
+        ix, iy = self.cells(pts)
+        nx, ny = (int(v) for v in self.shape)
+        rows, cids = [], []
+        for dx in range(-ring, ring + 1):
+            for dy in range(-ring, ring + 1):
+                jx, jy = ix + dx, iy + dy
+                rows_d = np.flatnonzero((jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny))
+                rows.append(rows_d)
+                cids.append(jx[rows_d] * ny + jy[rows_d])
+        rows = np.concatenate(rows)
+        cids = np.concatenate(cids)
+        first = self.start[cids]
+        count = self.start[cids + 1] - first
+        pos = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        return np.repeat(rows, count), self.items[pos]
+
+
+# ---------------------------------------------------------------------------
 # parameter-domain mesh generation
 # ---------------------------------------------------------------------------
 
@@ -356,6 +414,37 @@ def _boundary_ring(domain: Domain, step_at) -> np.ndarray:
             placed.pop()
         ring.append(np.array(placed))
     return np.vstack(ring)
+
+
+def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
+    """Rows of `cand` accepted in order by Poisson-disk dart throwing.
+
+    A candidate p of radius rp is accepted iff every point accepted so far,
+    earlier candidates of this round included, lies at least
+    0.5 * (its radius + rp) away. The test against `acc` runs at once for
+    all candidates, on the points of the neighbouring grid cells only: the
+    cell is at least the largest such distance, so a point outside them
+    passes anyway. The distance and threshold are the per-row
+    `np.linalg.norm` and `0.5 * (arad + rp)` of a test against all points.
+    """
+    reach = 0.5 * (float(arad.max()) + float(crad.max()))
+    grid = _Grid(lo, hi, reach * (1.0 + 1e-6), acc, acc)
+    rows, nbr = grid.pairs(cand, ring=1)
+    d = np.linalg.norm(acc[nbr] - cand[rows], axis=1)
+    clash = np.zeros(len(cand), dtype=bool)
+    clash[rows[~(d >= 0.5 * (arad[nbr] + crad[rows]))]] = True
+    new_pts = np.empty_like(cand)
+    new_rad = np.empty_like(crad)
+    took: list[int] = []
+    for i in np.flatnonzero(~clash):
+        p, rp = cand[i], crad[i]
+        m = len(took)
+        d = np.linalg.norm(new_pts[:m] - p, axis=1)
+        if (d >= 0.5 * (new_rad[:m] + rp)).all():
+            new_pts[m] = p
+            new_rad[m] = rp
+            took.append(int(i))
+    return np.array(took, dtype=np.int64)
 
 
 def generate_param_mesh(
@@ -416,24 +505,16 @@ def generate_param_mesh(
     for _ in range(400):
         cand = domain.sample_area(512, rng)
         crad = radius_at(cand)
-        acc = np.vstack(accepted)
-        arad = np.concatenate(radii)
-        took = 0
-        for p, rp in zip(cand, crad):
-            d = np.linalg.norm(acc - p, axis=1)
-            if (d >= 0.5 * (arad + rp)).all():
-                acc = np.vstack([acc, p[None]])
-                arad = np.append(arad, rp)
-                took += 1
-        accepted = [acc]
-        radii = [arad]
-        if took == 0:
+        took = _throw_darts(np.vstack(accepted), np.concatenate(radii), cand, crad, lo, hi)
+        accepted.append(cand[took])
+        radii.append(crad[took])
+        if len(took) == 0:
             consecutive_miss += 1
             if consecutive_miss >= 4:
                 break
         else:
             consecutive_miss = 0
-    points = accepted[0]
+    points = np.vstack(accepted)
     if len(points) < 3:
         raise ValueError("mesh generation produced fewer than 3 points")
     mesh = delaunay(points)
@@ -496,28 +577,49 @@ class _MeshLocator:
         return None
 
 
-def _barycentric(tri_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    a, b, c = tri_pts
-    m = np.array([b - a, c - a]).T
-    try:
-        beta, gamma = np.linalg.solve(m, q - a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate triangle in barycentric solve") from exc
-    return np.array([1.0 - beta - gamma, beta, gamma])
+def _convex_hull_loop(mesh: TriangleMesh, edge: dict[tuple[int, int], int]) -> bool:
+    """True iff the faces cover a convex region bounded by one loop.
+
+    Every point of such a region is on the inner side of every hull edge, so
+    a walk towards it never leaves the mesh.
+    """
+    hull = [(u, v) for (u, v) in edge if (v, u) not in edge]
+    succ = dict(hull)
+    if len(succ) != len(hull):
+        return False  # two hull edges leave one vertex
+    pts = mesh.vertices
+    start = u = hull[0][0]
+    for step in range(1, len(hull) + 1):
+        v, w = succ[u], succ[succ[u]]
+        if orient2d(pts[u, 0], pts[u, 1], pts[v, 0], pts[v, 1], pts[w, 0], pts[w, 1]) < 0:
+            return False
+        u = v
+        if u == start:
+            return step == len(hull)
+    return False
 
 
 class InverseInterpolator:
     """Reusable pullback from the plane to the original cloud.
 
-    Triangulates the mapped cloud once; each query is located by walking and
+    Triangulates the mapped cloud once; each query is located in it and
     combines the corresponding original points barycentrically. Queries
     within 1e-9 of the triangulated region are snapped onto it; queries
     farther outside are flagged out in the returned mask (their output row is
     NaN). A query that coincides bitwise with a mapped point returns its
     original point exactly.
+
+    A batch is located the way a walk from the previous query's triangle
+    would locate each query in turn, across calls too. A grid of the
+    triangles and the float filter of `orient2d` settle most queries at
+    once: strictly inside one triangle, or certainly outside every triangle
+    near it. The rest (points on shared edges, and anything the filter
+    cannot decide) take the exact walk, started where the sequential walk
+    would have started.
     """
 
     snap_tolerance = 1e-9
+    _block = 4096  # queries classified per vectorised pass
 
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
@@ -528,11 +630,8 @@ class InverseInterpolator:
             raise ValueError(
                 f"mapped has {len(mapped)} points, original {len(original)}"
             )
-        mapped_u, merged = _dedup_points(mapped)
-        if merged:
-            # keep row correspondence: redo the selection on indices
-            _, first = np.unique(mapped, axis=0, return_index=True)
-            keep = np.sort(first)
+        mapped_u, keep = _dedup_points(mapped)
+        if len(keep) < len(mapped):
             original = original[keep]
             warnings.warn(
                 "duplicate mapped points merged before triangulation",
@@ -545,6 +644,50 @@ class InverseInterpolator:
         # exact-match lookup for bitwise vertex hits
         self._exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
         self._hull_segments: list[tuple[int, int]] | None = None
+        self._convex = _convex_hull_loop(self.mesh, self._locator.edge)
+        tri_pts = self.mesh.vertices[self.mesh.triangles]
+        self._lo = self.mesh.vertices.min(axis=0)
+        self._hi = self.mesh.vertices.max(axis=0)
+        w, h = self._hi - self._lo
+        ntri = len(self.mesh.triangles)
+        cell = max(math.sqrt(w * h / ntri), max(w, h) / ntri)
+        self._grid = _Grid(self._lo, self._hi, cell, tri_pts.min(axis=1), tri_pts.max(axis=1))
+
+    def _classify(self, q: np.ndarray) -> np.ndarray:
+        """Per query: its triangle when the filter is certain q is strictly
+        inside it, -1 when certainly outside the mesh, -2 when undecided."""
+        status = np.full(len(q), -2, dtype=np.int64)
+        if not self._convex:
+            return status
+        inbox = ((q >= self._lo) & (q <= self._hi)).all(axis=1)
+        status[~inbox] = -1
+        tris, pts = self.mesh.triangles, self.mesh.vertices
+        idx = np.flatnonzero(inbox)
+        for s in range(0, len(idx), self._block):
+            block = idx[s:s + self._block]
+            rows, tid = self._grid.pairs(q[block])
+            qx, qy = q[block][rows].T
+            corners = tris[tid]
+            inside = np.ones(len(rows), dtype=bool)
+            outside = np.zeros(len(rows), dtype=bool)
+            for u, v in ((0, 1), (1, 2), (2, 0)):
+                pu, pv = pts[corners[:, u]], pts[corners[:, v]]
+                # orient2d(pu, pv, q), float path
+                detleft = (pu[:, 0] - qx) * (pv[:, 1] - qy)
+                detright = (pu[:, 1] - qy) * (pv[:, 0] - qx)
+                det = detleft - detright
+                sure = np.abs(det) >= _ORIENT_BOUND * (np.abs(detleft) + np.abs(detright))
+                inside &= sure & (det > 0)
+                outside |= sure & (det < 0)
+            n = len(block)
+            n_in = np.bincount(rows[inside], minlength=n)
+            st = np.full(n, -2, dtype=np.int64)
+            st[np.bincount(rows[outside], minlength=n) == np.bincount(rows, minlength=n)] = -1
+            hit = np.zeros(n, dtype=np.int64)
+            hit[rows[inside]] = tid[inside]
+            st[n_in == 1] = hit[n_in == 1]
+            status[block] = st
+        return status
 
     def _snap(self, q: np.ndarray):
         if self._hull_segments is None:
@@ -553,6 +696,18 @@ class InverseInterpolator:
                 for loop in boundary_edges(self.mesh)
                 for i in range(len(loop))
             ]
+            seg = np.array(self._hull_segments, dtype=np.int64)
+            a = self.mesh.vertices[seg[:, 0]]
+            e = self.mesh.vertices[seg[:, 1]] - a
+            self._hull_arrays = (a, e, (e * e).sum(axis=1))
+            self._snap_margin = 1e-6 * (1.0 + float(np.abs(self.mesh.vertices).max()))
+        # vectorised distances decide the clear misses; anything near the
+        # tolerance takes the scalar loop below, whose bits are the result
+        a, e, ee = self._hull_arrays
+        t = np.clip(((q - a) * e).sum(axis=1) / ee, 0.0, 1.0)
+        gap = np.sqrt((((a + t[:, None] * e) - q) ** 2).sum(axis=1)).min()
+        if gap > self.snap_tolerance + self._snap_margin:
+            return None
         best = None
         for u, v in self._hull_segments:
             a, b = self.mesh.vertices[u], self.mesh.vertices[v]
@@ -572,24 +727,51 @@ class InverseInterpolator:
 
     def __call__(self, queries) -> tuple[np.ndarray, np.ndarray]:
         queries = as_cloud(queries, dim=2)
-        out = np.full((len(queries), self.original.shape[1]), np.nan)
-        ok = np.zeros(len(queries), dtype=bool)
-        for qi, q in enumerate(queries):
-            hit = self._exact.get((float(q[0]), float(q[1])))
-            if hit is not None:
-                out[qi] = self.original[hit]
-                ok[qi] = True
-                continue
-            tid = self._locator.locate(q)
-            if tid is None:
-                snapped = self._snap(q)
-                if snapped is None:
-                    continue
-                tid, q = snapped
-            tri = self.mesh.triangles[tid]
-            w = _barycentric(self.mesh.vertices[tri], q)
-            out[qi] = w @ self.original[tri]
-            ok[qi] = True
+        n = len(queries)
+        out = np.full((n, self.original.shape[1]), np.nan)
+        ok = np.zeros(n, dtype=bool)
+        hits = np.array([self._exact.get(q, -1) for q in map(tuple, queries.tolist())],
+                        dtype=np.int64)
+        vertex = hits >= 0
+        out[vertex] = self.original[hits[vertex]]
+        ok[vertex] = True
+
+        rest = np.flatnonzero(~vertex)
+        status = self._classify(queries[rest])
+        tid = np.full(n, -1, dtype=np.int64)
+        tid[rest] = status
+        # undecided queries walk from where the previous located query
+        # ended, as they would have one query at a time
+        loc = self._locator
+        last = loc.last
+        for qi, t in zip(rest.tolist(), status.tolist()):
+            if t == -2:
+                loc.last = last
+                found = loc.locate(queries[qi])
+                tid[qi] = -1 if found is None else found
+                last = loc.last
+            elif t >= 0:
+                last = t
+        loc.last = last
+
+        where = queries.copy()
+        for qi in np.flatnonzero(~vertex & (tid < 0)):
+            snapped = self._snap(queries[qi])
+            if snapped is not None:
+                tid[qi], where[qi] = snapped
+        inner = np.flatnonzero(~vertex & (tid >= 0))
+        if len(inner) == 0:
+            return out, ok
+        tri = self.mesh.triangles[tid[inner]]
+        a, b, c = (self.mesh.vertices[tri[:, k]] for k in range(3))
+        m = np.stack([b - a, c - a], axis=2)
+        try:
+            beta, gamma = np.linalg.solve(m, (where[inner] - a)[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("degenerate triangle in barycentric solve") from exc
+        w = np.column_stack([1.0 - beta - gamma, beta, gamma])
+        out[inner] = (w[:, None, :] @ self.original[tri])[:, 0, :]
+        ok[inner] = True
         return out, ok
 
 

@@ -210,8 +210,10 @@ def save_checkpoint(path, spec: NetworkSpec, params) -> None:
         },
         "params": params.tolist(),
     }
+    # json.dump always runs the pure-Python encoder; dumps uses the C one
+    # (same bytes)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, separators=(",", ":"))
+        f.write(json.dumps(doc, separators=(",", ":")))
         f.write("\n")
 
 

@@ -1,16 +1,18 @@
-"""Bit equality of the in-place kernels with the plain formulas they replace.
+"""Bit equality of the fast kernels with the plain formulas they replace.
 
 Each reference below is the straightforward expression: fresh temporaries,
-the (n, m, d) difference tensor, a second forward pass in backward. The
-kernels must reproduce them exactly (np.array_equal), not just closely,
-because training runs thousands of steps on them and the golden outputs
-pin every bit.
+the (n, m, d) difference tensor, a second forward pass in backward, a walk
+per query for the inverse interpolator, a test against every accepted
+point for dart throwing. The kernels must reproduce them exactly
+(np.array_equal), not just closely, because training runs thousands of
+steps on them and the golden outputs pin every bit.
 """
 
 import numpy as np
 import pytest
 
 from pcparam.boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows_grad
+from pcparam.domains import Arc, Domain, preset_domain
 from pcparam.geometry import (
     _sq_dists,
     hausdorff_exact,
@@ -26,6 +28,14 @@ from pcparam.losses import (
     lambda_pair_from_inverse,
     leg,
     leg_with_grad,
+)
+from pcparam.meshing import (
+    InverseInterpolator,
+    _boundary_ring,
+    _MeshLocator,
+    boundary_edges,
+    delaunay,
+    generate_param_mesh,
 )
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
 
@@ -108,6 +118,99 @@ def ref_backward(spec, params, inputs, ct):
         if li > 0:
             dz = da * (spec.omega * np.cos(spec.omega * pre[li - 1]))
     return grad, da
+
+
+class RefInterpolator:
+    """The per-query pullback: exact-hit lookup, walk, scalar snap, 2x2 solve."""
+
+    snap_tolerance = 1e-9
+
+    def __init__(self, interp):
+        self.mesh = interp.mesh
+        self.original = interp.original
+        self.locator = _MeshLocator(self.mesh)
+        self.exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
+        self.hull = [
+            (loop[i], loop[(i + 1) % len(loop)])
+            for loop in boundary_edges(self.mesh)
+            for i in range(len(loop))
+        ]
+
+    def snap(self, q):
+        best = None
+        for u, v in self.hull:
+            a, b = self.mesh.vertices[u], self.mesh.vertices[v]
+            e = b - a
+            t = float(np.clip(((q - a) @ e) / (e @ e), 0.0, 1.0))
+            proj = a + t * e
+            d = float(np.linalg.norm(q - proj))
+            if best is None or d < best[0]:
+                best = (d, u, v, proj)
+        if best is None or best[0] > self.snap_tolerance:
+            return None
+        _, u, v, proj = best
+        tid = self.locator.edge.get((u, v), self.locator.edge.get((v, u)))
+        return None if tid is None else (tid, proj)
+
+    def __call__(self, queries):
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        out = np.full((len(queries), self.original.shape[1]), np.nan)
+        ok = np.zeros(len(queries), dtype=bool)
+        for qi, q in enumerate(queries):
+            hit = self.exact.get((float(q[0]), float(q[1])))
+            if hit is not None:
+                out[qi] = self.original[hit]
+                ok[qi] = True
+                continue
+            tid = self.locator.locate(q)
+            if tid is None:
+                snapped = self.snap(q)
+                if snapped is None:
+                    continue
+                tid, q = snapped
+            tri = self.mesh.triangles[tid]
+            a, b, c = self.mesh.vertices[tri]
+            beta, gamma = np.linalg.solve(np.array([b - a, c - a]).T, q - a)
+            out[qi] = np.array([1.0 - beta - gamma, beta, gamma]) @ self.original[tri]
+            ok[qi] = True
+        return out, ok
+
+
+def ref_generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field=None):
+    """Dart throwing that tests each candidate against every accepted point."""
+    rng = np.random.default_rng(seed)
+    if mode == "uniform":
+        def radius_at(p):
+            return np.full(len(np.atleast_2d(p)), 0.75 * target_edge)
+    else:
+        probe = domain.sample_area(256, rng)
+        u = np.asarray(lambda_inv_field(probe), dtype=np.float64).ravel()
+        scale = 0.75 * target_edge * float(np.median(np.sqrt(u)))
+
+        def radius_at(p):
+            return scale / np.sqrt(np.asarray(lambda_inv_field(np.atleast_2d(p))).ravel())
+
+    ring = _boundary_ring(
+        domain, lambda p: float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
+    )
+    acc, arad = ring, radius_at(ring)
+    misses = 0
+    for _ in range(400):
+        cand = domain.sample_area(512, rng)
+        crad = radius_at(cand)
+        took = 0
+        for p, rp in zip(cand, crad):
+            d = np.linalg.norm(acc - p, axis=1)
+            if (d >= 0.5 * (arad + rp)).all():
+                acc = np.vstack([acc, p[None]])
+                arad = np.append(arad, rp)
+                took += 1
+        misses = misses + 1 if took == 0 else 0
+        if misses >= 4:
+            break
+    mesh = delaunay(acc)
+    keep = domain.contains_many(mesh.vertices[mesh.triangles].mean(axis=1))
+    return mesh.vertices, mesh.triangles[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +339,122 @@ def test_backward_rejects_mismatched_tape():
     forward(spec, params, x[:4], tape=tape)
     with pytest.raises(ValueError, match="cotangent shape"):
         backward(spec, params, x, np.zeros((10, 2)), tape=tape)
+
+
+# ---------------------------------------------------------------------------
+# inverse interpolation and dart throwing
+# ---------------------------------------------------------------------------
+
+
+def _same(got, want):
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+
+
+def _pair(mapped, original):
+    interp = InverseInterpolator(mapped, original)
+    return interp, RefInterpolator(interp)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_interpolator_matches_walk_on_random_queries(cols):
+    rng = np.random.default_rng(20 + cols)
+    mapped = rng.uniform(0.0, 1.0, (400, 2))
+    original = _cloud(rng, 400, cols)
+    interp, ref = _pair(mapped, original)
+    queries = rng.uniform(-0.05, 1.05, (3000, 2))
+    _same(interp(queries), ref(queries))
+    assert interp._locator.last == ref.locator.last
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_interpolator_matches_walk_on_shared_edges(cols):
+    # a regular grid: a point between two neighbours of one row or column
+    # lies exactly on the edge joining them, which two triangles share, and
+    # which of the two the walk reports depends on where it started; the
+    # spacing is not dyadic, so the two give different barycentric bits
+    g = np.arange(12) * 0.1
+    mapped = np.array([(x, y) for y in g for x in g])
+    rng = np.random.default_rng(30 + cols)
+    original = _cloud(rng, len(mapped), cols)
+    interp, ref = _pair(mapped, original)
+    i = rng.integers(1, 10, 600)
+    j = rng.integers(0, 11, 600)
+    t = g[j] + rng.uniform(0.0, 0.1, 600)
+    on_edges = np.where(
+        (np.arange(600) % 2 == 0)[:, None],
+        np.column_stack([t, g[i]]),  # on a horizontal interior edge
+        np.column_stack([g[i], t]),  # on a vertical interior edge
+    )
+    queries = np.empty((1200, 2))
+    queries[0::2] = on_edges
+    queries[1::2] = rng.uniform(0.0, 1.1, (600, 2))
+    _same(interp(queries), ref(queries))
+    # the same stream split over calls of uneven size, walker state carried
+    interp, ref = _pair(mapped, original)
+    for part in np.split(queries, [1, 2, 7, 50, 51, 300, 800]):
+        _same(interp(part), ref(part))
+        assert interp._locator.last == ref.locator.last
+
+
+def test_interpolator_matches_walk_on_vertex_hits_and_near_hull():
+    rng = np.random.default_rng(40)
+    mapped = np.vstack([rng.uniform(0.0, 1.0, (200, 2)), [[0, 0], [1, 0], [1, 1], [0, 1]]])
+    original = _cloud(rng, len(mapped), 3)
+    interp, ref = _pair(mapped, original)
+    t = rng.uniform(0.0, 1.0, 60)
+    queries = np.vstack([
+        mapped[rng.permutation(len(mapped))[:80]],           # vertex hits
+        np.column_stack([t, np.full(60, -1e-10)]),            # snap onto y = 0
+        np.column_stack([np.full(60, 1.0 + 9e-10), t]),       # snap onto x = 1
+        np.column_stack([t, np.full(60, 1.0 + 2e-9)]),        # just past tolerance
+        np.column_stack([t, np.full(60, -1e-3)]),             # clearly outside
+        [[-1e-10, -1e-10], [2.0, 2.0], [-5.0, 0.5], [0.5, 7.0]],
+        rng.uniform(0.0, 1.0, (200, 2)),
+    ])
+    queries = queries[rng.permutation(len(queries))]
+    got, want = interp(queries), ref(queries)
+    _same(got, want)
+    assert 0 < got[1].sum() < len(queries)
+    for q in queries[:150]:  # one query per call, as the boundary ring asks
+        _same(interp(q[None]), ref(q[None]))
+
+
+def test_interpolator_matches_walk_on_nonconvex_triangulation():
+    # hull points 1e-14 inside a straight edge: the triangulation leaves
+    # the thin triangles along it out, so its region is not convex there and
+    # a walk can leave it on the way to a point that lies inside
+    rng = np.random.default_rng(50)
+    xs = np.linspace(0.0, 1.0, 11)
+    bottom = np.column_stack([xs, np.where(np.arange(11) % 2 == 1, 1e-14, 0.0)])
+    mapped = np.vstack([bottom, rng.uniform(0.05, 1.0, (100, 2)), [[0.0, 1.0], [1.0, 1.0]]])
+    interp, ref = _pair(mapped, _cloud(rng, len(mapped), 3))
+    assert not interp._convex
+    near = np.column_stack([rng.uniform(0.0, 1.0, 400), rng.uniform(-1e-14, 3e-14, 400)])
+    queries = np.empty((800, 2))
+    queries[0::2] = near
+    queries[1::2] = rng.uniform(0.0, 1.0, (400, 2))
+    _same(interp(queries), ref(queries))
+
+
+def _annulus():
+    return Domain([
+        [Arc((0.0, 0.0), 1.0, 0.0, 0.0, ccw=True)],
+        [Arc((0.0, 0.0), 0.45, 0.0, 0.0, ccw=False)],
+    ])
+
+
+def _field(p):
+    p = np.atleast_2d(p)
+    return 0.3 + 4.0 * np.exp(-4.0 * ((p - 0.3) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("mode", ["uniform", "lambda_adapted"])
+@pytest.mark.parametrize("name", ["disk", "square", "annulus"])
+def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
+    domain = _annulus() if name == "annulus" else preset_domain(name)
+    field = _field if mode == "lambda_adapted" else None
+    mesh = generate_param_mesh(domain, mode, 0.1, seed=4, lambda_inv_field=field)
+    vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, 4, field)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)

@@ -1,16 +1,20 @@
-"""Golden outputs: two tiny fixed-seed fits must reproduce pinned SHA-256 hashes.
+"""Golden outputs: tiny fixed-seed runs must reproduce pinned SHA-256 hashes.
 
 c11 in test_acceptance compares two runs made by the same code; this test
 compares against hashes frozen once, so a refactor that changes a single
-float bit of the training path fails here. Each fit runs through
-`pcparam.cli.main` in a fresh subprocess with one BLAS thread, since the
-thread count changes the bits of the matrix products.
+float bit of the training or reconstruction path fails here. Each run goes
+through `pcparam.cli.main` in a fresh subprocess with one BLAS thread, since
+the thread count changes the bits of the matrix products.
 
 - `landmark_2d`: a 2-d landmark fit with beta1 > 0, which exercises the
   distortion energy, the domain surrogate, the landmark surrogate and the
   inverse-factor network.
 - `fixed_boundary_3d`: a 3-d fixed-boundary fit with an evaluation mesh,
   which exercises the three-coordinate distance kernels.
+- `reconstruct_disk`: `pcparam reconstruct` in `uniform` and
+  `lambda_adapted` mode on a small lifted disk, through a projection
+  checkpoint, which exercises dart throwing, the inverse interpolator
+  (interior, shared-edge and off-hull queries) and the lift.
 
 The hashes were frozen with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
 (OpenBLAS DYNAMIC_ARCH, Haswell kernels) on an x86-64 CPU with AVX-512.
@@ -34,6 +38,7 @@ import pytest
 from pcparam.geometry import TriangleMesh
 from pcparam.io import save_cloud, save_mesh
 from pcparam.meshing import delaunay
+from pcparam.neural import NetworkSpec, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,6 +61,13 @@ GOLDEN = {
         "map.ckpt.json": "a096083be0b614a6855f02f49c6c8121c0e7cfea687692d87c54b79b5a169f34",
         "lambda.ckpt.json": "0bff99146f3fb68c763e8e52b572deb09509ab0bba69da7bef209a4e23e39221",
     },
+}
+
+GOLDEN_RECONSTRUCT = {
+    "uniform.obj": "a97708b2f63410071f4bcdbd206852eeaf0f45929e4ce2d5c36b80e62a9e4602",
+    "uniform_param.obj": "d0e1cd124efd9e503a3e67a74e87fc8158d3fdc46b5169a30e6207a7e6d7e76c",
+    "adapted.obj": "c3e20ac0cfd0c647b71a3c5b7d1a3ceff9fe2600ecb4547a19b57f15a5397e45",
+    "adapted_param.obj": "8ce938bde4a043b20f331fc838d4a9bf9779d141cecf512007134da4fcd4eed5",
 }
 
 OUTPUTS = ("log.csv", "mapped.csv", "map.ckpt.json", "lambda.ckpt.json")
@@ -143,9 +155,7 @@ SETUPS = {
 }
 
 
-def _run_fit(name: str, work: Path) -> dict[str, str]:
-    cfg = SETUPS[name](work)
-    (work / "fit.json").write_text(json.dumps(cfg))
+def _run_cli(work: Path, argv: list[str]) -> None:
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = "1"
     env["OMP_NUM_THREADS"] = "1"
@@ -154,12 +164,51 @@ def _run_fit(name: str, work: Path) -> dict[str, str]:
     )
     code = "import sys; from pcparam.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", code, "fit", "--config", "fit.json"],
+        [sys.executable, "-c", code, *argv],
         cwd=work, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    out = work / "out"
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
+
+
+def _hashes(directory: Path, names) -> dict[str, str]:
+    return {f: hashlib.sha256((directory / f).read_bytes()).hexdigest() for f in names}
+
+
+def _run_fit(name: str, work: Path) -> dict[str, str]:
+    cfg = SETUPS[name](work)
+    (work / "fit.json").write_text(json.dumps(cfg))
+    _run_cli(work, ["fit", "--config", "fit.json"])
+    return _hashes(work / "out", OUTPUTS)
+
+
+def _run_reconstruct(work: Path) -> dict[str, str]:
+    rng = np.random.default_rng(13)
+    pts = [np.zeros((1, 2))]
+    rings = 8
+    for j in range(1, rings + 1):
+        r = j / rings
+        m = max(8, int(round(2 * np.pi * r * rings)))
+        th = 2 * np.pi * np.arange(m) / m
+        ring = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        if j < rings:
+            ring += rng.normal(0.0, 0.004, ring.shape)
+        pts.append(ring)
+    xy = np.vstack(pts)
+    save_cloud(work / "cloud.csv", np.column_stack([xy, np.exp(-(xy ** 2).sum(axis=1) / 0.1)]))
+    # one affine layer that drops z, and lambda_inv = softplus(4 z - 1)
+    save_checkpoint(work / "map.ckpt.json", NetworkSpec(3, (), 2),
+                    np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    save_checkpoint(work / "lambda.ckpt.json",
+                    NetworkSpec(3, (), 1, output_activation="softplus"),
+                    np.array([0.0, 0.0, 4.0, -1.0]))
+    common = ["reconstruct", "--checkpoint", "map.ckpt.json", "--input", "cloud.csv",
+              "--domain-preset", "disk", "--target-edge", "0.15"]
+    _run_cli(work, [*common, "--mode", "uniform",
+                    "--out", "uniform.obj", "--param-out", "uniform_param.obj"])
+    _run_cli(work, [*common, "--mode", "lambda_adapted",
+                    "--lambda-checkpoint", "lambda.ckpt.json",
+                    "--out", "adapted.obj", "--param-out", "adapted_param.obj"])
+    return _hashes(work, GOLDEN_RECONSTRUCT)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -168,3 +217,10 @@ def test_golden_fit_hashes(name, tmp_path):
     if build != FROZEN_BUILD:
         pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
     assert _run_fit(name, tmp_path) == GOLDEN[name]
+
+
+def test_golden_reconstruct_hashes(tmp_path):
+    build = _build()
+    if build != FROZEN_BUILD:
+        pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
+    assert _run_reconstruct(tmp_path) == GOLDEN_RECONSTRUCT
