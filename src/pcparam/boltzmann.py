@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "boltzmann",
     "boltzmann_gradient",
-    "boltzmann_rows",
     "boltzmann_rows_grad",
     "extremum_error_and_bound",
 ]
@@ -31,10 +30,9 @@ def _validate(values) -> np.ndarray:
     return x
 
 
-def _softmax(t: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = t.max(axis=axis, keepdims=True)
-    w = np.exp(t - m)
-    return w / w.sum(axis=axis, keepdims=True)
+def _softmax(t: np.ndarray) -> np.ndarray:
+    w = np.exp(t - t.max())
+    return w / w.sum()
 
 
 def boltzmann(values, alpha: float) -> float:
@@ -58,13 +56,6 @@ def boltzmann_gradient(values, alpha: float) -> np.ndarray:
     s = _softmax(alpha * x)
     b = np.clip((x * s).sum(), x.min(), x.max())
     return s * (1.0 + alpha * (x - b))
-
-
-def boltzmann_rows(matrix: np.ndarray, alpha: float) -> np.ndarray:
-    """boltzmann() applied to every row of a 2-d array (vectorized)."""
-    s = _softmax(alpha * matrix, axis=1)
-    vals = (matrix * s).sum(axis=1)
-    return np.clip(vals, matrix.min(axis=1), matrix.max(axis=1))
 
 
 def boltzmann_rows_grad(matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

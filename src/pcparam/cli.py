@@ -245,11 +245,19 @@ def _load_cloud_checked(path) -> np.ndarray:
         raise ConfigError(f"cannot read cloud {path}: {exc}") from exc
 
 
-def _load_checkpoint_checked(path) -> tuple[NetworkSpec, np.ndarray]:
+def _load_checkpoint_for(
+    path, cloud: np.ndarray, label: str = "checkpoint"
+) -> tuple[NetworkSpec, np.ndarray]:
+    """Load a checkpoint and check that its network takes the cloud's points."""
     try:
-        return load_checkpoint(path)
+        spec, params = load_checkpoint(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    if spec.input_dim != cloud.shape[1]:
+        raise ConfigError(
+            f"{label} expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
+        )
+    return spec, params
 
 
 def _mesh_vertices_for(cloud: np.ndarray, mesh):
@@ -359,32 +367,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_map(args) -> int:
-    spec, params = _load_checkpoint_checked(args.checkpoint)
     cloud = _load_cloud_checked(args.input)
-    if spec.input_dim != cloud.shape[1]:
-        raise ConfigError(
-            f"checkpoint expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
-        )
+    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     pcio.save_cloud(args.out, forward(spec, params, cloud))
     if args.lambda_checkpoint:
-        lspec, lparams = _load_checkpoint_checked(args.lambda_checkpoint)
-        if lspec.input_dim != cloud.shape[1]:
-            raise ConfigError(
-                f"lambda checkpoint expects {lspec.input_dim}-d input, "
-                f"cloud is {cloud.shape[1]}-d"
-            )
+        lspec, lparams = _load_checkpoint_for(args.lambda_checkpoint, cloud, "lambda checkpoint")
         vals = forward(lspec, lparams, cloud).ravel()
         pcio.save_table(args.lambda_out, ["lambda_inv"], [[v] for v in vals])
     return 0
 
 
 def cmd_eval(args) -> int:
-    spec, params = _load_checkpoint_checked(args.checkpoint)
     cloud = _load_cloud_checked(args.input)
-    if spec.input_dim != cloud.shape[1]:
-        raise ConfigError(
-            f"checkpoint expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
-        )
+    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     domain = _domain_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -426,12 +421,8 @@ def cmd_boundary(args) -> int:
     else:
         if not (args.checkpoint and args.input):
             raise ConfigError("boundary needs --mapped or both --checkpoint and --input")
-        spec, params = _load_checkpoint_checked(args.checkpoint)
         cloud = _load_cloud_checked(args.input)
-        if spec.input_dim != cloud.shape[1]:
-            raise ConfigError(
-                f"checkpoint expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
-            )
+        spec, params = _load_checkpoint_for(args.checkpoint, cloud)
         mapped = forward(spec, params, cloud)
     if args.h <= 0:
         raise ConfigError(f"--h must be positive, got {args.h}")
@@ -457,12 +448,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    spec, params = _load_checkpoint_checked(args.checkpoint)
     cloud = _load_cloud_checked(args.input)
-    if spec.input_dim != cloud.shape[1]:
-        raise ConfigError(
-            f"checkpoint expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
-        )
+    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     domain = _domain_from_args(args)
     mapped = forward(spec, params, cloud)
 
@@ -470,12 +457,7 @@ def cmd_reconstruct(args) -> int:
     if args.mode == "lambda_adapted":
         if not args.lambda_checkpoint:
             raise ConfigError("lambda_adapted mode needs --lambda-checkpoint")
-        lspec, lparams = _load_checkpoint_checked(args.lambda_checkpoint)
-        if lspec.input_dim != cloud.shape[1]:
-            raise ConfigError(
-                f"lambda checkpoint expects {lspec.input_dim}-d input, "
-                f"cloud is {cloud.shape[1]}-d"
-            )
+        lspec, lparams = _load_checkpoint_for(args.lambda_checkpoint, cloud, "lambda checkpoint")
         lam_vals = forward(lspec, lparams, cloud).ravel()
         interp = InverseInterpolator(mapped, lam_vals)
 
@@ -568,6 +550,8 @@ def cmd_plot(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.kind == "extremum":
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         alphas = (1.0, 2.0, 5.0, 10.0, 50.0)
         rows = []

@@ -22,9 +22,6 @@ __all__ = [
     "Line",
     "Arc",
     "Domain",
-    "contains",
-    "sample_area",
-    "sample_boundary",
     "landmark_targets_lines",
     "domain_to_json",
     "domain_from_json",
@@ -294,9 +291,11 @@ class Domain:
         return result
 
     def contains(self, point) -> bool:
+        """True iff the point is in the closed region (boundary points included)."""
         return bool(self.contains_many(np.asarray(point, dtype=np.float64).reshape(1, 2))[0])
 
     def sample_area(self, n: int, seed) -> np.ndarray:
+        """n uniform points by rejection from the bounding box; deterministic per seed."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
@@ -315,6 +314,7 @@ class Domain:
         raise RuntimeError("area sampler failed: acceptance rate too low (degenerate domain?)")
 
     def sample_boundary(self, n: int, seed) -> np.ndarray:
+        """n boundary points, distributed proportionally to arc length over all loops."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
@@ -330,32 +330,6 @@ class Domain:
                 t = (u[mask] - cum[si]) / lengths[si]
                 pts[mask] = segs[si].point_at(t)
         return pts
-
-    def boundary_polylines(self, step: float = 0.01) -> list[np.ndarray]:
-        """One closed polyline per loop (for plotting and polygon oracles)."""
-        out = []
-        for loop in self.loops:
-            parts = [seg.polyline(step) for seg in loop]
-            out.append(np.vstack(parts))
-        return out
-
-
-# --- spec-shaped module-level ops ------------------------------------------
-
-
-def contains(domain: Domain, point) -> bool:
-    """True iff the point is in the closed region (boundary points included)."""
-    return domain.contains(point)
-
-
-def sample_area(domain: Domain, n: int, seed) -> np.ndarray:
-    """n uniform points by rejection from the bounding box; deterministic per seed."""
-    return domain.sample_area(n, seed)
-
-
-def sample_boundary(domain: Domain, n: int, seed) -> np.ndarray:
-    """n boundary points, distributed proportionally to arc length over all loops."""
-    return domain.sample_boundary(n, seed)
 
 
 def landmark_targets_lines() -> np.ndarray:

@@ -1,10 +1,11 @@
 """Training energies: smooth Hausdorff surrogate, localized distortion, landmarks.
 
-All energies are plain functions of arrays plus small config dataclasses, and
-each has a *_with_grad twin returning analytic gradients with respect to the
-mapped coordinates (and the inverse-conformal-factor values where relevant).
-Gradients are exact derivatives of the implemented formulas; finite-difference
-agreement is enforced in the test suite.
+All energies are plain functions of arrays plus small config dataclasses.
+Each is one *_with_grad function that returns the value together with its
+analytic gradients with respect to the mapped coordinates (and the
+inverse-conformal-factor values where relevant); callers that need only the
+value take element [0]. Gradients are exact derivatives of the implemented
+formulas; finite-difference agreement is enforced in the test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows, boltzmann_rows_grad
+from .boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows_grad
 from .geometry import (
     TriangleMesh,
     _sq_dists,
@@ -27,16 +28,12 @@ __all__ = [
     "HandConfig",
     "LegConfig",
     "ObjectiveConfig",
-    "hand",
     "hand_with_grad",
-    "leg",
     "leg_with_grad",
     "lambda_pair_from_inverse",
     "lambda_inv_chain",
-    "landmark_energy",
     "landmark_energy_with_grad",
     "LossBreakdown",
-    "total_loss",
     "total_loss_with_grad",
     "BoundAuditReport",
     "audit_theorem_bound",
@@ -96,23 +93,13 @@ class ObjectiveConfig:
 # ---------------------------------------------------------------------------
 
 
-def hand(y, w, cfg: HandConfig) -> float:
-    """Smooth two-sided Hausdorff surrogate between clouds y and w.
+def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smooth two-sided Hausdorff surrogate between clouds y and w, plus its
+    gradients with respect to both clouds' coordinates.
 
     Soft-max over points of the soft-min of the pairwise distances, in both
     directions, summed. Symmetric in (y, w); converges to the modified
     (sum-form) Hausdorff distance exponentially fast in cfg.alpha.
-    """
-    a = cfg.alpha
-    d = pairwise_distances(y, w)
-    row_soft_min = boltzmann_rows(d, -a)
-    col_soft_min = boltzmann_rows(d.T, -a)
-    return boltzmann(row_soft_min, a) + boltzmann(col_soft_min, a)
-
-
-def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """hand() value plus gradients with respect to both clouds' coordinates.
-
     Coincident pairs (zero distance) get a zero subgradient contribution.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -147,7 +134,17 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _check_leg_inputs(original, mapped, lambda_pair):
+def leg_with_grad(
+    original, mapped, lambda_pair, cfg: LegConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Localized distortion energy of a mapped cloud, plus its gradients in the
+    mapped coordinates and in lambda_pair.
+
+    Mean over all ordered point pairs (diagonal included, it vanishes) of the
+    squared mismatch between the Gaussian affinity of the originals and the
+    lambda-compensated Gaussian affinity of their images. Zero exactly when
+    every image pair distance equals lambda_ij times the original distance.
+    """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
     n = len(x)
@@ -158,13 +155,10 @@ def _check_leg_inputs(original, mapped, lambda_pair):
         raise ValueError(f"lambda_pair must have shape ({n}, {n}), got {lam.shape}")
     if not (np.isfinite(lam).all() and (lam > 0.0).all()):
         raise ValueError("lambda_pair entries must be positive and finite")
-    return x, y, lam
+    s2 = cfg.sigma * cfg.sigma
 
-
-def _leg_mismatch(x, y, lam, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, hy, sqy) on validated inputs: e = gx - hy, the affinity mismatch,
-    with gx = exp(-|x_i - x_j|^2 / s2), hy = exp(-sqy / (s2 lam^2)) and
-    sqy = |y_i - y_j|^2. Built in place in four n x n buffers."""
+    # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
+    # hy = exp(-sqy / (s2 lam^2)) and sqy = |y_i - y_j|^2, built in place
     e = _sq_dists(x, x)
     np.negative(e, out=e)
     e /= s2
@@ -177,32 +171,6 @@ def _leg_mismatch(x, y, lam, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del q
     np.exp(hy, out=hy)
     e -= hy
-    return e, hy, sqy
-
-
-def leg(original, mapped, lambda_pair, cfg: LegConfig) -> float:
-    """Localized distortion energy of a mapped cloud.
-
-    Mean over all ordered point pairs (diagonal included, it vanishes) of the
-    squared mismatch between the Gaussian affinity of the originals and the
-    lambda-compensated Gaussian affinity of their images. Zero exactly when
-    every image pair distance equals lambda_ij times the original distance.
-    """
-    x, y, lam = _check_leg_inputs(original, mapped, lambda_pair)
-    e, _, _ = _leg_mismatch(x, y, lam, cfg.sigma * cfg.sigma)
-    n = len(e)
-    e *= e
-    return float(e.sum() / (n * n))
-
-
-def leg_with_grad(
-    original, mapped, lambda_pair, cfg: LegConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """leg() value plus gradients in the mapped coordinates and in lambda_pair."""
-    x, y, lam = _check_leg_inputs(original, mapped, lambda_pair)
-    n = len(x)
-    s2 = cfg.sigma * cfg.sigma
-    e, hy, sqy = _leg_mismatch(x, y, lam, s2)
     buf = e * e
     value = float(buf.sum() / (n * n))
 
@@ -264,28 +232,19 @@ def lambda_inv_chain(g_lambda: np.ndarray, lambda_pair: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _check_landmark_lists(mapped_landmarks, targets) -> None:
-    if len(mapped_landmarks) != len(targets):
-        raise ValueError(
-            f"{len(mapped_landmarks)} landmark clouds vs {len(targets)} targets"
-        )
-
-
-def landmark_energy(mapped_landmarks, targets, cfg: HandConfig) -> float:
-    """Sum of smooth Hausdorff surrogates between landmark images and targets.
+def landmark_energy_with_grad(
+    mapped_landmarks, targets, cfg: HandConfig
+) -> tuple[float, list[np.ndarray]]:
+    """Sum of smooth Hausdorff surrogates between landmark images and targets,
+    plus the gradient for each mapped landmark cloud.
 
     Point counts may differ within a pair (regions are matched as sets, not
     point-to-point). Empty lists give 0.
     """
-    _check_landmark_lists(mapped_landmarks, targets)
-    return sum(hand(m, q, cfg) for m, q in zip(mapped_landmarks, targets))
-
-
-def landmark_energy_with_grad(
-    mapped_landmarks, targets, cfg: HandConfig
-) -> tuple[float, list[np.ndarray]]:
-    """landmark_energy() plus the gradient for each mapped landmark cloud."""
-    _check_landmark_lists(mapped_landmarks, targets)
+    if len(mapped_landmarks) != len(targets):
+        raise ValueError(
+            f"{len(mapped_landmarks)} landmark clouds vs {len(targets)} targets"
+        )
     value = 0.0
     grads: list[np.ndarray] = []
     for m, q in zip(mapped_landmarks, targets):
@@ -310,7 +269,7 @@ class LossBreakdown:
     landmark: float
 
 
-def _total_loss_impl(
+def total_loss_with_grad(
     original,
     mapped,
     lambda_inv_values,
@@ -318,9 +277,19 @@ def _total_loss_impl(
     landmark_rows,
     targets,
     cfg: ObjectiveConfig,
-    n_base: int | None,
-    want_grad: bool,
-):
+    n_base: int | None = None,
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """Combined objective on one batch, plus its gradients in the mapped
+    coordinates and in the inverse factors.
+
+    `original`/`mapped`/`lambda_inv_values` cover the batch with landmark
+    points appended; rows before `n_base` (default: all) are the non-landmark
+    batch the domain surrogate term sees. `landmark_rows` gives, per landmark
+    region, the row indices of its points inside `mapped`; `targets` the
+    corresponding planar target clouds. With beta1 == 0 the distortion term
+    is skipped entirely, `lambda_inv_values` may be None and the gradient in
+    the inverse factors is zero.
+    """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
     if len(x) != len(y):
@@ -348,36 +317,28 @@ def _total_loss_impl(
     if cfg.beta2 > 0 and domain_sample is None:
         raise ValueError("domain_sample is required when beta2 > 0")
 
-    g_mapped = np.zeros_like(y) if want_grad else None
-    g_v = None
+    g_mapped = np.zeros_like(y)
+    g_v = np.zeros(n)
 
     leg_val = 0.0
     if cfg.beta1 > 0:
         lam = lambda_pair_from_inverse(v)
-        if want_grad:
-            leg_val, g_leg_y, g_lam = leg_with_grad(x, y, lam, cfg.leg)
-            g_mapped += cfg.beta1 * g_leg_y
-            g_v = cfg.beta1 * lambda_inv_chain(g_lam, lam)
-        else:
-            leg_val = leg(x, y, lam, cfg.leg)
+        leg_val, g_leg_y, g_lam = leg_with_grad(x, y, lam, cfg.leg)
+        g_mapped += cfg.beta1 * g_leg_y
+        g_v = cfg.beta1 * lambda_inv_chain(g_lam, lam)
 
     hand_val = 0.0
     if cfg.beta2 > 0:
-        if want_grad:
-            hand_val, g_hand_y, _ = hand_with_grad(y[:n_base], domain_sample, cfg.hand)
-            g_mapped[:n_base] += cfg.beta2 * g_hand_y
-        else:
-            hand_val = hand(y[:n_base], domain_sample, cfg.hand)
+        hand_val, g_hand_y, _ = hand_with_grad(y[:n_base], domain_sample, cfg.hand)
+        g_mapped[:n_base] += cfg.beta2 * g_hand_y
 
     lm_val = 0.0
     if cfg.beta3 > 0 and landmark_rows:
-        for rows, q in zip(landmark_rows, targets):
-            if want_grad:
-                val_k, g_k, _ = hand_with_grad(y[rows], q, cfg.hand)
-                np.add.at(g_mapped, rows, cfg.beta3 * g_k)
-            else:
-                val_k = hand(y[rows], q, cfg.hand)
-            lm_val += val_k
+        lm_val, g_lm = landmark_energy_with_grad(
+            [y[rows] for rows in landmark_rows], targets, cfg.hand
+        )
+        for rows, g_k in zip(landmark_rows, g_lm):
+            np.add.at(g_mapped, rows, cfg.beta3 * g_k)
 
     breakdown = LossBreakdown(
         total=cfg.beta1 * leg_val + cfg.beta2 * hand_val + cfg.beta3 * lm_val,
@@ -385,53 +346,7 @@ def _total_loss_impl(
         hand=hand_val,
         landmark=lm_val,
     )
-    if want_grad:
-        if g_v is None:
-            g_v = np.zeros(n)
-        return breakdown, g_mapped, g_v
-    return breakdown
-
-
-def total_loss(
-    original,
-    mapped,
-    lambda_inv_values,
-    domain_sample,
-    landmark_rows,
-    targets,
-    cfg: ObjectiveConfig,
-    n_base: int | None = None,
-) -> LossBreakdown:
-    """Combined objective on one batch.
-
-    `original`/`mapped`/`lambda_inv_values` cover the batch with landmark
-    points appended; rows before `n_base` (default: all) are the non-landmark
-    batch the domain surrogate term sees. `landmark_rows` gives, per landmark
-    region, the row indices of its points inside `mapped`; `targets` the
-    corresponding planar target clouds. With beta1 == 0 the distortion term
-    is skipped entirely and `lambda_inv_values` may be None.
-    """
-    return _total_loss_impl(
-        original, mapped, lambda_inv_values, domain_sample,
-        landmark_rows, targets, cfg, n_base, want_grad=False,
-    )
-
-
-def total_loss_with_grad(
-    original,
-    mapped,
-    lambda_inv_values,
-    domain_sample,
-    landmark_rows,
-    targets,
-    cfg: ObjectiveConfig,
-    n_base: int | None = None,
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """total_loss() plus gradients in mapped coordinates and inverse factors."""
-    return _total_loss_impl(
-        original, mapped, lambda_inv_values, domain_sample,
-        landmark_rows, targets, cfg, n_base, want_grad=True,
-    )
+    return breakdown, g_mapped, g_v
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +416,7 @@ def audit_theorem_bound(
     big_r = float(dx.max())
     eta = 1.0 / cfg.sigma
 
-    d_sigma = leg(mesh.vertices, mapped, lam, cfg)
+    d_sigma = leg_with_grad(mesh.vertices, mapped, lam, cfg)[0]
     n_tri = len(mesh.triangles)
     growth = np.exp(eta * eta * r * r * big_r * big_r) / (eta * eta)
     lhs = growth * growth * d_sigma + (84.0 * n_tri / (n * n)) * r**4 * big_r**4

@@ -116,6 +116,45 @@ def circumcircle(a, b, c) -> tuple[np.ndarray, float]:
     return center, float(((a - center) ** 2).sum())
 
 
+def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
+    """Triangle containing (qx, qy), by a visibility walk from triangle `tid`.
+
+    `tris` maps triangle id to its ccw corners and `edge` maps each directed
+    edge (u, v) to the triangle it bounds on the left. The walk crosses the
+    first edge with the query strictly on its right and returns None when
+    that edge lies on the hull. A walk that has not settled after
+    4 * len(tris) + 64 steps falls back to testing every triangle in the
+    dict's own order (still exact).
+    """
+    prev: tuple[int, int] | None = None
+    for _ in range(4 * len(tris) + 64):
+        a, b, c = tris[tid]
+        moved = False
+        for u, v in ((a, b), (b, c), (c, a)):
+            if prev == (u, v):
+                continue
+            pu, pv = pts[u], pts[v]
+            if orient2d(pu[0], pu[1], pv[0], pv[1], qx, qy) < 0:
+                nxt = edge.get((v, u))
+                if nxt is None:
+                    return None
+                prev = (v, u)
+                tid = nxt
+                moved = True
+                break
+        if not moved:
+            return tid
+    for tid, (a, b, c) in tris.items():
+        pa, pb, pc = pts[a], pts[b], pts[c]
+        if (
+            orient2d(pa[0], pa[1], pb[0], pb[1], qx, qy) >= 0
+            and orient2d(pb[0], pb[1], pc[0], pc[1], qx, qy) >= 0
+            and orient2d(pc[0], pc[1], pa[0], pa[1], qx, qy) >= 0
+        ):
+            return tid
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Bowyer-Watson
 # ---------------------------------------------------------------------------
@@ -146,48 +185,17 @@ class _Triangulator:
         self.next_tid = 1
         self.last_tid = 0
 
-    def _orient(self, u: int, v: int, px: float, py: float) -> int:
-        pu, pv = self.pts[u], self.pts[v]
-        return orient2d(pu[0], pu[1], pv[0], pv[1], px, py)
-
     def _incircle(self, tid: int, px: float, py: float) -> int:
         a, b, c = self.tris[tid]
         pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
         return incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], px, py)
 
-    def _locate(self, px: float, py: float) -> int:
-        tid = self.last_tid if self.last_tid in self.tris else next(iter(self.tris))
-        prev: tuple[int, int] | None = None
-        for _ in range(4 * len(self.tris) + 64):
-            a, b, c = self.tris[tid]
-            moved = False
-            for u, v in ((a, b), (b, c), (c, a)):
-                if prev == (u, v):
-                    continue
-                if self._orient(u, v, px, py) < 0:
-                    nxt = self.edge.get((v, u))
-                    if nxt is None:
-                        raise RuntimeError("point escaped the bounding triangle")
-                    prev = (v, u)
-                    tid = nxt
-                    moved = True
-                    break
-            if not moved:
-                return tid
-        # degenerate walk; settle by exhaustive scan (still exact)
-        for tid in sorted(self.tris):
-            a, b, c = self.tris[tid]
-            if (
-                self._orient(a, b, px, py) >= 0
-                and self._orient(b, c, px, py) >= 0
-                and self._orient(c, a, px, py) >= 0
-            ):
-                return tid
-        raise RuntimeError("point location failed")
-
     def insert(self, pi: int) -> None:
         px, py = self.pts[pi]
-        seed = self._locate(px, py)
+        start = self.last_tid if self.last_tid in self.tris else next(iter(self.tris))
+        seed = _walk(self.pts, self.tris, self.edge, start, px, py)
+        if seed is None:
+            raise RuntimeError("point escaped the bounding triangle")
         bad = {seed}
         order = [seed]
         stack = [seed]
@@ -397,17 +405,26 @@ class _Grid:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_ring(domain: Domain, step_at) -> np.ndarray:
-    """March every loop placing points at locally prescribed spacing."""
+def _boundary_ring(domain: Domain, radius_at) -> np.ndarray:
+    """March every loop placing points at locally prescribed spacing.
+
+    radius_at maps an (n, 2) array of points to their spacings. The spacing
+    of a loop's dense points is evaluated in one call over dense[1:], the
+    points in the order a one-point-at-a-time march would ask for them.
+    """
+    def step_at(p) -> float:
+        return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
+
     ring = []
     for loop in domain.loops:
         dense = np.vstack([seg.polyline(step_at(seg.point_at(0.0)) / 8.0) for seg in loop])
         seg_len = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
+        step = radius_at(dense[1:])
         placed = [dense[0]]
         acc = 0.0
         for i in range(1, len(dense)):
             acc += seg_len[i - 1]
-            if acc >= step_at(dense[i]):
+            if acc >= step[i - 1]:
                 placed.append(dense[i])
                 acc = 0.0
         if len(placed) >= 2 and np.linalg.norm(placed[-1] - placed[0]) < 0.5 * step_at(placed[0]):
@@ -495,10 +512,7 @@ def generate_param_mesh(
                 raise ValueError("lambda_inv_field must return positive finite values")
             return scale / np.sqrt(vals)
 
-    def step_at(p) -> float:
-        return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
-
-    ring = _boundary_ring(domain, step_at)
+    ring = _boundary_ring(domain, radius_at)
     accepted = [ring]
     radii = [radius_at(ring)]
     consecutive_miss = 0
@@ -532,49 +546,25 @@ def generate_param_mesh(
 
 
 class _MeshLocator:
-    """Walk-based point location on a fixed triangulation."""
+    """Walk-based point location on a fixed triangulation; each walk starts
+    where the last successful one ended."""
 
     def __init__(self, mesh: TriangleMesh):
         self.pts = mesh.vertices
-        self.tris = mesh.triangles
+        self.tris = dict(enumerate(map(tuple, mesh.triangles.tolist())))
         self.edge: dict[tuple[int, int], int] = {}
-        for tid, (a, b, c) in enumerate(self.tris):
+        for tid, (a, b, c) in self.tris.items():
             for u, v in ((a, b), (b, c), (c, a)):
-                self.edge[(int(u), int(v))] = tid
+                self.edge[(u, v)] = tid
         self.last = 0
 
     def locate(self, q: np.ndarray) -> int | None:
-        if len(self.tris) == 0:
+        if not self.tris:
             return None
-        tid = self.last
-        prev: tuple[int, int] | None = None
-        for _ in range(4 * len(self.tris) + 64):
-            a, b, c = (int(v) for v in self.tris[tid])
-            moved = False
-            for u, v in ((a, b), (b, c), (c, a)):
-                if prev == (u, v):
-                    continue
-                pu, pv = self.pts[u], self.pts[v]
-                if orient2d(pu[0], pu[1], pv[0], pv[1], q[0], q[1]) < 0:
-                    nxt = self.edge.get((v, u))
-                    if nxt is None:
-                        return None  # walked off the hull
-                    prev = (v, u)
-                    tid = nxt
-                    moved = True
-                    break
-            if not moved:
-                self.last = tid
-                return tid
-        for tid, (a, b, c) in enumerate(self.tris):
-            pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-            if (
-                orient2d(pa[0], pa[1], pb[0], pb[1], q[0], q[1]) >= 0
-                and orient2d(pb[0], pb[1], pc[0], pc[1], q[0], q[1]) >= 0
-                and orient2d(pc[0], pc[1], pa[0], pa[1], q[0], q[1]) >= 0
-            ):
-                return tid
-        return None
+        tid = _walk(self.pts, self.tris, self.edge, self.last, q[0], q[1])
+        if tid is not None:
+            self.last = tid
+        return tid
 
 
 def _convex_hull_loop(mesh: TriangleMesh, edge: dict[tuple[int, int], int]) -> bool:

@@ -26,12 +26,9 @@ from pcparam.losses import (
     LegConfig,
     ObjectiveConfig,
     audit_theorem_bound,
-    hand,
     hand_with_grad,
     lambda_pair_from_inverse,
-    leg,
     leg_with_grad,
-    total_loss,
     total_loss_with_grad,
 )
 from pcparam.meshing import (
@@ -265,7 +262,7 @@ def test_c02_surrogate_error_decay():
         ny, nw = int(rng.integers(2, 65)), int(rng.integers(2, 65))
         y, w = cloud(ny), cloud(nw)
         exact = modified_hausdorff_exact(y, w)
-        errs = {k: abs(hand(y, w, HandConfig(alpha=float(k))) - exact)
+        errs = {k: abs(hand_with_grad(y, w, HandConfig(alpha=float(k)))[0] - exact)
                 for k in (5, 10, 20, 40, 80, 100)}
         for k in (5, 10, 20, 40):
             cases += 1
@@ -293,8 +290,8 @@ def test_c03_gradient_checks():
         w = rng.normal(0, 1, (nw, 2))
         hcfg = HandConfig(alpha=rng.uniform(2, 30))
         _, gy, gw = hand_with_grad(y, w, hcfg)
-        fy = _fd_grad(lambda t: hand(t, w, hcfg), y.copy(), 1e-6)
-        fw = _fd_grad(lambda t: hand(y, t, hcfg), w.copy(), 1e-6)
+        fy = _fd_grad(lambda t: hand_with_grad(t, w, hcfg)[0], y.copy(), 1e-6)
+        fw = _fd_grad(lambda t: hand_with_grad(y, t, hcfg)[0], w.copy(), 1e-6)
         assert _rel_err(np.vstack([gy, gw]), np.vstack([fy, fw])) < tol
 
         # original in 3D, sigma comparable to the cloud spread so the
@@ -304,7 +301,7 @@ def test_c03_gradient_checks():
         lam = lambda_pair_from_inverse(v)
         lcfg = LegConfig(sigma=rng.uniform(0.8, 1.6))
         _, g_mapped, _ = leg_with_grad(x3, y, lam, lcfg)
-        f_mapped = _fd_grad(lambda t: leg(x3, t, lam, lcfg), y.copy(), 1e-5)
+        f_mapped = _fd_grad(lambda t: leg_with_grad(x3, t, lam, lcfg)[0], y.copy(), 1e-5)
         assert _rel_err(g_mapped, f_mapped) < tol
 
         rows = [np.array([0, 1])]
@@ -314,11 +311,11 @@ def test_c03_gradient_checks():
         _, g_map, g_v = total_loss_with_grad(
             x3, y, v, w, rows, tgt, ocfg, n_base=ny - 1)
         f_map = _fd_grad(
-            lambda t: total_loss(x3, t, v, w, rows, tgt, ocfg,
-                                 n_base=ny - 1).total, y.copy(), 1e-5)
+            lambda t: total_loss_with_grad(x3, t, v, w, rows, tgt, ocfg,
+                                           n_base=ny - 1)[0].total, y.copy(), 1e-5)
         f_v = _fd_grad(
-            lambda t: total_loss(x3, y, t, w, rows, tgt, ocfg,
-                                 n_base=ny - 1).total, v.copy(), 1e-5)
+            lambda t: total_loss_with_grad(x3, y, t, w, rows, tgt, ocfg,
+                                           n_base=ny - 1)[0].total, v.copy(), 1e-5)
         assert _rel_err(np.concatenate([g_map.ravel(), g_v]),
                         np.concatenate([f_map.ravel(), f_v])) < tol
 
@@ -354,23 +351,23 @@ def test_c04_distortion_fixed_points_and_invariances():
     cfg = LegConfig(sigma=0.5)
 
     lam_id = lambda_pair_from_inverse(np.full(12, 0.5))
-    assert leg(x, x, lam_id, cfg) < 1e-12
+    assert leg_with_grad(x, x, lam_id, cfg)[0] < 1e-12
 
     for c in (0.5, 2.7):
         lam_c = lambda_pair_from_inverse(np.full(12, 1.0 / (2.0 * c)))
-        assert leg(x, c * x, lam_c, cfg) < 1e-12
+        assert leg_with_grad(x, c * x, lam_c, cfg)[0] < 1e-12
 
     y = rng.uniform(0, 1, (12, 2))
-    base = leg(x, y, lam_id, cfg)
+    base = leg_with_grad(x, y, lam_id, cfg)[0]
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert abs(leg(x, y @ rot.T + np.array([3.0, -1.5]), lam_id, cfg)
+    assert abs(leg_with_grad(x, y @ rot.T + np.array([3.0, -1.5]), lam_id, cfg)[0]
                - base) < 1e-10
-    assert abs(leg(x @ rot.T + 2.0, y, lam_id, cfg) - base) < 1e-10
+    assert abs(leg_with_grad(x @ rot.T + 2.0, y, lam_id, cfg)[0] - base) < 1e-10
 
     for c in (0.25, 4.0):
         lam_scaled = lambda_pair_from_inverse(np.full(12, 0.5 / c))
-        assert abs(leg(x, c * y, lam_scaled, cfg) - base) < 1e-10
+        assert abs(leg_with_grad(x, c * y, lam_scaled, cfg)[0] - base) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each reference below is the straightforward expression: fresh temporaries,
 the (n, m, d) difference tensor, a second forward pass in backward, a walk
 per query for the inverse interpolator, a test against every accepted
-point for dart throwing. The kernels must reproduce them exactly
+point for dart throwing, a spacing query per boundary point. The kernels must reproduce them exactly
 (np.array_equal), not just closely, because training runs thousands of
 steps on them and the golden outputs pin every bit.
 """
@@ -26,7 +26,6 @@ from pcparam.losses import (
     hand_with_grad,
     lambda_inv_chain,
     lambda_pair_from_inverse,
-    leg,
     leg_with_grad,
 )
 from pcparam.meshing import (
@@ -176,6 +175,25 @@ class RefInterpolator:
         return out, ok
 
 
+def ref_boundary_ring(domain, step_at):
+    """The boundary march that asks for the spacing one point at a time."""
+    ring = []
+    for loop in domain.loops:
+        dense = np.vstack([seg.polyline(step_at(seg.point_at(0.0)) / 8.0) for seg in loop])
+        seg_len = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
+        placed = [dense[0]]
+        acc = 0.0
+        for i in range(1, len(dense)):
+            acc += seg_len[i - 1]
+            if acc >= step_at(dense[i]):
+                placed.append(dense[i])
+                acc = 0.0
+        if len(placed) >= 2 and np.linalg.norm(placed[-1] - placed[0]) < 0.5 * step_at(placed[0]):
+            placed.pop()
+        ring.append(np.array(placed))
+    return np.vstack(ring)
+
+
 def ref_generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field=None):
     """Dart throwing that tests each candidate against every accepted point."""
     rng = np.random.default_rng(seed)
@@ -190,9 +208,7 @@ def ref_generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field=No
         def radius_at(p):
             return scale / np.sqrt(np.asarray(lambda_inv_field(np.atleast_2d(p))).ravel())
 
-    ring = _boundary_ring(
-        domain, lambda p: float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
-    )
+    ring = _boundary_ring(domain, radius_at)
     acc, arad = ring, radius_at(ring)
     misses = 0
     for _ in range(400):
@@ -292,7 +308,6 @@ def test_leg_with_grad_matches_reference(dim):
     value, g_mapped, g_lambda = leg_with_grad(x, y, lam, LegConfig(0.3))
     ref_value, ref_mapped, ref_lambda = ref_leg_with_grad(x, y, lam, 0.3)
     assert value == ref_value
-    assert leg(x, y, lam, LegConfig(0.3)) == ref_value
     assert np.array_equal(g_mapped, ref_mapped)
     assert np.array_equal(g_lambda, ref_lambda)
     t = ref_lambda * lam * lam
@@ -458,3 +473,24 @@ def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
     vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, 4, field)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, triangles)
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "annulus"])
+def test_boundary_ring_matches_point_by_point_march(name):
+    # the spacing field may be an interpolator whose walk state carries over
+    # from query to query, so the batched march must ask for the same
+    # points in the same order, not only get the same spacings
+    domain = _annulus() if name == "annulus" else preset_domain(name)
+    asked, ref_asked = [], []
+
+    def radius_at(p):
+        asked.extend(map(tuple, p.tolist()))
+        return 0.05 / np.sqrt(_field(p))
+
+    def step_at(p):
+        p = np.asarray(p, dtype=np.float64).reshape(1, 2)
+        ref_asked.extend(map(tuple, p.tolist()))
+        return float(0.05 / np.sqrt(_field(p))[0])
+
+    assert np.array_equal(_boundary_ring(domain, radius_at), ref_boundary_ring(domain, step_at))
+    assert asked == ref_asked

@@ -8,7 +8,6 @@ import pytest
 from pcparam.boltzmann import (
     boltzmann,
     boltzmann_gradient,
-    boltzmann_rows,
     boltzmann_rows_grad,
     extremum_error_and_bound,
 )
@@ -106,7 +105,7 @@ def test_rows_match_per_row_calls():
     rng = np.random.default_rng(31)
     m = rng.normal(0, 2, (12, 7))
     for alpha in (-9.0, 0.0, 4.0):
-        rows = boltzmann_rows(m, alpha)
+        rows = boltzmann_rows_grad(m, alpha)[0]
         expect = np.array([boltzmann(r, alpha) for r in m])
         np.testing.assert_array_equal(rows, expect)
 
@@ -124,7 +123,8 @@ def test_rows_grad_shapes_and_fd():
             mp, mm = m.copy(), m.copy()
             mp[i, j] += eps
             mm[i, j] -= eps
-            fd = (boltzmann_rows(mp, alpha)[i] - boltzmann_rows(mm, alpha)[i]) / (2 * eps)
+            fd = (boltzmann_rows_grad(mp, alpha)[0][i]
+                  - boltzmann_rows_grad(mm, alpha)[0][i]) / (2 * eps)
             assert jac[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -160,4 +160,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         boltzmann(np.array([1.0, 2.0]), np.inf)
     with pytest.raises(ValueError):
-        boltzmann_rows(np.array([1.0, 2.0]), 1.0)  # not a matrix
+        boltzmann_rows_grad(np.array([1.0, 2.0]), 1.0)  # not a matrix

@@ -505,6 +505,11 @@ def test_audit_extremum(workdir):
     assert header[-1] == "ok"
     assert len(rows) == 40 * 5  # five alphas per trial
     assert all(r[-1] == "1" for r in rows)
+    for trials in ("0", "-3"):
+        empty = workdir / f"audit_{trials}.csv"
+        assert main(["audit", "--kind", "extremum", "--trials", trials,
+                     "--out", str(empty)]) == 2
+        assert not empty.exists()
 
 
 def test_audit_distortion_bound(workdir, identity_setup):

@@ -11,14 +11,11 @@ from pcparam.domains import (
     Arc,
     Domain,
     Line,
-    contains,
     domain_from_json,
     domain_to_json,
     landmark_targets_lines,
     load_domain,
     preset_domain,
-    sample_area,
-    sample_boundary,
     save_domain,
 )
 
@@ -38,12 +35,12 @@ def test_square_membership():
     lo, hi = dom.bbox
     np.testing.assert_array_equal(lo, [0.0, 0.0])
     np.testing.assert_array_equal(hi, [1.0, 1.0])
-    assert contains(dom, (0.5, 0.5))
-    assert not contains(dom, (1.5, 0.5))
-    assert not contains(dom, (-0.01, 0.5))
+    assert dom.contains((0.5, 0.5))
+    assert not dom.contains((1.5, 0.5))
+    assert not dom.contains((-0.01, 0.5))
     # the region is closed: corners and edge midpoints belong to it
     for p in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1), (0, 0.5)]:
-        assert contains(dom, p)
+        assert dom.contains(p)
 
 
 def test_disk_membership_matches_radius_oracle():
@@ -54,8 +51,8 @@ def test_disk_membership_matches_radius_oracle():
     clear = np.abs(r - 1.0) > 1e-6  # keep away from the boundary knife edge
     got = dom.contains_many(pts[clear])
     np.testing.assert_array_equal(got, r[clear] <= 1.0)
-    assert contains(dom, (1.0, 0.0))  # boundary point counts as inside
-    assert contains(dom, (0.0, -1.0))
+    assert dom.contains((1.0, 0.0))  # boundary point counts as inside
+    assert dom.contains((0.0, -1.0))
 
 
 def test_disk_area_fraction():
@@ -69,36 +66,36 @@ def test_disk_area_fraction():
 def test_smiling_face_holes():
     dom = preset_domain("smiling_face")
     # eye holes are lower half-disks below their chord at y = 0.30
-    assert not contains(dom, (-0.35, 0.25))
-    assert not contains(dom, (0.35, 0.25))
-    assert contains(dom, (-0.35, 0.36))  # just above the chord
+    assert not dom.contains((-0.35, 0.25))
+    assert not dom.contains((0.35, 0.25))
+    assert dom.contains((-0.35, 0.36))  # just above the chord
     # mouth is an upper half-disk between y = -0.30 and 0
-    assert not contains(dom, (0.0, -0.15))
-    assert contains(dom, (0.0, -0.45))
-    assert contains(dom, (0.0, 0.8))
-    assert not contains(dom, (1.2, 0.0))
+    assert not dom.contains((0.0, -0.15))
+    assert dom.contains((0.0, -0.45))
+    assert dom.contains((0.0, 0.8))
+    assert not dom.contains((1.2, 0.0))
 
 
 def test_sample_area_contained_and_deterministic():
     for name in PRESETS:
         dom = preset_domain(name)
-        a = sample_area(dom, 500, 42)
-        b = sample_area(dom, 500, 42)
+        a = dom.sample_area(500, 42)
+        b = dom.sample_area(500, 42)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (500, 2)
         assert dom.contains_many(a).all()
-        c = sample_area(dom, 500, 43)
+        c = dom.sample_area(500, 43)
         assert not np.array_equal(a, c)
 
 
 def test_sample_area_rejects_bad_n():
     with pytest.raises(ValueError):
-        sample_area(preset_domain("square"), 0, 1)
+        preset_domain("square").sample_area(0, 1)
 
 
 def test_sample_boundary_on_boundary_and_proportional():
     dom = preset_domain("square")
-    pts = sample_boundary(dom, 4000, 7)
+    pts = dom.sample_boundary(4000, 7)
     assert dom.boundary_distance(pts).max() < 1e-9
     # equal side lengths: roughly a quarter of the points per side
     on_left = np.abs(pts[:, 0]) < 1e-12
@@ -108,12 +105,12 @@ def test_sample_boundary_on_boundary_and_proportional():
     counts = np.array([on_left.sum(), on_right.sum(), on_bottom.sum(), on_top.sum()])
     assert counts.sum() == 4000
     assert counts.min() > 800 and counts.max() < 1200
-    np.testing.assert_array_equal(pts, sample_boundary(dom, 4000, 7))
+    np.testing.assert_array_equal(pts, dom.sample_boundary(4000, 7))
 
 
 def test_sample_boundary_disk_radius():
     dom = preset_domain("disk")
-    pts = sample_boundary(dom, 300, 1)
+    pts = dom.sample_boundary(300, 1)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
@@ -167,7 +164,7 @@ def test_json_round_trip(tmp_path):
         back = domain_from_json(doc)
         assert back.loops == dom.loops
         np.testing.assert_array_equal(
-            sample_area(back, 100, 3), sample_area(dom, 100, 3)
+            back.sample_area(100, 3), dom.sample_area(100, 3)
         )
     path = tmp_path / "dom.json"
     save_domain(path, preset_domain("car"))

@@ -10,15 +10,11 @@ from pcparam.losses import (
     LegConfig,
     ObjectiveConfig,
     audit_theorem_bound,
-    hand,
     hand_with_grad,
     lambda_inv_chain,
     lambda_pair_from_inverse,
-    landmark_energy,
     landmark_energy_with_grad,
-    leg,
     leg_with_grad,
-    total_loss,
     total_loss_with_grad,
 )
 
@@ -53,14 +49,14 @@ def _rel_err(analytic, numeric):
 
 def test_hand_singletons_twice_distance():
     cfg = HandConfig(alpha=7.0)
-    assert hand([[0.0, 0.0]], [[3.0, 4.0]], cfg) == 10.0
-    assert hand([[1.0, 1.0, 1.0]], [[1.0, 1.0, 6.0]], cfg) == 10.0
+    assert hand_with_grad([[0.0, 0.0]], [[3.0, 4.0]], cfg)[0] == 10.0
+    assert hand_with_grad([[1.0, 1.0, 1.0]], [[1.0, 1.0, 6.0]], cfg)[0] == 10.0
 
 
 def test_hand_closed_form_two_vs_one():
     # y = {(0,0),(1,0)}, w = {(0,0)}: hand = e^a/(1+e^a) + e^-a/(1+e^-a)
     a = 2.0
-    got = hand([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], HandConfig(alpha=a))
+    got = hand_with_grad([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], HandConfig(alpha=a))[0]
     want = np.exp(a) / (1 + np.exp(a)) + np.exp(-a) / (1 + np.exp(-a))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -73,7 +69,9 @@ def test_hand_symmetric():
     for _ in range(20):
         y = rng.normal(0, 1, (int(rng.integers(1, 15)), 2))
         w = rng.normal(0, 1, (int(rng.integers(1, 15)), 2))
-        assert hand(y, w, cfg) == pytest.approx(hand(w, y, cfg), rel=1e-13)
+        assert hand_with_grad(y, w, cfg)[0] == pytest.approx(
+            hand_with_grad(w, y, cfg)[0], rel=1e-13
+        )
 
 
 def test_hand_converges_to_modified_hausdorff():
@@ -84,12 +82,12 @@ def test_hand_converges_to_modified_hausdorff():
         exact = modified_hausdorff_exact(y, w)
         both = np.vstack([y, w])
         diam = np.sqrt(((both[:, None] - both[None]) ** 2).sum(-1)).max()
-        err_lo = abs(hand(y, w, HandConfig(alpha=5.0)) - exact)
-        err_hi = abs(hand(y, w, HandConfig(alpha=80.0)) - exact)
+        err_lo = abs(hand_with_grad(y, w, HandConfig(alpha=5.0))[0] - exact)
+        err_hi = abs(hand_with_grad(y, w, HandConfig(alpha=80.0))[0] - exact)
         assert err_hi <= err_lo + 1e-12
         # near-ties between point distances slow the exponential rate, so the
         # sharp claim is percent-of-diameter accuracy at alpha = 100
-        err_tight = abs(hand(y, w, HandConfig(alpha=100.0)) - exact)
+        err_tight = abs(hand_with_grad(y, w, HandConfig(alpha=100.0))[0] - exact)
         assert err_tight < 1e-2 * diam
 
 
@@ -99,10 +97,9 @@ def test_hand_gradient_fd():
     for _ in range(10):
         y = rng.normal(0, 1, (int(rng.integers(2, 10)), 2))
         w = rng.normal(0, 1, (int(rng.integers(2, 10)), 2))
-        val, gy, gw = hand_with_grad(y, w, cfg)
-        assert val == hand(y, w, cfg)
-        fy = _fd_grad(lambda p: hand(p, w, cfg), y)
-        fw = _fd_grad(lambda p: hand(y, p, cfg), w)
+        _, gy, gw = hand_with_grad(y, w, cfg)
+        fy = _fd_grad(lambda p: hand_with_grad(p, w, cfg)[0], y)
+        fw = _fd_grad(lambda p: hand_with_grad(y, p, cfg)[0], w)
         assert _rel_err(gy, fy) < 1e-6
         assert _rel_err(gw, fw) < 1e-6
 
@@ -157,7 +154,7 @@ def test_lambda_inv_chain_matches_fd():
     cfg = LegConfig(sigma=0.7)
 
     def f(v):
-        return leg(x, y, lambda_pair_from_inverse(v), cfg)
+        return leg_with_grad(x, y, lambda_pair_from_inverse(v), cfg)[0]
 
     v0 = rng.uniform(0.3, 1.5, 8)
     lam = lambda_pair_from_inverse(v0)
@@ -175,7 +172,7 @@ def test_leg_identity_is_exact_zero():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (12, 2))
     lam = lambda_pair_from_inverse(np.full(12, 0.5))  # all ones
-    assert leg(x, x, lam, LegConfig(sigma=0.6)) == 0.0
+    assert leg_with_grad(x, x, lam, LegConfig(sigma=0.6))[0] == 0.0
 
 
 def test_leg_compensated_scaling_is_fixed_point():
@@ -183,7 +180,7 @@ def test_leg_compensated_scaling_is_fixed_point():
     x = rng.normal(0, 1, (10, 2))
     for s in (0.25, 3.0):
         lam = lambda_pair_from_inverse(np.full(10, 1.0 / (2 * s)))
-        assert leg(x, s * x, lam, LegConfig(sigma=0.5)) < 1e-12
+        assert leg_with_grad(x, s * x, lam, LegConfig(sigma=0.5))[0] < 1e-12
 
 
 def test_leg_rigid_invariance():
@@ -192,11 +189,11 @@ def test_leg_rigid_invariance():
     y = rng.normal(0, 1, (9, 2))
     lam = lambda_pair_from_inverse(rng.uniform(0.2, 1.0, 9))
     cfg = LegConfig(sigma=0.8)
-    base = leg(x, y, lam, cfg)
+    base = leg_with_grad(x, y, lam, cfg)[0]
     th = 1.234
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     moved = y @ rot.T + np.array([5.0, -2.0])
-    assert abs(leg(x, moved, lam, cfg) - base) < 1e-10
+    assert abs(leg_with_grad(x, moved, lam, cfg)[0] - base) < 1e-10
 
 
 def test_leg_joint_scale_covariance():
@@ -207,14 +204,15 @@ def test_leg_joint_scale_covariance():
     lam = lambda_pair_from_inverse(rng.uniform(0.2, 1.0, 7))
     cfg = LegConfig(sigma=0.5)
     c = 1.7
-    assert abs(leg(x, c * y, c * lam, cfg) - leg(x, y, lam, cfg)) < 1e-10
+    scaled = leg_with_grad(x, c * y, c * lam, cfg)[0]
+    assert abs(scaled - leg_with_grad(x, y, lam, cfg)[0]) < 1e-10
 
 
 def test_leg_positive_when_distorted():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     y = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # one edge stretched
     lam = lambda_pair_from_inverse(np.full(3, 0.5))
-    assert leg(x, y, lam, LegConfig(sigma=1.0)) > 1e-4
+    assert leg_with_grad(x, y, lam, LegConfig(sigma=1.0))[0] > 1e-4
 
 
 def test_leg_gradients_fd():
@@ -225,11 +223,10 @@ def test_leg_gradients_fd():
         x = rng.normal(0, 1, (n, 3))
         y = rng.normal(0, 1, (n, 2))
         lam = lambda_pair_from_inverse(rng.uniform(0.3, 1.2, n))
-        val, gy, glam = leg_with_grad(x, y, lam, cfg)
-        assert val == leg(x, y, lam, cfg)
-        fy = _fd_grad(lambda p: leg(x, p, lam, cfg), y)
+        _, gy, glam = leg_with_grad(x, y, lam, cfg)
+        fy = _fd_grad(lambda p: leg_with_grad(x, p, lam, cfg)[0], y)
         assert _rel_err(gy, fy) < 1e-6
-        flam = _fd_grad(lambda p: leg(x, y, p, cfg), lam)
+        flam = _fd_grad(lambda p: leg_with_grad(x, y, p, cfg)[0], lam)
         assert _rel_err(glam, flam) < 1e-6
 
 
@@ -237,13 +234,13 @@ def test_leg_shape_mismatch_errors():
     x = np.zeros((3, 2))
     lam = np.ones((3, 3))
     with pytest.raises(ValueError):
-        leg(x, np.zeros((4, 2)), lam, LegConfig())
+        leg_with_grad(x, np.zeros((4, 2)), lam, LegConfig())
     with pytest.raises(ValueError):
-        leg(x, np.zeros((3, 2)), np.ones((2, 2)), LegConfig())
+        leg_with_grad(x, np.zeros((3, 2)), np.ones((2, 2)), LegConfig())
     bad = lam.copy()
     bad[0, 1] = -1.0
     with pytest.raises(ValueError):
-        leg(x, np.zeros((3, 2)), bad, LegConfig())
+        leg_with_grad(x, np.zeros((3, 2)), bad, LegConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def test_leg_shape_mismatch_errors():
 
 def test_landmark_energy_frozen_singletons():
     cfg = HandConfig(alpha=4.0)
-    got = landmark_energy([[[0.0, 0.0]]], [[[3.0, 0.0]]], cfg)
+    got = landmark_energy_with_grad([[[0.0, 0.0]]], [[[3.0, 0.0]]], cfg)[0]
     assert got == 6.0  # twice the distance for singleton clouds
 
 
@@ -261,14 +258,15 @@ def test_landmark_energy_sums_pairs():
     cfg = HandConfig(alpha=4.0)
     m1, q1 = [[0.0, 0.0]], [[3.0, 0.0]]
     m2, q2 = [[1.0, 1.0], [2.0, 2.0]], [[1.0, 1.0]]
-    total = landmark_energy([m1, m2], [q1, q2], cfg)
-    assert total == pytest.approx(hand(m1, q1, cfg) + hand(m2, q2, cfg), rel=1e-15)
-    assert landmark_energy([], [], cfg) == 0.0
+    total = landmark_energy_with_grad([m1, m2], [q1, q2], cfg)[0]
+    want = hand_with_grad(m1, q1, cfg)[0] + hand_with_grad(m2, q2, cfg)[0]
+    assert total == pytest.approx(want, rel=1e-15)
+    assert landmark_energy_with_grad([], [], cfg)[0] == 0.0
 
 
 def test_landmark_energy_list_mismatch():
     with pytest.raises(ValueError):
-        landmark_energy([[[0.0, 0.0]]], [], HandConfig())
+        landmark_energy_with_grad([[[0.0, 0.0]]], [], HandConfig())
 
 
 def test_landmark_energy_gradients():
@@ -276,12 +274,11 @@ def test_landmark_energy_gradients():
     cfg = HandConfig(alpha=5.0)
     m = [rng.normal(0, 1, (4, 2)), rng.normal(0, 1, (3, 2))]
     q = [rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (3, 2))]
-    val, grads = landmark_energy_with_grad(m, q, cfg)
-    assert val == pytest.approx(landmark_energy(m, q, cfg), rel=1e-15)
+    _, grads = landmark_energy_with_grad(m, q, cfg)
     for k in range(2):
         def f(p, k=k):
             clouds = [p if i == k else m[i] for i in range(2)]
-            return landmark_energy(clouds, q, cfg)
+            return landmark_energy_with_grad(clouds, q, cfg)[0]
 
         assert _rel_err(grads[k], _fd_grad(f, m[k])) < 1e-6
 
@@ -306,11 +303,11 @@ def test_total_is_weighted_sum_of_parts():
     x, y, v, w, rows, targets = _instance()
     n = 10
     cfg = ObjectiveConfig(beta1=5.0, beta2=2.0, beta3=0.5)
-    bd = total_loss(x, y, v, w, rows, targets, cfg, n_base=n)
+    bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, n_base=n)[0]
     lam = lambda_pair_from_inverse(v)
-    want_leg = leg(x, y, lam, cfg.leg)
-    want_hand = hand(y[:n], w, cfg.hand)
-    want_lm = landmark_energy([y[rows[0]]], targets, cfg.hand)
+    want_leg = leg_with_grad(x, y, lam, cfg.leg)[0]
+    want_hand = hand_with_grad(y[:n], w, cfg.hand)[0]
+    want_lm = landmark_energy_with_grad([y[rows[0]]], targets, cfg.hand)[0]
     assert bd.leg == pytest.approx(want_leg, rel=1e-14)
     assert bd.hand == pytest.approx(want_hand, rel=1e-14)
     assert bd.landmark == pytest.approx(want_lm, rel=1e-14)
@@ -322,10 +319,10 @@ def test_total_is_weighted_sum_of_parts():
 def test_total_n_base_restricts_domain_term():
     x, y, v, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=0.0, beta2=1.0, beta3=0.0)
-    bd_cut = total_loss(x, y, None, w, [], [], cfg, n_base=10)
-    bd_all = total_loss(x, y, None, w, [], [], cfg)
-    assert bd_cut.hand == hand(y[:10], w, cfg.hand)
-    assert bd_all.hand == hand(y, w, cfg.hand)
+    bd_cut = total_loss_with_grad(x, y, None, w, [], [], cfg, n_base=10)[0]
+    bd_all = total_loss_with_grad(x, y, None, w, [], [], cfg)[0]
+    assert bd_cut.hand == hand_with_grad(y[:10], w, cfg.hand)[0]
+    assert bd_all.hand == hand_with_grad(y, w, cfg.hand)[0]
     assert bd_cut.hand != bd_all.hand
 
 
@@ -334,7 +331,7 @@ def test_total_identity_with_zero_weights_is_zero():
     x = rng.normal(0, 1, (8, 2))
     v = np.full(8, 0.5)
     cfg = ObjectiveConfig(beta1=4.0, beta2=0.0, beta3=0.0)
-    bd = total_loss(x, x, v, np.zeros((1, 2)), [], [], cfg)
+    bd = total_loss_with_grad(x, x, v, np.zeros((1, 2)), [], [], cfg)[0]
     assert bd.total == 0.0
     assert bd.leg == 0.0
 
@@ -342,7 +339,7 @@ def test_total_identity_with_zero_weights_is_zero():
 def test_total_beta1_zero_skips_distortion():
     x, y, _, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=0.0, beta2=1.0, beta3=1.0)
-    bd = total_loss(x, y, None, w, rows, targets, cfg, n_base=10)
+    bd = total_loss_with_grad(x, y, None, w, rows, targets, cfg, n_base=10)[0]
     assert bd.leg == 0.0
     assert bd.total == pytest.approx(bd.hand + bd.landmark, rel=1e-14)
 
@@ -351,7 +348,7 @@ def test_total_requires_lambda_when_beta1_positive():
     x, y, _, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=1.0, beta2=1.0, beta3=1.0)
     with pytest.raises(ValueError, match="lambda_inv_values"):
-        total_loss(x, y, None, w, rows, targets, cfg, n_base=10)
+        total_loss_with_grad(x, y, None, w, rows, targets, cfg, n_base=10)
 
 
 def test_total_gradients_fd():
@@ -362,10 +359,10 @@ def test_total_gradients_fd():
     assert np.isfinite(bd.total)
 
     def f_mapped(p):
-        return total_loss(x, p, v, w, rows, targets, cfg, n_base=n).total
+        return total_loss_with_grad(x, p, v, w, rows, targets, cfg, n_base=n)[0].total
 
     def f_v(p):
-        return total_loss(x, y, p, w, rows, targets, cfg, n_base=n).total
+        return total_loss_with_grad(x, y, p, w, rows, targets, cfg, n_base=n)[0].total
 
     assert _rel_err(gm, _fd_grad(f_mapped, y)) < 1e-5
     assert _rel_err(gv, _fd_grad(f_v, v)) < 1e-5
