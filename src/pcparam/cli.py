@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,13 +22,7 @@ from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
 from .geometry import angle_distortion, sampling_gap_estimate
 from .losses import LegConfig, ObjectiveConfig, audit_theorem_bound, lambda_pair_from_inverse
-from .meshing import (
-    InverseInterpolator,
-    boundary_edges,
-    delaunay,
-    prune_long_faces,
-    reconstruct_surface,
-)
+from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
 from .neural import NetworkSpec, forward, load_checkpoint, save_checkpoint
 from .optimizer import RmsPropConfig, StageConfig, _chunked_hausdorff, train
 from .svgplot import histogram_svg, line_series_svg, scatter_svg
@@ -319,12 +314,16 @@ def cmd_fit(args) -> int:
     out_dir = Path(eff["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # the last stage ends with the final parameters, so its checkpoint files
+    # are copied to the final names instead of encoded again
+    last_ckpt: dict[str, Path] = {}
+
     def on_stage(stage_idx, record, map_params, lambda_params):
-        save_checkpoint(out_dir / f"map_stage{stage_idx}.ckpt.json", map_spec, map_params)
+        last_ckpt["map.ckpt.json"] = out_dir / f"map_stage{stage_idx}.ckpt.json"
+        save_checkpoint(last_ckpt["map.ckpt.json"], map_spec, map_params)
         if lambda_params is not None:
-            save_checkpoint(
-                out_dir / f"lambda_stage{stage_idx}.ckpt.json", lambda_spec, lambda_params
-            )
+            last_ckpt["lambda.ckpt.json"] = out_dir / f"lambda_stage{stage_idx}.ckpt.json"
+            save_checkpoint(last_ckpt["lambda.ckpt.json"], lambda_spec, lambda_params)
         log.info(
             "stage %d done: loss %.6g, hausdorff %.6g",
             stage_idx, record.loss_total, record.eval_hausdorff,
@@ -351,11 +350,8 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    save_checkpoint(out_dir / "map.ckpt.json", result.map_spec, result.map_params)
-    if result.lambda_params is not None:
-        save_checkpoint(
-            out_dir / "lambda.ckpt.json", result.lambda_spec, result.lambda_params
-        )
+    for name, path in last_ckpt.items():
+        shutil.copyfile(path, out_dir / name)
     (out_dir / "log.csv").write_text(result.log.to_csv())
     mapped = forward(result.map_spec, result.map_params, cloud)
     pcio.save_cloud(out_dir / "mapped.csv", mapped)
@@ -453,27 +449,17 @@ def cmd_reconstruct(args) -> int:
     domain = _domain_from_args(args)
     mapped = forward(spec, params, cloud)
 
-    field = None
+    lam_vals = None
     if args.mode == "lambda_adapted":
         if not args.lambda_checkpoint:
             raise ConfigError("lambda_adapted mode needs --lambda-checkpoint")
         lspec, lparams = _load_checkpoint_for(args.lambda_checkpoint, cloud, "lambda checkpoint")
         lam_vals = forward(lspec, lparams, cloud).ravel()
-        interp = InverseInterpolator(mapped, lam_vals)
-
-        def field(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-            vals, ok = interp(pts)
-            vals = vals.ravel()
-            for i in np.flatnonzero(~ok):
-                nearest = int(np.linalg.norm(mapped - pts[i], axis=1).argmin())
-                vals[i] = lam_vals[nearest]
-            return vals
 
     result = reconstruct_surface(
         mapped, cloud, domain,
         mode=args.mode, target_edge=args.target_edge, seed=args.seed,
-        lambda_inv_field=field,
+        lambda_inv_values=lam_vals,
     )
     pcio.save_mesh(args.out, result.surface)
     if args.param_out:

@@ -613,22 +613,15 @@ class InverseInterpolator:
 
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
-        original = np.asarray(original, dtype=np.float64)
-        if original.ndim == 1:
-            original = original[:, None]
-        if len(mapped) != len(original):
-            raise ValueError(
-                f"mapped has {len(mapped)} points, original {len(original)}"
-            )
-        mapped_u, keep = _dedup_points(mapped)
-        if len(keep) < len(mapped):
-            original = original[keep]
+        mapped_u, self._keep = _dedup_points(mapped)
+        self._n_mapped = len(mapped)
+        self.original = self._per_point(original)
+        if len(self._keep) < len(mapped):
             warnings.warn(
                 "duplicate mapped points merged before triangulation",
                 DuplicatePointsWarning,
                 stacklevel=3,
             )
-        self.original = original
         self.mesh = delaunay(mapped_u)
         self._locator = _MeshLocator(self.mesh)
         # exact-match lookup for bitwise vertex hits
@@ -642,6 +635,15 @@ class InverseInterpolator:
         ntri = len(self.mesh.triangles)
         cell = max(math.sqrt(w * h / ntri), max(w, h) / ntri)
         self._grid = _Grid(self._lo, self._hi, cell, tri_pts.min(axis=1), tri_pts.max(axis=1))
+
+    def _per_point(self, values) -> np.ndarray:
+        """Values given per mapped point, as rows of the merged points."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 1:
+            values = values[:, None]
+        if len(values) != self._n_mapped:
+            raise ValueError(f"mapped has {self._n_mapped} points, values {len(values)}")
+        return values[self._keep] if len(self._keep) < self._n_mapped else values
 
     def _classify(self, q: np.ndarray) -> np.ndarray:
         """Per query: its triangle when the filter is certain q is strictly
@@ -715,15 +717,18 @@ class InverseInterpolator:
             return None
         return tid, proj
 
-    def __call__(self, queries) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, queries, values=None) -> tuple[np.ndarray, np.ndarray]:
+        """(interpolated rows, located mask) at the queries. `values`, one
+        row or scalar per mapped point, replaces the original points."""
+        values = self.original if values is None else self._per_point(values)
         queries = as_cloud(queries, dim=2)
         n = len(queries)
-        out = np.full((n, self.original.shape[1]), np.nan)
+        out = np.full((n, values.shape[1]), np.nan)
         ok = np.zeros(n, dtype=bool)
         hits = np.array([self._exact.get(q, -1) for q in map(tuple, queries.tolist())],
                         dtype=np.int64)
         vertex = hits >= 0
-        out[vertex] = self.original[hits[vertex]]
+        out[vertex] = values[hits[vertex]]
         ok[vertex] = True
 
         rest = np.flatnonzero(~vertex)
@@ -760,7 +765,7 @@ class InverseInterpolator:
         except np.linalg.LinAlgError as exc:
             raise ValueError("degenerate triangle in barycentric solve") from exc
         w = np.column_stack([1.0 - beta - gamma, beta, gamma])
-        out[inner] = (w[:, None, :] @ self.original[tri])[:, 0, :]
+        out[inner] = (w[:, None, :] @ values[tri])[:, 0, :]
         ok[inner] = True
         return out, ok
 
@@ -795,15 +800,40 @@ def reconstruct_surface(
     target_edge: float = 0.05,
     seed: int = 0,
     lambda_inv_field=None,
+    lambda_inv_values=None,
 ) -> ReconstructionResult:
     """Rebuild a surface mesh from a parametrized cloud.
 
     Generates a parameter-domain mesh, pulls its vertices back through the
     mapped cloud (barycentric inverse interpolation), and reindexes faces
     over the vertices that landed inside the triangulated region.
+
+    lambda_adapted mode takes its field either as a callable
+    (lambda_inv_field) or as the inverse factors of the cloud's points
+    (lambda_inv_values). Those are interpolated barycentrically over the
+    triangulation the lift uses, built once for both, and take the nearest
+    mapped point's value outside it.
     """
+    interp = InverseInterpolator(mapped, as_cloud(original))
+    if lambda_inv_values is not None:
+        if lambda_inv_field is not None:
+            raise ValueError("give lambda_inv_field or lambda_inv_values, not both")
+        mapped = as_cloud(mapped, dim=2)
+        vals = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
+        if len(vals) != len(mapped):
+            raise ValueError(f"{len(vals)} inverse factors for {len(mapped)} mapped points")
+
+        def lambda_inv_field(pts: np.ndarray) -> np.ndarray:
+            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+            out, ok = interp(pts, vals)
+            out = out.ravel()
+            for i in np.flatnonzero(~ok):
+                out[i] = vals[int(np.linalg.norm(mapped - pts[i], axis=1).argmin())]
+            return out
+
     param = generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field)
-    lifted, ok = interpolate_inverse(mapped, original, param.vertices)
+    interp._locator.last = 0  # the lift walks as a fresh interpolator's would
+    lifted, ok = interp(param.vertices)
     if not ok.any():
         raise ValueError("no parameter vertex could be located in the mapped cloud")
     new_index = np.full(len(param.vertices), -1, dtype=np.int64)

@@ -275,6 +275,22 @@ def test_fit_outputs(fitted):
     assert eff["objective"]["beta3"] == 0.0  # fixed_boundary forcing recorded
 
 
+def test_fit_final_checkpoints_are_last_stage_files(workdir, tiny_cloud_csv):
+    out = workdir / "fit_staged"
+    stage = {"epochs": 2, "batch_points": 4, "batch_domain": 8, "epochs_min": 1}
+    cfg_path = _write_config(
+        workdir / "fit_staged.json", _tiny_config(tiny_cloud_csv, out, stage=stage)
+    )
+    assert main(["fit", "--config", cfg_path]) == 0
+    _, rows = load_table(out / "log.csv")
+    last = len(rows)
+    assert last >= 2
+    for net in ("map", "lambda"):
+        final = (out / f"{net}.ckpt.json").read_bytes()
+        assert final == (out / f"{net}_stage{last}.ckpt.json").read_bytes()
+        assert final != (out / f"{net}_stage1.ckpt.json").read_bytes()
+
+
 def test_fit_reruns_byte_identical(workdir, tiny_cloud_csv, fitted):
     out2 = workdir / "fit_again"
     cfg_path = _write_config(

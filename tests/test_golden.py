@@ -21,6 +21,15 @@ The hashes were frozen with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
 numpy's sin/cos/exp loops and OpenBLAS's kernels are chosen per CPU and per
 build, so on another build the bits may differ without any change to this
 code; the test then skips rather than report a false failure.
+
+A change that moves these bits on purpose re-freezes them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which runs the three cases as the tests do and prints FROZEN_BUILD, GOLDEN
+and GOLDEN_RECONSTRUCT in this file's format, to paste over the tables
+below. Every re-freeze needs a CHANGES.md entry that names the change that
+moved the bits and why.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -224,3 +234,36 @@ def test_golden_reconstruct_hashes(tmp_path):
     if build != FROZEN_BUILD:
         pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
     assert _run_reconstruct(tmp_path) == GOLDEN_RECONSTRUCT
+
+
+def _print_table(name: str, table: dict) -> None:
+    print(f"{name} = {{")
+    for key, value in table.items():
+        if isinstance(value, dict):
+            print(f'    "{key}": {{')
+            for k, v in value.items():
+                print(f'        "{k}": "{v}",')
+            print("    },")
+        else:
+            print(f'    "{key}": {json.dumps(value) if isinstance(value, str) else value},')
+    print("}\n")
+
+
+def main() -> None:
+    """Print the golden tables as this checkout and build compute them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fits = {}
+        for name in GOLDEN:
+            work = Path(tmp) / name
+            work.mkdir()
+            fits[name] = _run_fit(name, work)
+        work = Path(tmp) / "reconstruct_disk"
+        work.mkdir()
+        reconstruct = _run_reconstruct(work)
+    _print_table("FROZEN_BUILD", _build())
+    _print_table("GOLDEN", fits)
+    _print_table("GOLDEN_RECONSTRUCT", reconstruct)
+
+
+if __name__ == "__main__":
+    main()

@@ -412,3 +412,38 @@ def test_reconstruct_error_when_nothing_locatable():
     original = mapped.copy()
     with pytest.raises(ValueError, match="located"):
         reconstruct_surface(mapped, original, dom, "uniform", target_edge=0.2)
+
+
+def test_reconstruct_lambda_values_match_separate_field():
+    # one triangulation serving the field and the lift gives the bits of a
+    # field interpolator of its own next to a fresh lift interpolator
+    rng = np.random.default_rng(14)
+    u = rng.uniform(0, 2 * np.pi, 600)
+    r = np.sqrt(rng.uniform(0, 1, 600))
+    xy = np.column_stack([r * np.cos(u), r * np.sin(u)])
+    surface_pts = np.column_stack([xy, np.exp(-(xy ** 2).sum(axis=1) / 0.2)])
+    vals = 0.5 + surface_pts[:, 2]
+    field_interp = InverseInterpolator(xy, vals)
+
+    def field(p):
+        p = np.atleast_2d(p)
+        out, ok = field_interp(p)
+        out = out.ravel()
+        for i in np.flatnonzero(~ok):
+            out[i] = vals[int(np.linalg.norm(xy - p[i], axis=1).argmin())]
+        return out
+
+    dom = preset_domain("disk")
+    want = reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+                               seed=1, lambda_inv_field=field)
+    got = reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+                              seed=1, lambda_inv_values=vals)
+    assert np.array_equal(got.param.vertices, want.param.vertices)
+    assert np.array_equal(got.surface.vertices, want.surface.vertices)
+    assert np.array_equal(got.surface.triangles, want.surface.triangles)
+    with pytest.raises(ValueError, match="not both"):
+        reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+                            lambda_inv_field=field, lambda_inv_values=vals)
+    with pytest.raises(ValueError, match="inverse factors"):
+        reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+                            lambda_inv_values=vals[:-1])
