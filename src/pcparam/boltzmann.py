@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "boltzmann",
     "boltzmann_gradient",
-    "boltzmann_rows_grad",
     "extremum_error_and_bound",
 ]
 
@@ -30,19 +29,20 @@ def _validate(values) -> np.ndarray:
     return x
 
 
-def _softmax(t: np.ndarray) -> np.ndarray:
-    w = np.exp(t - t.max())
-    return w / w.sum()
+def _softmax_and_average(values, alpha: float):
+    """(x, softmax(alpha x), B_alpha(x)) of validated values."""
+    x = _validate(values)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    w = np.exp(alpha * x - (alpha * x).max())
+    s = w / w.sum()
+    # weighted mean can stray a few ulp outside [min, max]; clamp it back
+    return x, s, np.clip((x * s).sum(), x.min(), x.max())
 
 
 def boltzmann(values, alpha: float) -> float:
     """Boltzmann average of a 1-d array. alpha = 0 gives the arithmetic mean."""
-    x = _validate(values)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    s = _softmax(alpha * x)
-    # weighted mean can stray a few ulp outside [min, max]; clamp it back
-    return float(np.clip((x * s).sum(), x.min(), x.max()))
+    return float(_softmax_and_average(values, alpha)[2])
 
 
 def boltzmann_gradient(values, alpha: float) -> np.ndarray:
@@ -50,32 +50,8 @@ def boltzmann_gradient(values, alpha: float) -> np.ndarray:
 
     grad_i = softmax(a x)_i * (1 + a (x_i - B_a(x))); rows sum to 1 at a = 0.
     """
-    x = _validate(values)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    s = _softmax(alpha * x)
-    b = np.clip((x * s).sum(), x.min(), x.max())
+    x, s, b = _softmax_and_average(values, alpha)
     return s * (1.0 + alpha * (x - b))
-
-
-def boltzmann_rows_grad(matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, jacobian) for row-wise boltzmann; jacobian[i, k] = dB(row i)/dx_ik.
-
-    Works in two buffers of the matrix's shape that take its memory layout,
-    as fresh temporaries would, so a transposed view reduces its rows in the
-    same order and gives the same bits.
-    """
-    s = alpha * matrix
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    buf = matrix * s
-    vals = np.clip(buf.sum(axis=1), matrix.min(axis=1), matrix.max(axis=1))
-    np.subtract(matrix, vals[:, None], out=buf)
-    buf *= alpha
-    buf += 1.0
-    s *= buf
-    return vals, s
 
 
 def extremum_error_and_bound(values, alpha: float) -> tuple[float, float, float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
 from .geometry import angle_distortion, sampling_gap_estimate
-from .losses import LegConfig, ObjectiveConfig, audit_theorem_bound, lambda_pair_from_inverse
+from .losses import LegConfig, ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
 from .neural import NetworkSpec, forward, load_checkpoint, save_checkpoint
 from .optimizer import RmsPropConfig, StageConfig, _chunked_hausdorff, train
@@ -314,9 +314,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(eff["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # the last stage ends with the final parameters, so its checkpoint files
-    # are copied to the final names instead of encoded again
-    last_ckpt: dict[str, Path] = {}
+    last_ckpt: dict[str, Path] = {}  # the last stage's files hold the final parameters
 
     def on_stage(stage_idx, record, map_params, lambda_params):
         last_ckpt["map.ckpt.json"] = out_dir / f"map_stage{stage_idx}.ckpt.json"
@@ -576,9 +574,7 @@ def cmd_audit(args) -> int:
     mapped = _load_cloud_checked(args.mapped)
     header, rows = pcio.load_table(args.lambda_inv)
     vals = _parse_float_cells(header, rows, args.lambda_inv)[:, 0]
-    report = audit_theorem_bound(
-        mesh, mapped, lambda_pair_from_inverse(vals), LegConfig(sigma=args.sigma)
-    )
+    report = audit_theorem_bound(mesh, mapped, vals, LegConfig(sigma=args.sigma))
     names = [
         "lhs", "rhs", "holds", "d_sigma", "lambda0", "lambda_t",
         "r_lambda", "max_edge", "n_points", "n_triangles",

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows_grad
+from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
-    _sq_dists,
+    _diff_factors,
+    _same_dim_clouds,
+    _sq_dists_into,
     angle_distortion,
     as_cloud,
     edge_incidence,
-    pairwise_distances,
 )
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "ObjectiveConfig",
     "hand_with_grad",
     "leg_with_grad",
-    "lambda_pair_from_inverse",
-    "lambda_inv_chain",
     "landmark_energy_with_grad",
     "LossBreakdown",
     "total_loss_with_grad",
@@ -88,6 +87,30 @@ class ObjectiveConfig:
             raise ValueError(f"beta3 must be non-negative, got {self.beta3}")
 
 
+# elements of one row tile of the (n, m) energies, 256 kB: the tile buffers stay
+# in cache, made once per call (fresh pages per tile cost more than the math)
+_TILE_ELEMS = 1 << 15
+
+
+def _soft_min_weights(d: np.ndarray, low, a: float, out: np.ndarray) -> np.ndarray:
+    """exp(-a (d - low)) into out: soft-min weights before normalising."""
+    np.subtract(d, low, out=out)
+    out *= -a
+    return np.exp(out, out=out)
+
+
+def _soft_min_jac(d, low, value, scale, a: float, out, scratch) -> np.ndarray:
+    """scale * exp(-a (d - low)) * (1 - a (d - value)) into out: for the minimum
+    and soft-min of rows (or columns) of d, d soft-min / d d times scale * weight sum."""
+    g = _soft_min_weights(d, low, a, out)
+    g *= scale
+    np.subtract(d, value, out=scratch)
+    scratch *= -a
+    scratch += 1.0
+    g *= scratch
+    return g
+
+
 # ---------------------------------------------------------------------------
 # smooth Hausdorff surrogate
 # ---------------------------------------------------------------------------
@@ -101,32 +124,59 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
     directions, summed. Symmetric in (y, w); converges to the modified
     (sum-form) Hausdorff distance exponentially fast in cfg.alpha.
     Coincident pairs (zero distance) get a zero subgradient contribution.
+
+    Two passes over row tiles of the distances keep memory O(n + m). A tile
+    holds whole rows, so the soft-min of a y point is exact per tile; that of
+    a w point is an online softmax (Milakov & Gimelshein 2018) of running
+    minimum, weight sum and weighted distance sum, rescaled as the minimum
+    drops. The second pass recomputes each tile for the gradients.
     """
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    y, w = _same_dim_clouds(y, w)
     a = cfg.alpha
-    d = pairwise_distances(y, w)  # validates both clouds
+    n, m = len(y), len(w)
+    rows = max(1, _TILE_ELEMS // m)
+    lhs, rhs = _diff_factors(y, w)
+    bufs = np.empty((4, min(rows, n), m))
 
-    r, g1 = boltzmann_rows_grad(d, -a)  # g1[i,k] = d r_i / d d_ik
-    term1 = boltzmann(r, a)
-    g1 *= boltzmann_gradient(r, a)[:, None]
+    r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
+    c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
+    c_sum, c_dot = np.zeros(m), np.zeros(m)
+    for lo in range(0, n, rows):
+        t = slice(lo, lo + rows)
+        d, e, _, scratch = bufs[:, : min(rows, n - lo)]
+        np.sqrt(_sq_dists_into(lhs[:, t], rhs, d, scratch), out=d)
+        r_low[t] = low = d.min(axis=1)
+        _soft_min_weights(d, low[:, None], a, e)
+        r_sum[t] = e.sum(axis=1)
+        r[t] = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
+        low = np.minimum(c_low, d.min(axis=0))
+        rescale = np.exp(a * (low - c_low))
+        _soft_min_weights(d, low, a, e)
+        c_sum = c_sum * rescale + e.sum(axis=0)
+        c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, e)
+        c_low = low
+        np.maximum(c_high, d.max(axis=0), out=c_high)
+    c = np.clip(c_dot / c_sum, c_low, c_high)
+    r_scale = boltzmann_gradient(r, a) / r_sum
+    c_scale = boltzmann_gradient(c, a) / c_sum
 
-    # d.T stays a transposed view: a contiguous copy would sum its rows in
-    # another order and change the bits
-    c, jc = boltzmann_rows_grad(d.T, -a)  # jc[k,i] = d c_k / d d_ik
-    term2 = boltzmann(c, a)
-    jc *= boltzmann_gradient(c, a)[:, None]
-
-    # coef = (g1 + jc.T) / d where d > 0, else 0
-    coef = g1
-    coef += jc.T
-    del jc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef /= d
-    coef[~(d > 0.0)] = 0.0
-    gy = coef.sum(axis=1)[:, None] * y - coef @ w
-    gw = coef.sum(axis=0)[:, None] * w - coef.T @ y
-    return term1 + term2, gy, gw
+    # coef = d value / d distance, over the distance (0 where that is 0)
+    gy = np.empty_like(y)
+    col_sum, col_y = np.zeros(m), np.zeros_like(w)
+    for lo in range(0, n, rows):
+        t = slice(lo, lo + rows)
+        d, coef, g, scratch = bufs[:, : min(rows, n - lo)]
+        np.sqrt(_sq_dists_into(lhs[:, t], rhs, d, scratch), out=d)
+        _soft_min_jac(d, r_low[t, None], r[t, None], r_scale[t, None], a, coef, scratch)
+        coef += _soft_min_jac(d, c_low, c, c_scale, a, g, scratch)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            coef /= d
+        if r_low[t].min() == 0.0:
+            coef[d == 0.0] = 0.0
+        gy[t] = coef.sum(axis=1)[:, None] * y[t] - coef @ w
+        col_sum += coef.sum(axis=0)
+        col_y += coef.T @ y[t]
+    return boltzmann(r, a) + boltzmann(c, a), gy, col_sum[:, None] * w - col_y
 
 
 # ---------------------------------------------------------------------------
@@ -135,96 +185,65 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
 
 
 def leg_with_grad(
-    original, mapped, lambda_pair, cfg: LegConfig
+    original, mapped, lambda_inv_values, cfg: LegConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Localized distortion energy of a mapped cloud, plus its gradients in the
-    mapped coordinates and in lambda_pair.
+    mapped coordinates and in the per-point inverse factors.
 
     Mean over all ordered point pairs (diagonal included, it vanishes) of the
     squared mismatch between the Gaussian affinity of the originals and the
-    lambda-compensated Gaussian affinity of their images. Zero exactly when
-    every image pair distance equals lambda_ij times the original distance.
+    lambda-compensated Gaussian affinity of their images, where
+    lambda_ij = 1 / (v_i + v_j) for the inverse factors v (positive and
+    finite, one per point). Zero exactly when every image pair distance
+    equals lambda_ij times the original distance.
+
+    Row tiles keep memory O(n) beyond the tile buffers. lambda is symmetric,
+    so both gradients are row sums, each pair counted twice.
     """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
     n = len(x)
     if len(y) != n:
         raise ValueError(f"original has {n} points but mapped has {len(y)}")
-    lam = np.asarray(lambda_pair, dtype=np.float64)
-    if lam.shape != (n, n):
-        raise ValueError(f"lambda_pair must have shape ({n}, {n}), got {lam.shape}")
-    if not (np.isfinite(lam).all() and (lam > 0.0).all()):
-        raise ValueError("lambda_pair entries must be positive and finite")
-    s2 = cfg.sigma * cfg.sigma
+    v = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
+    if v.size != n:
+        raise ValueError(f"{v.size} inverse factors for {n} points")
+    if not (np.isfinite(v).all() and (v > 0.0).all()):
+        raise ValueError("inverse factors must be positive and finite")
+    neg_inv_s2 = -1.0 / (cfg.sigma * cfg.sigma)
+    rows = max(1, _TILE_ELEMS // n)
+    x_lhs, x_rhs = _diff_factors(x, x)
+    y_lhs, y_rhs = _diff_factors(y, y)
+    v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
+    bufs = np.empty((5, min(rows, n), n))
 
-    # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
-    # hy = exp(-sqy / (s2 lam^2)) and sqy = |y_i - y_j|^2, built in place
-    e = _sq_dists(x, x)
-    np.negative(e, out=e)
-    e /= s2
-    np.exp(e, out=e)  # gx
-    sqy = _sq_dists(y, y)
-    q = lam * s2
-    q *= lam
-    hy = np.negative(sqy)
-    hy /= q
-    del q
-    np.exp(hy, out=hy)
-    e -= hy
-    buf = e * e
-    value = float(buf.sum() / (n * n))
-
-    # d value / d h_ij = -2 e_ij / n^2, h_ij = exp(-sqy_ij / (s2 lam_ij^2))
-    # p = 4 e hy; k = p / (n^2 s2 lam^2); g_lambda = -p sqy / (n^2 s2 lam^3).
-    # Negating p gives the bits of -4 e hy: rounding is symmetric in sign.
-    p = np.multiply(e, 4.0, out=buf)
-    p *= hy
-    del e, hy
-    k = lam * (n * n * s2)
-    k *= lam
-    np.divide(p, k, out=k)
-    c = np.add(k, k.T)
-    del k
-    g_mapped = c.sum(axis=1)[:, None] * y - c @ y
-    del c
-    np.negative(p, out=p)
-    p *= sqy
-    del sqy
-    den = np.power(lam, 3)
-    den *= n * n * s2
-    g_lambda = np.divide(p, den, out=p)
-    return value, g_mapped, g_lambda
-
-
-def lambda_pair_from_inverse(values) -> np.ndarray:
-    """Pairwise conformal factors from per-point inverse values.
-
-    lambda_ij = 1 / (v_i + v_j). Values must be non-negative with every pair
-    sum positive; the result is symmetric and strictly positive.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("values is empty")
-    if not np.isfinite(v).all():
-        raise ValueError("values contain non-finite entries")
-    if (v < 0.0).any():
-        raise ValueError("inverse factors must be non-negative")
-    s = v[:, None] + v[None, :]
-    if (s <= 0.0).any():
-        i, j = np.argwhere(s <= 0.0)[0]
-        raise ValueError(f"pair ({int(i)}, {int(j)}) of inverse factors sums to zero")
-    return np.divide(1.0, s, out=s)
-
-
-def lambda_inv_chain(g_lambda: np.ndarray, lambda_pair: np.ndarray) -> np.ndarray:
-    """Pull a gradient in lambda_pair back to the per-point inverse values.
-
-    With lambda_ij = 1/(v_i + v_j): d lambda_ij / d v_a = -lambda_ij^2 for
-    a in {i, j}, both roles accumulated (the diagonal picks up both).
-    """
-    t = g_lambda * lambda_pair
-    t *= lambda_pair
-    return -(t.sum(axis=1) + t.sum(axis=0))
+    value, g_mapped, g_inv = 0.0, np.empty_like(y), np.empty(n)
+    for lo in range(0, n, rows):
+        t = slice(lo, lo + rows)
+        e, sqy, inv_lam, hy, scratch = bufs[:, : min(rows, n - lo)]
+        # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
+        # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
+        _sq_dists_into(x_lhs[:, t], x_rhs, e, scratch)
+        e *= neg_inv_s2
+        np.exp(e, out=e)
+        _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
+        np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
+        np.multiply(inv_lam, inv_lam, out=hy)
+        hy *= sqy
+        hy *= neg_inv_s2
+        np.exp(hy, out=hy)
+        e -= hy
+        value += float(np.vdot(e, e))
+        # with p = 4 e hy and both orders of each pair:
+        # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
+        # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
+        e *= hy
+        e *= inv_lam
+        g_inv[t] = np.einsum("ij,ij->i", e, sqy)
+        e *= inv_lam
+        g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
+    k = -8.0 * neg_inv_s2 / (n * n)
+    return value / (n * n), g_mapped * k, g_inv * k
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +313,8 @@ def total_loss_with_grad(
     y = as_cloud(mapped, dim=2)
     if len(x) != len(y):
         raise ValueError(f"original has {len(x)} points but mapped has {len(y)}")
-    v = None
-    if cfg.beta1 > 0:
-        if lambda_inv_values is None:
-            raise ValueError("lambda_inv_values is required when beta1 > 0")
-        v = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
-        if v.size != len(x):
-            raise ValueError(f"{v.size} inverse factors for {len(x)} points")
+    if cfg.beta1 > 0 and lambda_inv_values is None:
+        raise ValueError("lambda_inv_values is required when beta1 > 0")
     landmark_rows = [np.asarray(r, dtype=np.int64).ravel() for r in landmark_rows]
     if len(landmark_rows) != len(targets):
         raise ValueError(f"{len(landmark_rows)} landmark row lists vs {len(targets)} targets")
@@ -322,10 +336,9 @@ def total_loss_with_grad(
 
     leg_val = 0.0
     if cfg.beta1 > 0:
-        lam = lambda_pair_from_inverse(v)
-        leg_val, g_leg_y, g_lam = leg_with_grad(x, y, lam, cfg.leg)
+        leg_val, g_leg_y, g_leg_v = leg_with_grad(x, y, lambda_inv_values, cfg.leg)
         g_mapped += cfg.beta1 * g_leg_y
-        g_v = cfg.beta1 * lambda_inv_chain(g_lam, lam)
+        g_v = cfg.beta1 * g_leg_v
 
     hand_val = 0.0
     if cfg.beta2 > 0:
@@ -379,28 +392,23 @@ class BoundAuditReport:
 
 
 def audit_theorem_bound(
-    mesh: TriangleMesh, mapped, lambda_pair, cfg: LegConfig
+    mesh: TriangleMesh, mapped, lambda_inv_values, cfg: LegConfig
 ) -> BoundAuditReport:
     """Evaluate both sides of the distortion-energy angle bound on one instance.
 
     lambda0 / LambdaT are taken from the instance itself: the smallest
-    lambda_pair entry and the largest image-to-original length ratio over the
-    mesh edges (any valid bounding pair satisfies the statement; these give
-    the tightest audit). Zero-length original edges are rejected.
+    lambda_ij = 1 / (v_i + v_j) over the mesh edges and the largest
+    image-to-original length ratio over them (any valid bounding pair
+    satisfies the statement; these give the tightest audit). Zero-length
+    original edges are rejected.
     """
-    mapped = as_cloud(mapped, dim=2)
-    if len(mapped) != len(mesh.vertices):
-        raise ValueError(
-            f"mapped cloud has {len(mapped)} points for {len(mesh.vertices)} vertices"
-        )
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     n = len(mesh.vertices)
-    lam = np.asarray(lambda_pair, dtype=np.float64)
-    if lam.shape != (n, n):
-        raise ValueError(f"lambda_pair must have shape ({n}, {n}), got {lam.shape}")
-    if not (np.isfinite(lam).all() and (lam > 0.0).all()):
-        raise ValueError("lambda_pair entries must be positive and finite")
+    # leg_with_grad checks the mapped cloud and the inverse factors
+    d_sigma = leg_with_grad(mesh.vertices, mapped, lambda_inv_values, cfg)[0]
+    mapped = as_cloud(mapped, dim=2)
+    v = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
 
     edges = np.array(sorted(edge_incidence(mesh).keys()), dtype=np.int64)
     ei, ej = edges[:, 0], edges[:, 1]
@@ -410,13 +418,12 @@ def audit_theorem_bound(
         raise ValueError(f"zero-length original edge ({int(ei[k])}, {int(ej[k])})")
     dy = np.linalg.norm(mapped[ei] - mapped[ej], axis=1)
 
-    lambda0 = float(lam[ei, ej].min())
+    lambda0 = float((1.0 / (v[ei] + v[ej])).min())
     lambda_t = float((dy / dx).max())
     r = max(lambda_t / lambda0, 1.0)
     big_r = float(dx.max())
     eta = 1.0 / cfg.sigma
 
-    d_sigma = leg_with_grad(mesh.vertices, mapped, lam, cfg)[0]
     n_tri = len(mesh.triangles)
     growth = np.exp(eta * eta * r * r * big_r * big_r) / (eta * eta)
     lhs = growth * growth * d_sigma + (84.0 * n_tri / (n * n)) * r**4 * big_r**4

@@ -643,7 +643,7 @@ class InverseInterpolator:
             values = values[:, None]
         if len(values) != self._n_mapped:
             raise ValueError(f"mapped has {self._n_mapped} points, values {len(values)}")
-        return values[self._keep] if len(self._keep) < self._n_mapped else values
+        return values[self._keep]
 
     def _classify(self, q: np.ndarray) -> np.ndarray:
         """Per query: its triangle when the filter is certain q is strictly
@@ -718,8 +718,7 @@ class InverseInterpolator:
         return tid, proj
 
     def __call__(self, queries, values=None) -> tuple[np.ndarray, np.ndarray]:
-        """(interpolated rows, located mask) at the queries. `values`, one
-        row or scalar per mapped point, replaces the original points."""
+        """(rows, located mask) at the queries; `values` replaces original."""
         values = self.original if values is None else self._per_point(values)
         queries = as_cloud(queries, dim=2)
         n = len(queries)
@@ -808,11 +807,8 @@ def reconstruct_surface(
     mapped cloud (barycentric inverse interpolation), and reindexes faces
     over the vertices that landed inside the triangulated region.
 
-    lambda_adapted mode takes its field either as a callable
-    (lambda_inv_field) or as the inverse factors of the cloud's points
-    (lambda_inv_values). Those are interpolated barycentrically over the
-    triangulation the lift uses, built once for both, and take the nearest
-    mapped point's value outside it.
+    lambda_adapted mode takes a field callable, or per-point inverse factors
+    interpolated over the lift's triangulation (nearest point outside it).
     """
     interp = InverseInterpolator(mapped, as_cloud(original))
     if lambda_inv_values is not None:
@@ -820,8 +816,6 @@ def reconstruct_surface(
             raise ValueError("give lambda_inv_field or lambda_inv_values, not both")
         mapped = as_cloud(mapped, dim=2)
         vals = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
-        if len(vals) != len(mapped):
-            raise ValueError(f"{len(vals)} inverse factors for {len(mapped)} mapped points")
 
         def lambda_inv_field(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))

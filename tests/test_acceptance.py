@@ -27,7 +27,6 @@ from pcparam.losses import (
     ObjectiveConfig,
     audit_theorem_bound,
     hand_with_grad,
-    lambda_pair_from_inverse,
     leg_with_grad,
     total_loss_with_grad,
 )
@@ -298,10 +297,9 @@ def test_c03_gradient_checks():
         # Gaussian kernels (and with them the gradient) stay alive
         x3 = rng.normal(0, 0.7, (ny, 3))
         v = rng.uniform(0.3, 2.0, ny)
-        lam = lambda_pair_from_inverse(v)
         lcfg = LegConfig(sigma=rng.uniform(0.8, 1.6))
-        _, g_mapped, _ = leg_with_grad(x3, y, lam, lcfg)
-        f_mapped = _fd_grad(lambda t: leg_with_grad(x3, t, lam, lcfg)[0], y.copy(), 1e-5)
+        _, g_mapped, _ = leg_with_grad(x3, y, v, lcfg)
+        f_mapped = _fd_grad(lambda t: leg_with_grad(x3, t, v, lcfg)[0], y.copy(), 1e-5)
         assert _rel_err(g_mapped, f_mapped) < tol
 
         rows = [np.array([0, 1])]
@@ -350,24 +348,24 @@ def test_c04_distortion_fixed_points_and_invariances():
     x = rng.uniform(0, 1, (12, 2))
     cfg = LegConfig(sigma=0.5)
 
-    lam_id = lambda_pair_from_inverse(np.full(12, 0.5))
-    assert leg_with_grad(x, x, lam_id, cfg)[0] < 1e-12
+    v_id = np.full(12, 0.5)  # lambda = 1
+    assert leg_with_grad(x, x, v_id, cfg)[0] < 1e-12
 
     for c in (0.5, 2.7):
-        lam_c = lambda_pair_from_inverse(np.full(12, 1.0 / (2.0 * c)))
-        assert leg_with_grad(x, c * x, lam_c, cfg)[0] < 1e-12
+        v_c = np.full(12, 1.0 / (2.0 * c))
+        assert leg_with_grad(x, c * x, v_c, cfg)[0] < 1e-12
 
     y = rng.uniform(0, 1, (12, 2))
-    base = leg_with_grad(x, y, lam_id, cfg)[0]
+    base = leg_with_grad(x, y, v_id, cfg)[0]
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert abs(leg_with_grad(x, y @ rot.T + np.array([3.0, -1.5]), lam_id, cfg)[0]
+    assert abs(leg_with_grad(x, y @ rot.T + np.array([3.0, -1.5]), v_id, cfg)[0]
                - base) < 1e-10
-    assert abs(leg_with_grad(x @ rot.T + 2.0, y, lam_id, cfg)[0] - base) < 1e-10
+    assert abs(leg_with_grad(x @ rot.T + 2.0, y, v_id, cfg)[0] - base) < 1e-10
 
     for c in (0.25, 4.0):
-        lam_scaled = lambda_pair_from_inverse(np.full(12, 0.5 / c))
-        assert abs(leg_with_grad(x, c * y, lam_scaled, cfg)[0] - base) < 1e-10
+        v_scaled = np.full(12, 0.5 / c)
+        assert abs(leg_with_grad(x, c * y, v_scaled, cfg)[0] - base) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +384,14 @@ def _warped_grid_instance(seed):
     mapped = verts + amp * np.sin(np.pi * verts[:, ::-1]) * rng.uniform(
         0.5, 1.0, 2)
     v = rng.uniform(0.4, 1.2, len(verts))
-    return tri, mapped, lambda_pair_from_inverse(v)
+    return tri, mapped, v
 
 
 def test_c05_angle_bound_audit():
     t0 = time.monotonic()
     for seed in range(100):
-        tri, mapped, lam = _warped_grid_instance(3000 + seed)
-        report = audit_theorem_bound(tri, mapped, lam, LegConfig(sigma=0.5))
+        tri, mapped, v = _warped_grid_instance(3000 + seed)
+        report = audit_theorem_bound(tri, mapped, v, LegConfig(sigma=0.5))
         assert report.holds, f"instance seed {3000 + seed}"
     assert time.monotonic() - t0 < 20.0
 

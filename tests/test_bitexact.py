@@ -1,17 +1,20 @@
-"""Bit equality of the fast kernels with the plain formulas they replace.
+"""Agreement of the fast kernels with the plain formulas they replace.
 
 Each reference below is the straightforward expression: fresh temporaries,
-the (n, m, d) difference tensor, a second forward pass in backward, a walk
-per query for the inverse interpolator, a test against every accepted
-point for dart throwing, a spacing query per boundary point. The kernels must reproduce them exactly
-(np.array_equal), not just closely, because training runs thousands of
-steps on them and the golden outputs pin every bit.
+the (n, m, d) difference tensor, dense n x n energies, a second forward pass
+in backward, a walk per query for the inverse interpolator, a test against
+every accepted point for dart throwing, a spacing query per boundary point.
+Most kernels must reproduce them exactly (np.array_equal), not just closely,
+because training runs thousands of steps on them and the golden outputs pin
+every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
+sum in another order by design; they must agree with the dense formulas to
+1e-12 of each output's largest entry, at any tile size.
 """
 
 import numpy as np
 import pytest
 
-from pcparam.boltzmann import boltzmann, boltzmann_gradient, boltzmann_rows_grad
+from pcparam.boltzmann import boltzmann, boltzmann_gradient
 from pcparam.domains import Arc, Domain, preset_domain
 from pcparam.geometry import (
     _sq_dists,
@@ -20,14 +23,8 @@ from pcparam.geometry import (
     pairwise_distances,
     sampling_gap_estimate,
 )
-from pcparam.losses import (
-    HandConfig,
-    LegConfig,
-    hand_with_grad,
-    lambda_inv_chain,
-    lambda_pair_from_inverse,
-    leg_with_grad,
-)
+from pcparam import losses
+from pcparam.losses import HandConfig, LegConfig, hand_with_grad, leg_with_grad
 from pcparam.meshing import (
     InverseInterpolator,
     _boundary_ring,
@@ -84,6 +81,14 @@ def ref_leg_with_grad(x, y, lam, sigma):
     g_mapped = c.sum(axis=1)[:, None] * y - c @ y
     g_lambda = -4.0 * e * hy * sqy / (n * n * s2 * lam**3)
     return value, g_mapped, g_lambda
+
+
+def ref_leg_inv_grad(x, y, v, sigma):
+    """ref_leg_with_grad on lambda_ij = 1 / (v_i + v_j), chained back to v."""
+    lam = 1.0 / (v[:, None] + v[None, :])
+    value, g_mapped, g_lambda = ref_leg_with_grad(x, y, lam, sigma)
+    t = g_lambda * lam * lam
+    return value, g_mapped, -(t.sum(axis=1) + t.sum(axis=0))
 
 
 def ref_backward(spec, params, inputs, ct):
@@ -272,15 +277,11 @@ def test_sq_dists_with_duplicate_points(dim):
     assert np.array_equal(np.diag(sq), np.zeros(len(a)))
 
 
-def test_boltzmann_rows_grad_matches_reference_in_both_layouts():
-    rng = np.random.default_rng(5)
-    d = np.sqrt(ref_sq_dists(_cloud(rng, 300, 2), _cloud(rng, 200, 2)))
-    for matrix in (d, d.T):
-        for alpha in (-20.0, -1.5, 0.0, 3.0):
-            vals, grad = boltzmann_rows_grad(matrix, alpha)
-            ref_vals, ref_grad = ref_rows_grad(matrix, alpha)
-            assert np.array_equal(vals, ref_vals)
-            assert np.array_equal(grad, ref_grad)
+def _assert_close(got, want, rel=1e-12):
+    """|got - want| within rel times the largest |want| entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 @pytest.mark.parametrize("alpha", [2.0, 20.0, 80.0])
@@ -288,11 +289,9 @@ def test_hand_with_grad_matches_reference(alpha):
     rng = np.random.default_rng(6)
     y = _cloud(rng, 300, 2, 0.3)
     w = _with_coincident_pair(y, _cloud(rng, 200, 2, 0.3))
-    value, gy, gw = hand_with_grad(y, w, HandConfig(alpha))
-    ref_value, ref_gy, ref_gw = ref_hand_with_grad(y, w, alpha)
-    assert value == ref_value
-    assert np.array_equal(gy, ref_gy)
-    assert np.array_equal(gw, ref_gw)
+    for got, want in zip(hand_with_grad(y, w, HandConfig(alpha)),
+                         ref_hand_with_grad(y, w, alpha)):
+        _assert_close(got, want)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -303,15 +302,60 @@ def test_leg_with_grad_matches_reference(dim):
     x[9] = x[4]
     y[9] = y[4]  # a coincident pair in both clouds
     v = rng.uniform(0.2, 2.0, 300)
-    lam = lambda_pair_from_inverse(v)
-    assert np.array_equal(lam, 1.0 / (v[:, None] + v[None, :]))
-    value, g_mapped, g_lambda = leg_with_grad(x, y, lam, LegConfig(0.3))
-    ref_value, ref_mapped, ref_lambda = ref_leg_with_grad(x, y, lam, 0.3)
-    assert value == ref_value
-    assert np.array_equal(g_mapped, ref_mapped)
-    assert np.array_equal(g_lambda, ref_lambda)
-    t = ref_lambda * lam * lam
-    assert np.array_equal(lambda_inv_chain(g_lambda, lam), -(t.sum(axis=1) + t.sum(axis=0)))
+    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)),
+                         ref_leg_inv_grad(x, y, v, 0.3)):
+        _assert_close(got, want)
+
+
+# tile sizes in elements: one-row tiles, tiles that do not divide the row
+# count, the default, and one tile holding everything
+TILES = [1, 1000, losses._TILE_ELEMS, 1 << 22]
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 100.0])
+def test_tiled_hand_matches_reference(monkeypatch, tile, dim, alpha):
+    rng = np.random.default_rng(30 + dim)
+    y = _cloud(rng, 151, dim, 0.3)
+    w = _with_coincident_pair(y, _cloud(rng, 70, dim, 0.3))
+    w[10] = w[11] = y[12]  # a point of y on two coincident w points
+    monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+    for got, want in zip(hand_with_grad(y, w, HandConfig(alpha)),
+                         ref_hand_with_grad(y, w, alpha)):
+        _assert_close(got, want)
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tiled_leg_matches_reference(monkeypatch, tile, dim):
+    rng = np.random.default_rng(40 + dim)
+    x = _cloud(rng, 151, dim, 0.5)
+    y = _cloud(rng, 151, 2, 0.5)
+    x[20] = x[7]
+    y[20] = y[7]  # a duplicate point in both clouds
+    y[30] = y[31]  # images that collapse while the originals do not
+    v = rng.uniform(0.2, 2.0, 151)
+    monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)),
+                         ref_leg_inv_grad(x, y, v, 0.3)):
+        _assert_close(got, want)
+
+
+def test_tiled_energies_do_not_depend_on_tile_size(monkeypatch):
+    rng = np.random.default_rng(50)
+    x = _cloud(rng, 97, 3, 0.5)
+    y = _cloud(rng, 97, 2, 0.5)
+    w = _cloud(rng, 61, 2, 0.5)
+    v = rng.uniform(0.2, 2.0, 97)
+    runs = []
+    for tile in TILES:
+        monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+        runs.append(hand_with_grad(y, w, HandConfig(40.0))
+                    + leg_with_grad(x, y, v, LegConfig(0.4)))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            _assert_close(got, want, rel=1e-13)
 
 
 def test_chunked_extrema_match_full_matrix():

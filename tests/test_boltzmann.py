@@ -8,7 +8,6 @@ import pytest
 from pcparam.boltzmann import (
     boltzmann,
     boltzmann_gradient,
-    boltzmann_rows_grad,
     extremum_error_and_bound,
 )
 
@@ -101,33 +100,6 @@ def test_gradient_sums_to_one_at_alpha_zero():
     np.testing.assert_allclose(boltzmann_gradient(x, 0.0), np.full(4, 0.25))
 
 
-def test_rows_match_per_row_calls():
-    rng = np.random.default_rng(31)
-    m = rng.normal(0, 2, (12, 7))
-    for alpha in (-9.0, 0.0, 4.0):
-        rows = boltzmann_rows_grad(m, alpha)[0]
-        expect = np.array([boltzmann(r, alpha) for r in m])
-        np.testing.assert_array_equal(rows, expect)
-
-
-def test_rows_grad_shapes_and_fd():
-    rng = np.random.default_rng(41)
-    m = rng.normal(0, 1, (5, 6))
-    alpha = 3.0
-    vals, jac = boltzmann_rows_grad(m, alpha)
-    assert vals.shape == (5,)
-    assert jac.shape == (5, 6)
-    eps = 1e-6
-    for i in range(5):
-        for j in range(6):
-            mp, mm = m.copy(), m.copy()
-            mp[i, j] += eps
-            mm[i, j] -= eps
-            fd = (boltzmann_rows_grad(mp, alpha)[0][i]
-                  - boltzmann_rows_grad(mm, alpha)[0][i]) / (2 * eps)
-            assert jac[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
 def test_extremum_bound_holds_on_random_vectors():
     # max/min approximation error against the exponential-decay bound
     rng = np.random.default_rng(2024)
@@ -160,4 +132,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         boltzmann(np.array([1.0, 2.0]), np.inf)
     with pytest.raises(ValueError):
-        boltzmann_rows_grad(np.array([1.0, 2.0]), 1.0)  # not a matrix
+        boltzmann(np.array([[1.0, 2.0]]), 1.0)  # not a vector

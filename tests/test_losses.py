@@ -1,5 +1,7 @@
 """Smooth Hausdorff surrogate, localized distortion energy, combined objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,6 @@ from pcparam.losses import (
     ObjectiveConfig,
     audit_theorem_bound,
     hand_with_grad,
-    lambda_inv_chain,
-    lambda_pair_from_inverse,
     landmark_energy_with_grad,
     leg_with_grad,
     total_loss_with_grad,
@@ -128,23 +128,27 @@ def test_hand_config_validation():
 
 
 def test_lambda_pair_values():
-    lam = lambda_pair_from_inverse([0.1, 0.4])
-    assert lam[0, 1] == 2.0
-    assert lam[1, 0] == 2.0
-    assert lam[0, 0] == 5.0
-    assert lam[1, 1] == 1.25
-    np.testing.assert_array_equal(lam, lam.T)
+    # two points: only the off-diagonal pairs count, with lambda_01 = 1 / (0.1 + 0.4) = 2
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    y = np.array([[0.0, 0.0], [1.5, 0.0]])
+    e = np.exp(-1.0) - np.exp(-2.25 / 2.0**2)
+    want = 2.0 * e * e / 4.0
+    cfg = LegConfig(sigma=1.0)
+    assert leg_with_grad(x, y, [0.1, 0.4], cfg)[0] == pytest.approx(want, rel=1e-15)
+    assert leg_with_grad(x[::-1], y[::-1], [0.4, 0.1], cfg)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_lambda_pair_validation():
-    with pytest.raises(ValueError):
-        lambda_pair_from_inverse([])
-    with pytest.raises(ValueError):
-        lambda_pair_from_inverse([0.5, -0.1])
-    with pytest.raises(ValueError):
-        lambda_pair_from_inverse([0.0, 0.0])
-    with pytest.raises(ValueError):
-        lambda_pair_from_inverse([np.inf, 1.0])
+    x = np.zeros((2, 2))
+    cfg = LegConfig()
+    with pytest.raises(ValueError, match="inverse factors for"):
+        leg_with_grad(x, x, [], cfg)
+    with pytest.raises(ValueError, match="positive"):
+        leg_with_grad(x, x, [0.5, -0.1], cfg)
+    with pytest.raises(ValueError, match="positive"):
+        leg_with_grad(x, x, [0.0, 0.0], cfg)
+    with pytest.raises(ValueError, match="finite"):
+        leg_with_grad(x, x, [np.inf, 1.0], cfg)
 
 
 def test_lambda_inv_chain_matches_fd():
@@ -152,15 +156,10 @@ def test_lambda_inv_chain_matches_fd():
     x = rng.normal(0, 1, (8, 3))
     y = rng.normal(0, 1, (8, 2))
     cfg = LegConfig(sigma=0.7)
-
-    def f(v):
-        return leg_with_grad(x, y, lambda_pair_from_inverse(v), cfg)[0]
-
     v0 = rng.uniform(0.3, 1.5, 8)
-    lam = lambda_pair_from_inverse(v0)
-    _, _, g_lambda = leg_with_grad(x, y, lam, cfg)
-    analytic = lambda_inv_chain(g_lambda, lam)
-    assert _rel_err(analytic, _fd_grad(f, v0)) < 1e-6
+    _, _, analytic = leg_with_grad(x, y, v0, cfg)
+    numeric = _fd_grad(lambda v: leg_with_grad(x, y, v, cfg)[0], v0)
+    assert _rel_err(analytic, numeric) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +170,29 @@ def test_lambda_inv_chain_matches_fd():
 def test_leg_identity_is_exact_zero():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (12, 2))
-    lam = lambda_pair_from_inverse(np.full(12, 0.5))  # all ones
-    assert leg_with_grad(x, x, lam, LegConfig(sigma=0.6))[0] == 0.0
+    v = np.full(12, 0.5)  # lambda = 1
+    assert leg_with_grad(x, x, v, LegConfig(sigma=0.6))[0] == 0.0
 
 
 def test_leg_compensated_scaling_is_fixed_point():
     rng = np.random.default_rng(10)
     x = rng.normal(0, 1, (10, 2))
     for s in (0.25, 3.0):
-        lam = lambda_pair_from_inverse(np.full(10, 1.0 / (2 * s)))
-        assert leg_with_grad(x, s * x, lam, LegConfig(sigma=0.5))[0] < 1e-12
+        v = np.full(10, 1.0 / (2 * s))  # lambda = s
+        assert leg_with_grad(x, s * x, v, LegConfig(sigma=0.5))[0] < 1e-12
 
 
 def test_leg_rigid_invariance():
     rng = np.random.default_rng(11)
     x = rng.normal(0, 1, (9, 3))
     y = rng.normal(0, 1, (9, 2))
-    lam = lambda_pair_from_inverse(rng.uniform(0.2, 1.0, 9))
+    v = rng.uniform(0.2, 1.0, 9)
     cfg = LegConfig(sigma=0.8)
-    base = leg_with_grad(x, y, lam, cfg)[0]
+    base = leg_with_grad(x, y, v, cfg)[0]
     th = 1.234
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     moved = y @ rot.T + np.array([5.0, -2.0])
-    assert abs(leg_with_grad(x, moved, lam, cfg)[0] - base) < 1e-10
+    assert abs(leg_with_grad(x, moved, v, cfg)[0] - base) < 1e-10
 
 
 def test_leg_joint_scale_covariance():
@@ -201,18 +200,17 @@ def test_leg_joint_scale_covariance():
     rng = np.random.default_rng(13)
     x = rng.normal(0, 1, (7, 3))
     y = rng.normal(0, 1, (7, 2))
-    lam = lambda_pair_from_inverse(rng.uniform(0.2, 1.0, 7))
+    v = rng.uniform(0.2, 1.0, 7)
     cfg = LegConfig(sigma=0.5)
     c = 1.7
-    scaled = leg_with_grad(x, c * y, c * lam, cfg)[0]
-    assert abs(scaled - leg_with_grad(x, y, lam, cfg)[0]) < 1e-10
+    scaled = leg_with_grad(x, c * y, v / c, cfg)[0]  # lambda scaled by c
+    assert abs(scaled - leg_with_grad(x, y, v, cfg)[0]) < 1e-10
 
 
 def test_leg_positive_when_distorted():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     y = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # one edge stretched
-    lam = lambda_pair_from_inverse(np.full(3, 0.5))
-    assert leg_with_grad(x, y, lam, LegConfig(sigma=1.0))[0] > 1e-4
+    assert leg_with_grad(x, y, np.full(3, 0.5), LegConfig(sigma=1.0))[0] > 1e-4
 
 
 def test_leg_gradients_fd():
@@ -222,23 +220,23 @@ def test_leg_gradients_fd():
         n = int(rng.integers(3, 12))
         x = rng.normal(0, 1, (n, 3))
         y = rng.normal(0, 1, (n, 2))
-        lam = lambda_pair_from_inverse(rng.uniform(0.3, 1.2, n))
-        _, gy, glam = leg_with_grad(x, y, lam, cfg)
-        fy = _fd_grad(lambda p: leg_with_grad(x, p, lam, cfg)[0], y)
+        v = rng.uniform(0.3, 1.2, n)
+        _, gy, gv = leg_with_grad(x, y, v, cfg)
+        fy = _fd_grad(lambda p: leg_with_grad(x, p, v, cfg)[0], y)
         assert _rel_err(gy, fy) < 1e-6
-        flam = _fd_grad(lambda p: leg_with_grad(x, y, p, cfg)[0], lam)
-        assert _rel_err(glam, flam) < 1e-6
+        fv = _fd_grad(lambda p: leg_with_grad(x, y, p, cfg)[0], v)
+        assert _rel_err(gv, fv) < 1e-6
 
 
 def test_leg_shape_mismatch_errors():
     x = np.zeros((3, 2))
-    lam = np.ones((3, 3))
+    v = np.ones(3)
     with pytest.raises(ValueError):
-        leg_with_grad(x, np.zeros((4, 2)), lam, LegConfig())
+        leg_with_grad(x, np.zeros((4, 2)), v, LegConfig())
     with pytest.raises(ValueError):
-        leg_with_grad(x, np.zeros((3, 2)), np.ones((2, 2)), LegConfig())
-    bad = lam.copy()
-    bad[0, 1] = -1.0
+        leg_with_grad(x, np.zeros((3, 2)), np.ones(2), LegConfig())
+    bad = v.copy()
+    bad[1] = -1.0
     with pytest.raises(ValueError):
         leg_with_grad(x, np.zeros((3, 2)), bad, LegConfig())
 
@@ -304,8 +302,7 @@ def test_total_is_weighted_sum_of_parts():
     n = 10
     cfg = ObjectiveConfig(beta1=5.0, beta2=2.0, beta3=0.5)
     bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, n_base=n)[0]
-    lam = lambda_pair_from_inverse(v)
-    want_leg = leg_with_grad(x, y, lam, cfg.leg)[0]
+    want_leg = leg_with_grad(x, y, v, cfg.leg)[0]
     want_hand = hand_with_grad(y[:n], w, cfg.hand)[0]
     want_lm = landmark_energy_with_grad([y[rows[0]]], targets, cfg.hand)[0]
     assert bd.leg == pytest.approx(want_leg, rel=1e-14)
@@ -368,6 +365,25 @@ def test_total_gradients_fd():
     assert _rel_err(gv, _fd_grad(f_v, v)) < 1e-5
 
 
+def test_total_loss_memory_is_bounded():
+    # the energies work in row tiles of about 2^15 elements; the dense
+    # kernels peaked at about 48 bytes per pair, about 800 MB at this size
+    rng = np.random.default_rng(18)
+    n = 4096
+    x = rng.normal(0, 1, (n, 3))
+    y = rng.normal(0, 1, (n, 2))
+    v = rng.uniform(0.3, 1.2, n)
+    w = rng.uniform(-1, 1, (n, 2))
+    tracemalloc.start()
+    try:
+        bd = total_loss_with_grad(x, y, v, w, [], [], ObjectiveConfig())[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(bd.total)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_objective_config_validation():
     ObjectiveConfig(beta1=0.0)  # shape matching is allowed
     with pytest.raises(ValueError):
@@ -399,13 +415,13 @@ def _bump_instance(seed):
     mesh = TriangleMesh(verts, np.array(tris))
     mapped = grid + rng.normal(0, 0.02, grid.shape)
     v = rng.uniform(0.4, 0.8, len(verts))
-    return mesh, mapped, lambda_pair_from_inverse(v)
+    return mesh, mapped, v
 
 
 def test_audit_bound_holds_on_random_instances():
     for seed in range(8):
-        mesh, mapped, lam = _bump_instance(seed)
-        report = audit_theorem_bound(mesh, mapped, lam, LegConfig(sigma=0.5))
+        mesh, mapped, v = _bump_instance(seed)
+        report = audit_theorem_bound(mesh, mapped, v, LegConfig(sigma=0.5))
         assert isinstance(report, BoundAuditReport)
         assert report.holds
         assert report.lhs >= report.rhs
@@ -415,14 +431,14 @@ def test_audit_bound_holds_on_random_instances():
 
 
 def test_audit_bound_error_paths():
-    mesh, mapped, lam = _bump_instance(0)
+    mesh, mapped, v = _bump_instance(0)
     cfg = LegConfig(sigma=0.5)
     with pytest.raises(ValueError):
-        audit_theorem_bound(mesh, mapped[:-1], lam, cfg)
+        audit_theorem_bound(mesh, mapped[:-1], v, cfg)
     with pytest.raises(ValueError):
-        audit_theorem_bound(mesh, mapped, lam[:-1, :-1], cfg)
-    bad = lam.copy()
-    bad[2, 3] = 0.0
+        audit_theorem_bound(mesh, mapped, v[:-1], cfg)
+    bad = v.copy()
+    bad[2] = 0.0
     with pytest.raises(ValueError):
         audit_theorem_bound(mesh, mapped, bad, cfg)
 
@@ -431,7 +447,6 @@ def test_audit_bound_rejects_zero_length_edge():
     # two vertices at the same position joined by a face edge
     verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
-    lam = np.ones((3, 3))
     mapped = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(ValueError, match="zero-length"):
-        audit_theorem_bound(mesh, mapped, lam, LegConfig(sigma=0.5))
+        audit_theorem_bound(mesh, mapped, np.full(3, 0.5), LegConfig(sigma=0.5))

@@ -444,6 +444,6 @@ def test_reconstruct_lambda_values_match_separate_field():
     with pytest.raises(ValueError, match="not both"):
         reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
                             lambda_inv_field=field, lambda_inv_values=vals)
-    with pytest.raises(ValueError, match="inverse factors"):
+    with pytest.raises(ValueError, match="values"):
         reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
                             lambda_inv_values=vals[:-1])
