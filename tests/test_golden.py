@@ -60,16 +60,16 @@ FROZEN_BUILD = {
 
 GOLDEN = {
     "landmark_2d": {
-        "log.csv": "abcf32462df1d51ab31eeaaaf2e61d746ba9c021a76b8c3cfe423da40db436de",
-        "mapped.csv": "7919683ab7ed9dfecfdc18d0b12983617e24ea77f0590fd1c8e3573f0c697ff6",
-        "map.ckpt.json": "6a5f0a6075b8b8f855c5342357e014583fe4b1e1ab07a33f819e254cef8aa168",
-        "lambda.ckpt.json": "fc47bacefe8eab84aa2583ddddb02595b319dcba06c0133b97960bbae4c9c1cf",
+        "log.csv": "173d341bcaf72c9a4861d7b82de439f3f17a76840374b95ea9f1f6bc3493aa61",
+        "mapped.csv": "72543b60d5f9873224862c82c27b62e419c6fd7d95597c9e6f8d61906d0e2587",
+        "map.ckpt.json": "452bdd8032da9be4136633ad4cbbc9727e806f924aa7aebf332ed9001da2c7a4",
+        "lambda.ckpt.json": "34c527602920762b063d4e6f2f04cfd2ef57ecaaa2ff711d0a233cd6e8e18ead",
     },
     "fixed_boundary_3d": {
-        "log.csv": "dde2981fa75f5066e080596dcec97cbf7d9fd10a89b4ac412a1b7f59fb508bfa",
-        "mapped.csv": "3ce23ee7d487cfd05e3c2e58fae340d798d8e3355a62d18b05a1d84dc1fd6dfb",
-        "map.ckpt.json": "a096083be0b614a6855f02f49c6c8121c0e7cfea687692d87c54b79b5a169f34",
-        "lambda.ckpt.json": "0bff99146f3fb68c763e8e52b572deb09509ab0bba69da7bef209a4e23e39221",
+        "log.csv": "187cf4d79d4fff41f9fd58958a3805ec843a78f9e0d89509374567445f83ee25",
+        "mapped.csv": "c32db344114e4e26a8bd266932969a639ced68cc95342cc0e3573f47a97eb745",
+        "map.ckpt.json": "528e0339333c38b4987009ea69e5db6e4144565058d1bbc069e66d79bdd7c899",
+        "lambda.ckpt.json": "62b530c83ab8124700fd5cd34c9120bd1b9de5ca9f80a14da5259efb402364e2",
     },
 }
 
