@@ -100,8 +100,8 @@ def _soft_min_weights(d: np.ndarray, low, a: float, out: np.ndarray) -> np.ndarr
 
 
 def _soft_min_jac(d, low, value, scale, a: float, out, scratch) -> np.ndarray:
-    """scale * exp(-a (d - low)) * (1 - a (d - value)) into out: for the minimum
-    and soft-min of rows (or columns) of d, d soft-min / d d times scale * weight sum."""
+    """scale * exp(-a (d - low)) * (1 - a (d - value)) into out. For low, value the
+    min and soft-min along a row, this is d value / d d when scale = 1 / weight sum."""
     g = _soft_min_weights(d, low, a, out)
     g *= scale
     np.subtract(d, value, out=scratch)
