@@ -77,11 +77,16 @@ class TriangleMesh:
                 raise ValueError(
                     f"triangle {int(np.flatnonzero(degenerate)[0])} repeats a vertex"
                 )
-        for edge, tris in edge_incidence(self).items():
-            if len(tris) > 2:
-                raise ValueError(
-                    f"edge {edge} belongs to {len(tris)} triangles, mesh is not edge-manifold"
-                )
+            # one int64 key per undirected edge, min * n + max
+            e = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+            _, counts = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
+            if counts.max() > 2:
+                for edge, tris in edge_incidence(self).items():
+                    if len(tris) > 2:
+                        raise ValueError(
+                            f"edge {edge} belongs to {len(tris)} triangles, "
+                            "mesh is not edge-manifold"
+                        )
 
     @property
     def dim(self) -> int:
@@ -115,10 +120,9 @@ class TriangleMesh:
 def edge_incidence(mesh: TriangleMesh) -> dict[tuple[int, int], list[int]]:
     """Map each undirected edge (i, j), i < j, to the ids of its triangles."""
     inc: dict[tuple[int, int], list[int]] = {}
-    for tid, (i, j, k) in enumerate(np.asarray(mesh.triangles, dtype=np.int64)):
+    for tid, (i, j, k) in enumerate(np.asarray(mesh.triangles, dtype=np.int64).tolist()):
         for a, b in ((i, j), (j, k), (k, i)):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            inc.setdefault(key, []).append(tid)
+            inc.setdefault((a, b) if a < b else (b, a), []).append(tid)
     return inc
 
 

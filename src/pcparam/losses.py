@@ -10,6 +10,8 @@ formulas; finite-difference agreement is enforced in the test suite.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,22 @@ class HandConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
+# smallest kernel width whose square is a normal float; below it 1 / sigma^2
+# overflows or loses its precision and the distortion energy turns to nan
+_SIGMA_FLOOR = math.sqrt(sys.float_info.min)
+
+
+def _check_sigma(name: str, value: float) -> None:
+    """Reject a kernel width that is not finite or squares below a normal float."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if value < _SIGMA_FLOOR:
+        raise ValueError(
+            f"{name} must be at least {_SIGMA_FLOOR:.6g} (its square must be a normal "
+            f"float), got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class LegConfig:
     """Gaussian kernel width of the localized distortion energy."""
@@ -57,8 +75,7 @@ class LegConfig:
     sigma: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_sigma("sigma", self.sigma)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """Delaunay triangulation, pruning, boundary loops, mesh generation, lifting.
 
 The triangulator is incremental Bowyer-Watson with a large synthetic bounding
-triangle. Orientation and in-circle predicates run a fast float path with a
-forward error bound and fall back to exact rational arithmetic (doubles are
-dyadic rationals) when the float sign is not certain, so co-circular ties are
-decided exactly and then broken deterministically by insertion (= index)
-order. The bounding triangle sits 1e10 data-diameters out; hulls that are
-collinear to within one part in 1e10 of that could in principle interact
-with it, which is far beyond anything the samplers here produce.
+triangle, inserting the points along a grid snake so that each point
+location walk is short. Orientation and in-circle predicates run a fast
+float path with a forward error bound and fall back to exact integer
+arithmetic (doubles are dyadic rationals) when the float sign is not
+certain. Exact co-circular ties are then broken by index rank, a symbolic
+perturbation (Edelsbrunner & Muecke 1990), not by insertion order: the
+result is the Delaunay triangulation of the index-perturbed points, the same
+for every insertion order. The bounding triangle sits 1e10 data-diameters
+out; hulls that are collinear to within one part in 1e10 of that could in
+principle interact with it, which is far beyond anything the samplers here
+produce.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,10 +49,28 @@ class DuplicatePointsWarning(UserWarning):
 
 _ORIENT_BOUND = 3.3306690738754716e-16  # (3 + 16 eps) eps
 _INCIRCLE_BOUND = 1.1125369292536007e-15  # (10 + 96 eps) eps
+# The bounds above assume that no product underflows. A product that does
+# is off by up to 2**-1074 absolutely, which the bounds absorb only while
+# the sum of the magnitudes (detsum, permanent) stays far above it; below
+# this the exact path decides. Ordinary scales never come near it.
+_FILTER_FLOOR = 1e-280
+
+
+def _dyadic_ints(*coords) -> list[int]:
+    """Float coordinates as integers over one common power-of-two denominator.
+
+    Every double is a dyadic rational, so this is exact, and a positive
+    common scale leaves the sign of any homogeneous polynomial unchanged.
+    Integer arithmetic then decides the exact predicates without the gcd
+    work of `Fraction`.
+    """
+    ratios = [float(c).as_integer_ratio() for c in coords]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
 
 
 def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
-    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    ax, ay, bx, by, cx, cy = _dyadic_ints(ax, ay, bx, by, cx, cy)
     det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
     return int(det > 0) - int(det < 0)
 
@@ -60,13 +81,13 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) >= _ORIENT_BOUND * detsum:
+    if detsum >= _FILTER_FLOOR and abs(det) >= _ORIENT_BOUND * detsum:
         return int(det > 0) - int(det < 0)
     return _orient_exact(ax, ay, bx, by, cx, cy)
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    ax, ay, bx, by, cx, cy, dx, dy = map(Fraction, (ax, ay, bx, by, cx, cy, dx, dy))
+    ax, ay, bx, by, cx, cy, dx, dy = _dyadic_ints(ax, ay, bx, by, cx, cy, dx, dy)
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
     cdx, cdy = cx - dx, cy - dy
@@ -95,7 +116,7 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    if abs(det) > _INCIRCLE_BOUND * permanent:
+    if permanent >= _FILTER_FLOOR and abs(det) > _INCIRCLE_BOUND * permanent:
         return int(det > 0) - int(det < 0)
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
@@ -119,12 +140,13 @@ def circumcircle(a, b, c) -> tuple[np.ndarray, float]:
 def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
     """Triangle containing (qx, qy), by a visibility walk from triangle `tid`.
 
-    `tris` maps triangle id to its ccw corners and `edge` maps each directed
-    edge (u, v) to the triangle it bounds on the left. The walk crosses the
-    first edge with the query strictly on its right and returns None when
-    that edge lies on the hull. A walk that has not settled after
-    4 * len(tris) + 64 steps falls back to testing every triangle in the
-    dict's own order (still exact).
+    `pts` lists the (x, y) of every vertex as Python floats, `tris` maps
+    triangle id to its ccw corners and `edge` maps each directed edge (u, v)
+    to the triangle it bounds on the left. The walk crosses the first edge
+    with the query strictly on its right and returns None when that edge
+    lies on the hull. A walk that has not settled after 4 * len(tris) + 64
+    steps falls back to testing every triangle in the dict's own order
+    (still exact).
     """
     prev: tuple[int, int] | None = None
     for _ in range(4 * len(tris) + 64):
@@ -133,8 +155,9 @@ def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
         for u, v in ((a, b), (b, c), (c, a)):
             if prev == (u, v):
                 continue
-            pu, pv = pts[u], pts[v]
-            if orient2d(pu[0], pu[1], pv[0], pv[1], qx, qy) < 0:
+            ux, uy = pts[u]
+            vx, vy = pts[v]
+            if orient2d(ux, uy, vx, vy, qx, qy) < 0:
                 nxt = edge.get((v, u))
                 if nxt is None:
                     return None
@@ -145,11 +168,11 @@ def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
         if not moved:
             return tid
     for tid, (a, b, c) in tris.items():
-        pa, pb, pc = pts[a], pts[b], pts[c]
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         if (
-            orient2d(pa[0], pa[1], pb[0], pb[1], qx, qy) >= 0
-            and orient2d(pb[0], pb[1], pc[0], pc[1], qx, qy) >= 0
-            and orient2d(pc[0], pc[1], pa[0], pa[1], qx, qy) >= 0
+            orient2d(ax, ay, bx, by, qx, qy) >= 0
+            and orient2d(bx, by, cx, cy, qx, qy) >= 0
+            and orient2d(cx, cy, ax, ay, qx, qy) >= 0
         ):
             return tid
     return None
@@ -160,8 +183,29 @@ def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def _snake_order(points: np.ndarray) -> np.ndarray:
+    """Indices of `points` along a grid snake, for spatially coherent insertion.
+
+    About sqrt(n / 4) horizontal strips of equal height, walked by x to the
+    right and to the left in turn, so each point lands a short walk from
+    the last one inserted (Amenta, Choi & Rote 2003, "Incremental
+    constructions con BRIO").
+    """
+    rows = max(1, int(math.sqrt(len(points) / 4.0)))
+    x, y = points[:, 0], points[:, 1]
+    lo, hi = y.min(), y.max()
+    strip = np.zeros(len(points), dtype=np.int64)
+    if hi > lo:
+        strip = np.minimum(((y - lo) / (hi - lo) * rows).astype(np.int64), rows - 1)
+    return np.lexsort((np.where(strip % 2 == 0, x, -x), strip))
+
+
 class _Triangulator:
-    """Incremental Delaunay over a fixed point array plus 3 bounding vertices."""
+    """Incremental Delaunay over a fixed point array plus 3 bounding vertices.
+
+    Exact in-circle ties are decided by index rank (see `_incircle`), so the
+    triangulation does not depend on the order `run` inserts the points in.
+    """
 
     def __init__(self, points: np.ndarray):
         n = len(points)
@@ -178,22 +222,47 @@ class _Triangulator:
             ]
         )
         self.n = n
-        self.pts = np.vstack([points, supers])
+        self.order = _snake_order(points).tolist()
+        self.pts = list(map(tuple, np.vstack([points, supers]).tolist()))
         s0, s1, s2 = n, n + 1, n + 2
         self.tris: dict[int, tuple[int, int, int]] = {0: (s0, s1, s2)}
         self.edge: dict[tuple[int, int], int] = {(s0, s1): 0, (s1, s2): 0, (s2, s0): 0}
         self.next_tid = 1
         self.last_tid = 0
 
-    def _incircle(self, tid: int, px: float, py: float) -> int:
+    def _incircle(self, tid: int, pi: int) -> int:
+        """`incircle` of triangle tid and point pi, ties broken symbolically.
+
+        An exact tie is decided as if each point's lift onto the paraboloid
+        were raised by an infinitesimal that grows with its index rank, the
+        bounding vertices ranking below every real point (Edelsbrunner &
+        Muecke 1990, "Simulation of Simplicity"). The highest-ranked of the
+        four decides: the query gives -1 (the rule of index-order insertion),
+        a corner gives the orientation of the other three. Four distinct
+        cocircular points never have three collinear, so this always decides.
+        """
         a, b, c = self.tris[tid]
-        pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-        return incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], px, py)
+        pts = self.pts
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[pi]
+        sign = incircle(ax, ay, bx, by, cx, cy, dx, dy)
+        if sign:
+            return sign
+        n = self.n
+        ra, rb, rc = (v if v < n else -1 for v in (a, b, c))
+        top = max(ra, rb, rc)
+        if pi > top:
+            return -1
+        if ra == top:
+            return orient2d(bx, by, cx, cy, dx, dy)
+        if rb == top:
+            return orient2d(cx, cy, ax, ay, dx, dy)
+        return orient2d(ax, ay, bx, by, dx, dy)
 
     def insert(self, pi: int) -> None:
+        tris, edge = self.tris, self.edge
         px, py = self.pts[pi]
-        start = self.last_tid if self.last_tid in self.tris else next(iter(self.tris))
-        seed = _walk(self.pts, self.tris, self.edge, start, px, py)
+        start = self.last_tid if self.last_tid in tris else next(iter(tris))
+        seed = _walk(self.pts, tris, edge, start, px, py)
         if seed is None:
             raise RuntimeError("point escaped the bounding triangle")
         bad = {seed}
@@ -201,36 +270,35 @@ class _Triangulator:
         stack = [seed]
         while stack:
             t = stack.pop()
-            a, b, c = self.tris[t]
+            a, b, c = tris[t]
             for u, v in ((b, a), (c, b), (a, c)):
-                nt = self.edge.get((u, v))
-                if nt is not None and nt not in bad and self._incircle(nt, px, py) > 0:
+                nt = edge.get((u, v))
+                if nt is not None and nt not in bad and self._incircle(nt, pi) > 0:
                     bad.add(nt)
                     order.append(nt)
                     stack.append(nt)
         boundary: list[tuple[int, int]] = []
         for t in order:
-            a, b, c = self.tris[t]
+            a, b, c = tris[t]
             for u, v in ((a, b), (b, c), (c, a)):
-                nt = self.edge.get((v, u))
+                nt = edge.get((v, u))
                 if nt is None or nt not in bad:
                     boundary.append((u, v))
         for t in order:
-            a, b, c = self.tris[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                del self.edge[(u, v)]
-            del self.tris[t]
+            a, b, c = tris.pop(t)
+            del edge[(a, b)], edge[(b, c)], edge[(c, a)]
+        tid = self.next_tid
         for u, v in boundary:
-            tid = self.next_tid
-            self.next_tid += 1
-            self.tris[tid] = (u, v, pi)
-            self.edge[(u, v)] = tid
-            self.edge[(v, pi)] = tid
-            self.edge[(pi, u)] = tid
-            self.last_tid = tid
+            tris[tid] = (u, v, pi)
+            edge[(u, v)] = tid
+            edge[(v, pi)] = tid
+            edge[(pi, u)] = tid
+            tid += 1
+        self.next_tid = tid
+        self.last_tid = tid - 1
 
     def run(self) -> list[tuple[int, int, int]]:
-        for pi in range(self.n):
+        for pi in self.order:
             self.insert(pi)
         out = []
         for a, b, c in self.tris.values():
@@ -253,9 +321,9 @@ def delaunay(points) -> TriangleMesh:
 
     Exact duplicates are merged (first occurrence kept) with a
     DuplicatePointsWarning. Triangles come out ccw, rotated so the smallest
-    vertex index leads, sorted lexicographically; the whole construction is
-    deterministic in the input order. Raises on fewer than 3 distinct points
-    or a fully collinear cloud.
+    vertex index leads, sorted lexicographically; exact co-circular ties
+    follow index rank, so the result depends on the indexed points alone.
+    Raises on fewer than 3 distinct points or a fully collinear cloud.
     """
     pts = as_cloud(points, dim=2)
     n_in = len(pts)
@@ -550,7 +618,7 @@ class _MeshLocator:
     where the last successful one ended."""
 
     def __init__(self, mesh: TriangleMesh):
-        self.pts = mesh.vertices
+        self.pts = list(map(tuple, mesh.vertices.tolist()))
         self.tris = dict(enumerate(map(tuple, mesh.triangles.tolist())))
         self.edge: dict[tuple[int, int], int] = {}
         for tid, (a, b, c) in self.tris.items():
@@ -561,7 +629,7 @@ class _MeshLocator:
     def locate(self, q: np.ndarray) -> int | None:
         if not self.tris:
             return None
-        tid = _walk(self.pts, self.tris, self.edge, self.last, q[0], q[1])
+        tid = _walk(self.pts, self.tris, self.edge, self.last, float(q[0]), float(q[1]))
         if tid is not None:
             self.last = tid
         return tid
@@ -668,7 +736,8 @@ class InverseInterpolator:
                 detleft = (pu[:, 0] - qx) * (pv[:, 1] - qy)
                 detright = (pu[:, 1] - qy) * (pv[:, 0] - qx)
                 det = detleft - detright
-                sure = np.abs(det) >= _ORIENT_BOUND * (np.abs(detleft) + np.abs(detright))
+                detsum = np.abs(detleft) + np.abs(detright)
+                sure = (detsum >= _FILTER_FLOOR) & (np.abs(det) >= _ORIENT_BOUND * detsum)
                 inside &= sure & (det > 0)
                 outside |= sure & (det < 0)
             n = len(block)

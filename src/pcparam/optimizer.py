@@ -21,7 +21,7 @@ import numpy as np
 from .domains import Domain
 from .geometry import TriangleMesh, angle_distortion, as_cloud
 from .geometry import hausdorff_exact as _chunked_hausdorff
-from .losses import LossBreakdown, ObjectiveConfig, total_loss_with_grad
+from .losses import LossBreakdown, ObjectiveConfig, _check_sigma, total_loss_with_grad
 from .neural import (
     NetworkSpec,
     backward,
@@ -128,7 +128,9 @@ class StageConfig:
             val = getattr(self, name)
             if not (isinstance(val, (int, np.integer)) and val >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
-        for name in ("sigma", "alpha_init", "alpha_final", "sigma_min", "alpha_max"):
+        for name in ("sigma", "sigma_min"):
+            _check_sigma(name, getattr(self, name))
+        for name in ("alpha_init", "alpha_final", "alpha_max"):
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive, got {val!r}")

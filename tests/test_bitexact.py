@@ -3,13 +3,16 @@
 Each reference below is the straightforward expression: fresh temporaries,
 the (n, m, d) difference tensor, dense n x n energies, a second forward pass
 in backward, a walk per query for the inverse interpolator, a test against
-every accepted point for dart throwing, a spacing query per boundary point.
+every accepted point for dart throwing, a spacing query per boundary point,
+Delaunay insertion in index order.
 Most kernels must reproduce them exactly (np.array_equal), not just closely,
 because training runs thousands of steps on them and the golden outputs pin
 every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
 sum in another order by design; they must agree with the dense formulas to
 1e-12 of each output's largest entry, at any tile size.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +29,16 @@ from pcparam.geometry import (
 from pcparam import losses
 from pcparam.losses import HandConfig, LegConfig, hand_with_grad, leg_with_grad
 from pcparam.meshing import (
+    DuplicatePointsWarning,
     InverseInterpolator,
     _boundary_ring,
     _MeshLocator,
+    _Triangulator,
+    _walk,
     boundary_edges,
     delaunay,
     generate_param_mesh,
+    incircle,
 )
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
 
@@ -178,6 +185,83 @@ class RefInterpolator:
             out[qi] = np.array([1.0 - beta - gamma, beta, gamma]) @ self.original[tri]
             ok[qi] = True
         return out, ok
+
+
+class RefTriangulator:
+    """Bowyer-Watson inserting in index order, over the numpy point array.
+
+    Each point goes in after every lower index, so it always ranks highest
+    in its in-circle tests, and an exact tie counts it as outside. This is
+    the Delaunay triangulation that the index-rank tie rule reproduces for
+    any insertion order.
+    """
+
+    def __init__(self, points):
+        n = len(points)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        center = (lo + hi) / 2.0
+        m = 1e10 * float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+        supers = np.array([
+            [center[0] - 2.0 * m, center[1] - m],
+            [center[0] + 2.0 * m, center[1] - m],
+            [center[0], center[1] + 2.0 * m],
+        ])
+        self.n = n
+        self.pts = np.vstack([points, supers])
+        self.tris = {0: (n, n + 1, n + 2)}
+        self.edge = {(n, n + 1): 0, (n + 1, n + 2): 0, (n + 2, n): 0}
+        self.next_tid = 1
+        self.last_tid = 0
+
+    def insert(self, pi):
+        px, py = self.pts[pi]
+        start = self.last_tid if self.last_tid in self.tris else next(iter(self.tris))
+        seed = _walk(self.pts, self.tris, self.edge, start, px, py)
+        bad, order, stack = {seed}, [seed], [seed]
+        while stack:
+            a, b, c = self.tris[stack.pop()]
+            for u, v in ((b, a), (c, b), (a, c)):
+                nt = self.edge.get((u, v))
+                if nt is None or nt in bad:
+                    continue
+                pa, pb, pc = (self.pts[k] for k in self.tris[nt])
+                if incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], px, py) > 0:
+                    bad.add(nt)
+                    order.append(nt)
+                    stack.append(nt)
+        boundary = []
+        for t in order:
+            a, b, c = self.tris[t]
+            for u, v in ((a, b), (b, c), (c, a)):
+                if self.edge.get((v, u)) not in bad:
+                    boundary.append((u, v))
+        for t in order:
+            a, b, c = self.tris.pop(t)
+            for u, v in ((a, b), (b, c), (c, a)):
+                del self.edge[(u, v)]
+        for u, v in boundary:
+            tid = self.next_tid
+            self.next_tid += 1
+            self.tris[tid] = (u, v, pi)
+            self.edge[(u, v)] = self.edge[(v, pi)] = self.edge[(pi, u)] = tid
+            self.last_tid = tid
+
+    def run(self):
+        for pi in range(self.n):
+            self.insert(pi)
+        return [t for t in self.tris.values() if max(t) < self.n]
+
+
+def canonical_triangles(tris):
+    """Each ccw triangle rotated to lead with its smallest index, all sorted."""
+    canon = [t[t.index(min(t)):] + t[:t.index(min(t))] for t in map(tuple, tris)]
+    return np.array(sorted(canon), dtype=np.int64).reshape(-1, 3)
+
+
+def ref_delaunay(points):
+    pts = np.asarray(points, dtype=np.float64)
+    _, first = np.unique(pts, axis=0, return_index=True)
+    return canonical_triangles(RefTriangulator(pts[np.sort(first)]).run())
 
 
 def ref_boundary_ring(domain, step_at):
@@ -538,3 +622,88 @@ def test_boundary_ring_matches_point_by_point_march(name):
 
     assert np.array_equal(_boundary_ring(domain, radius_at), ref_boundary_ring(domain, step_at))
     assert asked == ref_asked
+
+
+# ---------------------------------------------------------------------------
+# Delaunay insertion order
+# ---------------------------------------------------------------------------
+
+
+def _polar(rings, jitter, seed):
+    """The polar grids of the golden reconstruct and the postfit benchmark."""
+    rng = np.random.default_rng(seed)
+    pts = [np.zeros((1, 2))]
+    for j in range(1, rings + 1):
+        r = j / rings
+        m = max(8, int(round(2 * np.pi * r * rings)))
+        th = 2 * np.pi * np.arange(m) / m
+        ring = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        if j < rings:
+            ring += rng.normal(0.0, jitter, ring.shape)
+        pts.append(ring)
+    return np.vstack(pts)
+
+
+def _grid(xs, ys):
+    return np.array([(x, y) for y in ys for x in xs])
+
+
+def _hex(k):
+    return np.array([(i + 0.5 * (j % 2), j * np.sqrt(3.0) / 2.0) for j in range(k) for i in range(k)])
+
+
+def _circle(m):
+    th = 2 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(th), np.sin(th)])
+
+
+def _with_duplicates(pts, seed):
+    rng = np.random.default_rng(seed)
+    return np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 5)]])
+
+
+DELAUNAY_CLOUDS = {
+    "uniform": lambda: np.random.default_rng(60).uniform(0.0, 1.0, (400, 2)),
+    "normal": lambda: np.random.default_rng(61).normal(size=(400, 2)),
+    "golden_polar": lambda: _polar(8, 0.004, 13),
+    "golden_polar_exact": lambda: _polar(8, 0.0, 13),
+    "bench_polar": lambda: _polar(24, 0.003, 77),
+    "bench_polar_exact": lambda: _polar(24, 0.0, 77),
+    "grid4": lambda: _grid(np.arange(4.0), np.arange(4.0)),
+    "grid30": lambda: _grid(np.arange(30.0), np.arange(30.0)),
+    "grid_tenths": lambda: _grid(np.arange(12) * 0.1, np.arange(9) * 0.3),
+    "hex": lambda: _hex(16),
+    "circle": lambda: _circle(200),
+    "uniform_dups": lambda: _with_duplicates(np.random.default_rng(62).uniform(size=(300, 2)), 1),
+    "grid_dups": lambda: _with_duplicates(_grid(np.arange(10.0), np.arange(10.0)), 2),
+}
+
+
+def _delaunay_quiet(pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicatePointsWarning)
+        return delaunay(pts).triangles
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("name", sorted(DELAUNAY_CLOUDS))
+def test_delaunay_matches_index_order_insertion(name, shuffled):
+    pts = DELAUNAY_CLOUDS[name]()
+    if shuffled:
+        pts = pts[np.random.default_rng(63).permutation(len(pts))]
+    assert np.array_equal(_delaunay_quiet(pts), ref_delaunay(pts))
+
+
+@pytest.mark.parametrize(
+    "name", ["uniform", "bench_polar_exact", "grid30", "grid_tenths", "hex", "circle"]
+)
+def test_triangulator_does_not_depend_on_insertion_order(name):
+    pts = DELAUNAY_CLOUDS[name]()
+    want = delaunay(pts).triangles
+    rng = np.random.default_rng(64)
+    for order in [np.arange(len(pts))[::-1]] + [rng.permutation(len(pts)) for _ in range(3)]:
+        tri = _Triangulator(pts)
+        for pi in order.tolist():
+            tri.insert(pi)
+        got = [t for t in tri.tris.values() if max(t) < len(pts)]
+        assert np.array_equal(canonical_triangles(got), want)

@@ -1,9 +1,15 @@
 """Command-line flows: config handling, all eight verbs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import pcparam
 
 from pcparam.cli import (
     ConfigError,
@@ -253,6 +259,30 @@ def test_fit_bad_stage_value_exits_2(tmp_path, tiny_cloud_csv):
     cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
     cfg["stage"]["sigma"] = -0.5
     assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
+
+
+@pytest.mark.parametrize("name", ["sigma", "sigma_min"])
+def test_fit_tiny_sigma_exits_2_with_message(tmp_path, tiny_cloud_csv, name):
+    # a sigma whose square is not a normal float is a config error, reported
+    # as one line and no traceback from the installed entry point's main
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
+    cfg["stage"][name] = 1e-200
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(pcparam.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys; from pcparam.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "fit", "--config",
+         _write_config(tmp_path / "c.json", cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"{name} must be at least" in proc.stderr
+    assert "1e-200" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

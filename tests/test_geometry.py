@@ -49,8 +49,15 @@ def test_mesh_validation():
         TriangleMesh(verts, np.array([[0, 1, 1]]))  # repeated vertex
     # an edge shared by three faces is not a surface mesh
     verts4 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(ValueError):
-        TriangleMesh(verts4, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) belongs to 3 triangles"):
+        TriangleMesh(verts4, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+    # of several such edges, the error names the one the faces reach first
+    verts7 = np.vstack([verts4, [[3.0, 0.0], [0.0, 3.0]]])
+    tris = [[2, 3, 4], [3, 2, 5], [2, 3, 6], [0, 1, 4], [0, 1, 5], [1, 0, 6], [0, 1, 2]]
+    with pytest.raises(ValueError, match=r"edge \(2, 3\) belongs to 3 triangles"):
+        TriangleMesh(verts7, np.array(tris))
+    # two faces on one edge are an interior edge, not an error
+    TriangleMesh(verts4, np.array([[0, 1, 2], [1, 0, 3]]))
 
 
 def test_edge_incidence_counts():

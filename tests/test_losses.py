@@ -1,5 +1,7 @@
 """Smooth Hausdorff surrogate, localized distortion energy, combined objective."""
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -136,6 +138,21 @@ def test_lambda_pair_values():
     cfg = LegConfig(sigma=1.0)
     assert leg_with_grad(x, y, [0.1, 0.4], cfg)[0] == pytest.approx(want, rel=1e-15)
     assert leg_with_grad(x[::-1], y[::-1], [0.4, 0.1], cfg)[0] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 5e-324])
+def test_leg_config_rejects_sigma_whose_square_is_not_normal(sigma):
+    # below sqrt(smallest normal) the energy came out nan, or 1 / sigma^2
+    # raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=f"sigma must be at least .* got {sigma!r}"):
+        LegConfig(sigma=sigma)
+
+
+def test_leg_config_accepts_sigma_at_the_floor():
+    floor = math.sqrt(sys.float_info.min)
+    assert LegConfig(sigma=floor).sigma == floor
+    with pytest.raises(ValueError, match="sigma"):
+        LegConfig(sigma=float(np.nextafter(floor, 0.0)))
 
 
 def test_lambda_pair_validation():

@@ -1,5 +1,7 @@
 """Delaunay construction, pruning, boundary loops, domain meshes, pullback."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,19 @@ def test_delaunay_rejections_and_dedup():
     with pytest.raises(ValueError, match="3 distinct"):
         with pytest.warns(DuplicatePointsWarning):
             delaunay([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("k", [-1000, -700, 300, 500, 900])
+def test_delaunay_scale_invariant_at_extreme_scales(k):
+    # products in the float filters underflow or overflow at these scales;
+    # the exact path must decide instead, silently, and scaling the points
+    # by a power of two changes the sign of no predicate among them
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
+    unit = delaunay(pts).triangles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = delaunay(pts * 2.0**k).triangles
+    np.testing.assert_array_equal(scaled, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,9 @@ def test_stage_config_validation():
         StageConfig(sigma=0.0)
     with pytest.raises(ValueError):
         StageConfig(alpha_final=float("nan"))
+    for name in ("sigma", "sigma_min"):
+        with pytest.raises(ValueError, match=f"{name} must be at least .* got 1e-200"):
+            StageConfig(**{name: 1e-200})
 
 
 def test_train_log_csv_shape():
