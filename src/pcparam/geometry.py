@@ -3,10 +3,22 @@
 Conventions: a point cloud is a float64 array of shape (n, d) with d in {2, 3};
 a triangle mesh stores vertices the same way plus an (m, 3) int array of
 vertex indices. All distances are Euclidean.
+
+The module also holds `_Grid`, the one uniform-grid neighbour index of the
+package: dart throwing and the triangle buckets of the inverse interpolator
+in `meshing` use it, and so do the exact sup-inf distances here. Those
+score each point only against the points of the other cloud in the 3x3
+block of grid cells around it, and keep that row minimum only when it is
+certainly below the distance to the block's edge, with a margin for the
+rounding of the cell map. Every other row is scored against all points.
+The grid covers the first two coordinates, and a planar distance never
+exceeds the 3-d one, so the same argument holds in 3-d. The results are
+the bits of the full distance matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,33 +200,207 @@ def pairwise_distances(a, b) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-# squared distances per block in _directed_terms, 32 MB
-_EXTREMA_BLOCK_ELEMS = 1 << 22
+# ---------------------------------------------------------------------------
+# uniform-grid bucket index
+# ---------------------------------------------------------------------------
 
 
-def _directed_terms(a, b) -> tuple[float, float]:
-    """(max_i min_k |a_i - b_k|, max_k min_i |a_i - b_k|), exactly.
+class _Grid:
+    """Uniform grid of square cells; item i is filed under every cell its box meets.
 
-    Walks `a` in row blocks of at most 32 MB of distances (one row if a row
-    alone is larger), so memory does not grow with len(a) * len(b). Works on
-    squared distances and takes one square root at the end: sqrt is
-    monotone, so the extrema are the same bits as over distances.
+    The grid covers the first two coordinates only. The cell of a point is
+    floor((x - lo) / cell) per axis, clipped to the grid. That map is
+    monotone in x, so a point inside an item's box [bmin, bmax] always falls
+    in one of the item's cells, and two points whose cells differ by more
+    than k along an axis are at least about k * cell apart along it (the
+    grid of Bridson 2007, "Fast Poisson disk sampling in arbitrary
+    dimensions"). Cells are numbered x * ny + y, so the cells of one column
+    are consecutive, and so are the items filed in them.
     """
-    a, b = _same_dim_clouds(a, b)
-    rows = max(1, _EXTREMA_BLOCK_ELEMS // len(b))
-    worst_ab = 0.0
-    col_min = np.full(len(b), np.inf)
+
+    def __init__(self, lo, hi, cell: float, bmin: np.ndarray, bmax: np.ndarray):
+        self.lo = np.asarray(lo, dtype=np.float64)
+        self.cell = float(cell)
+        self.shape = np.floor(self.scaled(np.asarray(hi, dtype=np.float64))).astype(np.int64) + 1
+        ny = int(self.shape[1])
+        x0, y0 = self.cells(bmin)
+        x1, y1 = self.cells(bmax)
+        wx = x1 - x0 + 1
+        per = wx * (y1 - y0 + 1)
+        item = np.repeat(np.arange(len(bmin)), per)
+        r = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
+        cid = (x0[item] + r % wx[item]) * ny + y0[item] + r // wx[item]
+        self.items = item[np.argsort(cid, kind="stable")]
+        counts = np.bincount(cid, minlength=int(self.shape.prod()))
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+
+    def scaled(self, pts: np.ndarray) -> np.ndarray:
+        """(x - lo) / cell of the first two coordinates, before the floor."""
+        return (pts[..., :2] - self.lo) / self.cell
+
+    def cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = np.clip(np.floor(self.scaled(pts)), 0, self.shape - 1).astype(np.int64)
+        return c[:, 0], c[:, 1]
+
+    def runs(self, ix, iy, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(first, count), each (len(ix), 2 * ring + 1): the positions in
+        `items` of what is filed within `ring` cells of cell (ix, iy), as one
+        run per column of cells."""
+        nx, ny = (int(v) for v in self.shape)
+        y0 = np.maximum(iy - ring, 0)
+        y1 = np.minimum(iy + ring, ny - 1) + 1
+        first = np.empty((len(ix), 2 * ring + 1), dtype=np.int64)
+        count = np.empty_like(first)
+        for k, dx in enumerate(range(-ring, ring + 1)):
+            jx = ix + dx
+            col = np.clip(jx, 0, nx - 1) * ny
+            first[:, k] = self.start[col + y0]
+            count[:, k] = np.where((jx >= 0) & (jx < nx), self.start[col + y1] - first[:, k], 0)
+        return first, count
+
+    def pairs(self, pts: np.ndarray, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(query row, item) for every item filed within `ring` cells of each
+        query's cell, grouped by query row."""
+        first, count = self.runs(*self.cells(pts), ring)
+        rows = np.repeat(np.arange(len(pts)), count.sum(axis=1))
+        return rows, self.items[_expand_runs(first, count)]
+
+
+def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions first[j] + 0, ..., first[j] + count[j] - 1 of every run j
+    in row-major order."""
+    first, count = first.ravel(), count.ravel()
+    ends = np.cumsum(count)
+    return np.repeat(first - (ends - count), count) + np.arange(ends[-1] if len(ends) else 0)
+
+
+# ---------------------------------------------------------------------------
+# exact sup-inf distances
+# ---------------------------------------------------------------------------
+
+# elements per block of `_row_min_sq`: candidate pairs, or squared distances
+# of the dense fallback rows, 256 kB each, so that a block stays in cache
+_EXTREMA_BLOCK_ELEMS = 1 << 15
+# relative slack of the certainty test of `_row_min_sq`; the rounding it
+# covers is a few units of 2^-53
+_EXTREMA_MARGIN = 2.0**-40
+
+
+def _point_grid(b: np.ndarray) -> _Grid | None:
+    """Grid over the first two coordinates of b, about one point per cell:
+    side sqrt(area / m), at least the longer side over m, so there are at
+    most about 3m cells. None when b's extent overflows."""
+    lo = b[:, :2].min(axis=0)
+    hi = b[:, :2].max(axis=0)
+    w, h = (float(v) for v in hi - lo)
+    m = len(b)
+    cell = max(math.sqrt(w / m) * math.sqrt(h), max(w, h) / m)
+    if not math.isfinite(cell):
+        return None
+    # all of b at one planar point: any side gives a single cell
+    return _Grid(lo, hi, cell if cell > 0 else 1.0, b, b)
+
+
+def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min_k |a_i - b_k|^2 for every row i, exactly: the bits of the row
+    minima of `_sq_dists(a, b)`, for validated clouds of one dimension.
+
+    b is filed in a `_Grid` of its first two coordinates. Each row of a is
+    scored against the b points in the 3x3 block of cells around its own, by
+    the arithmetic of `_sq_dists_into`, so each pair gets the bits the full
+    matrix would give it. A b point outside the block lies in a cell at
+    least two columns or rows away, so its planar distance from a_i is at
+    least the distance g from a_i to the block's edge, and in 3-d its
+    distance is at least its planar one. So when the best candidate's
+    squared distance is below g^2 it is the row minimum. g is taken in the
+    scaled coordinates that the cell map floors, less a margin of 2^-40
+    times their magnitude, and g^2 is shrunk by a factor 1 - 2^-40. The
+    cell map and the squared distances round by a few units of 2^-53, so the
+    margin covers them thousands of times over. A row that fails the test,
+    such as a row far outside b's box, takes the dense path over all of b.
+    Candidate pairs and dense rows both go in blocks of at most
+    `_EXTREMA_BLOCK_ELEMS` elements (one row if a row alone is larger),
+    however b is laid out, even when it collapses into one cell.
+    """
+    grid = _point_grid(b)
+    if grid is None:
+        return _dense_row_min_sq(a, b)
+    bs = b[grid.items].T.copy()  # b in cell order, one row per coordinate
+    u = grid.scaled(a)
+    ix, iy = grid.cells(a)
+    first, count = grid.runs(ix, iy, ring=1)
+    total = count.sum(axis=1)
+    ends = np.cumsum(total)
+    best = np.full(len(a), np.inf)
+    lo = 0
+    while lo < len(a):
+        limit = ends[lo] - total[lo] + _EXTREMA_BLOCK_ELEMS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        cnt = total[lo:hi]
+        some = np.flatnonzero(cnt)
+        if len(some):
+            d2 = _pair_sq_dists(a[lo:hi], cnt, bs, _expand_runs(first[lo:hi], count[lo:hi]))
+            best[lo + some] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[some])
+        lo = hi
+    # g in cells: from a_i to the block's left edge when cells two columns
+    # to its left exist, to its right edge when cells two columns to its
+    # right exist, and likewise for the rows below and above
+    idx = np.column_stack([ix, iy])
+    gap = np.minimum(
+        np.where(idx >= 2, u - (idx - 1), np.inf),
+        np.where(idx + 2 < grid.shape, (idx + 2) - u, np.inf),
+    ).min(axis=1)
+    gap -= _EXTREMA_MARGIN * (np.abs(u).sum(axis=1) + grid.shape.sum())
+    r = grid.cell * np.maximum(gap, 0.0)
+    unsure = np.flatnonzero(~(best < r * r * (1.0 - _EXTREMA_MARGIN)))
+    if len(unsure):
+        best[unsure] = _dense_row_min_sq(a[unsure], b)
+    return best
+
+
+def _pair_sq_dists(a: np.ndarray, cnt: np.ndarray, bs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """|a_i - bs[:, p]|^2 for row i repeated cnt[i] times against positions
+    pos, adding the squared coordinate differences x, then y, then z as
+    `_sq_dists_into` does."""
+    out = np.repeat(a[:, 0], cnt)
+    tmp = np.take(bs[0], pos)
+    out -= tmp
+    out *= out
+    for c in range(1, a.shape[1]):
+        diff = np.repeat(a[:, c], cnt)
+        np.take(bs[c], pos, out=tmp)
+        diff -= tmp
+        diff *= diff
+        out += diff
+    return out
+
+
+def _dense_row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row minima of the full squared-distance matrix, in row blocks of at
+    most `_EXTREMA_BLOCK_ELEMS` elements (one row if a row alone is larger),
+    with the block buffers made once."""
+    lhs, rhs = _diff_factors(a, b)
+    rows = min(len(a), max(1, _EXTREMA_BLOCK_ELEMS // len(b)))
+    out = np.empty((rows, len(b)))
+    scratch = np.empty_like(out)
+    best = np.empty(len(a))
     for lo in range(0, len(a), rows):
-        sq = _sq_dists(a[lo : lo + rows], b)
-        worst_ab = max(worst_ab, float(sq.min(axis=1).max()))
-        np.minimum(col_min, sq.min(axis=0), out=col_min)
-    return float(np.sqrt(worst_ab)), float(np.sqrt(col_min.max()))
+        k = min(rows, len(a) - lo)
+        sq = _sq_dists_into(lhs[:, lo : lo + k], rhs, out[:k], scratch[:k])
+        sq.min(axis=1, out=best[lo : lo + k])
+    return best
+
+
+def _sup_inf(a: np.ndarray, b: np.ndarray) -> float:
+    """max_i min_k |a_i - b_k| of validated clouds, exactly: the square root
+    of the largest `_row_min_sq`, taken once, as sqrt is monotone."""
+    return float(np.sqrt(_row_min_sq(a, b).max()))
 
 
 def hausdorff_exact(a, b) -> float:
     """Exact Hausdorff distance max(sup-inf, sup-inf) between two clouds."""
-    t_ab, t_ba = _directed_terms(a, b)
-    return max(t_ab, t_ba)
+    a, b = _same_dim_clouds(a, b)
+    return max(_sup_inf(a, b), _sup_inf(b, a))
 
 
 def modified_hausdorff_exact(a, b) -> float:
@@ -223,8 +409,8 @@ def modified_hausdorff_exact(a, b) -> float:
     Dominates the exact Hausdorff distance and is still a metric on compact
     sets; this is the quantity the smooth surrogate converges to.
     """
-    t_ab, t_ba = _directed_terms(a, b)
-    return t_ab + t_ba
+    a, b = _same_dim_clouds(a, b)
+    return _sup_inf(a, b) + _sup_inf(b, a)
 
 
 @dataclass
@@ -302,4 +488,5 @@ def sampling_gap_estimate(sample, denser_sample) -> float:
     denser sample standing in for the region this is the directed term
     max over denser of min over sample. Reported, never asserted.
     """
-    return _directed_terms(denser_sample, sample)[0]
+    sample, denser_sample = _same_dim_clouds(sample, denser_sample)
+    return _sup_inf(denser_sample, sample)

@@ -52,19 +52,21 @@ class HandConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-# smallest kernel width whose square is a normal float; below it 1 / sigma^2
-# overflows or loses its precision and the distortion energy turns to nan
-_SIGMA_FLOOR = math.sqrt(sys.float_info.min)
+# smallest kernel width whose square is a normal float and whose gradient
+# scale 8 / sigma^2 in `leg_with_grad` is finite; below it 1 / sigma^2 loses
+# its precision or overflows and the distortion energy or its gradients turn
+# to nan. The second bound, about 2.11e-154, is the larger.
+_SIGMA_FLOOR = max(math.sqrt(sys.float_info.min), math.sqrt(8.0 / sys.float_info.max))
 
 
 def _check_sigma(name: str, value: float) -> None:
-    """Reject a kernel width that is not finite or squares below a normal float."""
+    """Reject a kernel width that is not finite or below `_SIGMA_FLOOR`."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if value < _SIGMA_FLOOR:
         raise ValueError(
             f"{name} must be at least {_SIGMA_FLOOR:.6g} (its square must be a normal "
-            f"float), got {value!r}"
+            f"float and 8 / {name}^2 finite), got {value!r}"
         )
 
 

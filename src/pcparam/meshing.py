@@ -11,19 +11,21 @@ result is the Delaunay triangulation of the index-perturbed points, the same
 for every insertion order. The bounding triangle sits 1e10 data-diameters
 out; hulls that are collinear to within one part in 1e10 of that could in
 principle interact with it, which is far beyond anything the samplers here
-produce.
+produce. Its corners overflow for coordinates past about 4.5e297, and such a
+cloud is rejected with a ValueError that names the limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import Domain
-from .geometry import TriangleMesh, as_cloud, edge_incidence
+from .geometry import TriangleMesh, _Grid, as_cloud, edge_incidence
 
 __all__ = [
     "DuplicatePointsWarning",
@@ -200,6 +202,12 @@ def _snake_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort((np.where(strip % 2 == 0, x, -x), strip))
 
 
+# the bounding triangle sits this many data spans out; its corners are finite
+# while every |coordinate| stays below about _COORD_LIMIT
+_SUPER_SPANS = 1e10
+_COORD_LIMIT = sys.float_info.max / (4.0 * _SUPER_SPANS)
+
+
 class _Triangulator:
     """Incremental Delaunay over a fixed point array plus 3 bounding vertices.
 
@@ -213,7 +221,7 @@ class _Triangulator:
         hi = points.max(axis=0)
         center = (lo + hi) / 2.0
         span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-        m = 1e10 * span
+        m = _SUPER_SPANS * span
         supers = np.array(
             [
                 [center[0] - 2.0 * m, center[1] - m],
@@ -221,6 +229,12 @@ class _Triangulator:
                 [center[0], center[1] + 2.0 * m],
             ]
         )
+        if not np.isfinite(supers).all():
+            raise ValueError(
+                "coordinates too large to triangulate: the bounding triangle, "
+                f"{_SUPER_SPANS:g} spans out, overflows; |x| and |y| must stay below "
+                f"about {_COORD_LIMIT:.3g}"
+            )
         self.n = n
         self.order = _snake_order(points).tolist()
         self.pts = list(map(tuple, np.vstack([points, supers]).tolist()))
@@ -410,62 +424,6 @@ def boundary_edges(mesh: TriangleMesh) -> list[list[int]]:
                 prev, cur = cur, nxt
             loops.append(loop)
     return loops
-
-
-# ---------------------------------------------------------------------------
-# uniform-grid bucket index
-# ---------------------------------------------------------------------------
-
-
-class _Grid:
-    """Uniform grid of square cells; item i is filed under every cell its box meets.
-
-    The cell of a point is floor((x - lo) / cell) per axis, clipped to the
-    grid. That map is monotone in x, so a point inside an item's box
-    [bmin, bmax] always falls in one of the item's cells, and two points
-    whose cells differ by more than k along an axis are at least about
-    k * cell apart along it (the grid of Bridson 2007, "Fast Poisson disk
-    sampling in arbitrary dimensions").
-    """
-
-    def __init__(self, lo, hi, cell: float, bmin: np.ndarray, bmax: np.ndarray):
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.cell = float(cell)
-        self.shape = (np.floor((np.asarray(hi) - self.lo) / self.cell).astype(np.int64) + 1)
-        ny = int(self.shape[1])
-        x0, y0 = self.cells(bmin)
-        x1, y1 = self.cells(bmax)
-        wx = x1 - x0 + 1
-        per = wx * (y1 - y0 + 1)
-        item = np.repeat(np.arange(len(bmin)), per)
-        r = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
-        cid = (x0[item] + r % wx[item]) * ny + y0[item] + r // wx[item]
-        self.items = item[np.argsort(cid, kind="stable")]
-        counts = np.bincount(cid, minlength=int(self.shape.prod()))
-        self.start = np.concatenate([[0], np.cumsum(counts)])
-
-    def cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = np.clip(np.floor((pts - self.lo) / self.cell), 0, self.shape - 1)
-        c = c.astype(np.int64)
-        return c[:, 0], c[:, 1]
-
-    def pairs(self, pts: np.ndarray, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(query row, item) for every item filed within `ring` cells of each query's cell."""
-        ix, iy = self.cells(pts)
-        nx, ny = (int(v) for v in self.shape)
-        rows, cids = [], []
-        for dx in range(-ring, ring + 1):
-            for dy in range(-ring, ring + 1):
-                jx, jy = ix + dx, iy + dy
-                rows_d = np.flatnonzero((jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny))
-                rows.append(rows_d)
-                cids.append(jx[rows_d] * ny + jy[rows_d])
-        rows = np.concatenate(rows)
-        cids = np.concatenate(cids)
-        first = self.start[cids]
-        count = self.start[cids + 1] - first
-        pos = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        return np.repeat(rows, count), self.items[pos]
 
 
 # ---------------------------------------------------------------------------

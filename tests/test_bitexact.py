@@ -12,6 +12,7 @@ sum in another order by design; they must agree with the dense formulas to
 1e-12 of each output's largest entry, at any tile size.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 from pcparam.boltzmann import boltzmann, boltzmann_gradient
 from pcparam.domains import Arc, Domain, preset_domain
+from pcparam import geometry
 from pcparam.geometry import (
     _sq_dists,
     hausdorff_exact,
@@ -50,6 +52,13 @@ from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params
 def ref_sq_dists(a, b):
     diff = a[:, None, :] - b[None, :, :]
     return (diff * diff).sum(axis=2)
+
+
+def ref_row_min_sq(a, b):
+    """Row minima of ref_sq_dists(a, b), a few rows at a time."""
+    rows = max(1, (1 << 20) // (len(b) * a.shape[1]))
+    return np.concatenate([ref_sq_dists(a[lo : lo + rows], b).min(axis=1)
+                           for lo in range(0, len(a), rows)])
 
 
 def ref_rows_grad(matrix, alpha):
@@ -451,6 +460,214 @@ def test_chunked_extrema_match_full_matrix():
     assert hausdorff_exact(a, b) == max(t_ab, t_ba)
     assert modified_hausdorff_exact(a, b) == t_ab + t_ba
     assert sampling_gap_estimate(b, a) == t_ab
+
+
+# ---------------------------------------------------------------------------
+# grid-indexed extrema
+# ---------------------------------------------------------------------------
+
+
+def _polar_footprint(rng, rings=24, jitter=0.003):
+    """The planar footprint of the jittered polar grids the fits and the
+    benchmark use: 1889 points at 24 rings."""
+    pts = [np.zeros((1, 2))]
+    for j in range(1, rings + 1):
+        m = max(8, round(2 * np.pi * j))
+        th = 2 * np.pi * np.arange(m) / m
+        ring = j / rings * np.column_stack([np.cos(th), np.sin(th)])
+        pts.append(ring + rng.normal(0.0, jitter, ring.shape) if j < rings else ring)
+    return np.vstack(pts)
+
+
+def _postfit_samples():
+    """The three clouds `pcparam eval` compares on the benchmark's postfit
+    run: 4096 and 16384 domain samples of the disk and a mapped cloud."""
+    rng = np.random.default_rng(3)
+    disk = preset_domain("disk")
+    dense = disk.sample_area(4096, rng)
+    return dense, disk.sample_area(16384, rng), _polar_footprint(rng)
+
+
+def _far_queries():
+    # rows far outside b's box, in every direction: their 3x3 block sits on
+    # the grid's rim and rarely holds the nearest point, so they fall back
+    rng = np.random.default_rng(11)
+    b = preset_domain("disk").sample_area(1000, rng)
+    th = rng.uniform(0, 2 * np.pi, 60)
+    far = np.column_stack([np.cos(th), np.sin(th)]) * np.geomspace(1.2, 1e3, 60)[:, None]
+    return np.vstack([preset_domain("disk").sample_area(500, rng), far]), b
+
+
+def _duplicates():
+    rng = np.random.default_rng(12)
+    b = rng.uniform(-1, 1, (300, 2))
+    b = np.vstack([b, b[:100], b[:5], b[:5]])
+    a = np.vstack([rng.uniform(-1.2, 1.2, (400, 2)), b[:50], b[:50]])
+    return a, b
+
+
+def _dyadic_edges():
+    # b on the lattice of side 1/32 with corners (0, 0) and (1, 1): 1024
+    # points give cells of side exactly 1/32, so every b point sits on a
+    # cell corner; queries on the 1/64 lattice sit on edges, corners and
+    # centres, inside and outside the box, and every distance is exact
+    rng = np.random.default_rng(13)
+    lattice = np.stack(np.meshgrid(np.arange(33), np.arange(33)), -1).reshape(-1, 2) / 32.0
+    inner = lattice[(lattice > 0).any(axis=1) & (lattice < 1).any(axis=1)]
+    b = np.vstack([[[0.0, 0.0], [1.0, 1.0]], inner[rng.choice(len(inner), 1022, replace=False)]])
+    assert geometry._point_grid(b).cell == 1.0 / 32.0
+    a = np.stack(np.meshgrid(np.arange(-32, 97), np.arange(-32, 97)), -1).reshape(-1, 2) / 64.0
+    return a, b
+
+
+def _edge_straddling(m, rng):
+    """Rows whose nearest b point lies just across the left edge of their
+    3x3 block, with a candidate inside the block whose squared distance
+    falls strictly between that point's and the square of the block-edge
+    distance the cell map gives. b spans [-1, 1]^2 and the block edge is
+    near x = 0, so the query's x - lo is in [1, 2) and is placed to round
+    up by almost 2^-53, where floats near the edge are far denser: a
+    certainty test without a margin for that rounding takes the candidate."""
+    lo, hi = -1.0, 1.0
+    grid = geometry._point_grid(np.vstack([[[lo, lo], [hi, hi]]] * m)[:m])
+    c = grid.cell
+
+    def col(x):
+        return int(np.floor(grid.scaled(np.array([[x, 0.0]]))[0, 0]))
+
+    k = col(0.0)
+    left, right = lo + (k - 0.5) * c, lo + (k + 0.5) * c
+    while (mid := 0.5 * (left + right)) not in (left, right):
+        left, right = (left, mid) if col(mid) >= k else (mid, right)
+    out_x = left  # the largest x the cell map puts in column k - 1
+    a, b = [], []
+    for j in range(3, int(grid.shape[1]) - 3, 4):
+        qy = lo + (j + 0.5) * c
+        for _ in range(50):
+            f = (k + 1 + rng.uniform(0.0, 0.3)) * c
+            qx = float(np.nextafter((f - 1.0) - 2.0**-53, 1.0))  # qx - lo rounds up to f
+            assert 1.0 <= f < 2.0 and qx - lo == f
+            edge2 = (c * (grid.scaled(np.array([[qx, qy]]))[0, 0] - k)) ** 2
+            out2 = (qx - out_x) ** 2
+            cy = qy + np.sqrt(0.5 * (out2 + edge2))
+            if out2 < (qy - cy) ** 2 < edge2:
+                a.append((qx, qy))
+                b += [(out_x, qy), (qx, cy)]
+                break
+    pad = m - len(b)
+    b += [(lo, lo)] * (pad // 2) + [(hi, hi)] * (pad - pad // 2)
+    return np.array(a).reshape(-1, 2), np.array(b)
+
+
+def _edge_straddling_cases():
+    rng = np.random.default_rng(14)
+    pairs = [_edge_straddling(m, rng) for m in (900, 1300, 1700, 2100, 2500, 2900)]
+    assert sum(len(a) for a, _ in pairs) >= 20
+    return pairs
+
+
+def _one_cell_3d(n, m, rng):
+    # every b point at one planar spot, spread along z: b fills one cell
+    b = np.column_stack([np.full((m, 2), 0.25), rng.normal(0, 1, m)])
+    return rng.normal(0, 1, (n, 3)), b
+
+
+EXTREMA_CASES = {
+    "spread_scales": lambda: (_cloud(np.random.default_rng(15), 3000, 2),
+                              _cloud(np.random.default_rng(16), 800, 2)),
+    "far_queries": _far_queries,
+    "duplicates": _duplicates,
+    "one_row_a": lambda: (np.array([[0.3, -0.2]]), np.random.default_rng(17).normal(size=(500, 2))),
+    "one_row_b": lambda: (np.random.default_rng(18).normal(size=(500, 2)), np.array([[0.3, -0.2]])),
+    "one_row_each": lambda: (np.array([[5.0, 1.0]]), np.array([[0.3, -0.2]])),
+    "collinear_b": lambda: (
+        np.random.default_rng(19).uniform(-2, 2, (800, 2)),
+        (lambda t: np.column_stack([t, 0.3 * t + 0.1]))(np.random.default_rng(20).uniform(-1, 1, 700)),
+    ),
+    "axis_aligned_b": lambda: (
+        np.random.default_rng(21).uniform(-2, 2, (800, 2)),
+        np.column_stack([np.random.default_rng(22).uniform(-1, 1, 700), np.full(700, 0.5)]),
+    ),
+    "identical_b": lambda: (np.random.default_rng(23).normal(size=(600, 2)), np.full((300, 2), 0.7)),
+    "3d": lambda: (_cloud(np.random.default_rng(24), 2000, 3), _cloud(np.random.default_rng(25), 1500, 3)),
+    "3d_deep_z": lambda: (  # z spread 100x the planar extent: the planar bound is loose
+        np.random.default_rng(26).normal(size=(1500, 3)) * [1, 1, 100],
+        np.random.default_rng(27).normal(size=(1200, 3)) * [1, 1, 100],
+    ),
+    "3d_one_cell": lambda: _one_cell_3d(700, 400, np.random.default_rng(28)),
+    "dyadic_edges": _dyadic_edges,
+    "offset_1e6": lambda: (
+        preset_domain("disk").sample_area(3000, np.random.default_rng(29)) + 1e6,
+        preset_domain("disk").sample_area(900, np.random.default_rng(30)) * 0.5 + 1e6,
+    ),
+    "scale_2^-500": lambda: (_cloud(np.random.default_rng(31), 1500, 2) * 2.0**-500,
+                             _cloud(np.random.default_rng(32), 700, 2) * 2.0**-500),
+    "scale_2^500": lambda: (_cloud(np.random.default_rng(33), 1500, 2) * 2.0**500,
+                            _cloud(np.random.default_rng(34), 700, 2) * 2.0**500),
+}
+
+
+def _assert_extrema_exact(a, b):
+    want = ref_row_min_sq(a, b)
+    assert np.array_equal(geometry._row_min_sq(a, b), want)
+    t_ab = float(np.sqrt(want.max()))
+    t_ba = float(np.sqrt(ref_row_min_sq(b, a).max()))
+    assert hausdorff_exact(a, b) == max(t_ab, t_ba)
+    assert modified_hausdorff_exact(a, b) == t_ab + t_ba
+    assert sampling_gap_estimate(b, a) == t_ab
+
+
+@pytest.mark.parametrize("name", list(EXTREMA_CASES))
+def test_grid_extrema_match_full_matrix(name):
+    _assert_extrema_exact(*EXTREMA_CASES[name]())
+
+
+def test_grid_extrema_match_full_matrix_on_postfit_samples():
+    # the four directed terms of `pcparam eval`, 110M pairs
+    dense, denser, mapped = _postfit_samples()
+    mins = {}
+    for a, b, key in ((denser, dense, "domain"), (denser, mapped, "mapped"),
+                      (mapped, dense, "ab"), (dense, mapped, "ba")):
+        mins[key] = ref_row_min_sq(a, b)
+        assert np.array_equal(geometry._row_min_sq(a, b), mins[key])
+    top = {key: float(np.sqrt(m.max())) for key, m in mins.items()}
+    assert sampling_gap_estimate(dense, denser) == top["domain"]
+    assert sampling_gap_estimate(mapped, denser) == top["mapped"]
+    assert hausdorff_exact(mapped, dense) == max(top["ab"], top["ba"])
+
+
+def test_grid_extrema_match_full_matrix_across_block_edges():
+    for a, b in _edge_straddling_cases():
+        _assert_extrema_exact(a, b)
+
+
+def test_far_queries_take_the_dense_fallback(monkeypatch):
+    a, b = _far_queries()
+    seen = []
+    dense = geometry._dense_row_min_sq
+
+    def spy(rows, cloud):
+        seen.append(len(rows))
+        return dense(rows, cloud)
+
+    monkeypatch.setattr(geometry, "_dense_row_min_sq", spy)
+    assert np.array_equal(geometry._row_min_sq(a, b), ref_row_min_sq(a, b))
+    assert 0 < sum(seen) < len(a)
+
+
+def test_grid_extrema_memory_is_bounded_when_b_fills_one_cell():
+    # every one of the 4096 x 16384 pairs is a candidate; the traced peak is
+    # about 2.4 MB, the old 2^22-element row blocks peaked at 65 MB and the
+    # full matrix takes 512 MB
+    a, b = _one_cell_3d(4096, 16384, np.random.default_rng(35))
+    tracemalloc.start()
+    try:
+        gap = sampling_gap_estimate(b, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(gap)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("activation", ["linear", "softplus"])

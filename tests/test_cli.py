@@ -267,22 +267,35 @@ def test_fit_tiny_sigma_exits_2_with_message(tmp_path, tiny_cloud_csv, name):
     # as one line and no traceback from the installed entry point's main
     cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
     cfg["stage"][name] = 1e-200
+    proc = _run_pcparam("fit", "--config", _write_config(tmp_path / "c.json", cfg))
+    assert proc.returncode == 2
+    assert f"{name} must be at least" in proc.stderr
+    assert "1e-200" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])
+@pytest.mark.parametrize("name", ["sigma", "sigma_min"])
+def test_fit_sigma_with_overflowing_gradient_scale_exits_2(tmp_path, tiny_cloud_csv, name, sigma):
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
+    cfg["stage"][name] = sigma
+    assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def _run_pcparam(*args):
+    """`pcparam args` in a fresh interpreter, as the installed script runs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(pcparam.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     code = "import sys; from pcparam.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "fit", "--config",
-         _write_config(tmp_path / "c.json", cfg)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 2
-    assert f"{name} must be at least" in proc.stderr
-    assert "1e-200" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +421,16 @@ def test_boundary_from_mapped(workdir, identity_setup):
     assert {r[0] for r in rows} == {"0"}  # solid square: one loop
     svg = (out_dir / "boundary.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg
+
+
+def test_boundary_on_a_cloud_past_the_coordinate_limit_exits_1(tmp_path):
+    mapped_csv = tmp_path / "huge.csv"
+    save_cloud(mapped_csv, np.random.default_rng(5).uniform(0, 1, (30, 2)) * 2.0**990)
+    proc = _run_pcparam("boundary", "--mapped", str(mapped_csv), "--h", "0.3",
+                        "--out-dir", str(tmp_path / "bnd"))
+    assert proc.returncode == 1
+    assert "must stay below about 4.49e+297" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_boundary_exit_codes(workdir, identity_setup):

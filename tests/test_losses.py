@@ -149,10 +149,31 @@ def test_leg_config_rejects_sigma_whose_square_is_not_normal(sigma):
 
 
 def test_leg_config_accepts_sigma_at_the_floor():
-    floor = math.sqrt(sys.float_info.min)
+    floor = max(math.sqrt(sys.float_info.min), math.sqrt(8.0 / sys.float_info.max))
     assert LegConfig(sigma=floor).sigma == floor
     with pytest.raises(ValueError, match="sigma"):
         LegConfig(sigma=float(np.nextafter(floor, 0.0)))
+
+
+@pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])
+def test_leg_config_rejects_sigma_whose_gradient_scale_overflows(sigma):
+    # sigma^2 is a normal float here, but the gradient scale 8 / sigma^2
+    # overflowed to inf and both gradients came out nan
+    with pytest.raises(ValueError, match=f"sigma must be at least .* got {sigma!r}"):
+        LegConfig(sigma=sigma)
+
+
+# the exponent -sqy / (sigma lam)^2 overflows to -inf here; exp(-inf) is the
+# exact 0 it stands for
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_leg_gradients_are_finite_just_above_the_floor():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 2))
+    y[7] = y[3] + 1e-154  # one image pair about sigma apart
+    value, g_mapped, g_inv = leg_with_grad(x, y, rng.uniform(0.3, 1.2, 40), LegConfig(2.2e-154))
+    assert np.isfinite(value)
+    assert np.isfinite(g_mapped).all() and np.isfinite(g_inv).all()
 
 
 def test_lambda_pair_validation():

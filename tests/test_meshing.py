@@ -162,6 +162,15 @@ def test_delaunay_scale_invariant_at_extreme_scales(k):
     np.testing.assert_array_equal(scaled, unit)
 
 
+def test_delaunay_rejects_coordinates_past_the_limit():
+    # the bounding triangle sits 1e10 spans out; past about 4.49e297 its
+    # corners overflowed and the exact predicates raised a bare OverflowError
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
+    np.testing.assert_array_equal(delaunay(pts * 2.0**988).triangles, delaunay(pts).triangles)
+    with pytest.raises(ValueError, match=r"must stay below about 4\.49e\+297"):
+        delaunay(pts * 2.0**990)
+
+
 # ---------------------------------------------------------------------------
 # pruning and boundary loops
 # ---------------------------------------------------------------------------

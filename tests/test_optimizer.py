@@ -118,8 +118,9 @@ def test_stage_config_validation():
     with pytest.raises(ValueError):
         StageConfig(alpha_final=float("nan"))
     for name in ("sigma", "sigma_min"):
-        with pytest.raises(ValueError, match=f"{name} must be at least .* got 1e-200"):
-            StageConfig(**{name: 1e-200})
+        for tiny in (1e-200, 1.5e-154, 2.0e-154):
+            with pytest.raises(ValueError, match=f"{name} must be at least .* got {tiny!r}"):
+                StageConfig(**{name: tiny})
 
 
 def test_train_log_csv_shape():
