@@ -10,6 +10,7 @@ failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import shutil
@@ -23,7 +24,15 @@ from .domains import PRESETS, Domain, load_domain, preset_domain
 from .geometry import angle_distortion, sampling_gap_estimate
 from .losses import LegConfig, ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
-from .neural import NetworkSpec, forward, load_checkpoint, save_checkpoint
+from .neural import (
+    NetworkSpec,
+    default_lambda_spec,
+    default_map_spec,
+    default_shape_spec,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .optimizer import RmsPropConfig, StageConfig, _chunked_hausdorff, train
 from .svgplot import histogram_svg, line_series_svg, scatter_svg
 from .boltzmann import extremum_error_and_bound
@@ -41,23 +50,23 @@ class ConfigError(Exception):
 
 _MODES = ("shape_matching", "free_boundary", "fixed_boundary", "landmark")
 
+
+def _field_defaults(cls) -> dict:
+    """The plain-valued field defaults of a config dataclass; fields that
+    default to a nested config are not config keys."""
+    return {
+        f.name: f.default for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+
+
 _DEFAULTS = {
     "mode": "fixed_boundary",
     "seed": 0,
     "domain": {"preset": "square"},
-    "objective": {"beta1": 5.0, "beta2": 1.0, "beta3": 1.0},
-    "stage": {
-        "epochs": 10000,
-        "batch_points": 1024,
-        "batch_domain": 1024,
-        "sigma": 0.5,
-        "alpha_init": 2.0,
-        "alpha_final": 20.0,
-        "sigma_min": 0.001,
-        "alpha_max": 100.0,
-        "epochs_min": 1000,
-    },
-    "optimizer": {"learning_rate": 1e-4, "rho": 0.99, "momentum": 0.9, "eps": 1e-8},
+    "objective": _field_defaults(ObjectiveConfig),
+    "stage": _field_defaults(StageConfig),
+    "optimizer": _field_defaults(RmsPropConfig),
     "domain_size": 4096,
     "fixed_domain_pool": False,
     "eval_sample_size": 4096,
@@ -192,13 +201,11 @@ def load_run_config(path, out_dir_override=None) -> dict:
 def finalize_config(cfg: dict, input_dim: int) -> dict:
     """Resolve net defaults for the cloud dimension and apply mode forcing."""
     eff = json.loads(json.dumps(cfg))  # deep copy of plain JSON data
-    map_widths = [256] * 5 if input_dim == 3 else [64] * 3
-    net = eff.setdefault("map_net", {})
-    net.setdefault("hidden_widths", map_widths)
-    net.setdefault("omega", 1.0)
-    lnet = eff.setdefault("lambda_net", {})
-    lnet.setdefault("hidden_widths", [128] * 3)
-    lnet.setdefault("omega", 1.0)
+    map_spec = default_map_spec(input_dim) if input_dim == 3 else default_shape_spec()
+    for name, spec in (("map_net", map_spec), ("lambda_net", default_lambda_spec(input_dim))):
+        net = eff.setdefault(name, {})
+        net.setdefault("hidden_widths", list(spec.hidden_widths))
+        net.setdefault("omega", spec.omega)
 
     mode = eff["mode"]
     obj = eff["objective"]

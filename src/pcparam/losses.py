@@ -237,30 +237,33 @@ def leg_with_grad(
     bufs = np.empty((5, min(rows, n), n))
 
     value, g_mapped, g_inv = 0.0, np.empty_like(y), np.empty(n)
-    for lo in range(0, n, rows):
-        t = slice(lo, lo + rows)
-        e, sqy, inv_lam, hy, scratch = bufs[:, : min(rows, n - lo)]
-        # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
-        # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
-        _sq_dists_into(x_lhs[:, t], x_rhs, e, scratch)
-        e *= neg_inv_s2
-        np.exp(e, out=e)
-        _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
-        np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
-        np.multiply(inv_lam, inv_lam, out=hy)
-        hy *= sqy
-        hy *= neg_inv_s2
-        np.exp(hy, out=hy)
-        e -= hy
-        value += float(np.vdot(e, e))
-        # with p = 4 e hy and both orders of each pair:
-        # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
-        # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
-        e *= hy
-        e *= inv_lam
-        g_inv[t] = np.einsum("ij,ij->i", e, sqy)
-        e *= inv_lam
-        g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
+    # for a tiny sigma a scaled squared distance can overflow to -inf; its
+    # exp is the exact 0, which is the right affinity, so no warning is due
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            t = slice(lo, lo + rows)
+            e, sqy, inv_lam, hy, scratch = bufs[:, : min(rows, n - lo)]
+            # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
+            # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
+            _sq_dists_into(x_lhs[:, t], x_rhs, e, scratch)
+            e *= neg_inv_s2
+            np.exp(e, out=e)
+            _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
+            np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
+            np.multiply(inv_lam, inv_lam, out=hy)
+            hy *= sqy
+            hy *= neg_inv_s2
+            np.exp(hy, out=hy)
+            e -= hy
+            value += float(np.vdot(e, e))
+            # with p = 4 e hy and both orders of each pair:
+            # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
+            # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
+            e *= hy
+            e *= inv_lam
+            g_inv[t] = np.einsum("ij,ij->i", e, sqy)
+            e *= inv_lam
+            g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
     k = -8.0 * neg_inv_s2 / (n * n)
     return value / (n * n), g_mapped * k, g_inv * k
 

@@ -170,14 +170,20 @@ def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
         if not moved:
             return tid
     for tid, (a, b, c) in tris.items():
-        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-        if (
-            orient2d(ax, ay, bx, by, qx, qy) >= 0
-            and orient2d(bx, by, cx, cy, qx, qy) >= 0
-            and orient2d(cx, cy, ax, ay, qx, qy) >= 0
-        ):
+        if _in_triangle(pts[a], pts[b], pts[c], qx, qy):
             return tid
     return None
+
+
+def _in_triangle(a, b, c, qx, qy) -> bool:
+    """Whether (qx, qy) lies in the closed ccw triangle (a, b, c), by the
+    exact `orient2d`; the corners are (x, y) pairs of Python floats."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (
+        orient2d(ax, ay, bx, by, qx, qy) >= 0
+        and orient2d(bx, by, cx, cy, qx, qy) >= 0
+        and orient2d(cx, cy, ax, ay, qx, qy) >= 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -571,50 +577,6 @@ def generate_param_mesh(
 # ---------------------------------------------------------------------------
 
 
-class _MeshLocator:
-    """Walk-based point location on a fixed triangulation; each walk starts
-    where the last successful one ended."""
-
-    def __init__(self, mesh: TriangleMesh):
-        self.pts = list(map(tuple, mesh.vertices.tolist()))
-        self.tris = dict(enumerate(map(tuple, mesh.triangles.tolist())))
-        self.edge: dict[tuple[int, int], int] = {}
-        for tid, (a, b, c) in self.tris.items():
-            for u, v in ((a, b), (b, c), (c, a)):
-                self.edge[(u, v)] = tid
-        self.last = 0
-
-    def locate(self, q: np.ndarray) -> int | None:
-        if not self.tris:
-            return None
-        tid = _walk(self.pts, self.tris, self.edge, self.last, float(q[0]), float(q[1]))
-        if tid is not None:
-            self.last = tid
-        return tid
-
-
-def _convex_hull_loop(mesh: TriangleMesh, edge: dict[tuple[int, int], int]) -> bool:
-    """True iff the faces cover a convex region bounded by one loop.
-
-    Every point of such a region is on the inner side of every hull edge, so
-    a walk towards it never leaves the mesh.
-    """
-    hull = [(u, v) for (u, v) in edge if (v, u) not in edge]
-    succ = dict(hull)
-    if len(succ) != len(hull):
-        return False  # two hull edges leave one vertex
-    pts = mesh.vertices
-    start = u = hull[0][0]
-    for step in range(1, len(hull) + 1):
-        v, w = succ[u], succ[succ[u]]
-        if orient2d(pts[u, 0], pts[u, 1], pts[v, 0], pts[v, 1], pts[w, 0], pts[w, 1]) < 0:
-            return False
-        u = v
-        if u == start:
-            return step == len(hull)
-    return False
-
-
 class InverseInterpolator:
     """Reusable pullback from the plane to the original cloud.
 
@@ -625,17 +587,17 @@ class InverseInterpolator:
     NaN). A query that coincides bitwise with a mapped point returns its
     original point exactly.
 
-    A batch is located the way a walk from the previous query's triangle
-    would locate each query in turn, across calls too. A grid of the
-    triangles and the float filter of `orient2d` settle most queries at
-    once: strictly inside one triangle, or certainly outside every triangle
-    near it. The rest (points on shared edges, and anything the filter
-    cannot decide) take the exact walk, started where the sequential walk
-    would have started.
+    A query's triangle is the lowest-id triangle of `mesh` that contains
+    it, edges and corners counted as inside, as the exact `orient2d`
+    decides; so it depends on the query and the mesh alone, not on the
+    order of the queries or on earlier calls. A grid of the triangles gives
+    each query its candidates, and the float filter of `orient2d` decides
+    most (query, triangle) pairs at once, strictly inside or certainly
+    outside. A pair the filter cannot decide takes the scalar `orient2d`.
     """
 
     snap_tolerance = 1e-9
-    _block = 4096  # queries classified per vectorised pass
+    _block = 4096  # queries located per vectorised pass
 
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
@@ -649,11 +611,10 @@ class InverseInterpolator:
                 stacklevel=3,
             )
         self.mesh = delaunay(mapped_u)
-        self._locator = _MeshLocator(self.mesh)
         # exact-match lookup for bitwise vertex hits
         self._exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
-        self._hull_segments: list[tuple[int, int]] | None = None
-        self._convex = _convex_hull_loop(self.mesh, self._locator.edge)
+        # (u, v, triangle) of each hull edge, built on the first snap
+        self._hull_segments: list[tuple[int, int, int]] | None = None
         tri_pts = self.mesh.vertices[self.mesh.triangles]
         self._lo = self.mesh.vertices.min(axis=0)
         self._hi = self.mesh.vertices.max(axis=0)
@@ -671,14 +632,11 @@ class InverseInterpolator:
             raise ValueError(f"mapped has {self._n_mapped} points, values {len(values)}")
         return values[self._keep]
 
-    def _classify(self, q: np.ndarray) -> np.ndarray:
-        """Per query: its triangle when the filter is certain q is strictly
-        inside it, -1 when certainly outside the mesh, -2 when undecided."""
-        status = np.full(len(q), -2, dtype=np.int64)
-        if not self._convex:
-            return status
+    def _locate(self, q: np.ndarray) -> np.ndarray:
+        """Per query, the lowest id of the triangles that contain it, or -1
+        when none does."""
+        found = np.full(len(q), -1, dtype=np.int64)
         inbox = ((q >= self._lo) & (q <= self._hi)).all(axis=1)
-        status[~inbox] = -1
         tris, pts = self.mesh.triangles, self.mesh.vertices
         idx = np.flatnonzero(inbox)
         for s in range(0, len(idx), self._block):
@@ -698,22 +656,21 @@ class InverseInterpolator:
                 sure = (detsum >= _FILTER_FLOOR) & (np.abs(det) >= _ORIENT_BOUND * detsum)
                 inside &= sure & (det > 0)
                 outside |= sure & (det < 0)
-            n = len(block)
-            n_in = np.bincount(rows[inside], minlength=n)
-            st = np.full(n, -2, dtype=np.int64)
-            st[np.bincount(rows[outside], minlength=n) == np.bincount(rows, minlength=n)] = -1
-            hit = np.zeros(n, dtype=np.int64)
-            hit[rows[inside]] = tid[inside]
-            st[n_in == 1] = hit[n_in == 1]
-            status[block] = st
-        return status
+            for k in np.flatnonzero(~inside & ~outside).tolist():
+                a, b, c = pts[corners[k]].tolist()
+                inside[k] = _in_triangle(a, b, c, float(qx[k]), float(qy[k]))
+            lowest = np.full(len(block), len(tris), dtype=np.int64)
+            np.minimum.at(lowest, rows[inside], tid[inside])
+            found[block] = np.where(lowest < len(tris), lowest, -1)
+        return found
 
     def _snap(self, q: np.ndarray):
         if self._hull_segments is None:
+            inc = edge_incidence(self.mesh)
             self._hull_segments = [
-                (loop[i], loop[(i + 1) % len(loop)])
+                (u, v, inc[(u, v) if u < v else (v, u)][0])
                 for loop in boundary_edges(self.mesh)
-                for i in range(len(loop))
+                for u, v in zip(loop, loop[1:] + loop[:1])
             ]
             seg = np.array(self._hull_segments, dtype=np.int64)
             a = self.mesh.vertices[seg[:, 0]]
@@ -728,21 +685,17 @@ class InverseInterpolator:
         if gap > self.snap_tolerance + self._snap_margin:
             return None
         best = None
-        for u, v in self._hull_segments:
+        for u, v, tid in self._hull_segments:
             a, b = self.mesh.vertices[u], self.mesh.vertices[v]
             e = b - a
             t = float(np.clip(((q - a) @ e) / (e @ e), 0.0, 1.0))
             proj = a + t * e
             d = float(np.linalg.norm(q - proj))
             if best is None or d < best[0]:
-                best = (d, u, v, proj)
+                best = (d, tid, proj)
         if best is None or best[0] > self.snap_tolerance:
             return None
-        _, u, v, proj = best
-        tid = self._locator.edge.get((u, v), self._locator.edge.get((v, u)))
-        if tid is None:
-            return None
-        return tid, proj
+        return best[1:]
 
     def __call__(self, queries, values=None) -> tuple[np.ndarray, np.ndarray]:
         """(rows, located mask) at the queries; `values` replaces original."""
@@ -758,23 +711,8 @@ class InverseInterpolator:
         ok[vertex] = True
 
         rest = np.flatnonzero(~vertex)
-        status = self._classify(queries[rest])
         tid = np.full(n, -1, dtype=np.int64)
-        tid[rest] = status
-        # undecided queries walk from where the previous located query
-        # ended, as they would have one query at a time
-        loc = self._locator
-        last = loc.last
-        for qi, t in zip(rest.tolist(), status.tolist()):
-            if t == -2:
-                loc.last = last
-                found = loc.locate(queries[qi])
-                tid[qi] = -1 if found is None else found
-                last = loc.last
-            elif t >= 0:
-                last = t
-        loc.last = last
-
+        tid[rest] = self._locate(queries[rest])
         where = queries.copy()
         for qi in np.flatnonzero(~vertex & (tid < 0)):
             snapped = self._snap(queries[qi])
@@ -853,7 +791,6 @@ def reconstruct_surface(
             return out
 
     param = generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field)
-    interp._locator.last = 0  # the lift walks as a fresh interpolator's would
     lifted, ok = interp(param.vertices)
     if not ok.any():
         raise ValueError("no parameter vertex could be located in the mapped cloud")

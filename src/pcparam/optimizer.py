@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# input and mapped coordinates must stay below this magnitude: past it the
+# squared distances of the losses and the stage-end evaluation overflow
+_COORD_BOUND = 1e150
+
+
 @dataclass(frozen=True)
 class RmsPropConfig:
     """RMSprop with momentum applied to the preconditioned step."""
@@ -270,6 +275,12 @@ def train(
     """
     x = as_cloud(points)
     n_points = len(x)
+    biggest = float(np.abs(x).max())
+    if not biggest < _COORD_BOUND:
+        raise ValueError(
+            f"input coordinates reach magnitude {biggest:g}; they must stay "
+            f"below {_COORD_BOUND:g}, past which squared distances overflow"
+        )
     objective = ObjectiveConfig() if objective is None else objective
     stage_cfg = StageConfig() if stage is None else stage
     opt_cfg = RmsPropConfig() if optimizer is None else optimizer
@@ -379,11 +390,11 @@ def train(
 
                 map_tape: list = []
                 mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
-                # coordinates past ~1e150 overflow every squared distance
+                # coordinates past the bound overflow every squared distance
                 # downstream, which would surface as a cryptic validation
                 # error deep inside the loss; report the divergence here
                 worst = float(np.abs(mapped).max())
-                if not (worst < 1e150):
+                if not (worst < _COORD_BOUND):
                     raise TrainingError(
                         f"stage {stage_idx} epoch {epoch} batch {bi}: mapped "
                         f"coordinates diverged (max magnitude {worst:g})"

@@ -2,9 +2,9 @@
 
 Each reference below is the straightforward expression: fresh temporaries,
 the (n, m, d) difference tensor, dense n x n energies, a second forward pass
-in backward, a walk per query for the inverse interpolator, a test against
-every accepted point for dart throwing, a spacing query per boundary point,
-Delaunay insertion in index order.
+in backward, a test of every triangle per query for the inverse
+interpolator, a test against every accepted point for dart throwing, a
+spacing query per boundary point, Delaunay insertion in index order.
 Most kernels must reproduce them exactly (np.array_equal), not just closely,
 because training runs thousands of steps on them and the golden outputs pin
 every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
@@ -34,13 +34,13 @@ from pcparam.meshing import (
     DuplicatePointsWarning,
     InverseInterpolator,
     _boundary_ring,
-    _MeshLocator,
     _Triangulator,
     _walk,
     boundary_edges,
     delaunay,
     generate_param_mesh,
     incircle,
+    orient2d,
 )
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
 
@@ -141,14 +141,22 @@ def ref_backward(spec, params, inputs, ct):
 
 
 class RefInterpolator:
-    """The per-query pullback: exact-hit lookup, walk, scalar snap, 2x2 solve."""
+    """The per-query pullback: exact-hit lookup, the lowest-id triangle that
+    contains the query, scalar snap, 2x2 solve."""
 
     snap_tolerance = 1e-9
 
     def __init__(self, interp):
         self.mesh = interp.mesh
         self.original = interp.original
-        self.locator = _MeshLocator(self.mesh)
+        self.pts = self.mesh.vertices.tolist()
+        self.tris = self.mesh.triangles.tolist()
+        corners = self.mesh.vertices[self.mesh.triangles]
+        self.box = corners.min(axis=1), corners.max(axis=1)
+        self.edge = {}
+        for tid, (a, b, c) in enumerate(self.tris):
+            for u, v in ((a, b), (b, c), (c, a)):
+                self.edge[(u, v)] = tid
         self.exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
         self.hull = [
             (loop[i], loop[(i + 1) % len(loop)])
@@ -169,8 +177,22 @@ class RefInterpolator:
         if best is None or best[0] > self.snap_tolerance:
             return None
         _, u, v, proj = best
-        tid = self.locator.edge.get((u, v), self.locator.edge.get((v, u)))
+        tid = self.edge.get((u, v), self.edge.get((v, u)))
         return None if tid is None else (tid, proj)
+
+    def locate(self, q):
+        """Every triangle in id order, skipping those whose box misses q."""
+        qx, qy = float(q[0]), float(q[1])
+        lo, hi = self.box
+        for tid in np.flatnonzero((lo <= q).all(axis=1) & (q <= hi).all(axis=1)).tolist():
+            (ax, ay), (bx, by), (cx, cy) = (self.pts[v] for v in self.tris[tid])
+            if (
+                orient2d(ax, ay, bx, by, qx, qy) >= 0
+                and orient2d(bx, by, cx, cy, qx, qy) >= 0
+                and orient2d(cx, cy, ax, ay, qx, qy) >= 0
+            ):
+                return tid
+        return None
 
     def __call__(self, queries):
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -182,7 +204,7 @@ class RefInterpolator:
                 out[qi] = self.original[hit]
                 ok[qi] = True
                 continue
-            tid = self.locator.locate(q)
+            tid = self.locate(q)
             if tid is None:
                 snapped = self.snap(q)
                 if snapped is None:
@@ -724,15 +746,14 @@ def test_interpolator_matches_walk_on_random_queries(cols):
     interp, ref = _pair(mapped, original)
     queries = rng.uniform(-0.05, 1.05, (3000, 2))
     _same(interp(queries), ref(queries))
-    assert interp._locator.last == ref.locator.last
 
 
 @pytest.mark.parametrize("cols", [1, 3])
 def test_interpolator_matches_walk_on_shared_edges(cols):
     # a regular grid: a point between two neighbours of one row or column
     # lies exactly on the edge joining them, which two triangles share, and
-    # which of the two the walk reports depends on where it started; the
-    # spacing is not dyadic, so the two give different barycentric bits
+    # the lower id of the two must be taken; the spacing is not dyadic, so
+    # the two give different barycentric bits
     g = np.arange(12) * 0.1
     mapped = np.array([(x, y) for y in g for x in g])
     rng = np.random.default_rng(30 + cols)
@@ -749,12 +770,15 @@ def test_interpolator_matches_walk_on_shared_edges(cols):
     queries = np.empty((1200, 2))
     queries[0::2] = on_edges
     queries[1::2] = rng.uniform(0.0, 1.1, (600, 2))
-    _same(interp(queries), ref(queries))
-    # the same stream split over calls of uneven size, walker state carried
-    interp, ref = _pair(mapped, original)
-    for part in np.split(queries, [1, 2, 7, 50, 51, 300, 800]):
-        _same(interp(part), ref(part))
-        assert interp._locator.last == ref.locator.last
+    whole = interp(queries)
+    _same(whole, ref(queries))
+    # a query's row depends on that query alone: not on the order of the
+    # batch, nor on how a stream is split over calls
+    perm = np.random.default_rng(60 + cols).permutation(len(queries))
+    shuffled = interp(queries[perm])
+    _same(shuffled, (whole[0][perm], whole[1][perm]))
+    parts = [interp(part) for part in np.split(queries, [1, 2, 7, 50, 51, 300, 800])]
+    _same(tuple(np.concatenate(p) for p in zip(*parts)), whole)
 
 
 def test_interpolator_matches_walk_on_vertex_hits_and_near_hull():
@@ -789,12 +813,15 @@ def test_interpolator_matches_walk_on_nonconvex_triangulation():
     bottom = np.column_stack([xs, np.where(np.arange(11) % 2 == 1, 1e-14, 0.0)])
     mapped = np.vstack([bottom, rng.uniform(0.05, 1.0, (100, 2)), [[0.0, 1.0], [1.0, 1.0]]])
     interp, ref = _pair(mapped, _cloud(rng, len(mapped), 3))
-    assert not interp._convex
     near = np.column_stack([rng.uniform(0.0, 1.0, 400), rng.uniform(-1e-14, 3e-14, 400)])
     queries = np.empty((800, 2))
     queries[0::2] = near
     queries[1::2] = rng.uniform(0.0, 1.0, (400, 2))
     _same(interp(queries), ref(queries))
+    # every query inside a triangle is located in it, not snapped onto the hull
+    want = np.array([-1 if t is None else t for t in map(ref.locate, near)])
+    assert (want >= 0).sum() > 200
+    assert np.array_equal(interp._locate(near), want)
 
 
 def _annulus():
@@ -822,9 +849,9 @@ def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
 
 @pytest.mark.parametrize("name", ["disk", "square", "annulus"])
 def test_boundary_ring_matches_point_by_point_march(name):
-    # the spacing field may be an interpolator whose walk state carries over
-    # from query to query, so the batched march must ask for the same
-    # points in the same order, not only get the same spacings
+    # the spacing field is a caller's function and may keep state from query
+    # to query, so the batched march must ask for the same points in the
+    # same order, not only get the same spacings
     domain = _annulus() if name == "annulus" else preset_domain(name)
     asked, ref_asked = [], []
 

@@ -247,6 +247,37 @@ def test_print_effective_config_round_trips(tmp_path, tiny_cloud_csv, capsys):
     assert capsys.readouterr().out == printed
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
+    # every default that a config may leave out, as `fit` fills it in
+    cloud = tmp_path / "cloud.csv"
+    save_cloud(cloud, np.random.default_rng(1).uniform(0.0, 1.0, (8, dim)))
+    out_dir = tmp_path / "o"
+    cfg_path = _write_config(tmp_path / "c.json", {"input": str(cloud), "output_dir": str(out_dir)})
+    want = {
+        "domain": {"preset": "square"},
+        "domain_size": 4096,
+        "eval_mesh": None,
+        "eval_sample_size": 4096,
+        "fixed_domain_pool": False,
+        "input": str(cloud),
+        "lambda_net": {"hidden_widths": [128, 128, 128], "omega": 1.0},
+        "map_net": {"hidden_widths": [256] * 5 if dim == 3 else [64] * 3, "omega": 1.0},
+        "mode": "fixed_boundary",
+        "objective": {"beta1": 5.0, "beta2": 1.0, "beta3": 0.0},
+        "optimizer": {"eps": 1e-08, "learning_rate": 0.0001, "momentum": 0.9, "rho": 0.99},
+        "output_dir": str(out_dir),
+        "seed": 0,
+        "stage": {
+            "alpha_final": 20.0, "alpha_init": 2.0, "alpha_max": 100.0,
+            "batch_domain": 1024, "batch_points": 1024, "epochs": 10000,
+            "epochs_min": 1000, "sigma": 0.5, "sigma_min": 0.001,
+        },
+    }
+    assert main(["fit", "--config", cfg_path, "--print-effective-config"]) == 0
+    assert capsys.readouterr().out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
 def test_fit_missing_input_exits_2(tmp_path):
     cfg_path = _write_config(tmp_path / "c.json", {
         "input": str(tmp_path / "nope.csv"), "output_dir": str(tmp_path / "o"),
@@ -273,6 +304,15 @@ def test_fit_tiny_sigma_exits_2_with_message(tmp_path, tiny_cloud_csv, name):
     assert "1e-200" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_fit_huge_input_cloud_exits_2_with_message(tmp_path, caplog):
+    cloud = tmp_path / "cloud.csv"
+    save_cloud(cloud, np.random.default_rng(3).uniform(0.1, 0.9, (8, 2)) * 1e200)
+    cfg = _tiny_config(cloud, tmp_path / "o")
+    assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
+    assert "input coordinates reach magnitude" in caplog.text
+    assert not (tmp_path / "o" / "log.csv").exists()
 
 
 @pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])

@@ -14,7 +14,8 @@ the thread count changes the bits of the matrix products.
 - `reconstruct_disk`: `pcparam reconstruct` in `uniform` and
   `lambda_adapted` mode on a small lifted disk, through a projection
   checkpoint, which exercises dart throwing, the inverse interpolator
-  (interior, shared-edge and off-hull queries) and the lift.
+  (interior and off-hull queries) and the lift. None of its queries lies on
+  an edge that two triangles share; `tests/test_bitexact.py` pins that case.
 
 The hashes were frozen with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
 (OpenBLAS DYNAMIC_ARCH, Haswell kernels) on an x86-64 CPU with AVX-512.

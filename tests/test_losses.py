@@ -164,8 +164,8 @@ def test_leg_config_rejects_sigma_whose_gradient_scale_overflows(sigma):
 
 
 # the exponent -sqy / (sigma lam)^2 overflows to -inf here; exp(-inf) is the
-# exact 0 it stands for
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# exact 0 it stands for, so the value is right and no warning is due
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_leg_gradients_are_finite_just_above_the_floor():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(40, 3))

@@ -1,6 +1,7 @@
 """RMSprop update, stage schedule, and the staged training driver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,22 @@ def test_train_diverging_run_raises_training_error():
             stage=StageConfig(epochs=4, batch_points=8, batch_domain=8,
                               epochs_min=1),
         ))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_train_rejects_input_past_the_coordinate_bound(scale):
+    # such a cloud used to train to the end with overflowing squared distances
+    x = _tiny_cloud(6) * scale
+    x[0, 0] = scale
+    with pytest.raises(ValueError, match=re.escape(f"magnitude {scale:g};")):
+        train(x, preset_domain("square"), **_tiny_kwargs())
+
+
+def test_train_accepts_input_just_below_the_coordinate_bound():
+    x = _tiny_cloud(6) * 1e149
+    x[0, 0] = np.nextafter(1e150, 0.0)
+    result = train(x, preset_domain("square"), **_tiny_kwargs())
+    assert np.isfinite(result.map_params).all()
 
 
 def test_train_input_validation():
