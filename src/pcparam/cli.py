@@ -28,7 +28,6 @@ from .neural import (
     NetworkSpec,
     default_lambda_spec,
     default_map_spec,
-    default_shape_spec,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -201,8 +200,8 @@ def load_run_config(path, out_dir_override=None) -> dict:
 def finalize_config(cfg: dict, input_dim: int) -> dict:
     """Resolve net defaults for the cloud dimension and apply mode forcing."""
     eff = json.loads(json.dumps(cfg))  # deep copy of plain JSON data
-    map_spec = default_map_spec(input_dim) if input_dim == 3 else default_shape_spec()
-    for name, spec in (("map_net", map_spec), ("lambda_net", default_lambda_spec(input_dim))):
+    for name, spec in (("map_net", default_map_spec(input_dim)),
+                       ("lambda_net", default_lambda_spec(input_dim))):
         net = eff.setdefault(name, {})
         net.setdefault("hidden_widths", list(spec.hidden_widths))
         net.setdefault("omega", spec.omega)
@@ -231,11 +230,12 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
     return eff
 
 
-def _domain_from_config(domain_cfg: dict) -> Domain:
-    if "preset" in domain_cfg:
-        return preset_domain(domain_cfg["preset"])
+def _load_domain_checked(preset, path) -> Domain:
+    """The domain in the JSON file at path, or the preset when path is None."""
+    if path is None:
+        return preset_domain(preset)
     try:
-        return load_domain(domain_cfg["file"])
+        return load_domain(path)
     except OSError as exc:
         raise ConfigError(f"cannot read domain file: {exc}") from exc
 
@@ -285,7 +285,7 @@ def cmd_fit(args) -> int:
         sys.stdout.write(json.dumps(eff, indent=1, sort_keys=True) + "\n")
         return 0
 
-    domain = _domain_from_config(eff["domain"])
+    domain = _load_domain_checked(eff["domain"].get("preset"), eff["domain"].get("file"))
     try:
         objective = ObjectiveConfig(**eff["objective"])
         stage = StageConfig(**eff["stage"])
@@ -381,7 +381,7 @@ def cmd_map(args) -> int:
 def cmd_eval(args) -> int:
     cloud = _load_cloud_checked(args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-    domain = _domain_from_args(args)
+    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -451,7 +451,7 @@ def cmd_boundary(args) -> int:
 def cmd_reconstruct(args) -> int:
     cloud = _load_cloud_checked(args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-    domain = _domain_from_args(args)
+    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
     mapped = forward(spec, params, cloud)
 
     lam_vals = None
@@ -477,7 +477,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample_domain(args) -> int:
-    domain = _domain_from_args(args)
+    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
     rng = np.random.default_rng(args.seed)
     if args.kind == "area":
         pts = domain.sample_area(args.n, rng)
@@ -600,15 +600,6 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _domain_from_args(args) -> Domain:
-    if getattr(args, "domain_file", None):
-        try:
-            return load_domain(args.domain_file)
-        except OSError as exc:
-            raise ConfigError(f"cannot read domain file: {exc}") from exc
-    return preset_domain(args.domain_preset)
 
 
 def _add_domain_args(p: argparse.ArgumentParser) -> None:

@@ -138,6 +138,23 @@ def edge_incidence(mesh: TriangleMesh) -> dict[tuple[int, int], list[int]]:
     return inc
 
 
+# coordinates must stay below this magnitude wherever squared distances of
+# them are formed (the losses, the exact extrema, point location): past it
+# those overflow
+_COORD_BOUND = 1e150
+
+
+def _check_coord_bound(points: np.ndarray, what: str) -> None:
+    """Reject a non-empty cloud with a coordinate of magnitude `_COORD_BOUND`
+    or more, naming the bound."""
+    biggest = float(np.abs(points).max())
+    if not biggest < _COORD_BOUND:
+        raise ValueError(
+            f"{what} coordinates reach magnitude {biggest:g}; they must stay "
+            f"below {_COORD_BOUND:g}, past which squared distances overflow"
+        )
+
+
 def _same_dim_clouds(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = as_cloud(a)
     b = as_cloud(b)
@@ -146,9 +163,10 @@ def _same_dim_clouds(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-# elements of one row block of _sq_dists, 512 kB: the block and its scratch
-# stay in cache across the per-coordinate passes
-_BLOCK_ELEMS = 1 << 16
+# elements of one row tile of a dense (n, m) distance pass, 256 kB: a tile and
+# its buffers stay in cache, and the buffers are made once per pass, since
+# writing into fresh pages costs about as much as the arithmetic
+_TILE_ELEMS = 1 << 15
 
 
 def _diff_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +195,24 @@ def _sq_dists_into(lhs, rhs, out: np.ndarray, scratch: np.ndarray) -> np.ndarray
     return out
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances S[i, k] = |a_i - b_k|^2 of validated clouds, by row blocks."""
+def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0):
+    """The dense squared distances |a_i - b_k|^2 of two clouds of one
+    dimension, one row tile at a time.
+
+    Yields (rows, sq, scratch, spares): the slice of a's rows in the tile,
+    their squared distances to all of b by `_sq_dists_into`, that pass's
+    scratch buffer and a list of `spare` more buffers, all of sq's shape. A
+    tile holds at most `_TILE_ELEMS` elements, or one row if a row alone is
+    larger. The buffers are made once per call and overwritten by the next
+    tile; an empty a yields nothing.
+    """
     lhs, rhs = _diff_factors(a, b)
-    out = np.empty((len(a), len(b)))
-    rows = max(1, _BLOCK_ELEMS // len(b))
-    scratch = np.empty((min(rows, len(a)), len(b)))
+    rows = max(1, _TILE_ELEMS // len(b))
+    bufs = np.empty((2 + spare, min(rows, len(a)), len(b)))
     for lo in range(0, len(a), rows):
-        blk = out[lo : lo + rows]
-        _sq_dists_into(lhs[:, lo : lo + rows], rhs, blk, scratch[: len(blk)])
-    return out
+        sq, scratch, *spares = bufs[:, : min(rows, len(a) - lo)]
+        t = slice(lo, lo + len(sq))
+        yield t, _sq_dists_into(lhs[:, t], rhs, sq, scratch), scratch, spares
 
 
 def pairwise_distances(a, b) -> np.ndarray:
@@ -196,8 +222,10 @@ def pairwise_distances(a, b) -> np.ndarray:
     per-pair scalar recomputation bit for bit (no cancellation tricks).
     """
     a, b = _same_dim_clouds(a, b)
-    d = _sq_dists(a, b)
-    return np.sqrt(d, out=d)
+    d = np.empty((len(a), len(b)))
+    for t, sq, _, _ in _row_tiles(a, b):
+        np.sqrt(sq, out=d[t])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +306,6 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 # exact sup-inf distances
 # ---------------------------------------------------------------------------
 
-# elements per block of `_row_min_sq`: candidate pairs, or squared distances
-# of the dense fallback rows, 256 kB each, so that a block stays in cache
-_EXTREMA_BLOCK_ELEMS = 1 << 15
 # relative slack of the certainty test of `_row_min_sq`; the rounding it
 # covers is a few units of 2^-53
 _EXTREMA_MARGIN = 2.0**-40
@@ -303,7 +328,8 @@ def _point_grid(b: np.ndarray) -> _Grid | None:
 
 def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min_k |a_i - b_k|^2 for every row i, exactly: the bits of the row
-    minima of `_sq_dists(a, b)`, for validated clouds of one dimension.
+    minima of the dense squared distances, for validated clouds of one
+    dimension.
 
     b is filed in a `_Grid` of its first two coordinates. Each row of a is
     scored against the b points in the 3x3 block of cells around its own, by
@@ -318,8 +344,8 @@ def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cell map and the squared distances round by a few units of 2^-53, so the
     margin covers them thousands of times over. A row that fails the test,
     such as a row far outside b's box, takes the dense path over all of b.
-    Candidate pairs and dense rows both go in blocks of at most
-    `_EXTREMA_BLOCK_ELEMS` elements (one row if a row alone is larger),
+    Candidate pairs go in blocks of at most `_TILE_ELEMS` elements (one row
+    if a row alone is larger), and dense rows in the tiles of `_row_tiles`,
     however b is laid out, even when it collapses into one cell.
     """
     grid = _point_grid(b)
@@ -334,7 +360,7 @@ def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     best = np.full(len(a), np.inf)
     lo = 0
     while lo < len(a):
-        limit = ends[lo] - total[lo] + _EXTREMA_BLOCK_ELEMS
+        limit = ends[lo] - total[lo] + _TILE_ELEMS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
         cnt = total[lo:hi]
         some = np.flatnonzero(cnt)
@@ -376,18 +402,10 @@ def _pair_sq_dists(a: np.ndarray, cnt: np.ndarray, bs: np.ndarray, pos: np.ndarr
 
 
 def _dense_row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row minima of the full squared-distance matrix, in row blocks of at
-    most `_EXTREMA_BLOCK_ELEMS` elements (one row if a row alone is larger),
-    with the block buffers made once."""
-    lhs, rhs = _diff_factors(a, b)
-    rows = min(len(a), max(1, _EXTREMA_BLOCK_ELEMS // len(b)))
-    out = np.empty((rows, len(b)))
-    scratch = np.empty_like(out)
+    """Row minima of the full squared-distance matrix, one row tile at a time."""
     best = np.empty(len(a))
-    for lo in range(0, len(a), rows):
-        k = min(rows, len(a) - lo)
-        sq = _sq_dists_into(lhs[:, lo : lo + k], rhs, out[:k], scratch[:k])
-        sq.min(axis=1, out=best[lo : lo + k])
+    for t, sq, _, _ in _row_tiles(a, b):
+        sq.min(axis=1, out=best[t])
     return best
 
 

@@ -20,6 +20,7 @@ from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
     _diff_factors,
+    _row_tiles,
     _same_dim_clouds,
     _sq_dists_into,
     angle_distortion,
@@ -106,11 +107,6 @@ class ObjectiveConfig:
             raise ValueError(f"beta3 must be non-negative, got {self.beta3}")
 
 
-# elements of one row tile of the (n, m) energies, 256 kB: the tile buffers stay
-# in cache, made once per call (fresh pages per tile cost more than the math)
-_TILE_ELEMS = 1 << 15
-
-
 def _soft_min_weights(d: np.ndarray, low, a: float, out: np.ndarray) -> np.ndarray:
     """exp(-a (d - low)) into out: soft-min weights before normalising."""
     np.subtract(d, low, out=out)
@@ -153,17 +149,12 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
     y, w = _same_dim_clouds(y, w)
     a = cfg.alpha
     n, m = len(y), len(w)
-    rows = max(1, _TILE_ELEMS // m)
-    lhs, rhs = _diff_factors(y, w)
-    bufs = np.empty((4, min(rows, n), m))
 
     r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
     c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
     c_sum, c_dot = np.zeros(m), np.zeros(m)
-    for lo in range(0, n, rows):
-        t = slice(lo, lo + rows)
-        d, e, _, scratch = bufs[:, : min(rows, n - lo)]
-        np.sqrt(_sq_dists_into(lhs[:, t], rhs, d, scratch), out=d)
+    for t, d, _, (e,) in _row_tiles(y, w, 1):
+        np.sqrt(d, out=d)
         r_low[t] = low = d.min(axis=1)
         _soft_min_weights(d, low[:, None], a, e)
         r_sum[t] = e.sum(axis=1)
@@ -182,10 +173,8 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
     # coef = d value / d distance, over the distance (0 where that is 0)
     gy = np.empty_like(y)
     col_sum, col_y = np.zeros(m), np.zeros_like(w)
-    for lo in range(0, n, rows):
-        t = slice(lo, lo + rows)
-        d, coef, g, scratch = bufs[:, : min(rows, n - lo)]
-        np.sqrt(_sq_dists_into(lhs[:, t], rhs, d, scratch), out=d)
+    for t, d, scratch, (coef, g) in _row_tiles(y, w, 2):
+        np.sqrt(d, out=d)
         _soft_min_jac(d, r_low[t, None], r[t, None], r_scale[t, None], a, coef, scratch)
         coef += _soft_min_jac(d, c_low, c, c_scale, a, g, scratch)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -230,22 +219,16 @@ def leg_with_grad(
     if not (np.isfinite(v).all() and (v > 0.0).all()):
         raise ValueError("inverse factors must be positive and finite")
     neg_inv_s2 = -1.0 / (cfg.sigma * cfg.sigma)
-    rows = max(1, _TILE_ELEMS // n)
-    x_lhs, x_rhs = _diff_factors(x, x)
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
-    bufs = np.empty((5, min(rows, n), n))
 
     value, g_mapped, g_inv = 0.0, np.empty_like(y), np.empty(n)
     # for a tiny sigma a scaled squared distance can overflow to -inf; its
     # exp is the exact 0, which is the right affinity, so no warning is due
     with np.errstate(over="ignore"):
-        for lo in range(0, n, rows):
-            t = slice(lo, lo + rows)
-            e, sqy, inv_lam, hy, scratch = bufs[:, : min(rows, n - lo)]
+        for t, e, scratch, (sqy, inv_lam, hy) in _row_tiles(x, x, 3):
             # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
             # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
-            _sq_dists_into(x_lhs[:, t], x_rhs, e, scratch)
             e *= neg_inv_s2
             np.exp(e, out=e)
             _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)

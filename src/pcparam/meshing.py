@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .geometry import TriangleMesh, _Grid, as_cloud, edge_incidence
+from .geometry import TriangleMesh, _check_coord_bound, _Grid, _row_tiles, as_cloud, edge_incidence
 
 __all__ = [
     "DuplicatePointsWarning",
@@ -585,7 +585,9 @@ class InverseInterpolator:
     within 1e-9 of the triangulated region are snapped onto it; queries
     farther outside are flagged out in the returned mask (their output row is
     NaN). A query that coincides bitwise with a mapped point returns its
-    original point exactly.
+    original point exactly. A mapped point or query of magnitude
+    `geometry._COORD_BOUND` or more is rejected with a ValueError, since
+    the distances and predicates on it would overflow.
 
     A query's triangle is the lowest-id triangle of `mesh` that contains
     it, edges and corners counted as inside, as the exact `orient2d`
@@ -601,6 +603,7 @@ class InverseInterpolator:
 
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
+        _check_coord_bound(mapped, "mapped")
         mapped_u, self._keep = _dedup_points(mapped)
         self._n_mapped = len(mapped)
         self.original = self._per_point(original)
@@ -701,6 +704,7 @@ class InverseInterpolator:
         """(rows, located mask) at the queries; `values` replaces original."""
         values = self.original if values is None else self._per_point(values)
         queries = as_cloud(queries, dim=2)
+        _check_coord_bound(queries, "query")
         n = len(queries)
         out = np.full((n, values.shape[1]), np.nan)
         ok = np.zeros(n, dtype=bool)
@@ -786,8 +790,9 @@ def reconstruct_surface(
             pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
             out, ok = interp(pts, vals)
             out = out.ravel()
-            for i in np.flatnonzero(~ok):
-                out[i] = vals[int(np.linalg.norm(mapped - pts[i], axis=1).argmin())]
+            miss = np.flatnonzero(~ok)
+            for t, sq, _, _ in _row_tiles(pts[miss], mapped):
+                out[miss[t]] = vals[np.sqrt(sq, out=sq).argmin(axis=1)]
             return out
 
     param = generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field)

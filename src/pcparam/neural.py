@@ -26,7 +26,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "default_map_spec",
-    "default_shape_spec",
     "default_lambda_spec",
 ]
 
@@ -246,13 +245,11 @@ def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
 
 
 def default_map_spec(input_dim: int = 3) -> NetworkSpec:
-    """Parametrization network: surface points to plane."""
-    return NetworkSpec(input_dim, (256, 256, 256, 256, 256), 2)
-
-
-def default_shape_spec() -> NetworkSpec:
-    """Plane-to-plane shape matching network."""
-    return NetworkSpec(2, (64, 64, 64), 2)
+    """Parametrization network: cloud points to plane. A planar cloud (plane
+    to plane shape matching) gets three 64-wide layers, a surface cloud five
+    256-wide ones."""
+    widths = (64, 64, 64) if input_dim == 2 else (256, 256, 256, 256, 256)
+    return NetworkSpec(input_dim, widths, 2)
 
 
 def default_lambda_spec(input_dim: int = 3) -> NetworkSpec:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .geometry import TriangleMesh, angle_distortion, as_cloud
+from .geometry import _COORD_BOUND, TriangleMesh, _check_coord_bound, angle_distortion, as_cloud
 from .geometry import hausdorff_exact as _chunked_hausdorff
 from .losses import LossBreakdown, ObjectiveConfig, _check_sigma, total_loss_with_grad
 from .neural import (
@@ -45,11 +45,6 @@ __all__ = [
     "TrainingError",
     "train",
 ]
-
-
-# input and mapped coordinates must stay below this magnitude: past it the
-# squared distances of the losses and the stage-end evaluation overflow
-_COORD_BOUND = 1e150
 
 
 @dataclass(frozen=True)
@@ -275,12 +270,7 @@ def train(
     """
     x = as_cloud(points)
     n_points = len(x)
-    biggest = float(np.abs(x).max())
-    if not biggest < _COORD_BOUND:
-        raise ValueError(
-            f"input coordinates reach magnitude {biggest:g}; they must stay "
-            f"below {_COORD_BOUND:g}, past which squared distances overflow"
-        )
+    _check_coord_bound(x, "input")
     objective = ObjectiveConfig() if objective is None else objective
     stage_cfg = StageConfig() if stage is None else stage
     opt_cfg = RmsPropConfig() if optimizer is None else optimizer

@@ -22,14 +22,13 @@ from pcparam.boltzmann import boltzmann, boltzmann_gradient
 from pcparam.domains import Arc, Domain, preset_domain
 from pcparam import geometry
 from pcparam.geometry import (
-    _sq_dists,
     hausdorff_exact,
     modified_hausdorff_exact,
     pairwise_distances,
     sampling_gap_estimate,
 )
-from pcparam import losses
 from pcparam.losses import HandConfig, LegConfig, hand_with_grad, leg_with_grad
+from pcparam import meshing
 from pcparam.meshing import (
     DuplicatePointsWarning,
     InverseInterpolator,
@@ -41,6 +40,7 @@ from pcparam.meshing import (
     generate_param_mesh,
     incircle,
     orient2d,
+    reconstruct_surface,
 )
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
 
@@ -377,7 +377,6 @@ def test_sq_dists_matches_difference_tensor(dim, n, m):
     rng = np.random.default_rng(n + m + dim)
     a = _cloud(rng, n, dim)
     b = _cloud(rng, m, dim)
-    assert np.array_equal(_sq_dists(a, b), ref_sq_dists(a, b))
     assert np.array_equal(pairwise_distances(a, b), np.sqrt(ref_sq_dists(a, b)))
 
 
@@ -386,10 +385,10 @@ def test_sq_dists_with_duplicate_points(dim):
     rng = np.random.default_rng(4)
     a = _cloud(rng, 50, dim)
     a = np.vstack([a, a[:20], a[:1], a[:1]])
-    sq = _sq_dists(a, a)
-    assert np.array_equal(sq, ref_sq_dists(a, a))
-    assert sq[0, 50] == 0.0 and sq[70, 71] == 0.0
-    assert np.array_equal(np.diag(sq), np.zeros(len(a)))
+    d = pairwise_distances(a, a)
+    assert np.array_equal(d, np.sqrt(ref_sq_dists(a, a)))
+    assert d[0, 50] == 0.0 and d[70, 71] == 0.0
+    assert np.array_equal(np.diag(d), np.zeros(len(a)))
 
 
 def _assert_close(got, want, rel=1e-12):
@@ -424,7 +423,7 @@ def test_leg_with_grad_matches_reference(dim):
 
 # tile sizes in elements: one-row tiles, tiles that do not divide the row
 # count, the default, and one tile holding everything
-TILES = [1, 1000, losses._TILE_ELEMS, 1 << 22]
+TILES = [1, 1000, geometry._TILE_ELEMS, 1 << 22]
 
 
 @pytest.mark.parametrize("tile", TILES)
@@ -435,7 +434,7 @@ def test_tiled_hand_matches_reference(monkeypatch, tile, dim, alpha):
     y = _cloud(rng, 151, dim, 0.3)
     w = _with_coincident_pair(y, _cloud(rng, 70, dim, 0.3))
     w[10] = w[11] = y[12]  # a point of y on two coincident w points
-    monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
     for got, want in zip(hand_with_grad(y, w, HandConfig(alpha)),
                          ref_hand_with_grad(y, w, alpha)):
         _assert_close(got, want)
@@ -451,7 +450,7 @@ def test_tiled_leg_matches_reference(monkeypatch, tile, dim):
     y[20] = y[7]  # a duplicate point in both clouds
     y[30] = y[31]  # images that collapse while the originals do not
     v = rng.uniform(0.2, 2.0, 151)
-    monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
     for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)),
                          ref_leg_inv_grad(x, y, v, 0.3)):
         _assert_close(got, want)
@@ -465,12 +464,38 @@ def test_tiled_energies_do_not_depend_on_tile_size(monkeypatch):
     v = rng.uniform(0.2, 2.0, 97)
     runs = []
     for tile in TILES:
-        monkeypatch.setattr(losses, "_TILE_ELEMS", tile)
+        monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
         runs.append(hand_with_grad(y, w, HandConfig(40.0))
                     + leg_with_grad(x, y, v, LegConfig(0.4)))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             _assert_close(got, want, rel=1e-13)
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n, m", [(151, 70), (1, 70), (151, 1), (3, 40000)])
+def test_row_tiles_match_difference_tensor(monkeypatch, tile, dim, n, m):
+    # the shared tile pass of the dense distances, at every tile size: rows
+    # longer than a tile (one-row tiles), tiles that do not divide n, one tile
+    rng = np.random.default_rng(70 + n + dim)
+    a = _cloud(rng, n, dim)
+    b = _cloud(rng, m, dim)
+    b[-1] = a[0]  # a coincident pair
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
+    want = ref_sq_dists(a, b)
+    assert np.array_equal(pairwise_distances(a, b), np.sqrt(want))
+    assert np.array_equal(geometry._dense_row_min_sq(a, b), want.min(axis=1))
+    tiles = [(t, sq.shape) for t, sq, _, _ in geometry._row_tiles(a, b, 2)]
+    assert [t.start for t, _ in tiles] == [0] + [t.stop for t, _ in tiles[:-1]]
+    assert tiles[-1][0].stop == n
+    assert all(shape == (t.stop - t.start, m) for t, shape in tiles)
+    assert max(shape[0] for _, shape in tiles) == max(1, min(n, tile // m))
+
+
+def test_row_tiles_of_no_rows_yield_nothing():
+    b = np.random.default_rng(80).normal(size=(20, 2))
+    assert list(geometry._row_tiles(np.empty((0, 2)), b, 3)) == []
 
 
 def test_chunked_extrema_match_full_matrix():
@@ -822,6 +847,55 @@ def test_interpolator_matches_walk_on_nonconvex_triangulation():
     want = np.array([-1 if t is None else t for t in map(ref.locate, near)])
     assert (want >= 0).sum() > 200
     assert np.array_equal(interp._locate(near), want)
+
+
+def ref_nearest_values(mapped, vals, pts):
+    """The value of each query's nearest mapped point, one query at a time."""
+    return np.array([vals[int(np.linalg.norm(mapped - p, axis=1).argmin())] for p in pts])
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_lambda_fallback_matches_nearest_point_loop(monkeypatch, tile):
+    # reconstruct's inverse-factor field outside the triangulation: the
+    # value of the nearest mapped point, found in one tiled pass
+    rng = np.random.default_rng(90)
+    mapped = _polar_footprint(rng, rings=8)
+    mapped = np.vstack([mapped, mapped[[5, 40]]])  # duplicates with values of their own
+    vals = rng.uniform(0.5, 2.0, len(mapped))
+    fields = []
+
+    def spy(domain, mode, target_edge, seed, lambda_inv_field):
+        fields.append(lambda_inv_field)
+        return param_mesh(domain, mode, target_edge, seed, lambda_inv_field)
+
+    param_mesh = meshing.generate_param_mesh
+    monkeypatch.setattr(meshing, "generate_param_mesh", spy)
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
+    original = np.column_stack([mapped, rng.normal(size=len(mapped))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicatePointsWarning)
+        reconstruct_surface(mapped, original, preset_domain("disk"), mode="lambda_adapted",
+                            target_edge=0.3, lambda_inv_values=vals)
+        interp = InverseInterpolator(mapped, original)
+    field = fields[0]
+    th = rng.uniform(0.0, 2.0 * np.pi, 300)
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    queries = np.vstack([
+        ring * rng.uniform(1.0 + 1e-6, 1.05, (300, 1)),   # just off the hull
+        ring * np.geomspace(1.1, 1e3, 300)[:, None],      # far away
+        [[3.0, 0.0], [0.0, -3.0], [1e6, 1e6]],
+        rng.uniform(-0.7, 0.7, (200, 2)),                 # inside
+        mapped[:30],                                      # vertex hits
+    ])
+    queries = queries[rng.permutation(len(queries))]
+    inside, ok = interp(queries, vals)
+    assert 0 < ok.sum() < len(queries)
+    want = np.where(ok, inside.ravel(), ref_nearest_values(mapped, vals, queries))
+    assert np.array_equal(field(queries), want)
+    # every query located: the fallback gets no rows
+    located = queries[ok]
+    assert np.array_equal(field(located), interp(located, vals)[0].ravel())
+    assert np.array_equal(field(queries[~ok][:1]), want[~ok][:1])
 
 
 def _annulus():

@@ -18,9 +18,11 @@ from pcparam.cli import (
     load_run_config,
     main,
 )
+from pcparam.domains import preset_domain
 from pcparam.io import load_cloud, load_mesh, load_table, save_cloud, save_mesh
 from pcparam.meshing import delaunay
 from pcparam.neural import NetworkSpec, save_checkpoint
+from pcparam.optimizer import StageConfig, train
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,19 @@ def test_finalize_network_defaults(tmp_path, tiny_cloud_csv):
     assert eff3["map_net"]["hidden_widths"] == [256] * 5
     assert eff3["lambda_net"]["hidden_widths"] == [128] * 3
     assert eff3["map_net"]["omega"] == 1.0
+
+
+def test_train_and_fit_pick_the_same_default_map_net(tmp_path, tiny_cloud_csv):
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
+    del cfg["map_net"]
+    net = finalize_config(load_run_config(_write_config(tmp_path / "c.json", cfg)), 2)["map_net"]
+    result = train(
+        load_cloud(tiny_cloud_csv), preset_domain("square"),
+        stage=StageConfig(epochs=1, batch_points=8, batch_domain=8, epochs_min=1),
+        map_spec=None, lambda_spec=NetworkSpec(2, (4,), 1, output_activation="softplus"),
+        domain_size=16, eval_sample_size=16,
+    )
+    assert result.map_spec == NetworkSpec(2, tuple(net["hidden_widths"]), 2, omega=net["omega"])
 
 
 def test_print_effective_config_round_trips(tmp_path, tiny_cloud_csv, capsys):
@@ -521,6 +536,20 @@ def test_reconstruct_lambda_adapted(workdir, identity_setup):
     ])
     assert rc == 0
     assert len(load_mesh(out).triangles) > 10
+
+
+def test_reconstruct_past_the_coordinate_bound_exits_1(tmp_path, identity_setup):
+    # an affine map onto 1e200-scale coordinates, which point location rejects
+    ckpt = tmp_path / "huge.ckpt.json"
+    save_checkpoint(ckpt, NetworkSpec(2, (), 2), np.array([1e200, 0.0, 0.0, 1e200, 0.0, 0.0]))
+    proc = _run_pcparam("reconstruct", "--checkpoint", str(ckpt),
+                        "--input", str(identity_setup["cloud"]), "--target-edge", "0.2",
+                        "--out", str(tmp_path / "x.obj"))
+    assert proc.returncode == 1
+    assert "mapped coordinates reach magnitude 1e+200" in proc.stderr
+    assert "below 1e+150" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.obj").exists()
 
 
 def test_reconstruct_lambda_adapted_needs_checkpoint(workdir, identity_setup):

@@ -381,6 +381,35 @@ def test_interpolator_duplicate_mapped_rows():
     assert out[0, 0] == 10.0  # first occurrence wins
 
 
+def test_interpolator_rejects_coordinates_past_the_bound():
+    # at 1e200 the hull distances of the snap overflow to nan, and such a
+    # query used to come back located with nan coordinates
+    rng = np.random.default_rng(6)
+    mapped = rng.uniform(0.0, 1.0, (50, 2))
+    mapped[0, 0] = 1.0
+    original = rng.normal(size=(50, 3))
+    with pytest.raises(ValueError, match=r"mapped .* magnitude 1e\+200;.*below 1e\+150"):
+        InverseInterpolator(mapped * 1e200, original)
+    interp = InverseInterpolator(mapped, original)
+    with pytest.raises(ValueError, match=r"query coordinates reach magnitude 1e\+150;"):
+        interp([[0.5, 0.5], [1e150, 0.0]])
+
+
+def test_interpolator_just_below_the_bound_gives_finite_rows():
+    rng = np.random.default_rng(7)
+    big = np.nextafter(1e150, 0.0)
+    mapped = rng.uniform(-1.0, 1.0, (50, 2)) * 1e149
+    mapped[0, 0], mapped[1, 1] = big, -big
+    interp = InverseInterpolator(mapped, rng.normal(size=(50, 3)))
+    queries = np.vstack([rng.uniform(-1.5, 1.5, (200, 2)) * 1e149, mapped[:5], [[big, -big]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, ok = interp(queries)
+    assert 0 < ok.sum() < len(queries)
+    assert np.isfinite(out[ok]).all()
+    assert np.isnan(out[~ok]).all()
+
+
 def test_interpolate_inverse_one_shot():
     mapped = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     original = np.array([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0]])

@@ -9,7 +9,6 @@ from pcparam.neural import (
     backward,
     default_lambda_spec,
     default_map_spec,
-    default_shape_spec,
     forward,
     init_params,
     load_checkpoint,
@@ -23,14 +22,14 @@ def test_param_count_frozen_values():
     assert param_count(NetworkSpec(3, (8, 4), 2)) == 78
     assert param_count(NetworkSpec(1, (), 1)) == 2
     # the three stock architectures
-    assert param_count(default_shape_spec()) == 8642
+    assert param_count(default_map_spec(2)) == 8642
     # 3*256+256 + 4*(256*256+256) + 256*2+2
     assert param_count(default_map_spec(3)) == 264706
     assert param_count(default_lambda_spec(3)) == 33665
 
 
 def test_default_spec_shapes():
-    assert default_shape_spec().input_dim == 2
+    assert default_map_spec(2).hidden_widths == (64,) * 3
     assert default_map_spec(3).hidden_widths == (256,) * 5
     assert default_map_spec(2).input_dim == 2
     lam = default_lambda_spec(3)
@@ -65,7 +64,7 @@ def test_init_bounds_and_zero_biases():
 
 
 def test_init_deterministic():
-    spec = default_shape_spec()
+    spec = default_map_spec(2)
     a = init_params(spec, seed=7)
     b = init_params(spec, seed=7)
     np.testing.assert_array_equal(a, b)
