@@ -230,6 +230,14 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
     return eff
 
 
+def _check_positive_flags(args) -> None:
+    """Reject a numeric flag whose value is not > 0, NaN included, naming it."""
+    for dest in ("sample_size", "bins", "h", "target_edge", "n", "trials", "sigma"):
+        value = getattr(args, dest, 1)
+        if not value > 0:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be positive, got {value}")
+
+
 def _load_domain_checked(preset, path) -> Domain:
     """The domain in the JSON file at path, or the preset when path is None."""
     if path is None:
@@ -290,20 +298,16 @@ def cmd_fit(args) -> int:
         objective = ObjectiveConfig(**eff["objective"])
         stage = StageConfig(**eff["stage"])
         optimizer = RmsPropConfig(**eff["optimizer"])
-        map_spec = NetworkSpec(
-            input_dim=cloud.shape[1],
+        map_spec = dataclasses.replace(
+            default_map_spec(cloud.shape[1]),
             hidden_widths=tuple(eff["map_net"]["hidden_widths"]),
-            output_dim=2,
-            output_activation="linear",
             omega=float(eff["map_net"]["omega"]),
         )
         lambda_spec = None
         if objective.beta1 > 0:
-            lambda_spec = NetworkSpec(
-                input_dim=cloud.shape[1],
+            lambda_spec = dataclasses.replace(
+                default_lambda_spec(cloud.shape[1]),
                 hidden_widths=tuple(eff["lambda_net"]["hidden_widths"]),
-                output_dim=1,
-                output_activation="softplus",
                 omega=float(eff["lambda_net"]["omega"]),
             )
     except (TypeError, ValueError) as exc:
@@ -425,8 +429,6 @@ def cmd_boundary(args) -> int:
         cloud = _load_cloud_checked(args.input)
         spec, params = _load_checkpoint_for(args.checkpoint, cloud)
         mapped = forward(spec, params, cloud)
-    if args.h <= 0:
-        raise ConfigError(f"--h must be positive, got {args.h}")
 
     mesh = delaunay(mapped)
     pruned = prune_long_faces(mesh, args.h)
@@ -541,8 +543,6 @@ def cmd_plot(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.kind == "extremum":
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         alphas = (1.0, 2.0, 5.0, 10.0, 50.0)
         rows = []
@@ -693,6 +693,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive_flags(args)
         return args.func(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)

@@ -1,10 +1,18 @@
 """Planar parameter domains built from line and circular-arc segments.
 
 A domain is one outer loop plus zero or more hole loops; each loop is a
-closed chain of segments (endpoints matching within 1e-9). Membership uses
-the even-odd rule with arc intersections solved analytically, treating the
-region as closed: points on the outer or hole boundaries count as inside.
-Loops are assumed non-self-intersecting (not checked).
+closed chain of segments (endpoints matching within 1e-9). The region is
+closed: points within 1e-12 of the outer or hole boundaries count as
+inside. Every other point is classified by the even-odd rule on a
+horizontal ray to its right, counted with the half-open crossing rule
+(Haines, "Point in Polygon Strategies", Graphics Gems IV, 1994): each
+segment is cut into y-monotone pieces (a line is one piece, a horizontal
+line none, an arc is cut where it turns in y), and a piece from y0 to y1
+crosses the ray of (px, py) when (y0 > py) != (y1 > py) and px lies left
+of the piece at height py. Each loop vertex takes one y value, the start y
+of the segment that begins there, so a ray through a vertex counts both
+pieces that meet there by that one value. Loops are assumed
+non-self-intersecting (not checked).
 
 Samplers are deterministic per seed: area sampling rejects from the bounding
 box, boundary sampling is proportional to arc length across all loops.
@@ -34,10 +42,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _CHAIN_TOL = 1e-9
 _BOUNDARY_TOL = 1e-12
-# grazing tolerances for the ray cast; affected points retry with a rotated ray
-_EPS_S = 1e-12
-_EPS_U = 1e-11
-_EPS_ANG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,23 +80,14 @@ class Line:
         proj = self.p0 + t[:, None] * e
         return np.linalg.norm(pts - proj, axis=1)
 
-    def ray_crossings(self, pts: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(crossing counts, grazing mask) for rays pts + s d, s > 0."""
-        a, e = self.p0, self.p1 - self.p0
-        rhs = a - pts  # (n, 2)
-        det = e[0] * d[1] - e[1] * d[0]
-        graze = np.zeros(len(pts), dtype=bool)
-        if abs(det) < 1e-14:
-            # parallel; grazing only if the segment lies on the ray's line
-            graze |= np.abs(d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) < 1e-9
-            return np.zeros(len(pts), dtype=np.int64), graze
-        s = (e[0] * rhs[:, 1] - e[1] * rhs[:, 0]) / det
-        u = (d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) / det
-        near_end = (np.abs(u) <= _EPS_U) | (np.abs(u - 1.0) <= _EPS_U)
-        graze |= (s > -_EPS_S) & near_end
-        graze |= (np.abs(s) <= _EPS_S) & (u > -_EPS_U) & (u < 1.0 + _EPS_U)
-        cross = (s > _EPS_S) & (u > _EPS_U) & (u < 1.0 - _EPS_U)
-        return cross.astype(np.int64), graze
+    def pieces(self, y_end: float) -> list:
+        """The y-monotone pieces (y0, y1, x_at) of the segment, ending at the
+        y its loop gives the end vertex; x_at(py) is the piece's x at py."""
+        (x0, y0), (x1, _) = self.start, self.end
+        if y_end == y0:
+            return []
+        slope = (x1 - x0) / (y_end - y0)
+        return [(y0, y_end, lambda py: x0 + (py - y0) * slope)]
 
     def polyline(self, step: float) -> np.ndarray:
         k = max(int(math.ceil(self.length() / step)), 1)
@@ -165,31 +160,23 @@ class Arc:
         d_end = np.linalg.norm(pts - self.point_at(1.0), axis=1)
         return np.where(on_arc, ring, np.minimum(d_start, d_end))
 
-    def ray_crossings(self, pts: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = pts - self.c
-        b = q @ d
-        cterm = (q * q).sum(axis=1) - self.radius * self.radius
-        disc = b * b - cterm
-        graze = np.abs(disc) <= 1e-14 * max(self.radius * self.radius, 1.0)
-        count = np.zeros(len(pts), dtype=np.int64)
-        ok = disc > 0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for root in (-b - sq, -b + sq):
-            hit = ok & (root > _EPS_S)
-            graze |= ok & (np.abs(root) <= _EPS_S)
-            if not hit.any():
-                continue
-            px = q[:, 0] + root * d[0]
-            py = q[:, 1] + root * d[1]
-            ang = np.arctan2(py, px)
-            if self.full_circle:
-                count += hit.astype(np.int64)
-                continue
-            rel = self._rel_angle(ang)
-            span = abs(self.sweep)
-            graze |= hit & ((rel <= _EPS_ANG) | (np.abs(rel - span) <= _EPS_ANG))
-            count += (hit & (rel > _EPS_ANG) & (rel < span - _EPS_ANG)).astype(np.int64)
-        return count, graze
+    def pieces(self, y_end: float) -> list:
+        """The y-monotone pieces (y0, y1, x_at) of the arc, cut at the angles
+        pi/2 + k pi strictly inside its sweep, the last ending at the y its
+        loop gives the end vertex; x_at(py) is the piece's x at py."""
+        (cx, cy), r = self.center, self.radius
+        sgn = 1.0 if self.sweep > 0 else -1.0
+        span = abs(self.sweep)
+        cuts = np.array([0.5 * math.pi, 1.5 * math.pi])
+        inner = sorted((float(t), cy + r * math.sin(c))
+                       for t, c in zip(self._rel_angle(cuts), cuts) if 0.0 < t < span)
+        ends = [(0.0, float(self.point_at(0.0)[1])), *inner, (span, y_end)]
+        out = []
+        for (ra, ya), (rb, yb) in zip(ends, ends[1:]):
+            side = 1.0 if math.cos(self.start_angle + sgn * 0.5 * (ra + rb)) > 0 else -1.0
+            out.append((ya, yb, lambda py, side=side: (
+                cx + side * np.sqrt(np.maximum(r * r - (py - cy) ** 2, 0.0)))))
+        return out
 
     def polyline(self, step: float) -> np.ndarray:
         k = max(int(math.ceil(self.length() / step)), 2)
@@ -217,6 +204,24 @@ def _segment_bbox(seg: Segment) -> tuple[np.ndarray, np.ndarray]:
     return pts.min(axis=0), pts.max(axis=0)
 
 
+def _loop_pieces(loop: list[Segment]) -> list:
+    """The y-monotone pieces of a loop; each vertex takes the start y of the
+    segment that begins there."""
+    starts = [float(_endpoints(seg)[0][1]) for seg in loop]
+    return [p for i, seg in enumerate(loop) for p in seg.pieces(starts[(i + 1) % len(loop)])]
+
+
+def _odd_crossings(pieces: list, pts: np.ndarray) -> np.ndarray:
+    """Per point, whether the horizontal ray to its right crosses the pieces
+    an odd number of times, by the half-open rule."""
+    px, py = pts[:, 0], pts[:, 1]
+    odd = np.zeros(len(pts), dtype=bool)
+    for y0, y1, x_at in pieces:
+        rows = np.flatnonzero((y0 > py) != (y1 > py))
+        odd[rows] ^= px[rows] < x_at(py[rows])
+    return odd
+
+
 class Domain:
     """Closed planar region: one outer loop, optional hole loops."""
 
@@ -239,55 +244,34 @@ class Domain:
         self._hi = np.max(np.array(his), axis=0)
         if not ((self._hi - self._lo) > 0).all():
             raise ValueError("degenerate (zero-area) domain")
+        pieces = [_loop_pieces(loop) for loop in self.loops]
+        self._pieces = [p for loop in pieces for p in loop]
         for li, loop in enumerate(self.loops[1:], start=1):
             probe = np.array([_endpoints(s)[0] for s in loop])
-            inside = self._even_odd(probe, loops=self.loops[:1])
-            if not inside.all():
+            if not _odd_crossings(pieces[0], probe).all():
                 raise ValueError(f"hole loop {li} is not inside the outer loop")
 
     @property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self._lo.copy(), self._hi.copy()
 
-    def _segments(self, loops=None):
-        for loop in self.loops if loops is None else loops:
+    def _segments(self):
+        for loop in self.loops:
             yield from loop
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         return np.min([seg.distance(pts) for seg in self._segments()], axis=0)
 
-    def _even_odd(self, pts: np.ndarray, loops=None) -> np.ndarray:
-        """Vectorized even-odd test; grazing points retried with rotated rays."""
-        n = len(pts)
-        inside = np.zeros(n, dtype=bool)
-        pending = np.arange(n)
-        for attempt in range(64):
-            ang = 0.5412345678901 + attempt * 2.399963229728653
-            d = np.array([math.cos(ang), math.sin(ang)])
-            sub = pts[pending]
-            total = np.zeros(len(sub), dtype=np.int64)
-            graze = np.zeros(len(sub), dtype=bool)
-            for seg in self._segments(loops):
-                cnt, gz = seg.ray_crossings(sub, d)
-                total += cnt
-                graze |= gz
-            done = ~graze
-            inside[pending[done]] = (total[done] % 2) == 1
-            pending = pending[graze]
-            if pending.size == 0:
-                return inside
-        raise RuntimeError(f"ray casting failed to settle for point {pts[pending[0]]}")
-
     def contains_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must be (n, 2), got shape {pts.shape}")
-        # settle boundary points first: a point on a segment grazes every
-        # ray direction, so it must never reach the even-odd cast
+        # boundary points first: the crossing rule puts a point on a
+        # segment on either side of it
         result = self.boundary_distance(pts) <= _BOUNDARY_TOL
         off = ~result
         if off.any():
-            result[off] = self._even_odd(pts[off])
+            result[off] = _odd_crossings(self._pieces, pts[off])
         return result
 
     def contains(self, point) -> bool:

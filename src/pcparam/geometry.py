@@ -311,15 +311,20 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 _EXTREMA_MARGIN = 2.0**-40
 
 
+def _one_per_cell(extent: np.ndarray, m: int) -> float:
+    """Side of square cells holding about one of m items each over a box of
+    planar extent (w, h): sqrt(w h / m), at least the longer side over m, so
+    there are at most about 3m cells. Inf only when w or h is."""
+    w, h = (float(v) for v in extent[:2])
+    return max(math.sqrt(w / m) * math.sqrt(h), max(w, h) / m)
+
+
 def _point_grid(b: np.ndarray) -> _Grid | None:
-    """Grid over the first two coordinates of b, about one point per cell:
-    side sqrt(area / m), at least the longer side over m, so there are at
-    most about 3m cells. None when b's extent overflows."""
+    """Grid over the first two coordinates of b, about one point per cell.
+    None when b's extent overflows."""
     lo = b[:, :2].min(axis=0)
     hi = b[:, :2].max(axis=0)
-    w, h = (float(v) for v in hi - lo)
-    m = len(b)
-    cell = max(math.sqrt(w / m) * math.sqrt(h), max(w, h) / m)
+    cell = _one_per_cell(hi - lo, len(b))
     if not math.isfinite(cell):
         return None
     # all of b at one planar point: any side gives a single cell

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .geometry import TriangleMesh, _check_coord_bound, _Grid, _row_tiles, as_cloud, edge_incidence
+from .geometry import (_TILE_ELEMS, TriangleMesh, _check_coord_bound, _Grid, _one_per_cell,
+                       _row_tiles, as_cloud, edge_incidence)
 
 __all__ = [
     "DuplicatePointsWarning",
@@ -616,14 +617,13 @@ class InverseInterpolator:
         self.mesh = delaunay(mapped_u)
         # exact-match lookup for bitwise vertex hits
         self._exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
-        # (u, v, triangle) of each hull edge, built on the first snap
-        self._hull_segments: list[tuple[int, int, int]] | None = None
+        # (start, direction, squared length, triangle) of the hull edges,
+        # built on the first snap
+        self._hull: tuple[np.ndarray, ...] | None = None
         tri_pts = self.mesh.vertices[self.mesh.triangles]
         self._lo = self.mesh.vertices.min(axis=0)
         self._hi = self.mesh.vertices.max(axis=0)
-        w, h = self._hi - self._lo
-        ntri = len(self.mesh.triangles)
-        cell = max(math.sqrt(w * h / ntri), max(w, h) / ntri)
+        cell = _one_per_cell(self._hi - self._lo, len(self.mesh.triangles))
         self._grid = _Grid(self._lo, self._hi, cell, tri_pts.min(axis=1), tri_pts.max(axis=1))
 
     def _per_point(self, values) -> np.ndarray:
@@ -667,38 +667,37 @@ class InverseInterpolator:
             found[block] = np.where(lowest < len(tris), lowest, -1)
         return found
 
-    def _snap(self, q: np.ndarray):
-        if self._hull_segments is None:
+    def _snap(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(triangle, point) per query: the nearest point on the hull edges,
+        the first edge's on a tie, and the triangle on that edge, or -1 when
+        the point is farther than snap_tolerance. np.vecdot gives the bits of
+        the scalar (q - a) @ e and np.linalg.norm per (query, edge) pair;
+        the pairs go in blocks of at most `_TILE_ELEMS`."""
+        if self._hull is None:
             inc = edge_incidence(self.mesh)
-            self._hull_segments = [
+            seg = np.array([
                 (u, v, inc[(u, v) if u < v else (v, u)][0])
                 for loop in boundary_edges(self.mesh)
                 for u, v in zip(loop, loop[1:] + loop[:1])
-            ]
-            seg = np.array(self._hull_segments, dtype=np.int64)
+            ], dtype=np.int64)
             a = self.mesh.vertices[seg[:, 0]]
             e = self.mesh.vertices[seg[:, 1]] - a
-            self._hull_arrays = (a, e, (e * e).sum(axis=1))
-            self._snap_margin = 1e-6 * (1.0 + float(np.abs(self.mesh.vertices).max()))
-        # vectorised distances decide the clear misses; anything near the
-        # tolerance takes the scalar loop below, whose bits are the result
-        a, e, ee = self._hull_arrays
-        t = np.clip(((q - a) * e).sum(axis=1) / ee, 0.0, 1.0)
-        gap = np.sqrt((((a + t[:, None] * e) - q) ** 2).sum(axis=1)).min()
-        if gap > self.snap_tolerance + self._snap_margin:
-            return None
-        best = None
-        for u, v, tid in self._hull_segments:
-            a, b = self.mesh.vertices[u], self.mesh.vertices[v]
-            e = b - a
-            t = float(np.clip(((q - a) @ e) / (e @ e), 0.0, 1.0))
-            proj = a + t * e
-            d = float(np.linalg.norm(q - proj))
-            if best is None or d < best[0]:
-                best = (d, tid, proj)
-        if best is None or best[0] > self.snap_tolerance:
-            return None
-        return best[1:]
+            self._hull = (a, e, np.vecdot(e, e), seg[:, 2])
+        a, e, ee, hull_tri = self._hull
+        tid = np.full(len(q), -1, dtype=np.int64)
+        where = q.copy()
+        step = max(1, _TILE_ELEMS // len(a))
+        for lo in range(0, len(q), step):
+            qb = q[lo:lo + step, None, :]
+            t = np.clip(np.vecdot(qb - a, e) / ee, 0.0, 1.0)
+            proj = a + t[:, :, None] * e
+            gap = qb - proj
+            dist = np.sqrt(np.vecdot(gap, gap))
+            best = dist.argmin(axis=1)
+            near = np.flatnonzero(dist.min(axis=1) <= self.snap_tolerance)
+            tid[lo + near] = hull_tri[best[near]]
+            where[lo + near] = proj[near, best[near]]
+        return tid, where
 
     def __call__(self, queries, values=None) -> tuple[np.ndarray, np.ndarray]:
         """(rows, located mask) at the queries; `values` replaces original."""
@@ -718,10 +717,9 @@ class InverseInterpolator:
         tid = np.full(n, -1, dtype=np.int64)
         tid[rest] = self._locate(queries[rest])
         where = queries.copy()
-        for qi in np.flatnonzero(~vertex & (tid < 0)):
-            snapped = self._snap(queries[qi])
-            if snapped is not None:
-                tid[qi], where[qi] = snapped
+        outer = np.flatnonzero(~vertex & (tid < 0))
+        if len(outer):
+            tid[outer], where[outer] = self._snap(queries[outer])
         inner = np.flatnonzero(~vertex & (tid >= 0))
         if len(inner) == 0:
             return out, ok

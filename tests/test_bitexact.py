@@ -4,7 +4,8 @@ Each reference below is the straightforward expression: fresh temporaries,
 the (n, m, d) difference tensor, dense n x n energies, a second forward pass
 in backward, a test of every triangle per query for the inverse
 interpolator, a test against every accepted point for dart throwing, a
-spacing query per boundary point, Delaunay insertion in index order.
+spacing query per boundary point, Delaunay insertion in index order, a
+slanted ray cast with rotated retries for domain membership.
 Most kernels must reproduce them exactly (np.array_equal), not just closely,
 because training runs thousands of steps on them and the golden outputs pin
 every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
@@ -12,6 +13,8 @@ sum in another order by design; they must agree with the dense formulas to
 1e-12 of each output's largest entry, at any tile size.
 """
 
+import json
+import math
 import tracemalloc
 import warnings
 
@@ -19,7 +22,15 @@ import numpy as np
 import pytest
 
 from pcparam.boltzmann import boltzmann, boltzmann_gradient
-from pcparam.domains import Arc, Domain, preset_domain
+from pcparam.domains import (
+    PRESETS,
+    Arc,
+    Domain,
+    Line,
+    _endpoints,
+    domain_from_json,
+    preset_domain,
+)
 from pcparam import geometry
 from pcparam.geometry import (
     hausdorff_exact,
@@ -347,6 +358,71 @@ def ref_generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field=No
     mesh = delaunay(acc)
     keep = domain.contains_many(mesh.vertices[mesh.triangles].mean(axis=1))
     return mesh.vertices, mesh.triangles[keep]
+
+
+_RAY_EPS_S, _RAY_EPS_U, _RAY_EPS_ANG = 1e-12, 1e-11, 1e-10
+
+
+def ref_ray_crossings(seg, pts, d):
+    """(crossing counts, grazing mask) of the rays pts + s d, s > 0, with one
+    segment. A ray that passes within a tolerance of an end point, touches
+    an arc or runs along a line grazes it."""
+    if isinstance(seg, Line):
+        a, e = seg.p0, seg.p1 - seg.p0
+        rhs = a - pts
+        det = e[0] * d[1] - e[1] * d[0]
+        graze = np.zeros(len(pts), dtype=bool)
+        if abs(det) < 1e-14:
+            graze |= np.abs(d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) < 1e-9
+            return np.zeros(len(pts), dtype=np.int64), graze
+        s = (e[0] * rhs[:, 1] - e[1] * rhs[:, 0]) / det
+        u = (d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) / det
+        near_end = (np.abs(u) <= _RAY_EPS_U) | (np.abs(u - 1.0) <= _RAY_EPS_U)
+        graze |= (s > -_RAY_EPS_S) & near_end
+        graze |= (np.abs(s) <= _RAY_EPS_S) & (u > -_RAY_EPS_U) & (u < 1.0 + _RAY_EPS_U)
+        cross = (s > _RAY_EPS_S) & (u > _RAY_EPS_U) & (u < 1.0 - _RAY_EPS_U)
+        return cross.astype(np.int64), graze
+    q = pts - seg.c
+    b = q @ d
+    disc = b * b - ((q * q).sum(axis=1) - seg.radius * seg.radius)
+    graze = np.abs(disc) <= 1e-14 * max(seg.radius * seg.radius, 1.0)
+    count = np.zeros(len(pts), dtype=np.int64)
+    ok = disc > 0
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    for root in (-b - sq, -b + sq):
+        hit = ok & (root > _RAY_EPS_S)
+        graze |= ok & (np.abs(root) <= _RAY_EPS_S)
+        if seg.full_circle:
+            count += hit.astype(np.int64)
+            continue
+        rel = seg._rel_angle(np.arctan2(q[:, 1] + root * d[1], q[:, 0] + root * d[0]))
+        span = abs(seg.sweep)
+        graze |= hit & ((rel <= _RAY_EPS_ANG) | (np.abs(rel - span) <= _RAY_EPS_ANG))
+        count += (hit & (rel > _RAY_EPS_ANG) & (rel < span - _RAY_EPS_ANG)).astype(np.int64)
+    return count, graze
+
+
+def ref_contains_many(domain, pts):
+    """Boundary points first, then the even-odd count along a slanted ray;
+    a point whose ray grazes a segment is cast again in a rotated direction."""
+    inside = domain.boundary_distance(pts) <= 1e-12
+    pending = np.flatnonzero(~inside)
+    segs = [seg for loop in domain.loops for seg in loop]
+    for attempt in range(64):
+        ang = 0.5412345678901 + attempt * 2.399963229728653
+        d = np.array([np.cos(ang), np.sin(ang)])
+        sub = pts[pending]
+        total = np.zeros(len(sub), dtype=np.int64)
+        graze = np.zeros(len(sub), dtype=bool)
+        for seg in segs:
+            cnt, gz = ref_ray_crossings(seg, sub, d)
+            total += cnt
+            graze |= gz
+        inside[pending[~graze]] = total[~graze] % 2 == 1
+        pending = pending[graze]
+        if pending.size == 0:
+            return inside
+    raise AssertionError(f"reference ray cast did not settle at {pts[pending[0]]}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +905,44 @@ def test_interpolator_matches_walk_on_vertex_hits_and_near_hull():
         _same(interp(q[None]), ref(q[None]))
 
 
+def _hull_snap_queries(ref, rng):
+    """Queries just outside the hull: beyond each hull corner at distances
+    around the snap tolerance; on the diagonal of an axis-aligned corner,
+    equally near both hull edges there; exactly 1e-9 from an axis-aligned
+    hull edge, and one ulp nearer or farther."""
+    vs = ref.mesh.vertices
+    centre = vs.mean(axis=0)
+    corners = np.array(sorted({u for u, _ in ref.hull}))
+    out = vs[corners] - centre
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    reach = np.array([3e-10, 7e-10, 1e-9, 1.2e-9, 1e-6])
+    beyond = (vs[corners][:, None, :] + reach[None, :, None] * out[:, None, :]).reshape(-1, 2)
+    d = np.array([2.0 ** -31, 2.0 ** -30, 2.0 ** -29])  # 0.66e-9, 1.3e-9, 2.6e-9 away
+    diag = np.vstack([np.column_stack([cx + sx * d, cy + sy * d])
+                      for cx, cy, sx, sy in [(0, 0, -1, -1), (1, 0, 1, -1),
+                                             (1, 1, 1, 1), (0, 1, -1, 1)]])
+    g = np.array([np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, 1.0)])
+    t = np.repeat(rng.integers(1, 64, 20) / 64.0, 3)
+    gap = np.tile(g, 20)
+    edges = np.vstack([np.column_stack([t, -gap]), np.column_stack([1.0 + gap, t]),
+                       np.column_stack([t, 1.0 + gap]), np.column_stack([-gap, t])])
+    return np.vstack([beyond, diag, edges])
+
+
+def test_batched_snap_matches_scalar_snap():
+    rng = np.random.default_rng(45)
+    mapped = np.vstack([rng.uniform(0.0, 1.0, (200, 2)), [[0, 0], [1, 0], [1, 1], [0, 1]]])
+    interp, ref = _pair(mapped, _cloud(rng, len(mapped), 3))
+    queries = _hull_snap_queries(ref, rng)
+    tid, where = interp._snap(queries)
+    for k, q in enumerate(queries):
+        want = ref.snap(q)
+        assert tid[k] == (-1 if want is None else want[0])
+        assert np.array_equal(where[k], q if want is None else want[1])
+    assert 0 < (tid >= 0).sum() < len(queries)
+    _same(interp(queries), ref(queries))
+
+
 def test_interpolator_matches_walk_on_nonconvex_triangulation():
     # hull points 1e-14 inside a straight edge: the triangulation leaves
     # the thin triangles along it out, so its region is not convex there and
@@ -1025,3 +1139,83 @@ def test_triangulator_does_not_depend_on_insertion_order(name):
             tri.insert(pi)
         got = [t for t in tri.tris.values() if max(t) < len(pts)]
         assert np.array_equal(canonical_triangles(got), want)
+
+
+# ---------------------------------------------------------------------------
+# domain membership
+# ---------------------------------------------------------------------------
+
+
+def _rounded_rect():
+    """A rounded rectangle with a half-disk hole, read from JSON, whose line
+    ends miss the arc ends by 1e-12 to 2e-12, in both directions along both
+    axes: a horizontal line through such a vertex passes between the two
+    ends."""
+    g = 1e-12
+    h = math.pi / 2.0
+
+    def line(a, b):
+        return {"type": "line", "start": list(a), "end": list(b)}
+
+    def arc(c, r, a0, a1):
+        return {"type": "arc", "center": list(c), "radius": r,
+                "start_angle": a0, "end_angle": a1, "ccw": True}
+
+    outer = [
+        line((-0.8 + g, -0.5 - g), (0.8 - 2 * g, -0.5 + g)),
+        arc((0.8, -0.3), 0.2, -h, 0.0),
+        line((1.0 + g, -0.3 - g), (1.0 - g, 0.3 - g)),
+        arc((0.8, 0.3), 0.2, 0.0, h),
+        line((0.8 + g, 0.5 + g), (-0.8 - g, 0.5 - g)),
+        arc((-0.8, 0.3), 0.2, h, 2 * h),
+        line((-1.0 - g, 0.3 + g), (-1.0 + g, -0.3 + 2 * g)),
+        arc((-0.8, -0.3), 0.2, 2 * h, 3 * h),
+    ]
+    hole = [
+        arc((0.0, 0.0), 0.25, h, 3 * h),
+        line((g, -0.25 - g), (-g, 0.25 - 2 * g)),
+    ]
+    return domain_from_json(json.loads(json.dumps({"loops": [outer, hole]})))
+
+
+def _membership_points(domain, rng):
+    """1e5 points over the box plus a margin, and 400 on each horizontal line
+    through a loop vertex or an arc's highest or lowest point; only those
+    farther than 1e-9 from the boundary."""
+    lo, hi = domain.bbox
+    margin = 0.1 * (hi - lo)
+    ys = set()
+    for loop in domain.loops:
+        for seg in loop:
+            ys.update(float(p[1]) for p in _endpoints(seg))
+            if isinstance(seg, Arc):
+                ys.update((seg.center[1] - seg.radius, seg.center[1] + seg.radius))
+    ys = np.array(sorted(ys))
+    lines = np.column_stack([
+        rng.uniform(lo[0] - margin[0], hi[0] + margin[0], 400 * len(ys)),
+        np.repeat(ys, 400),
+    ])
+    pts = np.vstack([rng.uniform(lo - margin, hi + margin, (100_000, 2)), lines])
+    return pts[domain.boundary_distance(pts) > 1e-9], ys
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "rounded_rect"])
+def test_membership_matches_slanted_ray_cast(name):
+    domain = _rounded_rect() if name == "rounded_rect" else preset_domain(name)
+    pts, ys = _membership_points(domain, np.random.default_rng(70))
+    assert np.isin(pts[:, 1], ys).any()
+    assert np.array_equal(domain.contains_many(pts), ref_contains_many(domain, pts))
+
+
+def test_membership_near_the_boundary_matches_oracles():
+    rng = np.random.default_rng(71)
+    for name in [*PRESETS, "rounded_rect"]:
+        domain = _rounded_rect() if name == "rounded_rect" else preset_domain(name)
+        assert domain.contains_many(domain.sample_boundary(20_000, rng)).all()
+    # the unit circle: a point 2e-12 to 1e-9 off it is inside when it is
+    # inside the radius; one within 5e-13 of it is on the closed boundary
+    off = rng.uniform(2e-12, 1e-9, 40_000) * rng.choice([-1.0, 1.0], 40_000)
+    off[:4000] = rng.uniform(-5e-13, 5e-13, 4000)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 40_000)
+    pts = (1.0 + off)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    assert np.array_equal(preset_domain("disk").contains_many(pts), off < 1e-12)

@@ -585,7 +585,7 @@ def test_sample_domain_area_and_boundary(workdir):
                  "--out", str(again)]) == 0
     assert again.read_bytes() == area_out.read_bytes()
     assert main(["sample-domain", "--domain-preset", "disk", "--n", "0",
-                 "--out", str(workdir / "zero.csv")]) == 1
+                 "--out", str(workdir / "zero.csv")]) == 2
 
 
 def test_sample_domain_custom_file(workdir):
@@ -673,6 +673,51 @@ def test_audit_distortion_bound(workdir, identity_setup):
     assert float(report["lhs"]) >= float(report["rhs"])
     assert main(["audit", "--kind", "distortion-bound",
                  "--out", str(workdir / "z.csv")]) == 2
+
+
+@pytest.fixture(scope="module")
+def range_inputs(workdir, identity_setup):
+    """Valid arguments for each command whose numeric flags must be > 0."""
+    pts = identity_setup["points"]
+    mesh, lam = workdir / "range_mesh.obj", workdir / "range_lam.csv"
+    save_mesh(mesh, delaunay(pts))
+    from pcparam.io import save_table
+
+    save_table(lam, ["lambda_inv"], [[0.5]] * len(pts))
+    ck, cloud = str(identity_setup["ckpt"]), str(identity_setup["cloud"])
+    out = str(workdir / "range_out")
+    return {
+        "eval": ["eval", "--checkpoint", ck, "--input", cloud, "--out-dir", out],
+        "boundary": ["boundary", "--mapped", cloud, "--h", "0.3", "--out-dir", out],
+        "reconstruct": ["reconstruct", "--checkpoint", ck, "--input", cloud,
+                        "--target-edge", "0.2", "--out", out + ".obj"],
+        "sample-domain": ["sample-domain", "--n", "10", "--out", out + ".csv"],
+        "plot": ["plot", "--input", cloud, "--kind", "histogram", "--out", out + ".svg"],
+        "audit-extremum": ["audit", "--kind", "extremum", "--trials", "2",
+                           "--out", out + ".csv"],
+        "audit-bound": ["audit", "--kind", "distortion-bound", "--mesh", str(mesh),
+                        "--mapped", cloud, "--lambda-inv", str(lam), "--out", out + ".csv"],
+    }
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--sample-size", "0"),
+    ("eval", "--bins", "0"),
+    ("boundary", "--h", "-1"),
+    ("boundary", "--h", "nan"),
+    ("reconstruct", "--target-edge", "0"),
+    ("reconstruct", "--target-edge", "-1"),
+    ("sample-domain", "--n", "0"),
+    ("plot", "--bins", "0"),
+    ("audit-extremum", "--trials", "0"),
+    ("audit-bound", "--sigma", "0"),
+])
+def test_nonpositive_numeric_flag_exits_2_naming_it(range_inputs, caplog, command, flag, value):
+    argv = range_inputs[command]
+    assert main(argv) == 0
+    caplog.clear()
+    assert main([*argv, flag, value]) == 2
+    assert f"{flag} must be positive, got " in caplog.text
 
 
 # ---------------------------------------------------------------------------
