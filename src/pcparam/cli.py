@@ -3,8 +3,9 @@ plot, audit.
 
 Configuration is JSON with a fixed schema (unknown keys rejected); every
 default matches the values the method was reported with. Logs go to stderr,
-data products only to files. Exit codes: 0 success, 1 runtime numeric
-failure, 2 usage or configuration error.
+data products only to files. Exit codes: 0 success, 1 runtime failure (a
+numeric one, or an allocation the machine refuses), 2 usage, configuration
+or i/o error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .neural import (
     load_checkpoint,
     save_checkpoint,
 )
-from .optimizer import RmsPropConfig, StageConfig, _chunked_hausdorff, train
+from .optimizer import RmsPropConfig, StageConfig, StageRecord, _chunked_hausdorff, train
 from .svgplot import histogram_svg, line_series_svg, scatter_svg
 from .boltzmann import extremum_error_and_bound
 
@@ -121,10 +122,7 @@ def load_run_config(path, out_dir_override=None) -> dict:
     Net widths stay unresolved (they depend on the cloud dimension); use
     finalize_config for the full effective form.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -238,31 +236,18 @@ def _check_positive_flags(args) -> None:
             raise ConfigError(f"--{dest.replace('_', '-')} must be positive, got {value}")
 
 
-def _load_domain_checked(preset, path) -> Domain:
+def _load_domain(preset, path) -> Domain:
     """The domain in the JSON file at path, or the preset when path is None."""
     if path is None:
         return preset_domain(preset)
-    try:
-        return load_domain(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read domain file: {exc}") from exc
-
-
-def _load_cloud_checked(path) -> np.ndarray:
-    try:
-        return pcio.load_cloud(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read cloud {path}: {exc}") from exc
+    return load_domain(path)
 
 
 def _load_checkpoint_for(
     path, cloud: np.ndarray, label: str = "checkpoint"
 ) -> tuple[NetworkSpec, np.ndarray]:
     """Load a checkpoint and check that its network takes the cloud's points."""
-    try:
-        spec, params = load_checkpoint(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    spec, params = load_checkpoint(path)
     if spec.input_dim != cloud.shape[1]:
         raise ConfigError(
             f"{label} expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
@@ -287,13 +272,13 @@ def _mesh_vertices_for(cloud: np.ndarray, mesh):
 
 def cmd_fit(args) -> int:
     cfg = load_run_config(args.config, out_dir_override=args.out_dir)
-    cloud = _load_cloud_checked(cfg["input"])
+    cloud = pcio.load_cloud(cfg["input"])
     eff = finalize_config(cfg, cloud.shape[1])
     if args.print_effective_config:
         sys.stdout.write(json.dumps(eff, indent=1, sort_keys=True) + "\n")
         return 0
 
-    domain = _load_domain_checked(eff["domain"].get("preset"), eff["domain"].get("file"))
+    domain = _load_domain(eff["domain"].get("preset"), eff["domain"].get("file"))
     try:
         objective = ObjectiveConfig(**eff["objective"])
         stage = StageConfig(**eff["stage"])
@@ -317,10 +302,7 @@ def cmd_fit(args) -> int:
     targets = [np.array(e["target"], dtype=np.float64) for e in eff.get("landmarks", [])]
     eval_mesh = None
     if eff["eval_mesh"] is not None:
-        try:
-            eval_mesh = _mesh_vertices_for(cloud, pcio.load_mesh(eff["eval_mesh"]))
-        except OSError as exc:
-            raise ConfigError(f"cannot read eval_mesh: {exc}") from exc
+        eval_mesh = _mesh_vertices_for(cloud, pcio.load_mesh(eff["eval_mesh"]))
 
     out_dir = Path(eff["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +343,11 @@ def cmd_fit(args) -> int:
 
     for name, path in last_ckpt.items():
         shutil.copyfile(path, out_dir / name)
-    (out_dir / "log.csv").write_text(result.log.to_csv())
+    pcio.save_table(
+        out_dir / "log.csv",
+        [f.name for f in dataclasses.fields(StageRecord)],
+        [dataclasses.astuple(rec) for rec in result.log.records],
+    )
     mapped = forward(result.map_spec, result.map_params, cloud)
     pcio.save_cloud(out_dir / "mapped.csv", mapped)
     (out_dir / "effective_config.json").write_text(
@@ -372,7 +358,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_map(args) -> int:
-    cloud = _load_cloud_checked(args.input)
+    cloud = pcio.load_cloud(args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     pcio.save_cloud(args.out, forward(spec, params, cloud))
     if args.lambda_checkpoint:
@@ -383,9 +369,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cloud = _load_cloud_checked(args.input)
+    cloud = pcio.load_cloud(args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
+    domain = _load_domain(args.domain_preset, args.domain_file or None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -399,10 +385,7 @@ def cmd_eval(args) -> int:
         ["mapped_sample_gap", sampling_gap_estimate(mapped, denser)],
     ]
     if args.mesh:
-        try:
-            mesh = _mesh_vertices_for(cloud, pcio.load_mesh(args.mesh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read mesh: {exc}") from exc
+        mesh = _mesh_vertices_for(cloud, pcio.load_mesh(args.mesh))
         report = angle_distortion(mesh, mapped, n_bins=args.bins)
         rows.append(["mean_abs_angle", report.mean_abs])
         pcio.save_table(
@@ -420,13 +403,13 @@ def cmd_eval(args) -> int:
 
 def cmd_boundary(args) -> int:
     if args.mapped:
-        mapped = _load_cloud_checked(args.mapped)
+        mapped = pcio.load_cloud(args.mapped)
         if mapped.shape[1] != 2:
             raise ConfigError(f"mapped cloud must be 2-d, got {mapped.shape[1]}-d")
     else:
         if not (args.checkpoint and args.input):
             raise ConfigError("boundary needs --mapped or both --checkpoint and --input")
-        cloud = _load_cloud_checked(args.input)
+        cloud = pcio.load_cloud(args.input)
         spec, params = _load_checkpoint_for(args.checkpoint, cloud)
         mapped = forward(spec, params, cloud)
 
@@ -451,9 +434,9 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cloud = _load_cloud_checked(args.input)
+    cloud = pcio.load_cloud(args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
+    domain = _load_domain(args.domain_preset, args.domain_file or None)
     mapped = forward(spec, params, cloud)
 
     lam_vals = None
@@ -479,7 +462,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample_domain(args) -> int:
-    domain = _load_domain_checked(args.domain_preset, args.domain_file or None)
+    domain = _load_domain(args.domain_preset, args.domain_file or None)
     rng = np.random.default_rng(args.seed)
     if args.kind == "area":
         pts = domain.sample_area(args.n, rng)
@@ -505,8 +488,6 @@ def _parse_float_cells(header: list[str], rows: list[list[str]], path) -> np.nda
 def cmd_plot(args) -> int:
     try:
         header, rows = pcio.load_table(args.input)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -574,11 +555,8 @@ def cmd_audit(args) -> int:
     for name in ("mesh", "mapped", "lambda_inv"):
         if getattr(args, name) is None:
             raise ConfigError(f"audit --kind distortion-bound needs --{name.replace('_', '-')}")
-    try:
-        mesh = pcio.load_mesh(args.mesh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mesh: {exc}") from exc
-    mapped = _load_cloud_checked(args.mapped)
+    mesh = pcio.load_mesh(args.mesh)
+    mapped = pcio.load_cloud(args.mapped)
     header, rows = pcio.load_table(args.lambda_inv)
     vals = _parse_float_cells(header, rows, args.lambda_inv)[:, 0]
     report = audit_theorem_bound(mesh, mapped, vals, LegConfig(sigma=args.sigma))
@@ -701,7 +679,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("i/o error: %s", exc)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         log.error("runtime failure: %s", exc)
         return 1
 

@@ -30,7 +30,6 @@ __all__ = [
     "Line",
     "Arc",
     "Domain",
-    "landmark_targets_lines",
     "domain_to_json",
     "domain_from_json",
     "save_domain",
@@ -274,10 +273,6 @@ class Domain:
             result[off] = _odd_crossings(self._pieces, pts[off])
         return result
 
-    def contains(self, point) -> bool:
-        """True iff the point is in the closed region (boundary points included)."""
-        return bool(self.contains_many(np.asarray(point, dtype=np.float64).reshape(1, 2))[0])
-
     def sample_area(self, n: int, seed) -> np.ndarray:
         """n uniform points by rejection from the bounding box; deterministic per seed."""
         if n < 1:
@@ -314,14 +309,6 @@ class Domain:
                 t = (u[mask] - cum[si]) / lengths[si]
                 pts[mask] = segs[si].point_at(t)
         return pts
-
-
-def landmark_targets_lines() -> np.ndarray:
-    """400 target points: 200 each on [-0.5, 0.5] x {-0.25} and x {+0.25}."""
-    x = np.linspace(-0.5, 0.5, 200)
-    bottom = np.stack([x, np.full(200, -0.25)], axis=1)
-    top = np.stack([x, np.full(200, 0.25)], axis=1)
-    return np.vstack([bottom, top])
 
 
 # --- JSON serialization ------------------------------------------------------

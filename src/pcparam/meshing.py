@@ -35,10 +35,8 @@ __all__ = [
     "boundary_edges",
     "generate_param_mesh",
     "InverseInterpolator",
-    "interpolate_inverse",
     "ReconstructionResult",
     "reconstruct_surface",
-    "circumcircle",
 ]
 
 
@@ -122,22 +120,6 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     if permanent >= _FILTER_FLOOR and abs(det) > _INCIRCLE_BOUND * permanent:
         return int(det > 0) - int(det < 0)
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
-
-
-def circumcircle(a, b, c) -> tuple[np.ndarray, float]:
-    """Circumcenter and squared circumradius of one triangle (float path)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    if d == 0.0:
-        raise ValueError("degenerate triangle has no circumcircle")
-    b2 = ((b - a) ** 2).sum()
-    c2 = ((c - a) ** 2).sum()
-    ux = a[0] + (c[1] - a[1]) * b2 / d - (b[1] - a[1]) * c2 / d
-    uy = a[1] + (b[0] - a[0]) * c2 / d - (c[0] - a[0]) * b2 / d
-    center = np.array([ux, uy])
-    return center, float(((a - center) ** 2).sum())
 
 
 def _walk(pts, tris, edge, tid, qx, qy) -> int | None:
@@ -474,11 +456,14 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
     0.5 * (its radius + rp) away. The test against `acc` runs at once for
     all candidates, on the points of the neighbouring grid cells only: the
     cell is at least the largest such distance, so a point outside them
-    passes anyway. The distance and threshold are the per-row
-    `np.linalg.norm` and `0.5 * (arad + rp)` of a test against all points.
+    passes anyway. It is also at least the side that holds about one point
+    of `acc` per cell, so a tiny radius does not make the grid outgrow the
+    points; a larger cell only adds pairs that are too far apart to clash.
+    The distance and threshold are the per-row `np.linalg.norm` and
+    `0.5 * (arad + rp)` of a test against all points.
     """
     reach = 0.5 * (float(arad.max()) + float(crad.max()))
-    grid = _Grid(lo, hi, reach * (1.0 + 1e-6), acc, acc)
+    grid = _Grid(lo, hi, max(reach * (1.0 + 1e-6), _one_per_cell(hi - lo, len(acc))), acc, acc)
     rows, nbr = grid.pairs(cand, ring=1)
     d = np.linalg.norm(acc[nbr] - cand[rows], axis=1)
     clash = np.zeros(len(cand), dtype=bool)
@@ -734,15 +719,6 @@ class InverseInterpolator:
         out[inner] = (w[:, None, :] @ values[tri])[:, 0, :]
         ok[inner] = True
         return out, ok
-
-
-def interpolate_inverse(mapped, original, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Pull planar query points back to the original cloud.
-
-    One-shot form of InverseInterpolator: returns (points, ok_mask) where
-    rows with ok false could not be located (NaN output).
-    """
-    return InverseInterpolator(mapped, as_cloud(original))(queries)
 
 
 @dataclass

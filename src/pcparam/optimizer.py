@@ -12,7 +12,6 @@ preconditioned gradient.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -175,24 +174,9 @@ class StageRecord:
     eval_landmark_hausdorff: float | None
 
 
-_CSV_FIELDS = [f.name for f in dataclasses.fields(StageRecord)]
-
-
 @dataclass
 class TrainLog:
     records: list[StageRecord] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        """Deterministic CSV, one row per stage, repr-formatted floats."""
-        buf = io.StringIO()
-        buf.write(",".join(_CSV_FIELDS) + "\n")
-        for rec in self.records:
-            cells = []
-            for name in _CSV_FIELDS:
-                val = getattr(rec, name)
-                cells.append("" if val is None else repr(val))
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
 
 
 @dataclass

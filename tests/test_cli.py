@@ -293,11 +293,12 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
     assert capsys.readouterr().out == json.dumps(want, indent=1, sort_keys=True) + "\n"
 
 
-def test_fit_missing_input_exits_2(tmp_path):
+def test_fit_missing_input_exits_2(tmp_path, caplog):
     cfg_path = _write_config(tmp_path / "c.json", {
         "input": str(tmp_path / "nope.csv"), "output_dir": str(tmp_path / "o"),
     })
     assert main(["fit", "--config", cfg_path]) == 2
+    assert "i/o error: " in caplog.text and "nope.csv" in caplog.text
     assert main(["fit", "--config", str(tmp_path / "missing.json")]) == 2
 
 
@@ -371,6 +372,27 @@ def test_fit_outputs(fitted):
     assert mapped.shape == (8, 2)
     eff = json.loads((fitted / "effective_config.json").read_text())
     assert eff["objective"]["beta3"] == 0.0  # fixed_boundary forcing recorded
+
+
+def test_fit_log_csv_shape(fitted, tmp_path, tiny_cloud_csv, monkeypatch):
+    header, rows = load_table(fitted / "log.csv")
+    assert header == [
+        "stage", "sigma", "alpha_init", "alpha_final", "epochs", "batch_points",
+        "batch_domain", "loss_total", "loss_leg", "loss_hand", "loss_landmark",
+        "eval_hausdorff", "eval_mean_abs_angle", "eval_landmark_hausdorff",
+    ]
+    assert rows[0][0] == "1"
+    assert rows[0][12] == "" and rows[0][13] == ""  # None renders empty
+
+    # a stage config of numpy integers, which StageConfig accepts, logs plain integers
+    def numpy_stage(**kw):
+        return StageConfig(**{k: np.int64(v) if type(v) is int else v for k, v in kw.items()})
+
+    monkeypatch.setattr(pcparam.cli, "StageConfig", numpy_stage)
+    out = tmp_path / "o"
+    assert main(["fit", "--config", _write_config(
+        tmp_path / "c.json", _tiny_config(tiny_cloud_csv, out))]) == 0
+    assert (out / "log.csv").read_bytes() == (fitted / "log.csv").read_bytes()
 
 
 def test_fit_final_checkpoints_are_last_stage_files(workdir, tiny_cloud_csv):
@@ -488,16 +510,17 @@ def test_boundary_on_a_cloud_past_the_coordinate_limit_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_boundary_exit_codes(workdir, identity_setup):
-    mapped_csv = workdir / "bnd_in.csv"
-    out = str(workdir / "bnd_err")
+def test_boundary_exit_codes(tmp_path, identity_setup):
+    mapped_csv = tmp_path / "bnd_in.csv"
+    save_cloud(mapped_csv, identity_setup["points"])
+    out = str(tmp_path / "bnd_err")
     assert main(["boundary", "--mapped", str(mapped_csv),
                  "--h", "-1", "--out-dir", out]) == 2
     # a tiny threshold prunes every face: runtime failure
     assert main(["boundary", "--mapped", str(mapped_csv),
                  "--h", "1e-09", "--out-dir", out]) == 1
     assert main(["boundary", "--h", "0.3", "--out-dir", out]) == 2  # no source
-    cloud3 = workdir / "b3.xyz"
+    cloud3 = tmp_path / "b3.xyz"
     save_cloud(cloud3, np.random.default_rng(3).normal(0, 1, (6, 3)))
     assert main(["boundary", "--mapped", str(cloud3),
                  "--h", "0.3", "--out-dir", out]) == 2
@@ -548,6 +571,18 @@ def test_reconstruct_past_the_coordinate_bound_exits_1(tmp_path, identity_setup)
     assert proc.returncode == 1
     assert "mapped coordinates reach magnitude 1e+200" in proc.stderr
     assert "below 1e+150" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.obj").exists()
+
+
+def test_reconstruct_refused_allocation_exits_1(tmp_path, identity_setup):
+    # the disk's boundary polyline at this edge would take 488 TiB, past the
+    # 128 TiB user address space, so numpy is refused at once
+    proc = _run_pcparam("reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
+                        "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",
+                        "--target-edge", "1e-12", "--out", str(tmp_path / "x.obj"))
+    assert proc.returncode == 1
+    assert "runtime failure: Unable to allocate" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x.obj").exists()
 

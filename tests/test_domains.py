@@ -13,7 +13,6 @@ from pcparam.domains import (
     Line,
     domain_from_json,
     domain_to_json,
-    landmark_targets_lines,
     load_domain,
     preset_domain,
     save_domain,
@@ -35,12 +34,13 @@ def test_square_membership():
     lo, hi = dom.bbox
     np.testing.assert_array_equal(lo, [0.0, 0.0])
     np.testing.assert_array_equal(hi, [1.0, 1.0])
-    assert dom.contains((0.5, 0.5))
-    assert not dom.contains((1.5, 0.5))
-    assert not dom.contains((-0.01, 0.5))
+    np.testing.assert_array_equal(
+        dom.contains_many(np.array([(0.5, 0.5), (1.5, 0.5), (-0.01, 0.5)])),
+        [True, False, False],
+    )
     # the region is closed: corners and edge midpoints belong to it
-    for p in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1), (0, 0.5)]:
-        assert dom.contains(p)
+    edge = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1), (0, 0.5)]
+    assert dom.contains_many(np.array(edge, dtype=np.float64)).all()
 
 
 def test_disk_membership_matches_radius_oracle():
@@ -51,8 +51,8 @@ def test_disk_membership_matches_radius_oracle():
     clear = np.abs(r - 1.0) > 1e-6  # keep away from the boundary knife edge
     got = dom.contains_many(pts[clear])
     np.testing.assert_array_equal(got, r[clear] <= 1.0)
-    assert dom.contains((1.0, 0.0))  # boundary point counts as inside
-    assert dom.contains((0.0, -1.0))
+    # boundary points count as inside
+    assert dom.contains_many(np.array([(1.0, 0.0), (0.0, -1.0)])).all()
 
 
 def test_disk_area_fraction():
@@ -65,15 +65,15 @@ def test_disk_area_fraction():
 
 def test_smiling_face_holes():
     dom = preset_domain("smiling_face")
-    # eye holes are lower half-disks below their chord at y = 0.30
-    assert not dom.contains((-0.35, 0.25))
-    assert not dom.contains((0.35, 0.25))
-    assert dom.contains((-0.35, 0.36))  # just above the chord
-    # mouth is an upper half-disk between y = -0.30 and 0
-    assert not dom.contains((0.0, -0.15))
-    assert dom.contains((0.0, -0.45))
-    assert dom.contains((0.0, 0.8))
-    assert not dom.contains((1.2, 0.0))
+    pts = np.array([
+        # eye holes are lower half-disks below their chord at y = 0.30
+        (-0.35, 0.25), (0.35, 0.25), (-0.35, 0.36),  # the last just above the chord
+        # mouth is an upper half-disk between y = -0.30 and 0
+        (0.0, -0.15), (0.0, -0.45), (0.0, 0.8), (1.2, 0.0),
+    ])
+    np.testing.assert_array_equal(
+        dom.contains_many(pts), [False, False, True, False, True, True, False]
+    )
 
 
 def test_sample_area_contained_and_deterministic():
@@ -184,12 +184,9 @@ def test_json_malformed_documents():
 
 
 def test_landmark_target_lines():
-    t = landmark_targets_lines()
-    assert t.shape == (400, 2)
-    ys = np.unique(t[:, 1])
-    np.testing.assert_array_equal(ys, [-0.25, 0.25])
-    assert (t[:, 1] == -0.25).sum() == 200
-    assert t[:, 0].min() == -0.5 and t[:, 0].max() == 0.5
+    # 200 landmark targets on each of [-0.5, 0.5] x {-0.25} and x {+0.25}
+    x = np.linspace(-0.5, 0.5, 200)
+    t = np.vstack([np.column_stack([x, np.full(200, y)]) for y in (-0.25, 0.25)])
     # both lines lie inside the car silhouette, the bottom one on its boundary
     car = preset_domain("car")
     assert car.contains_many(t).all()

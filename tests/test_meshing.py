@@ -10,12 +10,11 @@ from pcparam.geometry import TriangleMesh
 from pcparam.meshing import (
     DuplicatePointsWarning,
     InverseInterpolator,
+    _throw_darts,
     boundary_edges,
-    circumcircle,
     delaunay,
     generate_param_mesh,
     incircle,
-    interpolate_inverse,
     orient2d,
     prune_long_faces,
     reconstruct_surface,
@@ -55,12 +54,6 @@ def test_incircle_signs():
     assert incircle(0, 0, 1, 0, 0, 1, 1.0, 1.0) == 0  # cocircular, exact
 
 
-def test_circumcircle_right_triangle():
-    center, r2 = circumcircle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    np.testing.assert_allclose(center, [0.5, 0.5], atol=1e-15)
-    assert r2 == pytest.approx(0.5, rel=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Delaunay
 # ---------------------------------------------------------------------------
@@ -83,20 +76,12 @@ def test_delaunay_interior_point_three_faces():
 
 
 def _assert_empty_circumcircles(pts, tris):
-    centers = np.empty((len(tris), 2))
-    r2 = np.empty(len(tris))
     for k, (a, b, c) in enumerate(tris):
-        centers[k], r2[k] = circumcircle(pts[a], pts[b], pts[c])
-    d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
-    suspicious = d2 < r2[:, None] * (1.0 - 1e-9)
-    for k, i in zip(*np.where(suspicious)):
-        a, b, c = tris[k]
-        if i in (a, b, c):
-            continue
-        # confirm with the exact predicate before declaring a violation
-        assert (
-            incircle(*pts[a], *pts[b], *pts[c], *pts[i]) <= 0
-        ), f"point {i} strictly inside circumcircle of face {k}"
+        for i in range(len(pts)):
+            if i not in (a, b, c):
+                assert (
+                    incircle(*pts[a], *pts[b], *pts[c], *pts[i]) <= 0
+                ), f"point {i} strictly inside circumcircle of face {k}"
 
 
 def test_delaunay_empty_circumcircle_property():
@@ -311,6 +296,15 @@ def test_param_mesh_adapted_refines_high_lambda_region():
     assert 0.35 < ratio < 0.7
 
 
+def test_dart_grid_stays_bounded_at_a_tiny_radius():
+    # one cell per dart radius would make 1e18 cells on the unit box
+    rng = np.random.default_rng(4)
+    acc, cand = rng.uniform(0, 1, (50, 2)), rng.uniform(0, 1, (512, 2))
+    took = _throw_darts(acc, np.full(50, 1e-9), cand, np.full(512, 1e-9),
+                        np.zeros(2), np.ones(2))
+    np.testing.assert_array_equal(took, np.arange(512))
+
+
 def test_param_mesh_validation():
     dom = preset_domain("square")
     with pytest.raises(ValueError, match="mode"):
@@ -413,11 +407,11 @@ def test_interpolator_just_below_the_bound_gives_finite_rows():
 def test_interpolate_inverse_one_shot():
     mapped = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     original = np.array([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0]])
-    out, ok = interpolate_inverse(mapped, original, [[0.5, 0.5]])
+    out, ok = InverseInterpolator(mapped, original)([[0.5, 0.5]])
     assert ok[0]
     np.testing.assert_allclose(out[0], [0.5, 0.5, 5.0], atol=1e-12)
     with pytest.raises(ValueError):
-        interpolate_inverse(mapped, original[:-1], [[0.5, 0.5]])
+        InverseInterpolator(mapped, original[:-1])
 
 
 # ---------------------------------------------------------------------------

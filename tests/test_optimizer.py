@@ -15,8 +15,6 @@ from pcparam.optimizer import (
     RmsPropState,
     StageConfig,
     TrainingError,
-    TrainLog,
-    StageRecord,
     advance_stage,
     alpha_schedule,
     rmsprop_step,
@@ -124,27 +122,6 @@ def test_stage_config_validation():
                 StageConfig(**{name: tiny})
 
 
-def test_train_log_csv_shape():
-    rec = StageRecord(
-        stage=1, sigma=0.5, alpha_init=2.0, alpha_final=20.0, epochs=3,
-        batch_points=4, batch_domain=8, loss_total=1.25, loss_leg=0.5,
-        loss_hand=0.25, loss_landmark=0.0, eval_hausdorff=0.125,
-        eval_mean_abs_angle=None, eval_landmark_hausdorff=None,
-    )
-    log = TrainLog(records=[rec])
-    text = log.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == (
-        "stage,sigma,alpha_init,alpha_final,epochs,batch_points,batch_domain,"
-        "loss_total,loss_leg,loss_hand,loss_landmark,eval_hausdorff,"
-        "eval_mean_abs_angle,eval_landmark_hausdorff"
-    )
-    cells = lines[1].split(",")
-    assert cells[0] == "1"
-    assert float(cells[7]) == 1.25
-    assert cells[12] == "" and cells[13] == ""  # None renders empty
-
-
 # ---------------------------------------------------------------------------
 # training driver (tiny instances throughout)
 # ---------------------------------------------------------------------------
@@ -207,7 +184,7 @@ def test_train_bitwise_deterministic():
     r2 = train(x, dom, **_tiny_kwargs())
     np.testing.assert_array_equal(r1.map_params, r2.map_params)
     np.testing.assert_array_equal(r1.lambda_params, r2.lambda_params)
-    assert r1.log.to_csv() == r2.log.to_csv()
+    assert r1.log.records == r2.log.records
     r3 = train(x, dom, **_tiny_kwargs(seed=8))
     assert not np.array_equal(r1.map_params, r3.map_params)
 
