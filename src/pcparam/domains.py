@@ -265,12 +265,12 @@ class Domain:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must be (n, 2), got shape {pts.shape}")
-        # boundary points first: the crossing rule puts a point on a
-        # segment on either side of it
-        result = self.boundary_distance(pts) <= _BOUNDARY_TOL
-        off = ~result
-        if off.any():
-            result[off] = _odd_crossings(self._pieces, pts[off])
+        # the crossing rule puts a point on a segment on either side of it,
+        # so the points it puts outside are tested for the boundary too
+        result = _odd_crossings(self._pieces, pts)
+        out = ~result
+        if out.any():
+            result[out] = self.boundary_distance(pts[out]) <= _BOUNDARY_TOL
         return result
 
     def sample_area(self, n: int, seed) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "as_cloud",
     "TriangleMesh",
-    "edge_incidence",
     "pairwise_distances",
     "hausdorff_exact",
     "modified_hausdorff_exact",
@@ -89,16 +88,15 @@ class TriangleMesh:
                 raise ValueError(
                     f"triangle {int(np.flatnonzero(degenerate)[0])} repeats a vertex"
                 )
-            # one int64 key per undirected edge, min * n + max
-            e = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-            _, counts = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
-            if counts.max() > 2:
-                for edge, tris in edge_incidence(self).items():
-                    if len(tris) > 2:
-                        raise ValueError(
-                            f"edge {edge} belongs to {len(tris)} triangles, "
-                            "mesh is not edge-manifold"
-                        )
+            edges, count, first = _edge_table(t, n)
+            over = np.flatnonzero(count > 2)
+            if len(over):
+                # the over-full edge the faces reach first
+                k = over[np.argmin(first[over])]
+                raise ValueError(
+                    f"edge {tuple(edges[k].tolist())} belongs to {count[k]} triangles, "
+                    "mesh is not edge-manifold"
+                )
 
     @property
     def dim(self) -> int:
@@ -129,13 +127,16 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(u, w), axis=1)
 
 
-def edge_incidence(mesh: TriangleMesh) -> dict[tuple[int, int], list[int]]:
-    """Map each undirected edge (i, j), i < j, to the ids of its triangles."""
-    inc: dict[tuple[int, int], list[int]] = {}
-    for tid, (i, j, k) in enumerate(np.asarray(mesh.triangles, dtype=np.int64).tolist()):
-        for a, b in ((i, j), (j, k), (k, i)):
-            inc.setdefault((a, b) if a < b else (b, a), []).append(tid)
-    return inc
+def _edge_table(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, count, first) of (m, 3) triangles over n vertices: each
+    distinct undirected edge as a row (i, j), i < j, in lexicographic order,
+    the number of triangles on it, and the position 3 f + c at which the
+    face edges (0, 1), (1, 2), (2, 0) of each triangle in turn first reach
+    it, so first // 3 is its lowest triangle. The package's only map from
+    faces to edges."""
+    e = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, count = np.unique(e[:, 0] * n + e[:, 1], return_index=True, return_counts=True)
+    return e[first], count, first
 
 
 # coordinates must stay below this magnitude wherever squared distances of

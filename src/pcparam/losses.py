@@ -20,12 +20,12 @@ from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
     _diff_factors,
+    _edge_table,
     _row_tiles,
     _same_dim_clouds,
     _sq_dists_into,
     angle_distortion,
     as_cloud,
-    edge_incidence,
 )
 
 __all__ = [
@@ -415,8 +415,7 @@ def audit_theorem_bound(
     mapped = as_cloud(mapped, dim=2)
     v = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
 
-    edges = np.array(sorted(edge_incidence(mesh).keys()), dtype=np.int64)
-    ei, ej = edges[:, 0], edges[:, 1]
+    ei, ej = _edge_table(mesh.triangles, n)[0].T
     dx = np.linalg.norm(mesh.vertices[ei] - mesh.vertices[ej], axis=1)
     if (dx == 0.0).any():
         k = int(np.flatnonzero(dx == 0.0)[0])

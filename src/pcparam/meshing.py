@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .geometry import (_TILE_ELEMS, TriangleMesh, _check_coord_bound, _Grid, _one_per_cell,
-                       _row_tiles, as_cloud, edge_incidence)
+from .geometry import (_TILE_ELEMS, TriangleMesh, _check_coord_bound, _edge_table, _Grid,
+                       _one_per_cell, _row_tiles, as_cloud)
 
 __all__ = [
     "DuplicatePointsWarning",
@@ -251,7 +251,7 @@ class _Triangulator:
         if sign:
             return sign
         n = self.n
-        ra, rb, rc = (v if v < n else -1 for v in (a, b, c))
+        ra, rb, rc = (-1 if v >= n else v for v in (a, b, c))
         top = max(ra, rb, rc)
         if pi > top:
             return -1
@@ -366,53 +366,43 @@ def prune_long_faces(mesh: TriangleMesh, h: float) -> TriangleMesh:
 def boundary_edges(mesh: TriangleMesh) -> list[list[int]]:
     """Boundary loops of a pruned mesh, as vertex index cycles.
 
-    An edge is boundary iff exactly one face uses it; an edge on more than
-    two faces is an error naming the edge. Loops are walked smallest-vertex
-    first, smallest-neighbor next, so the output is canonical.
+    An edge is boundary iff exactly one face uses it. Loops are walked
+    smallest-vertex first, smallest-neighbor next, so the output is
+    canonical.
     """
-    inc = edge_incidence(mesh)
-    adj: dict[int, list[int]] = {}
-    for (i, j), tids in inc.items():
-        if len(tids) > 2:
-            raise ValueError(f"edge ({i}, {j}) belongs to {len(tids)} faces")
-        if len(tids) == 1:
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-    for v in adj:
-        adj[v].sort()
-    unused: set[tuple[int, int]] = set()
-    for i, nbrs in adj.items():
-        for j in nbrs:
-            if i < j:
-                unused.add((i, j))
+    return _boundary_walk(mesh)[0]
+
+
+def _boundary_walk(mesh: TriangleMesh) -> tuple[list[list[int]], np.ndarray]:
+    """(loops, faces): the loops of `boundary_edges`, and the face of each
+    loop edge (loop[i], loop[i + 1]), closing edges included, in walk order.
+
+    Each face at a vertex has two of its edges, so every vertex has an even
+    number of boundary edges, and a walk that keeps taking an unused edge
+    can only stop back at its start.
+    """
+    edges, count, first = _edge_table(mesh.triangles, len(mesh.vertices))
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for k, (i, j) in enumerate(edges[count == 1].tolist()):
+        adj.setdefault(i, []).append((j, k))
+        adj.setdefault(j, []).append((i, k))
+    walked: dict[int, None] = {}  # boundary edge ids in walk order
+
+    def step(v: int) -> int | None:
+        for w, k in sorted(adj[v]):
+            if k not in walked:
+                walked[k] = None
+                return w
+        return None
+
     loops: list[list[int]] = []
     for start in sorted(adj):
-        while True:
-            first = None
-            for j in adj[start]:
-                key = (start, j) if start < j else (j, start)
-                if key in unused:
-                    first = j
-                    break
-            if first is None:
-                break
-            loop = [start]
-            prev, cur = start, first
-            unused.discard((start, first) if start < first else (first, start))
+        while (cur := step(start)) is not None:
+            loops.append([start])
             while cur != start:
-                loop.append(cur)
-                nxt = None
-                for j in adj[cur]:
-                    key = (cur, j) if cur < j else (j, cur)
-                    if key in unused:
-                        nxt = j
-                        break
-                if nxt is None:
-                    raise ValueError(f"boundary walk dead-ends at vertex {cur}")
-                unused.discard((cur, nxt) if cur < nxt else (nxt, cur))
-                prev, cur = cur, nxt
-            loops.append(loop)
-    return loops
+                loops[-1].append(cur)
+                cur = step(cur)
+    return loops, (first[count == 1] // 3)[list(walked)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +410,36 @@ def boundary_edges(mesh: TriangleMesh) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+# most dense polyline points the boundary ring may march over: 256 MiB of
+# them, where a target edge far too small for the domain asks for terabytes
+_RING_POINTS = 2**24
+
+
 def _boundary_ring(domain: Domain, radius_at) -> np.ndarray:
     """March every loop placing points at locally prescribed spacing.
 
-    radius_at maps an (n, 2) array of points to their spacings. The spacing
-    of a loop's dense points is evaluated in one call over dense[1:], the
-    points in the order a one-point-at-a-time march would ask for them.
+    radius_at maps an (n, 2) array of points to their spacings. A segment's
+    dense polyline steps an eighth of the spacing at its start; past
+    `_RING_POINTS` of them, counted before any is made, a ValueError names
+    the limit. The spacing of a loop's dense points is evaluated in one call
+    over dense[1:], the points in the order a one-point-at-a-time march
+    would ask for them.
     """
     def step_at(p) -> float:
         return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
 
     ring = []
+    need = 0.0
     for loop in domain.loops:
-        dense = np.vstack([seg.polyline(step_at(seg.point_at(0.0)) / 8.0) for seg in loop])
+        fine = [step_at(seg.point_at(0.0)) / 8.0 for seg in loop]
+        need += sum(seg.length() / f for seg, f in zip(loop, fine))
+        if not need <= _RING_POINTS:
+            raise ValueError(
+                f"the boundary ring at spacing {8.0 * min(fine):g} needs about "
+                f"{need:.3g} polyline points, past the limit of {_RING_POINTS} "
+                "(2**24): the target edge is too small for the domain"
+            )
+        dense = np.vstack([seg.polyline(f) for seg, f in zip(loop, fine)])
         seg_len = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
         step = radius_at(dense[1:])
         placed = [dense[0]]
@@ -456,14 +463,16 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
     0.5 * (its radius + rp) away. The test against `acc` runs at once for
     all candidates, on the points of the neighbouring grid cells only: the
     cell is at least the largest such distance, so a point outside them
-    passes anyway. It is also at least the side that holds about one point
-    of `acc` per cell, so a tiny radius does not make the grid outgrow the
-    points; a larger cell only adds pairs that are too far apart to clash.
+    passes anyway. It is also at least the side of about 16 cells per point
+    of `acc`, so a tiny radius does not make the grid outgrow the points,
+    while at ordinary radii the reach, not this floor, sets the cell; a
+    larger cell only adds pairs that are too far apart to clash.
     The distance and threshold are the per-row `np.linalg.norm` and
     `0.5 * (arad + rp)` of a test against all points.
     """
     reach = 0.5 * (float(arad.max()) + float(crad.max()))
-    grid = _Grid(lo, hi, max(reach * (1.0 + 1e-6), _one_per_cell(hi - lo, len(acc))), acc, acc)
+    cell = max(reach * (1.0 + 1e-6), _one_per_cell(hi - lo, 16 * len(acc)))
+    grid = _Grid(lo, hi, cell, acc, acc)
     rows, nbr = grid.pairs(cand, ring=1)
     d = np.linalg.norm(acc[nbr] - cand[rows], axis=1)
     clash = np.zeros(len(cand), dtype=bool)
@@ -659,15 +668,10 @@ class InverseInterpolator:
         the scalar (q - a) @ e and np.linalg.norm per (query, edge) pair;
         the pairs go in blocks of at most `_TILE_ELEMS`."""
         if self._hull is None:
-            inc = edge_incidence(self.mesh)
-            seg = np.array([
-                (u, v, inc[(u, v) if u < v else (v, u)][0])
-                for loop in boundary_edges(self.mesh)
-                for u, v in zip(loop, loop[1:] + loop[:1])
-            ], dtype=np.int64)
-            a = self.mesh.vertices[seg[:, 0]]
-            e = self.mesh.vertices[seg[:, 1]] - a
-            self._hull = (a, e, np.vecdot(e, e), seg[:, 2])
+            loops, faces = _boundary_walk(self.mesh)
+            a = self.mesh.vertices[np.concatenate(loops)]
+            e = self.mesh.vertices[np.concatenate([loop[1:] + loop[:1] for loop in loops])] - a
+            self._hull = (a, e, np.vecdot(e, e), faces)
         a, e, ee, hull_tri = self._hull
         tid = np.full(len(q), -1, dtype=np.int64)
         where = q.copy()

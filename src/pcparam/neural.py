@@ -5,8 +5,8 @@ then bias per layer; weights are (fan_in, fan_out) raveled row-major. Hidden
 layers apply sin(omega * (a W + b)); the output layer is affine, optionally
 followed by a softplus (used to keep inverse conformal factors positive).
 Reverse-mode gradients are implemented directly: forward() can record a tape
-of the activations it computed, and backward() reuses that tape instead of
-running the network forward a second time.
+of the activations it computed, and backward() works from that tape, so
+the network runs forward once per gradient.
 """
 
 from __future__ import annotations
@@ -149,18 +149,14 @@ def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> n
 
 
 def backward(
-    spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list | None = None
+    spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass: (d loss / d params flat, d loss / d inputs).
 
     `output_cotangent` is d loss / d outputs, shape (n, output_dim). `tape`
     is the tape a forward() of the same spec, params and inputs filled; its
     activations are reused, so a training step runs each net forward once.
-    Without a tape, backward records one with its own forward pass.
     """
-    if tape is None:
-        tape = []
-        forward(spec, params, inputs, tape=tape)
     dims = spec.layer_dims
     if len(tape) != len(dims):
         raise ValueError(f"tape has {len(tape)} layers, {spec} has {len(dims)}")

@@ -321,7 +321,9 @@ def test_c03_gradient_checks():
         params = init_params(spec, rng)
         xin = rng.normal(0, 1, (4, 3))
         cot = rng.normal(0, 1, (4, 2))
-        g_params, _ = backward(spec, params, xin, cot)
+        tape = []
+        forward(spec, params, xin, tape=tape)
+        g_params, _ = backward(spec, params, xin, cot, tape=tape)
         f_params = _fd_grad(
             lambda t: float((forward(spec, t, xin) * cot).sum()),
             params.copy(), 1e-6)
@@ -330,7 +332,8 @@ def test_c03_gradient_checks():
         lspec = NetworkSpec(3, (6,), 1, output_activation="softplus")
         lparams = init_params(lspec, rng)
         lcot = rng.normal(0, 1, (4, 1))
-        gl_params, _ = backward(lspec, lparams, xin, lcot)
+        forward(lspec, lparams, xin, tape=tape)
+        gl_params, _ = backward(lspec, lparams, xin, lcot, tape=tape)
         fl_params = _fd_grad(
             lambda t: float((forward(lspec, t, xin) * lcot).sum()),
             lparams.copy(), 1e-6)

@@ -5,7 +5,8 @@ the (n, m, d) difference tensor, dense n x n energies, a second forward pass
 in backward, a test of every triangle per query for the inverse
 interpolator, a test against every accepted point for dart throwing, a
 spacing query per boundary point, Delaunay insertion in index order, a
-slanted ray cast with rotated retries for domain membership.
+slanted ray cast with rotated retries for domain membership, a dict of
+tuple keys for the edges of a mesh and the boundary walk over it.
 Most kernels must reproduce them exactly (np.array_equal), not just closely,
 because training runs thousands of steps on them and the golden outputs pin
 every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
@@ -33,12 +34,19 @@ from pcparam.domains import (
 )
 from pcparam import geometry
 from pcparam.geometry import (
+    _edge_table,
     hausdorff_exact,
     modified_hausdorff_exact,
     pairwise_distances,
     sampling_gap_estimate,
 )
-from pcparam.losses import HandConfig, LegConfig, hand_with_grad, leg_with_grad
+from pcparam.losses import (
+    HandConfig,
+    LegConfig,
+    audit_theorem_bound,
+    hand_with_grad,
+    leg_with_grad,
+)
 from pcparam import meshing
 from pcparam.meshing import (
     DuplicatePointsWarning,
@@ -51,6 +59,7 @@ from pcparam.meshing import (
     generate_param_mesh,
     incircle,
     orient2d,
+    prune_long_faces,
     reconstruct_surface,
 )
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
@@ -171,7 +180,7 @@ class RefInterpolator:
         self.exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
         self.hull = [
             (loop[i], loop[(i + 1) % len(loop)])
-            for loop in boundary_edges(self.mesh)
+            for loop in ref_boundary_edges(self.mesh)
             for i in range(len(loop))
         ]
 
@@ -227,6 +236,56 @@ class RefInterpolator:
             out[qi] = np.array([1.0 - beta - gamma, beta, gamma]) @ self.original[tri]
             ok[qi] = True
         return out, ok
+
+
+def ref_edge_incidence(mesh):
+    """Map each undirected edge (i, j), i < j, to the ids of its triangles,
+    in the order the triangles reach the edges."""
+    inc = {}
+    for tid, (i, j, k) in enumerate(np.asarray(mesh.triangles, dtype=np.int64).tolist()):
+        for a, b in ((i, j), (j, k), (k, i)):
+            inc.setdefault((a, b) if a < b else (b, a), []).append(tid)
+    return inc
+
+
+def ref_boundary_edges(mesh):
+    """Boundary loops walked over a dict of sorted neighbour lists and a set
+    of unused tuple-keyed edges."""
+    adj = {}
+    for (i, j), tids in ref_edge_incidence(mesh).items():
+        if len(tids) == 1:
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+    for v in adj:
+        adj[v].sort()
+    unused = {(i, j) for i, nbrs in adj.items() for j in nbrs if i < j}
+
+    def take(v):
+        for j in adj[v]:
+            key = (v, j) if v < j else (j, v)
+            if key in unused:
+                unused.discard(key)
+                return j
+        return None
+
+    loops = []
+    for start in sorted(adj):
+        while (cur := take(start)) is not None:
+            loop = [start]
+            while cur != start:
+                loop.append(cur)
+                cur = take(cur)
+                assert cur is not None, "boundary walk dead-ends"
+            loops.append(loop)
+    return loops
+
+
+def ref_loop_edges(mesh):
+    """(u, v, face) of every loop edge of ref_boundary_edges in walk order."""
+    inc = ref_edge_incidence(mesh)
+    return np.array([(u, v, inc[(u, v) if u < v else (v, u)][0])
+                     for loop in ref_boundary_edges(mesh)
+                     for u, v in zip(loop, loop[1:] + loop[:1])], dtype=np.int64)
 
 
 class RefTriangulator:
@@ -794,7 +853,7 @@ def test_grid_extrema_memory_is_bounded_when_b_fills_one_cell():
 
 
 @pytest.mark.parametrize("activation", ["linear", "softplus"])
-def test_backward_with_tape_matches_backward_without(activation):
+def test_backward_matches_reference(activation):
     spec = NetworkSpec(3, (32, 16, 8), 2, output_activation=activation, omega=1.7)
     rng = np.random.default_rng(9)
     params = init_params(spec, 3)
@@ -803,12 +862,9 @@ def test_backward_with_tape_matches_backward_without(activation):
     tape = []
     out = forward(spec, params, x, tape=tape)
     assert np.array_equal(out, forward(spec, params, x))
-    with_tape = backward(spec, params, x, ct, tape=tape)
-    without = backward(spec, params, x, ct)
-    reference = ref_backward(spec, params, x, ct)
-    for got, want, ref in zip(with_tape, without, reference):
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, ref)
+    got = backward(spec, params, x, ct, tape=tape)
+    for g, want in zip(got, ref_backward(spec, params, x, ct)):
+        assert np.array_equal(g, want)
 
 
 def test_backward_rejects_mismatched_tape():
@@ -1054,6 +1110,73 @@ def test_boundary_ring_matches_point_by_point_march(name):
 
     assert np.array_equal(_boundary_ring(domain, radius_at), ref_boundary_ring(domain, step_at))
     assert asked == ref_asked
+
+
+# ---------------------------------------------------------------------------
+# mesh edges
+# ---------------------------------------------------------------------------
+
+
+def _pruned_meshes():
+    """60 seeded pruned Delaunay meshes of 40-300 points: squares, annuli
+    (a hole) and clusters (several components), pruned at a random quantile
+    of the longest face edges, which leaves pinch vertices and many loops."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 300))
+        if seed % 3 == 0:
+            pts = rng.uniform(0.0, 1.0, (n, 2))
+        elif seed % 3 == 1:
+            r = np.sqrt(rng.uniform(0.16, 1.0, n))
+            a = rng.uniform(0.0, 2.0 * np.pi, n)
+            pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
+        else:
+            centres = rng.uniform(0.0, 3.0, (int(rng.integers(2, 5)), 2))
+            pts = centres[rng.integers(0, len(centres), n)] + rng.normal(0.0, 0.25, (n, 2))
+        mesh = delaunay(pts)
+        longest = mesh.edge_lengths().max(axis=1)
+        yield prune_long_faces(mesh, float(np.quantile(longest, rng.uniform(0.4, 0.95))))
+
+
+def test_edge_table_matches_dict_incidence():
+    pinched = several = 0
+    for mesh in _pruned_meshes():
+        inc = ref_edge_incidence(mesh)
+        edges, count, first = _edge_table(mesh.triangles, len(mesh.vertices))
+        keys = sorted(inc)
+        assert edges.tolist() == [list(k) for k in keys]
+        assert count.tolist() == [len(inc[k]) for k in keys]
+        assert (first // 3).tolist() == [inc[k][0] for k in keys]
+
+        loops = boundary_edges(mesh)
+        assert loops == ref_boundary_edges(mesh)
+        visits = np.bincount(np.concatenate(loops))
+        pinched += bool((visits > 1).any())  # four boundary edges at a vertex
+        several += len(loops) >= 3
+        seg = ref_loop_edges(mesh)
+        assert np.array_equal(meshing._boundary_walk(mesh)[1], seg[:, 2])
+
+        # the hull of the snap: each loop edge and the face on it
+        interp = InverseInterpolator(mesh.vertices, mesh.vertices)
+        interp._snap(np.empty((0, 2)))
+        a, e, _, faces = interp._hull
+        seg = ref_loop_edges(interp.mesh)
+        vs = interp.mesh.vertices
+        assert np.array_equal(a, vs[seg[:, 0]])
+        assert np.array_equal(e, vs[seg[:, 1]] - vs[seg[:, 0]])
+        assert np.array_equal(faces, seg[:, 2])
+
+        # the audit's edge extrema over the dict's edges
+        mapped = mesh.vertices * np.array([1.5, 0.5])
+        v = np.linspace(0.5, 2.0, len(mesh.vertices))
+        report = audit_theorem_bound(mesh, mapped, v, LegConfig(0.5))
+        ei, ej = np.array(keys).T
+        dx = np.linalg.norm(mesh.vertices[ei] - mesh.vertices[ej], axis=1)
+        dy = np.linalg.norm(mapped[ei] - mapped[ej], axis=1)
+        assert report.lambda0 == float((1.0 / (v[ei] + v[ej])).min())
+        assert report.r_lambda == max(float((dy / dx).max()) / report.lambda0, 1.0)
+        assert report.max_edge == float(dx.max())
+    assert pinched >= 20 and several >= 20
 
 
 # ---------------------------------------------------------------------------

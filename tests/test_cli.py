@@ -576,15 +576,18 @@ def test_reconstruct_past_the_coordinate_bound_exits_1(tmp_path, identity_setup)
 
 
 def test_reconstruct_refused_allocation_exits_1(tmp_path, identity_setup):
-    # the disk's boundary polyline at this edge would take 488 TiB, past the
-    # 128 TiB user address space, so numpy is refused at once
-    proc = _run_pcparam("reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
-                        "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",
-                        "--target-edge", "1e-12", "--out", str(tmp_path / "x.obj"))
-    assert proc.returncode == 1
-    assert "runtime failure: Unable to allocate" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "x.obj").exists()
+    # the disk's boundary polyline would take 488 TiB at 1e-12 and about
+    # 10 GiB at 1e-7, which a large machine would allocate; both pass the
+    # ring's point limit and are refused before anything is allocated
+    for edge in ("1e-12", "1e-7"):
+        proc = _run_pcparam("reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
+                            "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",
+                            "--target-edge", edge, "--out", str(tmp_path / "x.obj"))
+        assert proc.returncode == 1
+        assert "runtime failure: the boundary ring" in proc.stderr
+        assert "past the limit of 16777216 (2**24)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.obj").exists()
 
 
 def test_reconstruct_lambda_adapted_needs_checkpoint(workdir, identity_setup):

@@ -5,9 +5,9 @@ import pytest
 
 from pcparam.geometry import (
     TriangleMesh,
+    _edge_table,
     angle_distortion,
     as_cloud,
-    edge_incidence,
     hausdorff_exact,
     modified_hausdorff_exact,
     pairwise_distances,
@@ -60,11 +60,13 @@ def test_mesh_validation():
     TriangleMesh(verts4, np.array([[0, 1, 2], [1, 0, 3]]))
 
 
-def test_edge_incidence_counts():
-    inc = edge_incidence(_square_mesh())
-    assert inc[(0, 2)] == [0, 1]
-    assert inc[(0, 1)] == [0]
-    assert len(inc) == 5
+def test_edge_table_counts():
+    edges, count, first = _edge_table(_square_mesh().triangles, 4)
+    assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+    assert count.tolist() == [1, 2, 1, 1, 1]
+    # (0, 2) is the closing edge of face 0 and the first edge of face 1
+    assert first.tolist() == [0, 2, 5, 1, 4]
+    assert (first // 3).tolist() == [0, 0, 1, 0, 1]
 
 
 def test_edge_lengths_and_areas():

@@ -129,7 +129,9 @@ def test_backward_matches_fd():
         params = init_params(spec, seed=2)
         x = rng.normal(0, 1, (6, spec.input_dim))
         ct = rng.normal(0, 1, (6, spec.output_dim))
-        g, gx = backward(spec, params, x, ct)
+        tape = []
+        forward(spec, params, x, tape=tape)
+        g, gx = backward(spec, params, x, ct, tape=tape)
         fd = _fd_param_grad(spec, params, x, ct)
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
@@ -159,8 +161,10 @@ def test_forward_validation():
         forward(spec, params, np.zeros((1, 3)))
     with pytest.raises(ValueError):
         forward(spec, params, np.array([[0.0, np.inf]]))
-    with pytest.raises(ValueError):
-        backward(spec, params, np.zeros((2, 2)), np.zeros((3, 2)))
+    tape = []
+    forward(spec, params, np.zeros((2, 2)), tape=tape)
+    with pytest.raises(ValueError, match="cotangent shape"):
+        backward(spec, params, np.zeros((2, 2)), np.zeros((3, 2)), tape=tape)
 
 
 def test_checkpoint_round_trip(tmp_path):
