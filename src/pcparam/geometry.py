@@ -196,19 +196,19 @@ def _sq_dists_into(lhs, rhs, out: np.ndarray, scratch: np.ndarray) -> np.ndarray
     return out
 
 
-def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0):
+def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1):
     """The dense squared distances |a_i - b_k|^2 of two clouds of one
     dimension, one row tile at a time.
 
     Yields (rows, sq, scratch, spares): the slice of a's rows in the tile,
     their squared distances to all of b by `_sq_dists_into`, that pass's
     scratch buffer and a list of `spare` more buffers, all of sq's shape. A
-    tile holds at most `_TILE_ELEMS` elements, or one row if a row alone is
-    larger. The buffers are made once per call and overwritten by the next
-    tile; an empty a yields nothing.
+    tile holds at most `scale * _TILE_ELEMS` elements, or one row if a row
+    alone is larger. The buffers are made once per call and overwritten by
+    the next tile; an empty a yields nothing.
     """
     lhs, rhs = _diff_factors(a, b)
-    rows = max(1, _TILE_ELEMS // len(b))
+    rows = max(1, scale * _TILE_ELEMS // len(b))
     bufs = np.empty((2 + spare, min(rows, len(a)), len(b)))
     for lo in range(0, len(a), rows):
         sq, scratch, *spares = bufs[:, : min(rows, len(a) - lo)]

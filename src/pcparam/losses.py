@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _halves
 from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
@@ -107,6 +108,13 @@ class ObjectiveConfig:
             raise ValueError(f"beta3 must be non-negative, got {self.beta3}")
 
 
+# both energies run their row tiles in two halves at once (`_halves.split`),
+# so their tiles are this many times `geometry._TILE_ELEMS`: at that size
+# each numpy call on a tile is so short that the two threads' hand-offs of
+# the interpreter lock cost more than the second core gains
+_TILE_SCALE = 2
+
+
 def _soft_min_weights(d: np.ndarray, low, a: float, out: np.ndarray) -> np.ndarray:
     """exp(-a (d - low)) into out: soft-min weights before normalising."""
     np.subtract(d, low, out=out)
@@ -144,46 +152,76 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
     holds whole rows, so the soft-min of a y point is exact per tile; that of
     a w point is an online softmax (Milakov & Gimelshein 2018) of running
     minimum, weight sum and weighted distance sum, rescaled as the minimum
-    drops. The second pass recomputes each tile for the gradients.
+    drops. The second pass recomputes each tile for the gradients. Both
+    passes run the rows in two fixed halves, the first on a worker thread
+    (`_halves.split`). Each half keeps its own column state; the two are
+    rescaled to their common minimum and added, half 0 first, and so are the
+    column sums of the second pass.
     """
     y, w = _same_dim_clouds(y, w)
     a = cfg.alpha
     n, m = len(y), len(w)
 
     r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
-    c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
-    c_sum, c_dot = np.zeros(m), np.zeros(m)
-    for t, d, _, (e,) in _row_tiles(y, w, 1):
-        np.sqrt(d, out=d)
-        r_low[t] = low = d.min(axis=1)
-        _soft_min_weights(d, low[:, None], a, e)
-        r_sum[t] = e.sum(axis=1)
-        r[t] = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
-        low = np.minimum(c_low, d.min(axis=0))
-        rescale = np.exp(a * (low - c_low))
-        _soft_min_weights(d, low, a, e)
-        c_sum = c_sum * rescale + e.sum(axis=0)
-        c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, e)
-        c_low = low
-        np.maximum(c_high, d.max(axis=0), out=c_high)
+
+    def soft_mins(lo: int, hi: int):
+        """Pass 1 over rows lo:hi: their row soft-mins, and the online
+        column state (minimum, maximum, weight sum, weighted distance sum)
+        of these rows alone."""
+        c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
+        c_sum, c_dot = np.zeros(m), np.zeros(m)
+        for t, d, _, (e,) in _row_tiles(y[lo:hi], w, 1, _TILE_SCALE):
+            t = slice(lo + t.start, lo + t.stop)
+            np.sqrt(d, out=d)
+            r_low[t] = low = d.min(axis=1)
+            _soft_min_weights(d, low[:, None], a, e)
+            r_sum[t] = e.sum(axis=1)
+            r[t] = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
+            low = np.minimum(c_low, d.min(axis=0))
+            rescale = np.exp(a * (low - c_low))
+            _soft_min_weights(d, low, a, e)
+            c_sum = c_sum * rescale + e.sum(axis=0)
+            c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, e)
+            c_low = low
+            np.maximum(c_high, d.max(axis=0), out=c_high)
+        return c_low, c_high, c_sum, c_dot
+
+    # the halves' column states, rescaled to their common minimum and added
+    states = _halves.split(soft_mins, n, m)
+    c_low = np.minimum.reduce([low for low, _, _, _ in states])
+    c_high = np.maximum.reduce([high for _, high, _, _ in states])
+    c_sum = c_dot = 0.0
+    for low, _, part_sum, part_dot in states:
+        rescale = np.exp(a * (c_low - low))
+        c_sum = c_sum + part_sum * rescale
+        c_dot = c_dot + part_dot * rescale
     c = np.clip(c_dot / c_sum, c_low, c_high)
     r_scale = boltzmann_gradient(r, a) / r_sum
     c_scale = boltzmann_gradient(c, a) / c_sum
 
     # coef = d value / d distance, over the distance (0 where that is 0)
     gy = np.empty_like(y)
-    col_sum, col_y = np.zeros(m), np.zeros_like(w)
-    for t, d, scratch, (coef, g) in _row_tiles(y, w, 2):
-        np.sqrt(d, out=d)
-        _soft_min_jac(d, r_low[t, None], r[t, None], r_scale[t, None], a, coef, scratch)
-        coef += _soft_min_jac(d, c_low, c, c_scale, a, g, scratch)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            coef /= d
-        if r_low[t].min() == 0.0:
-            coef[d == 0.0] = 0.0
-        gy[t] = coef.sum(axis=1)[:, None] * y[t] - coef @ w
-        col_sum += coef.sum(axis=0)
-        col_y += coef.T @ y[t]
+
+    def gradients(lo: int, hi: int):
+        """Pass 2 over rows lo:hi: their rows of gy, and these rows' parts of
+        the column sums that make the gradient in w."""
+        col_sum, col_y = np.zeros(m), np.zeros_like(w)
+        for t, d, scratch, (coef, g) in _row_tiles(y[lo:hi], w, 2, _TILE_SCALE):
+            t = slice(lo + t.start, lo + t.stop)
+            np.sqrt(d, out=d)
+            _soft_min_jac(d, r_low[t, None], r[t, None], r_scale[t, None], a, coef, scratch)
+            coef += _soft_min_jac(d, c_low, c, c_scale, a, g, scratch)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                coef /= d
+            if r_low[t].min() == 0.0:
+                coef[d == 0.0] = 0.0
+            gy[t] = coef.sum(axis=1)[:, None] * y[t] - coef @ w
+            col_sum += coef.sum(axis=0)
+            col_y += coef.T @ y[t]
+        return col_sum, col_y
+
+    parts = _halves.split(gradients, n, m)
+    col_sum, col_y = sum(p[0] for p in parts), sum(p[1] for p in parts)
     return boltzmann(r, a) + boltzmann(c, a), gy, col_sum[:, None] * w - col_y
 
 
@@ -206,7 +244,9 @@ def leg_with_grad(
     equals lambda_ij times the original distance.
 
     Row tiles keep memory O(n) beyond the tile buffers. lambda is symmetric,
-    so both gradients are row sums, each pair counted twice.
+    so both gradients are row sums, each pair counted twice. The rows run in
+    two fixed halves, the first on a worker thread (`_halves.split`), and
+    the value is half 0's sum plus half 1's.
     """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
@@ -222,31 +262,39 @@ def leg_with_grad(
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
 
-    value, g_mapped, g_inv = 0.0, np.empty_like(y), np.empty(n)
-    # for a tiny sigma a scaled squared distance can overflow to -inf; its
-    # exp is the exact 0, which is the right affinity, so no warning is due
-    with np.errstate(over="ignore"):
-        for t, e, scratch, (sqy, inv_lam, hy) in _row_tiles(x, x, 3):
-            # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
-            # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
-            e *= neg_inv_s2
-            np.exp(e, out=e)
-            _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
-            np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
-            np.multiply(inv_lam, inv_lam, out=hy)
-            hy *= sqy
-            hy *= neg_inv_s2
-            np.exp(hy, out=hy)
-            e -= hy
-            value += float(np.vdot(e, e))
-            # with p = 4 e hy and both orders of each pair:
-            # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
-            # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
-            e *= hy
-            e *= inv_lam
-            g_inv[t] = np.einsum("ij,ij->i", e, sqy)
-            e *= inv_lam
-            g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
+    g_mapped, g_inv = np.empty_like(y), np.empty(n)
+
+    def rows(lo: int, hi: int) -> float:
+        """Rows lo:hi of both gradients; their part of the sum of squares."""
+        value = 0.0
+        # for a tiny sigma a scaled squared distance can overflow to -inf; its
+        # exp is the exact 0, which is the right affinity, so no warning is due
+        with np.errstate(over="ignore"):
+            for t, e, scratch, (sqy, inv_lam, hy) in _row_tiles(x[lo:hi], x, 3, _TILE_SCALE):
+                t = slice(lo + t.start, lo + t.stop)
+                # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
+                # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
+                e *= neg_inv_s2
+                np.exp(e, out=e)
+                _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
+                np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
+                np.multiply(inv_lam, inv_lam, out=hy)
+                hy *= sqy
+                hy *= neg_inv_s2
+                np.exp(hy, out=hy)
+                e -= hy
+                value += float(np.vdot(e, e))
+                # with p = 4 e hy and both orders of each pair:
+                # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
+                # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
+                e *= hy
+                e *= inv_lam
+                g_inv[t] = np.einsum("ij,ij->i", e, sqy)
+                e *= inv_lam
+                g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
+        return value
+
+    value = sum(_halves.split(rows, n, n))
     k = -8.0 * neg_inv_s2 / (n * n)
     return value / (n * n), g_mapped * k, g_inv * k
 

@@ -413,17 +413,25 @@ def _boundary_walk(mesh: TriangleMesh) -> tuple[list[list[int]], np.ndarray]:
 # most dense polyline points the boundary ring may march over: 256 MiB of
 # them, where a target edge far too small for the domain asks for terabytes
 _RING_POINTS = 2**24
+# most vertices a parameter mesh may have, counting every dart that could be
+# accepted: `delaunay` takes about 40 us a point, so a mesh at the limit
+# takes a minute or two where a target edge far too small would take hours
+_MESH_VERTICES = 2**18
+# dart throwing draws at most this many rounds of this many candidates
+_DART_ROUNDS, _DART_BATCH = 400, 512
 
 
-def _boundary_ring(domain: Domain, radius_at) -> np.ndarray:
+def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
     """March every loop placing points at locally prescribed spacing.
 
     radius_at maps an (n, 2) array of points to their spacings. A segment's
-    dense polyline steps an eighth of the spacing at its start; past
-    `_RING_POINTS` of them, counted before any is made, a ValueError names
-    the limit. The spacing of a loop's dense points is evaluated in one call
-    over dense[1:], the points in the order a one-point-at-a-time march
-    would ask for them.
+    dense polyline steps an eighth of the spacing at its start. The dense
+    points of the loops so far are counted before a loop's are made: past
+    `_RING_POINTS` of them, or past `_MESH_VERTICES` ring points (one per
+    eight dense points) plus `darts`, the most points that may join the ring
+    later, a ValueError names the limit. The spacing of a loop's dense
+    points is evaluated in one call over dense[1:], the points in the order
+    a one-point-at-a-time march would ask for them.
     """
     def step_at(p) -> float:
         return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
@@ -438,6 +446,13 @@ def _boundary_ring(domain: Domain, radius_at) -> np.ndarray:
                 f"the boundary ring at spacing {8.0 * min(fine):g} needs about "
                 f"{need:.3g} polyline points, past the limit of {_RING_POINTS} "
                 "(2**24): the target edge is too small for the domain"
+            )
+        if not need / 8.0 + darts <= _MESH_VERTICES:
+            raise ValueError(
+                f"the parameter mesh at spacing {8.0 * min(fine):g} could have about "
+                f"{need / 8.0 + darts:.3g} vertices ({need / 8.0:.3g} on the boundary "
+                f"ring), past the limit of {_MESH_VERTICES} (2**18) vertices: the "
+                "target edge is too small for the domain"
             )
         dense = np.vstack([seg.polyline(f) for seg, f in zip(loop, fine)])
         seg_len = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
@@ -505,7 +520,9 @@ def generate_param_mesh(
     normalized so the median spacing stays at target_edge; the field is a
     callable (n, 2) -> (n,) of positive values. Points are the boundary ring
     plus accepted darts; faces come from Delaunay, keeping those whose
-    centroid lies in the domain.
+    centroid lies in the domain. A target edge so small that the ring plus
+    every dart that could be accepted would pass `_MESH_VERTICES` vertices
+    is rejected with a ValueError before any point is placed.
     """
     if mode not in ("uniform", "lambda_adapted"):
         raise ValueError(f"mode must be 'uniform' or 'lambda_adapted', got {mode!r}")
@@ -539,12 +556,12 @@ def generate_param_mesh(
                 raise ValueError("lambda_inv_field must return positive finite values")
             return scale / np.sqrt(vals)
 
-    ring = _boundary_ring(domain, radius_at)
+    ring = _boundary_ring(domain, radius_at, _DART_ROUNDS * _DART_BATCH)
     accepted = [ring]
     radii = [radius_at(ring)]
     consecutive_miss = 0
-    for _ in range(400):
-        cand = domain.sample_area(512, rng)
+    for _ in range(_DART_ROUNDS):
+        cand = domain.sample_area(_DART_BATCH, rng)
         crad = radius_at(cand)
         took = _throw_darts(np.vstack(accepted), np.concatenate(radii), cand, crad, lo, hi)
         accepted.append(cand[took])

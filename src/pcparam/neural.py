@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _halves
+
 __all__ = [
     "NetworkSpec",
     "param_count",
@@ -123,29 +125,50 @@ def _check_inputs(spec: NetworkSpec, inputs) -> np.ndarray:
 def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> np.ndarray:
     """Evaluate the network on a batch of rows.
 
-    If `tape` is a list, its contents are replaced by what backward() needs
-    of this pass: per layer, the weights, the layer's input rows and its
-    pre-activation (scaled by omega on hidden layers).
+    The rows run in two halves, the first on a worker thread, or in one
+    piece for small nets and batches (`_halves.split`). If `tape` is a list,
+    its contents are replaced by what backward() needs of this pass: one
+    tape per piece, holding per layer the weights, the layer's input rows
+    and its pre-activation (scaled by omega on hidden layers).
     """
     layers = _unpack(spec, params)
     a = _check_inputs(spec, inputs)
+    out = np.empty((len(a), spec.output_dim))
+
+    def half(lo: int, hi: int) -> list | None:
+        return _forward_rows(spec, layers, a[lo:hi], out[lo:hi], tape is not None)
+
+    parts = _halves.split(half, len(a), _widest(spec))
     if tape is not None:
-        tape.clear()
+        tape[:] = parts
+    return out
+
+
+def _widest(spec: NetworkSpec) -> int:
+    """Elements one row adds to the largest array of a layer."""
+    return max(fo for _, fo in spec.layer_dims)
+
+
+def _forward_rows(spec: NetworkSpec, layers, a, out, keep: bool) -> list | None:
+    """The layer loop over some rows into `out`; their tape if `keep`."""
+    tape = [] if keep else None
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
         z = a @ w
         z += b
         if li < last:
-            z *= spec.omega
-            out = np.sin(z)
+            if spec.omega != 1.0:
+                z *= spec.omega
+            nxt = np.sin(z)
         elif spec.output_activation == "softplus":
-            out = softplus(z)
+            nxt = softplus(z)
         else:
-            out = z
-        if tape is not None:
+            nxt = z
+        if keep:
             tape.append((w, a, z))
-        a = out
-    return a
+        a = nxt
+    out[...] = a
+    return tape
 
 
 def backward(
@@ -155,38 +178,52 @@ def backward(
 
     `output_cotangent` is d loss / d outputs, shape (n, output_dim). `tape`
     is the tape a forward() of the same spec, params and inputs filled; its
-    activations are reused, so a training step runs each net forward once.
+    activations are reused, so a training step runs each net forward once,
+    and `inputs` is not read. Each piece of the rows runs back through its
+    own tape, as forward() cut them; the weight gradient is half 0's plus
+    half 1's.
     """
     dims = spec.layer_dims
-    if len(tape) != len(dims):
-        raise ValueError(f"tape has {len(tape)} layers, {spec} has {len(dims)}")
+    if not tape or [len(t) for t in tape] != [len(dims)] * len(tape):
+        raise ValueError(f"tape has {len(tape[0]) if tape else 0} layers, {spec} has {len(dims)}")
     ct = np.asarray(output_cotangent, dtype=np.float64)
-    out_shape = (len(tape[0][1]), spec.output_dim)
-    if ct.shape != out_shape:
-        raise ValueError(f"cotangent shape {ct.shape} != output shape {out_shape}")
+    n = sum(len(t[0][1]) for t in tape)
+    if ct.shape != (n, spec.output_dim):
+        raise ValueError(f"cotangent shape {ct.shape} != output shape {(n, spec.output_dim)}")
+    da = np.empty((n, spec.input_dim))
 
-    grad = np.zeros(param_count(spec), dtype=np.float64)
-    offsets = []
-    off = 0
-    for fi, fo in dims:
-        offsets.append(off)
-        off += fi * fo + fo
+    def half(lo: int, hi: int) -> np.ndarray:
+        return _backward_rows(spec, tape[1 if lo else 0], ct[lo:hi], da[lo:hi])
 
+    grad, *rest = _halves.split(half, n, _widest(spec))
+    for g in rest:
+        grad += g
+    return grad, da
+
+
+def _backward_rows(spec: NetworkSpec, tape: list, ct, da_out) -> np.ndarray:
+    """The reverse layer loop over the rows of one half tape; their weight
+    gradient, and their input gradient into `da_out`."""
+    dims = spec.layer_dims
+    grad = np.empty(param_count(spec))
+    o = len(grad)
     dz = ct * _sigmoid(tape[-1][2]) if spec.output_activation == "softplus" else ct
     for li in range(len(dims) - 1, -1, -1):
         w, a, _ = tape[li]
         fi, fo = dims[li]
-        o = offsets[li]
+        o -= fi * fo + fo
         grad[o : o + fi * fo] = (a.T @ dz).ravel()
         grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
         da = dz @ w.T
         if li > 0:
             # d sin(omega z) / dz = omega cos(omega z); the tape holds omega z
             deriv = np.cos(tape[li - 1][2])
-            deriv *= spec.omega
+            if spec.omega != 1.0:
+                deriv *= spec.omega
             da *= deriv
             dz = da
-    return grad, da
+    da_out[...] = da
+    return grad
 
 
 def save_checkpoint(path, spec: NetworkSpec, params) -> None:

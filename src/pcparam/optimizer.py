@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _halves
 from .domains import Domain
 from .geometry import _COORD_BOUND, TriangleMesh, _check_coord_bound, angle_distortion, as_cloud
 from .geometry import hausdorff_exact as _chunked_hausdorff
@@ -83,7 +84,10 @@ def rmsprop_step(
     params: np.ndarray, grad: np.ndarray, state: RmsPropState, cfg: RmsPropConfig
 ) -> np.ndarray:
     """One update: v <- rho v + (1-rho) g^2; m <- mu m + g / sqrt(v + eps);
-    theta <- theta - lr m. Mutates `state`, returns the new parameters."""
+    theta <- theta - lr m. Updates `state` in place and returns the new
+    parameters in a new array. The two halves of the vector run on two
+    threads (`_halves.split`); every operation is element-wise, in the order
+    of the formula, so the bits do not depend on the split."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ValueError(f"grad shape {grad.shape} != params shape {params.shape}")
@@ -91,9 +95,24 @@ def rmsprop_step(
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise FloatingPointError(f"non-finite gradient at parameter index {idx}")
-    state.v = cfg.rho * state.v + (1.0 - cfg.rho) * grad * grad
-    state.m = cfg.momentum * state.m + grad / np.sqrt(state.v + cfg.eps)
-    return params - cfg.learning_rate * state.m
+    out = np.empty(params.shape)
+
+    def half(lo: int, hi: int) -> None:
+        g, v, m, t = grad[lo:hi], state.v[lo:hi], state.m[lo:hi], out[lo:hi]
+        np.multiply(1.0 - cfg.rho, g, out=t)
+        t *= g
+        v *= cfg.rho
+        v += t
+        np.add(v, cfg.eps, out=t)
+        np.sqrt(t, out=t)
+        np.divide(g, t, out=t)
+        m *= cfg.momentum
+        m += t
+        np.multiply(cfg.learning_rate, m, out=t)
+        np.subtract(params[lo:hi], t, out=t)
+
+    _halves.split(half, len(out), 1)
+    return out
 
 
 def alpha_schedule(epoch: int, n_epochs: int, alpha_init: float, alpha_final: float) -> float:
@@ -318,148 +337,151 @@ def train(
     log = TrainLog()
     keep_going = True
     stage_idx = 0
-    while keep_going:
-        stage_idx += 1
-        if stage_cfg.batch_points == n_points:
-            keep_going = False
-        stage_rng = np.random.default_rng(root.spawn(1)[0])
-        cfg_sigma = dataclasses.replace(
-            objective, leg=dataclasses.replace(objective.leg, sigma=stage_cfg.sigma)
-        )
-        last_breakdown: LossBreakdown | None = None
-
-        for epoch in range(1, stage_cfg.epochs + 1):
-            alpha = alpha_schedule(
-                epoch, stage_cfg.epochs, stage_cfg.alpha_init, stage_cfg.alpha_final
+    # OpenBLAS stays at one thread for the whole loop, so that its idle
+    # workers do not spin on the core of the second row half
+    with _halves.blas_hold():
+        while keep_going:
+            stage_idx += 1
+            if stage_cfg.batch_points == n_points:
+                keep_going = False
+            stage_rng = np.random.default_rng(root.spawn(1)[0])
+            cfg_sigma = dataclasses.replace(
+                objective, leg=dataclasses.replace(objective.leg, sigma=stage_cfg.sigma)
             )
-            cfg_e = dataclasses.replace(
-                cfg_sigma, hand=dataclasses.replace(cfg_sigma.hand, alpha=alpha)
-            )
-            perm = stage_rng.permutation(n_points)
-            n_batches = -(-n_points // stage_cfg.batch_points)
-            for bi in range(n_batches):
-                chunk = perm[bi * stage_cfg.batch_points : (bi + 1) * stage_cfg.batch_points]
-                if flat_landmarks.size:
-                    in_chunk = set(chunk.tolist())
-                    extra = np.array(
-                        [i for i in flat_landmarks.tolist() if i not in in_chunk],
-                        dtype=np.int64,
-                    )
-                    rows = np.concatenate([chunk, extra]) if extra.size else chunk
-                else:
-                    rows = chunk
-                x_batch = x[rows]
-                landmark_rows = []
-                if groups:
-                    pos = {int(r): p for p, r in enumerate(rows)}
-                    landmark_rows = [
-                        np.array([pos[int(i)] for i in g], dtype=np.int64) for g in groups
-                    ]
+            last_breakdown: LossBreakdown | None = None
 
-                if pool is not None:
-                    sel = stage_rng.choice(domain_size, stage_cfg.batch_domain, replace=False)
-                    w = pool[np.sort(sel)]
-                else:
-                    w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
+            for epoch in range(1, stage_cfg.epochs + 1):
+                alpha = alpha_schedule(
+                    epoch, stage_cfg.epochs, stage_cfg.alpha_init, stage_cfg.alpha_final
+                )
+                cfg_e = dataclasses.replace(
+                    cfg_sigma, hand=dataclasses.replace(cfg_sigma.hand, alpha=alpha)
+                )
+                perm = stage_rng.permutation(n_points)
+                n_batches = -(-n_points // stage_cfg.batch_points)
+                for bi in range(n_batches):
+                    chunk = perm[bi * stage_cfg.batch_points : (bi + 1) * stage_cfg.batch_points]
+                    if flat_landmarks.size:
+                        in_chunk = set(chunk.tolist())
+                        extra = np.array(
+                            [i for i in flat_landmarks.tolist() if i not in in_chunk],
+                            dtype=np.int64,
+                        )
+                        rows = np.concatenate([chunk, extra]) if extra.size else chunk
+                    else:
+                        rows = chunk
+                    x_batch = x[rows]
+                    landmark_rows = []
+                    if groups:
+                        pos = {int(r): p for p, r in enumerate(rows)}
+                        landmark_rows = [
+                            np.array([pos[int(i)] for i in g], dtype=np.int64) for g in groups
+                        ]
 
-                map_tape: list = []
-                mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
-                # coordinates past the bound overflow every squared distance
-                # downstream, which would surface as a cryptic validation
-                # error deep inside the loss; report the divergence here
-                worst = float(np.abs(mapped).max())
-                if not (worst < _COORD_BOUND):
-                    raise TrainingError(
-                        f"stage {stage_idx} epoch {epoch} batch {bi}: mapped "
-                        f"coordinates diverged (max magnitude {worst:g})"
+                    if pool is not None:
+                        sel = stage_rng.choice(domain_size, stage_cfg.batch_domain, replace=False)
+                        w = pool[np.sort(sel)]
+                    else:
+                        w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
+
+                    map_tape: list = []
+                    mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
+                    # coordinates past the bound overflow every squared distance
+                    # downstream, which would surface as a cryptic validation
+                    # error deep inside the loss; report the divergence here
+                    worst = float(np.abs(mapped).max())
+                    if not (worst < _COORD_BOUND):
+                        raise TrainingError(
+                            f"stage {stage_idx} epoch {epoch} batch {bi}: mapped "
+                            f"coordinates diverged (max magnitude {worst:g})"
+                        )
+                    lambda_tape: list = []
+                    if use_lambda:
+                        lam_inv = forward(
+                            lambda_spec, lambda_params, x_batch, tape=lambda_tape
+                        ).ravel()
+                        if not np.isfinite(lam_inv).all():
+                            raise TrainingError(
+                                f"stage {stage_idx} epoch {epoch} batch {bi}: "
+                                "inverse factors diverged"
+                            )
+                        # a strongly negative pre-activation underflows softplus
+                        # to exact zero; floor at the smallest positive normal so
+                        # a coincident pair of such points cannot zero a pair sum
+                        np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
+                    else:
+                        lam_inv = None
+                    breakdown, g_mapped, g_v = total_loss_with_grad(
+                        x_batch, mapped, lam_inv, w, landmark_rows, targets,
+                        cfg_e, n_base=len(chunk),
                     )
-                lambda_tape: list = []
-                if use_lambda:
-                    lam_inv = forward(
-                        lambda_spec, lambda_params, x_batch, tape=lambda_tape
-                    ).ravel()
-                    if not np.isfinite(lam_inv).all():
+                    if not np.isfinite(breakdown.total):
                         raise TrainingError(
                             f"stage {stage_idx} epoch {epoch} batch {bi}: "
-                            "inverse factors diverged"
+                            f"loss is {breakdown.total}"
                         )
-                    # a strongly negative pre-activation underflows softplus
-                    # to exact zero; floor at the smallest positive normal so
-                    # a coincident pair of such points cannot zero a pair sum
-                    np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
-                else:
-                    lam_inv = None
-                breakdown, g_mapped, g_v = total_loss_with_grad(
-                    x_batch, mapped, lam_inv, w, landmark_rows, targets,
-                    cfg_e, n_base=len(chunk),
-                )
-                if not np.isfinite(breakdown.total):
-                    raise TrainingError(
-                        f"stage {stage_idx} epoch {epoch} batch {bi}: "
-                        f"loss is {breakdown.total}"
-                    )
-                try:
-                    g_map, _ = backward(
-                        map_spec, map_params, x_batch, g_mapped, tape=map_tape
-                    )
-                    map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
-                    if use_lambda:
-                        g_lam, _ = backward(
-                            lambda_spec, lambda_params, x_batch, g_v[:, None],
-                            tape=lambda_tape,
+                    try:
+                        g_map, _ = backward(
+                            map_spec, map_params, x_batch, g_mapped, tape=map_tape
                         )
-                        lambda_params = rmsprop_step(
-                            lambda_params, g_lam, lambda_state, opt_cfg
-                        )
-                except FloatingPointError as exc:
-                    raise TrainingError(
-                        f"stage {stage_idx} epoch {epoch} batch {bi}: {exc}"
-                    ) from exc
-                last_breakdown = breakdown
-                if batch_callback is not None:
-                    batch_callback(stage_idx, epoch, bi, breakdown)
+                        map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
+                        if use_lambda:
+                            g_lam, _ = backward(
+                                lambda_spec, lambda_params, x_batch, g_v[:, None],
+                                tape=lambda_tape,
+                            )
+                            lambda_params = rmsprop_step(
+                                lambda_params, g_lam, lambda_state, opt_cfg
+                            )
+                    except FloatingPointError as exc:
+                        raise TrainingError(
+                            f"stage {stage_idx} epoch {epoch} batch {bi}: {exc}"
+                        ) from exc
+                    last_breakdown = breakdown
+                    if batch_callback is not None:
+                        batch_callback(stage_idx, epoch, bi, breakdown)
 
-        mapped_all = forward(map_spec, map_params, x)
-        if not np.isfinite(mapped_all).all():
-            raise TrainingError(
-                f"stage {stage_idx}: mapped coordinates diverged at evaluation"
+            mapped_all = forward(map_spec, map_params, x)
+            if not np.isfinite(mapped_all).all():
+                raise TrainingError(
+                    f"stage {stage_idx}: mapped coordinates diverged at evaluation"
+                )
+            eval_h = _chunked_hausdorff(mapped_all, w_eval)
+            eval_angle = None
+            if eval_mesh is not None:
+                eval_angle = float(angle_distortion(eval_mesh, mapped_all).mean_abs)
+            eval_lm = None
+            if groups:
+                eval_lm = max(
+                    _chunked_hausdorff(mapped_all[g], q) for g, q in zip(groups, targets)
+                )
+            assert last_breakdown is not None
+            record = StageRecord(
+                stage=stage_idx,
+                sigma=stage_cfg.sigma,
+                alpha_init=stage_cfg.alpha_init,
+                alpha_final=stage_cfg.alpha_final,
+                epochs=stage_cfg.epochs,
+                batch_points=stage_cfg.batch_points,
+                batch_domain=stage_cfg.batch_domain,
+                loss_total=last_breakdown.total,
+                loss_leg=last_breakdown.leg,
+                loss_hand=last_breakdown.hand,
+                loss_landmark=last_breakdown.landmark,
+                eval_hausdorff=eval_h,
+                eval_mean_abs_angle=eval_angle,
+                eval_landmark_hausdorff=eval_lm,
             )
-        eval_h = _chunked_hausdorff(mapped_all, w_eval)
-        eval_angle = None
-        if eval_mesh is not None:
-            eval_angle = float(angle_distortion(eval_mesh, mapped_all).mean_abs)
-        eval_lm = None
-        if groups:
-            eval_lm = max(
-                _chunked_hausdorff(mapped_all[g], q) for g, q in zip(groups, targets)
-            )
-        assert last_breakdown is not None
-        record = StageRecord(
-            stage=stage_idx,
-            sigma=stage_cfg.sigma,
-            alpha_init=stage_cfg.alpha_init,
-            alpha_final=stage_cfg.alpha_final,
-            epochs=stage_cfg.epochs,
-            batch_points=stage_cfg.batch_points,
-            batch_domain=stage_cfg.batch_domain,
-            loss_total=last_breakdown.total,
-            loss_leg=last_breakdown.leg,
-            loss_hand=last_breakdown.hand,
-            loss_landmark=last_breakdown.landmark,
-            eval_hausdorff=eval_h,
-            eval_mean_abs_angle=eval_angle,
-            eval_landmark_hausdorff=eval_lm,
-        )
-        log.records.append(record)
-        if stage_callback is not None:
-            stage_callback(
-                stage_idx,
-                record,
-                map_params.copy(),
-                None if lambda_params is None else lambda_params.copy(),
-            )
-        if keep_going:
-            stage_cfg = advance_stage(stage_cfg, n_points, domain_size)
+            log.records.append(record)
+            if stage_callback is not None:
+                stage_callback(
+                    stage_idx,
+                    record,
+                    map_params.copy(),
+                    None if lambda_params is None else lambda_params.copy(),
+                )
+            if keep_going:
+                stage_cfg = advance_stage(stage_cfg, n_points, domain_size)
 
     return TrainResult(
         map_spec=map_spec,

@@ -62,6 +62,7 @@ from pcparam.meshing import (
     prune_long_faces,
     reconstruct_surface,
 )
+from pcparam import _halves
 from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params, softplus
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,18 @@ def ref_leg_inv_grad(x, y, v, sigma):
 
 
 def ref_backward(spec, params, inputs, ct):
+    """Reverse pass over the pieces of the rows that `backward` runs, as
+    `_halves.split` cuts them, the weight gradient summed in order."""
+    width = max(fo for _, fo in spec.layer_dims)
+    parts = [ref_backward_rows(spec, params, inputs[lo:hi], ct[lo:hi])
+             for lo, hi in _halves.split(lambda lo, hi: (lo, hi), len(inputs), width)]
+    grad = parts[0][0]
+    for g, _ in parts[1:]:
+        grad = grad + g
+    return grad, np.vstack([da for _, da in parts])
+
+
+def ref_backward_rows(spec, params, inputs, ct):
     """Reverse pass that recomputes the forward activations itself."""
     layers, off = [], 0
     for fi, fo in spec.layer_dims:
@@ -853,18 +866,48 @@ def test_grid_extrema_memory_is_bounded_when_b_fills_one_cell():
 
 
 @pytest.mark.parametrize("activation", ["linear", "softplus"])
-def test_backward_matches_reference(activation):
+def test_backward_matches_reference(monkeypatch, activation):
     spec = NetworkSpec(3, (32, 16, 8), 2, output_activation=activation, omega=1.7)
     rng = np.random.default_rng(9)
     params = init_params(spec, 3)
     x = _cloud(rng, 200, 3)
     ct = rng.normal(size=(200, 2))
+    # in one piece, as this small net runs, and cut in two halves
+    for min_half in (_halves._MIN_HALF, 0):
+        monkeypatch.setattr(_halves, "_MIN_HALF", min_half)
+        tape = []
+        out = forward(spec, params, x, tape=tape)
+        assert np.array_equal(out, forward(spec, params, x))
+        got = backward(spec, params, x, ct, tape=tape)
+        for g, want in zip(got, ref_backward(spec, params, x, ct)):
+            assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_few_rows_match_reference(monkeypatch, n):
+    # cut in two halves however small: n = 1 stays one piece, n = 3 makes
+    # the halves unequal
+    monkeypatch.setattr(_halves, "_MIN_HALF", 0)
+    rng = np.random.default_rng(60 + n)
+    spec = NetworkSpec(3, (16, 8), 1, output_activation="softplus", omega=1.3)
+    params = init_params(spec, 5)
+    x = _cloud(rng, n, 3)
+    ct = rng.normal(size=(n, 1))
     tape = []
     out = forward(spec, params, x, tape=tape)
-    assert np.array_equal(out, forward(spec, params, x))
-    got = backward(spec, params, x, ct, tape=tape)
-    for g, want in zip(got, ref_backward(spec, params, x, ct)):
+    rows = np.vstack([forward(spec, params, x[i : i + 1]) for i in range(n)])
+    np.testing.assert_allclose(out, rows, rtol=1e-13)
+    for g, want in zip(backward(spec, params, x, ct, tape=tape),
+                       ref_backward(spec, params, x, ct)):
         assert np.array_equal(g, want)
+    y, w = _cloud(rng, n, 2), _cloud(rng, 4, 2)
+    for got, want in zip(hand_with_grad(y, w, HandConfig(20.0)), ref_hand_with_grad(y, w, 20.0)):
+        _assert_close(got, want)
+    for got, want in zip(hand_with_grad(w, y, HandConfig(20.0)), ref_hand_with_grad(w, y, 20.0)):
+        _assert_close(got, want)
+    v = rng.uniform(0.2, 2.0, n)
+    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)), ref_leg_inv_grad(x, y, v, 0.3)):
+        _assert_close(got, want)
 
 
 def test_backward_rejects_mismatched_tape():

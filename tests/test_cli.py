@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,20 @@ def test_reconstruct_refused_allocation_exits_1(tmp_path, identity_setup):
         assert "past the limit of 16777216 (2**24)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.obj").exists()
+
+
+def test_reconstruct_past_the_vertex_limit_exits_1_at_once(tmp_path, identity_setup, caplog):
+    # at 1e-5 the disk's ring passes the polyline limit but its 840k points
+    # would then be triangulated for minutes; the vertex limit refuses it
+    t0 = time.perf_counter()
+    rc = main(["reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
+               "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",
+               "--target-edge", "1e-5", "--out", str(tmp_path / "x.obj")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "runtime failure: the parameter mesh" in caplog.text
+    assert "past the limit of 262144 (2**18) vertices" in caplog.text
+    assert not (tmp_path / "x.obj").exists()
 
 
 def test_reconstruct_lambda_adapted_needs_checkpoint(workdir, identity_setup):

@@ -11,7 +11,7 @@ def test_every_exported_name_exists_once():
         importlib.import_module(f"pcparam.{info.name}")
         for info in pkgutil.iter_modules(pcparam.__path__)
     ]
-    assert len(modules) == 11
+    assert len(modules) == 12
     for module in modules:
         names = getattr(module, "__all__", ())
         assert len(names) == len(set(names)), f"{module.__name__}.__all__ repeats a name"

@@ -3,8 +3,13 @@
 c11 in test_acceptance compares two runs made by the same code; this test
 compares against hashes frozen once, so a refactor that changes a single
 float bit of the training or reconstruction path fails here. Each run goes
-through `pcparam.cli.main` in a fresh subprocess with one BLAS thread, since
-the thread count changes the bits of the matrix products.
+through `pcparam.cli.main` in a fresh subprocess with one BLAS thread. The
+BLAS thread count no longer changes the bits of a fit: `train` holds
+OpenBLAS at one thread and runs its rows in one piece or in two halves, cut
+by the sizes alone, the same on every machine.
+`test_fit_bits_do_not_depend_on_blas_threads_or_the_worker` checks that at
+1 and 2 threads, with the first half on the worker thread or on the caller;
+unlike the hashes, it runs on any build.
 
 - `landmark_2d`: a 2-d landmark fit with beta1 > 0, which exercises the
   distortion energy, the domain surrogate, the landmark surrogate and the
@@ -166,16 +171,37 @@ SETUPS = {
 }
 
 
-def _run_cli(work: Path, argv: list[str]) -> None:
+# how the two row halves run: "shipped" as shipped (this fit's small nets in
+# one piece), "pool" every computation cut in two and the first half on the
+# worker thread, "caller" cut the same way with both halves on the calling
+# thread, "none" as where no OpenBLAS thread control is found (no hold,
+# halves on the caller)
+_HALVES = {
+    "shipped": "",
+    "pool": "import pcparam._halves as h; h._MIN_HALF = 0\n",
+    "caller": (
+        "import concurrent.futures as cf, pcparam._halves as h\n"
+        "class Now:\n"
+        "    def submit(self, fn, *args):\n"
+        "        f = cf.Future(); f.set_result(fn(*args)); return f\n"
+        "h._worker, h._MIN_HALF = Now, 0\n"
+    ),
+    "none": "import pcparam._halves as h; h._control = False\n",
+}
+
+
+def _run_cli(work: Path, argv: list[str], threads: int = 1, halves: str = "shipped") -> None:
+    """`pcparam argv` in a fresh interpreter with `threads` BLAS threads, the
+    row halves run as `_HALVES[halves]` says."""
     env = dict(os.environ)
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    env["OMP_NUM_THREADS"] = "1"
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["OMP_NUM_THREADS"] = str(threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     code = "import sys; from pcparam.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-c", _HALVES[halves] + code, *argv],
         cwd=work, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -235,6 +261,32 @@ def test_golden_reconstruct_hashes(tmp_path):
     if build != FROZEN_BUILD:
         pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
     assert _run_reconstruct(tmp_path) == GOLDEN_RECONSTRUCT
+
+
+def test_fit_bits_do_not_depend_on_blas_threads_or_the_worker(tmp_path):
+    # nets wide enough that OpenBLAS would split their products over two
+    # threads; `train` holds it at one, so the fit gives the same bytes at
+    # either count, with the first half on the worker thread or on the
+    # caller. Without the hold ("none"), 2 threads may move the bits of
+    # eval's distance products, so that case runs at 1 thread only. Cutting
+    # in two sums in another order, so "pool" and "caller" are compared with
+    # each other, and the rest with the fit as shipped.
+    cfg = _setup_fixed_boundary_3d(tmp_path)
+    cfg.update(map_net={"hidden_widths": [128, 128]}, lambda_net={"hidden_widths": [96]})
+    cfg["stage"].update(epochs=2, epochs_min=1)
+    runs = {}
+    for threads, halves in ((1, "shipped"), (2, "shipped"), (1, "pool"), (2, "pool"),
+                            (1, "caller"), (2, "caller"), (1, "none")):
+        cfg["output_dir"] = out = f"out_{threads}_{halves}"
+        (tmp_path / "fit.json").write_text(json.dumps(cfg))
+        _run_cli(tmp_path, ["fit", "--config", "fit.json"], threads, halves)
+        files = sorted(p.name for p in (tmp_path / out).iterdir() if p.suffix != ".json")
+        files += sorted(p.name for p in (tmp_path / out).glob("*.ckpt.json"))
+        runs[threads, halves] = _hashes(tmp_path / out, files)
+    assert {"log.csv", "mapped.csv", "map_stage1.ckpt.json"} <= set(runs[1, "shipped"])
+    for key, hashes in runs.items():
+        assert hashes == runs[1, "pool" if key[1] in ("pool", "caller") else "shipped"], key
+    assert runs[1, "pool"] != runs[1, "shipped"]  # the cut was made
 
 
 def _print_table(name: str, table: dict) -> None:

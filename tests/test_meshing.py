@@ -1,5 +1,6 @@
 """Delaunay construction, pruning, boundary loops, domain meshes, pullback."""
 
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from pcparam.geometry import TriangleMesh
 from pcparam.meshing import (
     DuplicatePointsWarning,
     InverseInterpolator,
+    _boundary_ring,
     _throw_darts,
     boundary_edges,
     delaunay,
@@ -320,6 +322,24 @@ def test_param_mesh_validation():
             dom, "lambda_adapted", target_edge=0.1,
             lambda_inv_field=lambda p: np.full(len(np.atleast_2d(p)), -1.0),
         )
+
+
+@pytest.mark.parametrize("mode", ["uniform", "lambda_adapted"])
+def test_param_mesh_past_the_vertex_limit_is_refused_at_once(mode):
+    # the ring of 840k points is within the polyline limit; with the darts
+    # it would pass the vertex limit, and nothing is placed before the check
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"past the limit of 262144 \(2\*\*18\) vertices"):
+        generate_param_mesh(preset_domain("disk"), mode, target_edge=1e-5,
+                            lambda_inv_field=lambda p: np.ones(len(p)))
+    assert time.perf_counter() - t0 < 1.0
+    # at most 57000 ring points on the unit square: with 205000 darts they
+    # are just inside the limit, with 205200 just past it
+    dom = preset_domain("square")
+    spacing = lambda p: np.full(len(p), 4.0 / 57000)  # noqa: E731
+    assert 0 < len(_boundary_ring(dom, spacing, 205000)) <= 57000
+    with pytest.raises(ValueError, match="vertices"):
+        _boundary_ring(dom, spacing, 205200)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from pcparam import _halves
 from pcparam.domains import preset_domain
 from pcparam.geometry import TriangleMesh
 from pcparam.losses import LossBreakdown, ObjectiveConfig
@@ -45,6 +46,32 @@ def test_rmsprop_first_two_steps_frozen():
     m2 = 0.9 * m1 + (-2.0) / np.sqrt(v2 + 1e-8)
     np.testing.assert_array_equal(state.v, np.full(3, v2))
     np.testing.assert_array_equal(p2, p1 - 1e-4 * m2)
+
+
+@pytest.mark.parametrize("min_half", [None, 0])
+def test_rmsprop_matches_the_three_line_formula_bit_for_bit(monkeypatch, min_half):
+    # the in-place update, in one piece and over two halves, against the
+    # formula it replaces, over several steps, so the state it carries is
+    # compared too
+    if min_half is not None:
+        monkeypatch.setattr(_halves, "_MIN_HALF", min_half)
+    cfg = RmsPropConfig(learning_rate=3e-3, rho=0.9, momentum=0.7, eps=1e-6)
+    rng = np.random.default_rng(4)
+    n = 1001  # unequal halves
+    params = rng.normal(size=n)
+    state = RmsPropState.zeros(n)
+    want_p, want_v, want_m = params.copy(), np.zeros(n), np.zeros(n)
+    for _ in range(5):
+        grad = rng.normal(size=n) * np.exp(rng.normal(size=n) * 3)
+        before = params.copy()
+        params = rmsprop_step(params, grad, state, cfg)
+        assert np.array_equal(before, want_p)  # the input is left alone
+        want_v = cfg.rho * want_v + (1.0 - cfg.rho) * grad * grad
+        want_m = cfg.momentum * want_m + grad / np.sqrt(want_v + cfg.eps)
+        want_p = want_p - cfg.learning_rate * want_m
+        assert np.array_equal(state.v, want_v)
+        assert np.array_equal(state.m, want_m)
+        assert np.array_equal(params, want_p)
 
 
 def test_rmsprop_rejects_bad_gradients():
