@@ -66,16 +66,16 @@ FROZEN_BUILD = {
 
 GOLDEN = {
     "landmark_2d": {
-        "log.csv": "173d341bcaf72c9a4861d7b82de439f3f17a76840374b95ea9f1f6bc3493aa61",
-        "mapped.csv": "72543b60d5f9873224862c82c27b62e419c6fd7d95597c9e6f8d61906d0e2587",
-        "map.ckpt.json": "452bdd8032da9be4136633ad4cbbc9727e806f924aa7aebf332ed9001da2c7a4",
-        "lambda.ckpt.json": "34c527602920762b063d4e6f2f04cfd2ef57ecaaa2ff711d0a233cd6e8e18ead",
+        "log.csv": "57665ce512e9c3d5a837d6b6c7326da15a8eef2c828db4d293ad7d5300de9fcb",
+        "mapped.csv": "8adb0578d2af145acec6fec014cb54a85dce66011cc2f5f26975f67a1fec7aaa",
+        "map.ckpt.json": "33bae7032ce6afc2f49403877054d9277571751953251b7681e63298235a31c1",
+        "lambda.ckpt.json": "f6a234404f88230d73a54f061d0378a30231e6bc63a3de15c5af88be1a89664e",
     },
     "fixed_boundary_3d": {
-        "log.csv": "187cf4d79d4fff41f9fd58958a3805ec843a78f9e0d89509374567445f83ee25",
-        "mapped.csv": "c32db344114e4e26a8bd266932969a639ced68cc95342cc0e3573f47a97eb745",
-        "map.ckpt.json": "528e0339333c38b4987009ea69e5db6e4144565058d1bbc069e66d79bdd7c899",
-        "lambda.ckpt.json": "62b530c83ab8124700fd5cd34c9120bd1b9de5ca9f80a14da5259efb402364e2",
+        "log.csv": "bbc7a5952a4e61977b64fcce5bbc157b4531fd0bfec59a952c6d16627ebcf35a",
+        "mapped.csv": "268278e14a7ffd7286718f608baf327e359240737d8272594b74b2d023795e6d",
+        "map.ckpt.json": "e565ad9f70c9ea072178f888212b97ba20aec07efc24ca0e39bc97ce43353c0a",
+        "lambda.ckpt.json": "12a3db3e16be92d4f05872d5e8a5a21bc862844efcb259a4d7182485e8fff4d2",
     },
 }
 
