@@ -74,7 +74,7 @@ def main() -> None:
     )
 
     print("stage  batch  alpha        sigma   Hausdorff  mean|angle err|")
-    for r in result.log.records:
+    for r in result.records:
         print(f"{r.stage:5d}  {r.batch_points:5d}  "
               f"[{r.alpha_init:4.0f},{r.alpha_final:4.0f}]  {r.sigma:.3f}"
               f"  {r.eval_hausdorff:10.4f}  {r.eval_mean_abs_angle:15.4f}")

@@ -68,7 +68,6 @@ _DEFAULTS = {
     "stage": _field_defaults(StageConfig),
     "optimizer": _field_defaults(RmsPropConfig),
     "domain_size": 4096,
-    "fixed_domain_pool": False,
     "eval_sample_size": 4096,
     "eval_mesh": None,
 }
@@ -76,7 +75,7 @@ _DEFAULTS = {
 _TOP_KEYS = {
     "input", "output_dir", "mode", "seed", "domain", "objective", "stage",
     "optimizer", "map_net", "lambda_net", "landmarks", "domain_size",
-    "fixed_domain_pool", "eval_sample_size", "eval_mesh",
+    "eval_sample_size", "eval_mesh",
 }
 _NET_KEYS = {"hidden_widths", "omega"}
 
@@ -184,10 +183,6 @@ def load_run_config(path, out_dir_override=None) -> dict:
         if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
             raise ConfigError(f"{name} must be a positive integer, got {val!r}")
         cfg[name] = val
-    pool = raw.get("fixed_domain_pool", _DEFAULTS["fixed_domain_pool"])
-    if not isinstance(pool, bool):
-        raise ConfigError(f"fixed_domain_pool must be a boolean, got {pool!r}")
-    cfg["fixed_domain_pool"] = pool
     mesh = raw.get("eval_mesh", _DEFAULTS["eval_mesh"])
     if mesh is not None and not isinstance(mesh, str):
         raise ConfigError(f"eval_mesh must be a path or null, got {mesh!r}")
@@ -228,12 +223,16 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
     return eff
 
 
-def _check_positive_flags(args) -> None:
-    """Reject a numeric flag whose value is not > 0, NaN included, naming it."""
+def _check_numeric_flags(args) -> None:
+    """Reject a numeric flag whose value is not > 0, NaN included, or a
+    negative --seed, naming it."""
     for dest in ("sample_size", "bins", "h", "target_edge", "n", "trials", "sigma"):
         value = getattr(args, dest, 1)
         if not value > 0:
             raise ConfigError(f"--{dest.replace('_', '-')} must be positive, got {value}")
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
 
 
 def _load_domain(preset, path) -> Domain:
@@ -333,7 +332,6 @@ def cmd_fit(args) -> int:
             targets=targets,
             seed=eff["seed"],
             domain_size=eff["domain_size"],
-            fixed_domain_pool=eff["fixed_domain_pool"],
             eval_mesh=eval_mesh,
             eval_sample_size=eff["eval_sample_size"],
             stage_callback=on_stage,
@@ -346,14 +344,14 @@ def cmd_fit(args) -> int:
     pcio.save_table(
         out_dir / "log.csv",
         [f.name for f in dataclasses.fields(StageRecord)],
-        [dataclasses.astuple(rec) for rec in result.log.records],
+        [dataclasses.astuple(rec) for rec in result.records],
     )
     mapped = forward(result.map_spec, result.map_params, cloud)
     pcio.save_cloud(out_dir / "mapped.csv", mapped)
     (out_dir / "effective_config.json").write_text(
         json.dumps(eff, indent=1, sort_keys=True) + "\n"
     )
-    log.info("fit complete: %d stages, outputs in %s", len(result.log.records), out_dir)
+    log.info("fit complete: %d stages, outputs in %s", len(result.records), out_dir)
     return 0
 
 
@@ -472,26 +470,21 @@ def cmd_sample_domain(args) -> int:
     return 0
 
 
-def _parse_float_cells(header: list[str], rows: list[list[str]], path) -> np.ndarray:
+def _load_numbers(path) -> np.ndarray:
+    """The numeric table in the file at path; a malformed file is a usage
+    error."""
     try:
-        float(header[0])
-    except ValueError:
-        pass  # real header line
-    else:
-        rows = [header] + rows
-    try:
-        return np.array([[float(c) for c in row] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric cell: {exc}") from exc
-
-
-def cmd_plot(args) -> int:
-    try:
-        header, rows = pcio.load_table(args.input)
+        return pcio.load_numeric_table(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+
+def cmd_plot(args) -> int:
     if args.kind == "stage_lines":
+        try:
+            header, rows = pcio.load_table(args.input)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         series: dict[str, list[tuple[float, float]]] = {}
         wanted = ["loss_total", "eval_hausdorff", "eval_mean_abs_angle"]
         if "stage" not in header:
@@ -509,12 +502,12 @@ def cmd_plot(args) -> int:
             series[name] = pts
         svg = line_series_svg(series)
     elif args.kind == "scatter":
-        data = _parse_float_cells(header, rows, args.input)
+        data = _load_numbers(args.input)
         if data.size and data.shape[1] < 2:
             raise ConfigError(f"{args.input}: scatter needs at least 2 columns")
         svg = scatter_svg(data[:, :2] if data.size else np.empty((0, 2)))
     else:  # histogram
-        data = _parse_float_cells(header, rows, args.input)
+        data = _load_numbers(args.input)
         values = data[:, 0] if data.size else np.array([])
         counts, edges = np.histogram(values, bins=args.bins)
         svg = histogram_svg(counts, edges)
@@ -557,8 +550,10 @@ def cmd_audit(args) -> int:
             raise ConfigError(f"audit --kind distortion-bound needs --{name.replace('_', '-')}")
     mesh = pcio.load_mesh(args.mesh)
     mapped = pcio.load_cloud(args.mapped)
-    header, rows = pcio.load_table(args.lambda_inv)
-    vals = _parse_float_cells(header, rows, args.lambda_inv)[:, 0]
+    data = _load_numbers(args.lambda_inv)
+    if not data.size:
+        raise ConfigError(f"{args.lambda_inv}: no values found")
+    vals = data[:, 0]
     report = audit_theorem_bound(mesh, mapped, vals, LegConfig(sigma=args.sigma))
     names = [
         "lhs", "rhs", "holds", "d_sigma", "lambda0", "lambda_t",
@@ -671,7 +666,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_positive_flags(args)
+        _check_numeric_flags(args)
         return args.func(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)

@@ -15,6 +15,7 @@ import numpy as np
 from .geometry import TriangleMesh, as_cloud
 
 __all__ = [
+    "load_numeric_table",
     "load_cloud",
     "save_cloud",
     "load_mesh",
@@ -31,11 +32,13 @@ def _parse_float_row(parts: list[str], path, lineno: int) -> list[float]:
         raise ValueError(f"{path}:{lineno}: not a numeric row: {parts!r}") from exc
 
 
-def load_cloud(path) -> np.ndarray:
-    """Read a 2-d or 3-d point cloud from a .xyz or .csv file.
+def load_numeric_table(path) -> np.ndarray:
+    """Read rows of numbers from a .csv file or a whitespace-separated one,
+    as an (n, k) float array; (0, 0) when there are no rows.
 
-    XYZ is whitespace separated, '#' starts a comment. CSV may carry one
-    header line (detected by a non-numeric first field).
+    Whitespace-separated files take '#' comments. CSV may carry one header
+    line (detected by a non-numeric first field). A non-numeric row is an
+    error that names its line; rows of different lengths are an error too.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -59,11 +62,19 @@ def load_cloud(path) -> np.ndarray:
                     continue
                 rows.append(_parse_float_row(line.split(), path, lineno))
     if not rows:
-        raise ValueError(f"{path}: no points found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+        return np.empty((0, 0))
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: inconsistent column counts")
-    return as_cloud(np.array(rows))
+    return np.array(rows)
+
+
+def load_cloud(path) -> np.ndarray:
+    """Read a 2-d or 3-d point cloud from a .xyz or .csv file, as
+    `load_numeric_table` reads it."""
+    rows = load_numeric_table(path)
+    if not rows.size:
+        raise ValueError(f"{path}: no points found")
+    return as_cloud(rows)
 
 
 def save_cloud(path, cloud) -> None:

@@ -139,24 +139,25 @@ def _soft_min_jac(d, low, value, scale, a: float, out, scratch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray]:
+def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray]:
     """Smooth two-sided Hausdorff surrogate between clouds y and w, plus its
-    gradients with respect to both clouds' coordinates.
+    gradient with respect to the coordinates of y.
 
     Soft-max over points of the soft-min of the pairwise distances, in both
     directions, summed. Symmetric in (y, w); converges to the modified
     (sum-form) Hausdorff distance exponentially fast in cfg.alpha.
     Coincident pairs (zero distance) get a zero subgradient contribution.
+    Training moves only y, the mapped points; by the symmetry, the gradient
+    in w is `hand_with_grad(w, y, cfg)[1]`.
 
     Two passes over row tiles of the distances keep memory O(n + m). A tile
     holds whole rows, so the soft-min of a y point is exact per tile; that of
     a w point is an online softmax (Milakov & Gimelshein 2018) of running
     minimum, weight sum and weighted distance sum, rescaled as the minimum
-    drops. The second pass recomputes each tile for the gradients. Both
+    drops. The second pass recomputes each tile for the gradient rows. Both
     passes run the rows in two fixed halves, the first on a worker thread
     (`_halves.split`). Each half keeps its own column state; the two are
-    rescaled to their common minimum and added, half 0 first, and so are the
-    column sums of the second pass.
+    rescaled to their common minimum and added, half 0 first.
     """
     y, w = _same_dim_clouds(y, w)
     a = cfg.alpha
@@ -202,10 +203,8 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
     # coef = d value / d distance, over the distance (0 where that is 0)
     gy = np.empty_like(y)
 
-    def gradients(lo: int, hi: int):
-        """Pass 2 over rows lo:hi: their rows of gy, and these rows' parts of
-        the column sums that make the gradient in w."""
-        col_sum, col_y = np.zeros(m), np.zeros_like(w)
+    def gradients(lo: int, hi: int) -> None:
+        """Pass 2 over rows lo:hi: their rows of gy."""
         for t, d, scratch, (coef, g) in _row_tiles(y[lo:hi], w, 2, _TILE_SCALE):
             t = slice(lo + t.start, lo + t.stop)
             np.sqrt(d, out=d)
@@ -216,13 +215,9 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray, np.ndarray
             if r_low[t].min() == 0.0:
                 coef[d == 0.0] = 0.0
             gy[t] = coef.sum(axis=1)[:, None] * y[t] - coef @ w
-            col_sum += coef.sum(axis=0)
-            col_y += coef.T @ y[t]
-        return col_sum, col_y
 
-    parts = _halves.split(gradients, n, m)
-    col_sum, col_y = sum(p[0] for p in parts), sum(p[1] for p in parts)
-    return boltzmann(r, a) + boltzmann(c, a), gy, col_sum[:, None] * w - col_y
+    _halves.split(gradients, n, m)
+    return boltzmann(r, a) + boltzmann(c, a), gy
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def landmark_energy_with_grad(
     value = 0.0
     grads: list[np.ndarray] = []
     for m, q in zip(mapped_landmarks, targets):
-        v, gm, _ = hand_with_grad(m, q, cfg)
+        v, gm = hand_with_grad(m, q, cfg)
         value += v
         grads.append(gm)
     return value, grads
@@ -395,7 +390,7 @@ def total_loss_with_grad(
 
     hand_val = 0.0
     if cfg.beta2 > 0:
-        hand_val, g_hand_y, _ = hand_with_grad(y[:n_base], domain_sample, cfg.hand)
+        hand_val, g_hand_y = hand_with_grad(y[:n_base], domain_sample, cfg.hand)
         g_mapped[:n_base] += cfg.beta2 * g_hand_y
 
     lm_val = 0.0

@@ -171,17 +171,16 @@ def _forward_rows(spec: NetworkSpec, layers, a, out, keep: bool) -> list | None:
     return tape
 
 
-def backward(
-    spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass: (d loss / d params flat, d loss / d inputs).
+def backward(spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list) -> np.ndarray:
+    """Reverse-mode pass: d loss / d params, flat.
 
     `output_cotangent` is d loss / d outputs, shape (n, output_dim). `tape`
     is the tape a forward() of the same spec, params and inputs filled; its
-    activations are reused, so a training step runs each net forward once,
-    and `inputs` is not read. Each piece of the rows runs back through its
-    own tape, as forward() cut them; the weight gradient is half 0's plus
-    half 1's.
+    activations and weights are reused, so a training step runs each net
+    forward once, and neither `params` nor `inputs` is read. Training moves
+    only the parameters, so no gradient in the inputs is formed. Each piece
+    of the rows runs back through its own tape, as forward() cut them; the
+    gradient is half 0's plus half 1's.
     """
     dims = spec.layer_dims
     if not tape or [len(t) for t in tape] != [len(dims)] * len(tape):
@@ -190,20 +189,19 @@ def backward(
     n = sum(len(t[0][1]) for t in tape)
     if ct.shape != (n, spec.output_dim):
         raise ValueError(f"cotangent shape {ct.shape} != output shape {(n, spec.output_dim)}")
-    da = np.empty((n, spec.input_dim))
 
     def half(lo: int, hi: int) -> np.ndarray:
-        return _backward_rows(spec, tape[1 if lo else 0], ct[lo:hi], da[lo:hi])
+        return _backward_rows(spec, tape[1 if lo else 0], ct[lo:hi])
 
     grad, *rest = _halves.split(half, n, _widest(spec))
     for g in rest:
         grad += g
-    return grad, da
+    return grad
 
 
-def _backward_rows(spec: NetworkSpec, tape: list, ct, da_out) -> np.ndarray:
-    """The reverse layer loop over the rows of one half tape; their weight
-    gradient, and their input gradient into `da_out`."""
+def _backward_rows(spec: NetworkSpec, tape: list, ct) -> np.ndarray:
+    """The reverse layer loop over the rows of one half tape; their
+    parameter gradient."""
     dims = spec.layer_dims
     grad = np.empty(param_count(spec))
     o = len(grad)
@@ -214,15 +212,13 @@ def _backward_rows(spec: NetworkSpec, tape: list, ct, da_out) -> np.ndarray:
         o -= fi * fo + fo
         grad[o : o + fi * fo] = (a.T @ dz).ravel()
         grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
-        da = dz @ w.T
         if li > 0:
             # d sin(omega z) / dz = omega cos(omega z); the tape holds omega z
             deriv = np.cos(tape[li - 1][2])
             if spec.omega != 1.0:
                 deriv *= spec.omega
-            da *= deriv
-            dz = da
-    da_out[...] = da
+            dz = dz @ w.T
+            dz *= deriv
     return grad
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "StageConfig",
     "advance_stage",
     "StageRecord",
-    "TrainLog",
     "TrainResult",
     "TrainingError",
     "train",
@@ -194,20 +193,14 @@ class StageRecord:
 
 
 @dataclass
-class TrainLog:
-    records: list[StageRecord] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
-    """Trained parameters plus the per-stage log."""
+    """Trained parameters plus one record per stage, in order."""
 
     map_spec: NetworkSpec
     map_params: np.ndarray
     lambda_spec: NetworkSpec | None
     lambda_params: np.ndarray | None
-    log: TrainLog
-    final_stage: StageConfig
+    records: list[StageRecord]
 
 
 class TrainingError(RuntimeError):
@@ -215,6 +208,8 @@ class TrainingError(RuntimeError):
 
 
 def _flatten_landmarks(landmarks, n_points: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked landmark groups, and their rows once each in order of
+    first appearance."""
     groups = []
     for k, rows in enumerate(landmarks):
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -223,14 +218,21 @@ def _flatten_landmarks(landmarks, n_points: int) -> tuple[list[np.ndarray], np.n
         if rows.min() < 0 or rows.max() >= n_points:
             raise ValueError(f"landmark group {k} has an index outside [0, {n_points})")
         groups.append(rows)
-    seen: set[int] = set()
-    flat: list[int] = []
-    for rows in groups:
-        for i in rows.tolist():
-            if i not in seen:
-                seen.add(i)
-                flat.append(i)
-    return groups, np.array(flat, dtype=np.int64)
+    if not groups:
+        return groups, np.empty(0, dtype=np.int64)
+    every = np.concatenate(groups)
+    _, first = np.unique(every, return_index=True)
+    return groups, every[np.sort(first)]
+
+
+def _batch_rows(chunk: np.ndarray, flat_landmarks: np.ndarray, groups, n_points: int):
+    """The cloud rows of one batch: the chunk, then the landmark rows it
+    lacks. Also each landmark group's positions among those rows."""
+    extra = flat_landmarks[~np.isin(flat_landmarks, chunk)]
+    rows = np.concatenate([chunk, extra])
+    pos = np.empty(n_points, dtype=np.int64)
+    pos[rows] = np.arange(len(rows))
+    return rows, [pos[g] for g in groups]
 
 
 def train(
@@ -245,7 +247,6 @@ def train(
     targets=None,
     seed: int = 0,
     domain_size: int = 4096,
-    fixed_domain_pool: bool = False,
     eval_mesh: TriangleMesh | None = None,
     eval_sample_size: int = 4096,
     batch_callback=None,
@@ -257,10 +258,9 @@ def train(
     (the last batch is whatever remains); landmark points not already in a
     batch are appended to it, and the domain surrogate term only sees the
     non-landmark rows. The domain comparison set is resampled fresh per batch
-    (capped at domain_size points per stage) unless fixed_domain_pool is set,
-    in which case batches subsample one pool of domain_size points drawn up
-    front. Stages follow advance_stage until the point batch covers the whole
-    cloud; that final full-batch stage still runs.
+    (capped at domain_size points per stage). Stages follow advance_stage
+    until the point batch covers the whole cloud; that final full-batch stage
+    still runs.
 
     With objective.beta1 == 0 no inverse-factor net is created and the
     distortion term is skipped (shape matching only). Otherwise lambda_spec
@@ -312,7 +312,10 @@ def train(
         raise ValueError("eval_mesh vertices must be exactly the training cloud")
 
     root = np.random.SeedSequence(seed)
-    ss_map, ss_lambda, ss_eval, ss_pool = root.spawn(4)
+    # the stage generators are spawned from root after these four, so the
+    # count fixes their seeds, and with them every fit's bits; the fourth is
+    # unused
+    ss_map, ss_lambda, ss_eval, _ = root.spawn(4)
     map_params = init_params(map_spec, np.random.default_rng(ss_map))
     map_state = RmsPropState.zeros(param_count(map_spec))
     if use_lambda:
@@ -324,9 +327,6 @@ def train(
 
     eval_rng = np.random.default_rng(ss_eval)
     w_eval = domain.sample_area(eval_sample_size, eval_rng)
-    pool = None
-    if fixed_domain_pool:
-        pool = domain.sample_area(domain_size, np.random.default_rng(ss_pool))
 
     stage_cfg = dataclasses.replace(
         stage_cfg,
@@ -334,7 +334,7 @@ def train(
         batch_domain=min(stage_cfg.batch_domain, domain_size),
     )
 
-    log = TrainLog()
+    records: list[StageRecord] = []
     keep_going = True
     stage_idx = 0
     # OpenBLAS stays at one thread for the whole loop, so that its idle
@@ -361,28 +361,11 @@ def train(
                 n_batches = -(-n_points // stage_cfg.batch_points)
                 for bi in range(n_batches):
                     chunk = perm[bi * stage_cfg.batch_points : (bi + 1) * stage_cfg.batch_points]
-                    if flat_landmarks.size:
-                        in_chunk = set(chunk.tolist())
-                        extra = np.array(
-                            [i for i in flat_landmarks.tolist() if i not in in_chunk],
-                            dtype=np.int64,
-                        )
-                        rows = np.concatenate([chunk, extra]) if extra.size else chunk
-                    else:
-                        rows = chunk
-                    x_batch = x[rows]
-                    landmark_rows = []
+                    rows, landmark_rows = chunk, []
                     if groups:
-                        pos = {int(r): p for p, r in enumerate(rows)}
-                        landmark_rows = [
-                            np.array([pos[int(i)] for i in g], dtype=np.int64) for g in groups
-                        ]
-
-                    if pool is not None:
-                        sel = stage_rng.choice(domain_size, stage_cfg.batch_domain, replace=False)
-                        w = pool[np.sort(sel)]
-                    else:
-                        w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
+                        rows, landmark_rows = _batch_rows(chunk, flat_landmarks, groups, n_points)
+                    x_batch = x[rows]
+                    w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
 
                     map_tape: list = []
                     mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
@@ -421,12 +404,12 @@ def train(
                             f"loss is {breakdown.total}"
                         )
                     try:
-                        g_map, _ = backward(
+                        g_map = backward(
                             map_spec, map_params, x_batch, g_mapped, tape=map_tape
                         )
                         map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
                         if use_lambda:
-                            g_lam, _ = backward(
+                            g_lam = backward(
                                 lambda_spec, lambda_params, x_batch, g_v[:, None],
                                 tape=lambda_tape,
                             )
@@ -472,7 +455,7 @@ def train(
                 eval_mean_abs_angle=eval_angle,
                 eval_landmark_hausdorff=eval_lm,
             )
-            log.records.append(record)
+            records.append(record)
             if stage_callback is not None:
                 stage_callback(
                     stage_idx,
@@ -488,6 +471,5 @@ def train(
         map_params=map_params,
         lambda_spec=lambda_spec,
         lambda_params=lambda_params,
-        log=log,
-        final_stage=stage_cfg,
+        records=records,
     )

@@ -128,6 +128,14 @@ def test_config_unknown_keys(tmp_path, tiny_cloud_csv):
         load_run_config(path)
 
 
+def test_fit_rejects_the_retired_domain_pool_key(tmp_path, tiny_cloud_csv, caplog):
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o", fixed_domain_pool=False)
+    path = _write_config(tmp_path / "c.json", cfg)
+    assert main(["fit", "--config", path]) == 2
+    assert "unknown config key 'fixed_domain_pool'" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_invalid_json_names_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n "input": "x.csv",\n}\n')
@@ -275,7 +283,6 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
         "domain_size": 4096,
         "eval_mesh": None,
         "eval_sample_size": 4096,
-        "fixed_domain_pool": False,
         "input": str(cloud),
         "lambda_net": {"hidden_widths": [128, 128, 128], "omega": 1.0},
         "map_net": {"hidden_widths": [256] * 5 if dim == 3 else [64] * 3, "omega": 1.0},
@@ -683,6 +690,26 @@ def test_plot_errors(workdir, fitted):
                  "--kind", "stage_lines", "--out", str(workdir / "y.svg")]) == 2
 
 
+# a ragged table and one with a word among the numbers, with what the error names
+MALFORMED_TABLES = [
+    pytest.param("ragged.csv", "x,y\n0.1,0.2\n0.3\n", "ragged.csv: inconsistent column counts",
+                 id="ragged"),
+    pytest.param("word.csv", "x,y\n0.1,0.2\n0.3,abc\n", "word.csv:3: not a numeric row",
+                 id="non-numeric"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", MALFORMED_TABLES)
+@pytest.mark.parametrize("kind", ["scatter", "histogram"])
+def test_plot_malformed_table_exits_2(tmp_path, caplog, name, text, message, kind):
+    table = tmp_path / name
+    table.write_text(text)
+    out = tmp_path / "x.svg"
+    assert main(["plot", "--input", str(table), "--kind", kind, "--out", str(out)]) == 2
+    assert f"config error: {table.parent / message}" in caplog.text
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -728,6 +755,21 @@ def test_audit_distortion_bound(workdir, identity_setup):
                  "--out", str(workdir / "z.csv")]) == 2
 
 
+@pytest.mark.parametrize("name, text, message", [
+    *MALFORMED_TABLES,
+    pytest.param("empty.csv", "lambda_inv\n", "empty.csv: no values found", id="empty"),
+])
+def test_audit_malformed_lambda_table_exits_2(range_inputs, tmp_path, caplog, name, text,
+                                              message):
+    table = tmp_path / name
+    table.write_text(text)
+    argv = range_inputs["audit-bound"]
+    argv = [*argv[: argv.index("--lambda-inv") + 1], str(table), "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    assert f"config error: {table.parent / message}" in caplog.text
+    assert not (tmp_path / "b.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def range_inputs(workdir, identity_setup):
     """Valid arguments for each command whose numeric flags must be > 0."""
@@ -771,6 +813,12 @@ def test_nonpositive_numeric_flag_exits_2_naming_it(range_inputs, caplog, comman
     caplog.clear()
     assert main([*argv, flag, value]) == 2
     assert f"{flag} must be positive, got " in caplog.text
+
+
+@pytest.mark.parametrize("command", ["eval", "reconstruct", "sample-domain", "audit-extremum"])
+def test_negative_seed_exits_2(range_inputs, caplog, command):
+    assert main([*range_inputs[command], "--seed", "-1"]) == 2
+    assert "config error: --seed must be non-negative, got -1" in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,9 @@ def test_backward_matches_fd():
         ct = rng.normal(0, 1, (6, spec.output_dim))
         tape = []
         forward(spec, params, x, tape=tape)
-        g, gx = backward(spec, params, x, ct, tape=tape)
+        g = backward(spec, params, x, ct, tape=tape)
         fd = _fd_param_grad(spec, params, x, ct)
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
-
-        gx_fd = np.zeros_like(x)
-        for i in range(x.size):
-            h = np.zeros_like(x).ravel()
-            h[i] = 1e-6
-            h = h.reshape(x.shape)
-            up = (forward(spec, params, x + h) * ct).sum()
-            dn = (forward(spec, params, x - h) * ct).sum()
-            gx_fd.ravel()[i] = (up - dn) / 2e-6
-        assert np.linalg.norm(gx - gx_fd) / max(np.linalg.norm(gx_fd), 1e-12) < 1e-6
 
 
 def test_forward_validation():

@@ -16,6 +16,8 @@ from pcparam.optimizer import (
     RmsPropState,
     StageConfig,
     TrainingError,
+    _batch_rows,
+    _flatten_landmarks,
     advance_stage,
     alpha_schedule,
     rmsprop_step,
@@ -182,17 +184,17 @@ def test_train_stage_progression():
     x = _tiny_cloud(10)
     dom = preset_domain("square")
     result = train(x, dom, **_tiny_kwargs())
-    seq = [r.batch_points for r in result.log.records]
+    seq = [r.batch_points for r in result.records]
     assert seq == [4, 8, 10]  # doubles until it covers the cloud, then stops
-    assert [r.stage for r in result.log.records] == [1, 2, 3]
-    assert result.final_stage.batch_points == 10
+    assert [r.stage for r in result.records] == [1, 2, 3]
+    assert result.records[-1].batch_points == 10
     # epoch halving with floor 1
-    assert [r.epochs for r in result.log.records] == [2, 1, 1]
+    assert [r.epochs for r in result.records] == [2, 1, 1]
     # sigma shrinks by sqrt(2) each stage
-    sig = [r.sigma for r in result.log.records]
+    sig = [r.sigma for r in result.records]
     assert sig[1] == pytest.approx(sig[0] / math.sqrt(2))
-    assert np.isfinite([r.loss_total for r in result.log.records]).all()
-    assert all(np.isfinite(r.eval_hausdorff) for r in result.log.records)
+    assert np.isfinite([r.loss_total for r in result.records]).all()
+    assert all(np.isfinite(r.eval_hausdorff) for r in result.records)
 
 
 def test_train_single_stage_when_batch_covers_cloud():
@@ -200,8 +202,8 @@ def test_train_single_stage_when_batch_covers_cloud():
     dom = preset_domain("square")
     result = train(x, dom, **_tiny_kwargs(stage=StageConfig(
         epochs=2, batch_points=64, batch_domain=8, epochs_min=1)))
-    assert len(result.log.records) == 1
-    assert result.log.records[0].batch_points == 6
+    assert len(result.records) == 1
+    assert result.records[0].batch_points == 6
 
 
 def test_train_bitwise_deterministic():
@@ -211,19 +213,8 @@ def test_train_bitwise_deterministic():
     r2 = train(x, dom, **_tiny_kwargs())
     np.testing.assert_array_equal(r1.map_params, r2.map_params)
     np.testing.assert_array_equal(r1.lambda_params, r2.lambda_params)
-    assert r1.log.records == r2.log.records
+    assert r1.records == r2.records
     r3 = train(x, dom, **_tiny_kwargs(seed=8))
-    assert not np.array_equal(r1.map_params, r3.map_params)
-
-
-def test_train_fixed_pool_deterministic():
-    x = _tiny_cloud(8)
-    dom = preset_domain("square")
-    r1 = train(x, dom, **_tiny_kwargs(fixed_domain_pool=True))
-    r2 = train(x, dom, **_tiny_kwargs(fixed_domain_pool=True))
-    np.testing.assert_array_equal(r1.map_params, r2.map_params)
-    # a fresh-resample run takes different domain batches, so it must differ
-    r3 = train(x, dom, **_tiny_kwargs(fixed_domain_pool=False))
     assert not np.array_equal(r1.map_params, r3.map_params)
 
 
@@ -250,7 +241,7 @@ def test_train_shape_matching_has_no_lambda_net():
     ))
     assert result.lambda_spec is None
     assert result.lambda_params is None
-    assert all(r.loss_leg == 0.0 for r in result.log.records)
+    assert all(r.loss_leg == 0.0 for r in result.records)
 
 
 def test_train_landmarks_tracked():
@@ -263,7 +254,7 @@ def test_train_landmarks_tracked():
         landmarks=[[0, 3]],
         targets=targets,
     ))
-    for rec in result.log.records:
+    for rec in result.records:
         assert rec.eval_landmark_hausdorff is not None
         assert np.isfinite(rec.eval_landmark_hausdorff)
         assert rec.loss_landmark >= 0.0
@@ -272,7 +263,41 @@ def test_train_landmarks_tracked():
         objective=ObjectiveConfig(beta1=0.0, beta2=1.0, beta3=0.0),
         lambda_spec=None,
     ))
-    assert all(r.eval_landmark_hausdorff is None for r in plain.log.records)
+    assert all(r.eval_landmark_hausdorff is None for r in plain.records)
+
+
+def _plain_batch_rows(chunk, groups):
+    """The batch-row rule in plain Python: the chunk, then each landmark row
+    the chunk lacks, once, in order of first appearance over the groups; and
+    for each group, where its rows sit in that list."""
+    rows = [int(i) for i in chunk]
+    for group in groups:
+        for i in group:
+            if i not in rows:
+                rows.append(int(i))
+    return rows, [[rows.index(i) for i in group] for group in groups]
+
+
+@pytest.mark.parametrize("chunk, groups", [
+    ([4, 1, 7], [[1, 9], [9, 2, 4]]),  # overlapping groups, rows in and out
+    ([3, 0], [[5, 6, 5], [6]]),  # a repeated row, none in the chunk
+    ([2, 8, 5], [[8, 2], [5]]),  # every landmark already in the chunk
+    ([0], [[9, 3, 0, 3], [3, 9], [7]]),
+])
+def test_batch_rows_match_plain_rule(chunk, groups):
+    n_points = 10
+    groups, flat = _flatten_landmarks(groups, n_points)
+    want_flat = []
+    for group in groups:
+        for i in group:
+            if i not in want_flat:
+                want_flat.append(int(i))
+    assert flat.tolist() == want_flat
+    rows, landmark_rows = _batch_rows(np.array(chunk), flat, groups, n_points)
+    want_rows, want_landmark_rows = _plain_batch_rows(chunk, groups)
+    assert rows.tolist() == want_rows
+    assert [r.tolist() for r in landmark_rows] == want_landmark_rows
+    assert rows.dtype == np.int64 and all(r.dtype == np.int64 for r in landmark_rows)
 
 
 def test_train_eval_mesh_angles():
@@ -280,7 +305,7 @@ def test_train_eval_mesh_angles():
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
     dom = preset_domain("square")
     result = train(verts, dom, **_tiny_kwargs(eval_mesh=mesh))
-    assert all(r.eval_mean_abs_angle is not None for r in result.log.records)
+    assert all(r.eval_mean_abs_angle is not None for r in result.records)
     with pytest.raises(ValueError, match="eval_mesh"):
         train(verts + 0.01, dom, **_tiny_kwargs(eval_mesh=mesh))
 
@@ -302,7 +327,7 @@ def test_train_callbacks_fire_in_order():
     result = train(x, dom, **_tiny_kwargs(
         batch_callback=on_batch, stage_callback=on_stage))
     assert batch_calls == sorted(batch_calls)
-    assert [s for s, _ in stage_calls] == [r.stage for r in result.log.records]
+    assert [s for s, _ in stage_calls] == [r.stage for r in result.records]
     # the last stage snapshot is the final parameter vector
     np.testing.assert_array_equal(stage_calls[-1][1], result.map_params)
 
