@@ -20,7 +20,7 @@ import numpy as np
 from pcparam.domains import preset_domain
 from pcparam.geometry import hausdorff_exact
 from pcparam.losses import ObjectiveConfig
-from pcparam.neural import NetworkSpec, forward
+from pcparam.neural import NetworkSpec
 from pcparam.optimizer import RmsPropConfig, StageConfig, train
 from pcparam.svgplot import scatter_svg
 
@@ -45,7 +45,7 @@ def run(alpha: float, blob: np.ndarray, seed: int) -> np.ndarray:
         domain_size=1024,
         eval_sample_size=1024,
     )
-    return forward(result.map_spec, result.map_params, blob)
+    return result.mapped
 
 
 def main() -> None:

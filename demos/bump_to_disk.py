@@ -79,7 +79,7 @@ def main() -> None:
               f"[{r.alpha_init:4.0f},{r.alpha_final:4.0f}]  {r.sigma:.3f}"
               f"  {r.eval_hausdorff:10.4f}  {r.eval_mean_abs_angle:15.4f}")
 
-    mapped = forward(result.map_spec, result.map_params, cloud)
+    mapped = result.mapped
 
     # the inverse-factor net eats surface points; to query it at a planar
     # parameter location, ride back through the nearest mapped point

@@ -5,7 +5,7 @@ Configuration is JSON with a fixed schema (unknown keys rejected); every
 default matches the values the method was reported with. Logs go to stderr,
 data products only to files. Exit codes: 0 success, 1 runtime failure (a
 numeric one, or an allocation the machine refuses), 2 usage, configuration
-or i/o error.
+or i/o error, or a malformed input file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
 from .geometry import angle_distortion, sampling_gap_estimate
-from .losses import LegConfig, ObjectiveConfig, audit_theorem_bound
+from .losses import ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
 from .neural import (
     NetworkSpec,
@@ -44,6 +44,16 @@ class ConfigError(Exception):
     """Anything wrong with arguments, config files, or input paths."""
 
 
+def _read(load, path):
+    """load(path), the one way the commands read a file. A malformed file
+    (any ValueError) is a usage error, and its message names the path."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        msg = str(exc)
+        raise ConfigError(msg if str(path) in msg else f"{path}: {msg}") from exc
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
@@ -51,22 +61,13 @@ class ConfigError(Exception):
 _MODES = ("shape_matching", "free_boundary", "fixed_boundary", "landmark")
 
 
-def _field_defaults(cls) -> dict:
-    """The plain-valued field defaults of a config dataclass; fields that
-    default to a nested config are not config keys."""
-    return {
-        f.name: f.default for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING
-    }
-
-
 _DEFAULTS = {
     "mode": "fixed_boundary",
     "seed": 0,
     "domain": {"preset": "square"},
-    "objective": _field_defaults(ObjectiveConfig),
-    "stage": _field_defaults(StageConfig),
-    "optimizer": _field_defaults(RmsPropConfig),
+    "objective": dataclasses.asdict(ObjectiveConfig()),
+    "stage": dataclasses.asdict(StageConfig()),
+    "optimizer": dataclasses.asdict(RmsPropConfig()),
     "domain_size": 4096,
     "eval_sample_size": 4096,
     "eval_mesh": None,
@@ -121,7 +122,7 @@ def load_run_config(path, out_dir_override=None) -> dict:
     Net widths stay unresolved (they depend on the cloud dimension); use
     finalize_config for the full effective form.
     """
-    text = Path(path).read_text()
+    text = _read(Path.read_text, Path(path))
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -239,14 +240,14 @@ def _load_domain(preset, path) -> Domain:
     """The domain in the JSON file at path, or the preset when path is None."""
     if path is None:
         return preset_domain(preset)
-    return load_domain(path)
+    return _read(load_domain, path)
 
 
 def _load_checkpoint_for(
     path, cloud: np.ndarray, label: str = "checkpoint"
 ) -> tuple[NetworkSpec, np.ndarray]:
     """Load a checkpoint and check that its network takes the cloud's points."""
-    spec, params = load_checkpoint(path)
+    spec, params = _read(load_checkpoint, path)
     if spec.input_dim != cloud.shape[1]:
         raise ConfigError(
             f"{label} expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
@@ -271,7 +272,7 @@ def _mesh_vertices_for(cloud: np.ndarray, mesh):
 
 def cmd_fit(args) -> int:
     cfg = load_run_config(args.config, out_dir_override=args.out_dir)
-    cloud = pcio.load_cloud(cfg["input"])
+    cloud = _read(pcio.load_cloud, cfg["input"])
     eff = finalize_config(cfg, cloud.shape[1])
     if args.print_effective_config:
         sys.stdout.write(json.dumps(eff, indent=1, sort_keys=True) + "\n")
@@ -301,7 +302,7 @@ def cmd_fit(args) -> int:
     targets = [np.array(e["target"], dtype=np.float64) for e in eff.get("landmarks", [])]
     eval_mesh = None
     if eff["eval_mesh"] is not None:
-        eval_mesh = _mesh_vertices_for(cloud, pcio.load_mesh(eff["eval_mesh"]))
+        eval_mesh = _mesh_vertices_for(cloud, _read(pcio.load_mesh, eff["eval_mesh"]))
 
     out_dir = Path(eff["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,8 +347,7 @@ def cmd_fit(args) -> int:
         [f.name for f in dataclasses.fields(StageRecord)],
         [dataclasses.astuple(rec) for rec in result.records],
     )
-    mapped = forward(result.map_spec, result.map_params, cloud)
-    pcio.save_cloud(out_dir / "mapped.csv", mapped)
+    pcio.save_cloud(out_dir / "mapped.csv", result.mapped)
     (out_dir / "effective_config.json").write_text(
         json.dumps(eff, indent=1, sort_keys=True) + "\n"
     )
@@ -356,7 +356,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_map(args) -> int:
-    cloud = pcio.load_cloud(args.input)
+    cloud = _read(pcio.load_cloud, args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     pcio.save_cloud(args.out, forward(spec, params, cloud))
     if args.lambda_checkpoint:
@@ -367,7 +367,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cloud = pcio.load_cloud(args.input)
+    cloud = _read(pcio.load_cloud, args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
     out_dir = Path(args.out_dir)
@@ -383,7 +383,7 @@ def cmd_eval(args) -> int:
         ["mapped_sample_gap", sampling_gap_estimate(mapped, denser)],
     ]
     if args.mesh:
-        mesh = _mesh_vertices_for(cloud, pcio.load_mesh(args.mesh))
+        mesh = _mesh_vertices_for(cloud, _read(pcio.load_mesh, args.mesh))
         report = angle_distortion(mesh, mapped, n_bins=args.bins)
         rows.append(["mean_abs_angle", report.mean_abs])
         pcio.save_table(
@@ -401,13 +401,13 @@ def cmd_eval(args) -> int:
 
 def cmd_boundary(args) -> int:
     if args.mapped:
-        mapped = pcio.load_cloud(args.mapped)
+        mapped = _read(pcio.load_cloud, args.mapped)
         if mapped.shape[1] != 2:
             raise ConfigError(f"mapped cloud must be 2-d, got {mapped.shape[1]}-d")
     else:
         if not (args.checkpoint and args.input):
             raise ConfigError("boundary needs --mapped or both --checkpoint and --input")
-        cloud = pcio.load_cloud(args.input)
+        cloud = _read(pcio.load_cloud, args.input)
         spec, params = _load_checkpoint_for(args.checkpoint, cloud)
         mapped = forward(spec, params, cloud)
 
@@ -432,7 +432,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cloud = pcio.load_cloud(args.input)
+    cloud = _read(pcio.load_cloud, args.input)
     spec, params = _load_checkpoint_for(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
     mapped = forward(spec, params, cloud)
@@ -470,44 +470,39 @@ def cmd_sample_domain(args) -> int:
     return 0
 
 
-def _load_numbers(path) -> np.ndarray:
-    """The numeric table in the file at path; a malformed file is a usage
-    error."""
-    try:
-        return pcio.load_numeric_table(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _stage_series(path) -> dict[str, list[tuple[float, float]]]:
+    """Per plotted column of a `log.csv`, its (stage, value) points; rows
+    with the value empty are left out. An error names the line, counting
+    the header as line 1 and no blank lines, which `fit` never writes."""
+    header, rows = pcio.load_table(path)
+    if "stage" not in header:
+        raise ValueError(f"{path}: no 'stage' column")
+    si = header.index("stage")
+    series: dict[str, list[tuple[float, float]]] = {}
+    for name in ("loss_total", "eval_hausdorff", "eval_mean_abs_angle"):
+        if name not in header:
+            continue
+        ci = header.index(name)
+        pts = series[name] = []
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) > max(si, ci) and row[ci] != "":
+                try:
+                    pts.append((float(row[si]), float(row[ci])))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a numeric row: {row!r}") from None
+    return series
 
 
 def cmd_plot(args) -> int:
     if args.kind == "stage_lines":
-        try:
-            header, rows = pcio.load_table(args.input)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        series: dict[str, list[tuple[float, float]]] = {}
-        wanted = ["loss_total", "eval_hausdorff", "eval_mean_abs_angle"]
-        if "stage" not in header:
-            raise ConfigError(f"{args.input}: no 'stage' column")
-        si = header.index("stage")
-        for name in wanted:
-            if name not in header:
-                continue
-            ci = header.index(name)
-            pts = [
-                (float(row[si]), float(row[ci]))
-                for row in rows
-                if len(row) > max(si, ci) and row[ci] != ""
-            ]
-            series[name] = pts
-        svg = line_series_svg(series)
+        svg = line_series_svg(_read(_stage_series, args.input))
     elif args.kind == "scatter":
-        data = _load_numbers(args.input)
+        data = _read(pcio.load_numeric_table, args.input)
         if data.size and data.shape[1] < 2:
             raise ConfigError(f"{args.input}: scatter needs at least 2 columns")
         svg = scatter_svg(data[:, :2] if data.size else np.empty((0, 2)))
     else:  # histogram
-        data = _load_numbers(args.input)
+        data = _read(pcio.load_numeric_table, args.input)
         values = data[:, 0] if data.size else np.array([])
         counts, edges = np.histogram(values, bins=args.bins)
         svg = histogram_svg(counts, edges)
@@ -548,13 +543,13 @@ def cmd_audit(args) -> int:
     for name in ("mesh", "mapped", "lambda_inv"):
         if getattr(args, name) is None:
             raise ConfigError(f"audit --kind distortion-bound needs --{name.replace('_', '-')}")
-    mesh = pcio.load_mesh(args.mesh)
-    mapped = pcio.load_cloud(args.mapped)
-    data = _load_numbers(args.lambda_inv)
+    mesh = _read(pcio.load_mesh, args.mesh)
+    mapped = _read(pcio.load_cloud, args.mapped)
+    data = _read(pcio.load_numeric_table, args.lambda_inv)
     if not data.size:
         raise ConfigError(f"{args.lambda_inv}: no values found")
     vals = data[:, 0]
-    report = audit_theorem_bound(mesh, mapped, vals, LegConfig(sigma=args.sigma))
+    report = audit_theorem_bound(mesh, mapped, vals, args.sigma)
     names = [
         "lhs", "rhs", "holds", "d_sigma", "lambda0", "lambda_t",
         "r_lambda", "max_edge", "n_points", "n_triangles",

@@ -352,9 +352,10 @@ def domain_to_json(domain: Domain) -> dict:
 
 
 def domain_from_json(doc: dict) -> Domain:
-    if not isinstance(doc, dict) or "loops" not in doc:
-        raise ValueError("domain JSON must be an object with a 'loops' list")
-    return Domain([[_segment_from_json(s) for s in loop] for loop in doc["loops"]])
+    loops = doc.get("loops") if isinstance(doc, dict) else None
+    if not (isinstance(loops, list) and all(isinstance(loop, list) for loop in loops)):
+        raise ValueError("domain JSON must be an object with a 'loops' list of segment lists")
+    return Domain([[_segment_from_json(s) for s in loop] for loop in loops])
 
 
 def save_domain(path, domain: Domain) -> None:

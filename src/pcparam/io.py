@@ -121,19 +121,22 @@ def _load_off(path: Path) -> TriangleMesh:
             tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4  # skip edge count
-    verts = np.array(
-        [float(t) for t in tokens[pos : pos + 3 * nv]], dtype=np.float64
-    ).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError(f"{path}: only triangle faces supported, got {cnt}-gon")
-        faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-        pos += 4
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        pos = 4  # skip edge count
+        verts = np.array(
+            [float(t) for t in tokens[pos : pos + 3 * nv]], dtype=np.float64
+        ).reshape(nv, 3)
+        pos += 3 * nv
+        faces = []
+        for _ in range(nf):
+            cnt = int(tokens[pos])
+            if cnt != 3:
+                raise ValueError(f"{path}: only triangle faces supported, got {cnt}-gon")
+            faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
+            pos += 4
+    except IndexError:
+        raise ValueError(f"{path}: OFF file ends before its declared counts") from None
     return TriangleMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 

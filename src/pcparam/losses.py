@@ -1,18 +1,20 @@
 """Training energies: smooth Hausdorff surrogate, localized distortion, landmarks.
 
-All energies are plain functions of arrays plus small config dataclasses.
-Each is one *_with_grad function that returns the value together with its
-analytic gradients with respect to the mapped coordinates (and the
-inverse-conformal-factor values where relevant); callers that need only the
-value take element [0]. Gradients are exact derivatives of the implemented
-formulas; finite-difference agreement is enforced in the test suite.
+All energies are plain functions of arrays and floats: the sharpness alpha
+and the kernel width sigma are arguments, and `ObjectiveConfig` holds only
+the term weights. Each is one *_with_grad function that returns the value
+together with its analytic gradients with respect to the mapped coordinates
+(and the inverse-conformal-factor values where relevant); callers that need
+only the value take element [0]. Gradients are exact derivatives of the
+implemented formulas; finite-difference agreement is enforced in the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +32,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "HandConfig",
-    "LegConfig",
     "ObjectiveConfig",
     "hand_with_grad",
     "leg_with_grad",
@@ -41,17 +41,6 @@ __all__ = [
     "BoundAuditReport",
     "audit_theorem_bound",
 ]
-
-
-@dataclass(frozen=True)
-class HandConfig:
-    """Sharpness of the smooth Hausdorff surrogate. Larger alpha is sharper."""
-
-    alpha: float = 20.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 # smallest kernel width whose square is a normal float and whose gradient
@@ -73,18 +62,8 @@ def _check_sigma(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class LegConfig:
-    """Gaussian kernel width of the localized distortion energy."""
-
-    sigma: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_sigma("sigma", self.sigma)
-
-
-@dataclass(frozen=True)
 class ObjectiveConfig:
-    """Weights and kernel settings of the combined objective.
+    """Term weights of the combined objective.
 
     total = beta1 * distortion + beta2 * domain surrogate + beta3 * landmark sum
 
@@ -96,8 +75,6 @@ class ObjectiveConfig:
     beta1: float = 5.0
     beta2: float = 1.0
     beta3: float = 1.0
-    hand: HandConfig = field(default_factory=HandConfig)
-    leg: LegConfig = field(default_factory=LegConfig)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.beta1) and self.beta1 >= 0):
@@ -139,16 +116,17 @@ def _soft_min_jac(d, low, value, scale, a: float, out, scratch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray]:
+def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
     """Smooth two-sided Hausdorff surrogate between clouds y and w, plus its
     gradient with respect to the coordinates of y.
 
     Soft-max over points of the soft-min of the pairwise distances, in both
     directions, summed. Symmetric in (y, w); converges to the modified
-    (sum-form) Hausdorff distance exponentially fast in cfg.alpha.
+    (sum-form) Hausdorff distance exponentially fast in the sharpness alpha,
+    which must be positive and finite.
     Coincident pairs (zero distance) get a zero subgradient contribution.
     Training moves only y, the mapped points; by the symmetry, the gradient
-    in w is `hand_with_grad(w, y, cfg)[1]`.
+    in w is `hand_with_grad(w, y, alpha)[1]`.
 
     Two passes over row tiles of the distances keep memory O(n + m). A tile
     holds whole rows, so the soft-min of a y point is exact per tile; that of
@@ -159,8 +137,10 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray]:
     (`_halves.split`). Each half keeps its own column state; the two are
     rescaled to their common minimum and added, half 0 first.
     """
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     y, w = _same_dim_clouds(y, w)
-    a = cfg.alpha
+    a = alpha
     n, m = len(y), len(w)
 
     r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
@@ -226,14 +206,15 @@ def hand_with_grad(y, w, cfg: HandConfig) -> tuple[float, np.ndarray]:
 
 
 def leg_with_grad(
-    original, mapped, lambda_inv_values, cfg: LegConfig
+    original, mapped, lambda_inv_values, sigma: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Localized distortion energy of a mapped cloud, plus its gradients in the
     mapped coordinates and in the per-point inverse factors.
 
     Mean over all ordered point pairs (diagonal included, it vanishes) of the
     squared mismatch between the Gaussian affinity of the originals and the
-    lambda-compensated Gaussian affinity of their images, where
+    lambda-compensated Gaussian affinity of their images, at kernel width
+    sigma (finite and at least `_SIGMA_FLOOR`), where
     lambda_ij = 1 / (v_i + v_j) for the inverse factors v (positive and
     finite, one per point). Zero exactly when every image pair distance
     equals lambda_ij times the original distance.
@@ -243,6 +224,7 @@ def leg_with_grad(
     two fixed halves, the first on a worker thread (`_halves.split`), and
     the value is half 0's sum plus half 1's.
     """
+    _check_sigma("sigma", sigma)
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
     n = len(x)
@@ -253,7 +235,7 @@ def leg_with_grad(
         raise ValueError(f"{v.size} inverse factors for {n} points")
     if not (np.isfinite(v).all() and (v > 0.0).all()):
         raise ValueError("inverse factors must be positive and finite")
-    neg_inv_s2 = -1.0 / (cfg.sigma * cfg.sigma)
+    neg_inv_s2 = -1.0 / (sigma * sigma)
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
 
@@ -300,7 +282,7 @@ def leg_with_grad(
 
 
 def landmark_energy_with_grad(
-    mapped_landmarks, targets, cfg: HandConfig
+    mapped_landmarks, targets, alpha: float
 ) -> tuple[float, list[np.ndarray]]:
     """Sum of smooth Hausdorff surrogates between landmark images and targets,
     plus the gradient for each mapped landmark cloud.
@@ -315,7 +297,7 @@ def landmark_energy_with_grad(
     value = 0.0
     grads: list[np.ndarray] = []
     for m, q in zip(mapped_landmarks, targets):
-        v, gm = hand_with_grad(m, q, cfg)
+        v, gm = hand_with_grad(m, q, alpha)
         value += v
         grads.append(gm)
     return value, grads
@@ -344,6 +326,8 @@ def total_loss_with_grad(
     landmark_rows,
     targets,
     cfg: ObjectiveConfig,
+    alpha: float,
+    sigma: float,
     n_base: int | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Combined objective on one batch, plus its gradients in the mapped
@@ -351,11 +335,13 @@ def total_loss_with_grad(
 
     `original`/`mapped`/`lambda_inv_values` cover the batch with landmark
     points appended; rows before `n_base` (default: all) are the non-landmark
-    batch the domain surrogate term sees. `landmark_rows` gives, per landmark
-    region, the row indices of its points inside `mapped`; `targets` the
-    corresponding planar target clouds. With beta1 == 0 the distortion term
-    is skipped entirely, `lambda_inv_values` may be None and the gradient in
-    the inverse factors is zero.
+    batch the domain surrogate term sees. alpha is the sharpness of the
+    domain and landmark surrogates, sigma the kernel width of the distortion
+    energy. `landmark_rows` gives, per landmark region, the row indices of
+    its points inside `mapped`; `targets` the corresponding planar target
+    clouds. With beta1 == 0 the distortion term is skipped entirely,
+    `lambda_inv_values` may be None and the gradient in the inverse factors
+    is zero.
     """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
@@ -384,19 +370,19 @@ def total_loss_with_grad(
 
     leg_val = 0.0
     if cfg.beta1 > 0:
-        leg_val, g_leg_y, g_leg_v = leg_with_grad(x, y, lambda_inv_values, cfg.leg)
+        leg_val, g_leg_y, g_leg_v = leg_with_grad(x, y, lambda_inv_values, sigma)
         g_mapped += cfg.beta1 * g_leg_y
         g_v = cfg.beta1 * g_leg_v
 
     hand_val = 0.0
     if cfg.beta2 > 0:
-        hand_val, g_hand_y = hand_with_grad(y[:n_base], domain_sample, cfg.hand)
+        hand_val, g_hand_y = hand_with_grad(y[:n_base], domain_sample, alpha)
         g_mapped[:n_base] += cfg.beta2 * g_hand_y
 
     lm_val = 0.0
     if cfg.beta3 > 0 and landmark_rows:
         lm_val, g_lm = landmark_energy_with_grad(
-            [y[rows] for rows in landmark_rows], targets, cfg.hand
+            [y[rows] for rows in landmark_rows], targets, alpha
         )
         for rows, g_k in zip(landmark_rows, g_lm):
             np.add.at(g_mapped, rows, cfg.beta3 * g_k)
@@ -440,9 +426,10 @@ class BoundAuditReport:
 
 
 def audit_theorem_bound(
-    mesh: TriangleMesh, mapped, lambda_inv_values, cfg: LegConfig
+    mesh: TriangleMesh, mapped, lambda_inv_values, sigma: float
 ) -> BoundAuditReport:
-    """Evaluate both sides of the distortion-energy angle bound on one instance.
+    """Evaluate both sides of the distortion-energy angle bound on one instance,
+    at kernel width sigma.
 
     lambda0 / LambdaT are taken from the instance itself: the smallest
     lambda_ij = 1 / (v_i + v_j) over the mesh edges and the largest
@@ -454,7 +441,7 @@ def audit_theorem_bound(
         raise ValueError("mesh has no triangles")
     n = len(mesh.vertices)
     # leg_with_grad checks the mapped cloud and the inverse factors
-    d_sigma = leg_with_grad(mesh.vertices, mapped, lambda_inv_values, cfg)[0]
+    d_sigma = leg_with_grad(mesh.vertices, mapped, lambda_inv_values, sigma)[0]
     mapped = as_cloud(mapped, dim=2)
     v = np.asarray(lambda_inv_values, dtype=np.float64).ravel()
 
@@ -469,7 +456,7 @@ def audit_theorem_bound(
     lambda_t = float((dy / dx).max())
     r = max(lambda_t / lambda0, 1.0)
     big_r = float(dx.max())
-    eta = 1.0 / cfg.sigma
+    eta = 1.0 / sigma
 
     n_tri = len(mesh.triangles)
     growth = np.exp(eta * eta * r * r * big_r * big_r) / (eta * eta)

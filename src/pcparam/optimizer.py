@@ -194,13 +194,15 @@ class StageRecord:
 
 @dataclass
 class TrainResult:
-    """Trained parameters plus one record per stage, in order."""
+    """Trained parameters plus one record per stage, in order, and the
+    cloud as the final map sends it (the array the last evaluation used)."""
 
     map_spec: NetworkSpec
     map_params: np.ndarray
     lambda_spec: NetworkSpec | None
     lambda_params: np.ndarray | None
     records: list[StageRecord]
+    mapped: np.ndarray
 
 
 class TrainingError(RuntimeError):
@@ -345,17 +347,11 @@ def train(
             if stage_cfg.batch_points == n_points:
                 keep_going = False
             stage_rng = np.random.default_rng(root.spawn(1)[0])
-            cfg_sigma = dataclasses.replace(
-                objective, leg=dataclasses.replace(objective.leg, sigma=stage_cfg.sigma)
-            )
             last_breakdown: LossBreakdown | None = None
 
             for epoch in range(1, stage_cfg.epochs + 1):
                 alpha = alpha_schedule(
                     epoch, stage_cfg.epochs, stage_cfg.alpha_init, stage_cfg.alpha_final
-                )
-                cfg_e = dataclasses.replace(
-                    cfg_sigma, hand=dataclasses.replace(cfg_sigma.hand, alpha=alpha)
                 )
                 perm = stage_rng.permutation(n_points)
                 n_batches = -(-n_points // stage_cfg.batch_points)
@@ -396,7 +392,7 @@ def train(
                         lam_inv = None
                     breakdown, g_mapped, g_v = total_loss_with_grad(
                         x_batch, mapped, lam_inv, w, landmark_rows, targets,
-                        cfg_e, n_base=len(chunk),
+                        objective, alpha, stage_cfg.sigma, n_base=len(chunk),
                     )
                     if not np.isfinite(breakdown.total):
                         raise TrainingError(
@@ -472,4 +468,5 @@ def train(
         lambda_spec=lambda_spec,
         lambda_params=lambda_params,
         records=records,
+        mapped=mapped_all,
     )

@@ -22,8 +22,6 @@ from pcparam.geometry import (
 )
 from pcparam.io import load_cloud, load_table, save_cloud, save_mesh
 from pcparam.losses import (
-    HandConfig,
-    LegConfig,
     ObjectiveConfig,
     audit_theorem_bound,
     hand_with_grad,
@@ -261,7 +259,7 @@ def test_c02_surrogate_error_decay():
         ny, nw = int(rng.integers(2, 65)), int(rng.integers(2, 65))
         y, w = cloud(ny), cloud(nw)
         exact = modified_hausdorff_exact(y, w)
-        errs = {k: abs(hand_with_grad(y, w, HandConfig(alpha=float(k)))[0] - exact)
+        errs = {k: abs(hand_with_grad(y, w, float(k))[0] - exact)
                 for k in (5, 10, 20, 40, 80, 100)}
         for k in (5, 10, 20, 40):
             cases += 1
@@ -287,33 +285,32 @@ def test_c03_gradient_checks():
         ny, nw = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         y = rng.normal(0, 1, (ny, 2))
         w = rng.normal(0, 1, (nw, 2))
-        hcfg = HandConfig(alpha=rng.uniform(2, 30))
-        _, gy = hand_with_grad(y, w, hcfg)
-        gw = hand_with_grad(w, y, hcfg)[1]
-        fy = _fd_grad(lambda t: hand_with_grad(t, w, hcfg)[0], y.copy(), 1e-6)
-        fw = _fd_grad(lambda t: hand_with_grad(y, t, hcfg)[0], w.copy(), 1e-6)
+        alpha = rng.uniform(2, 30)
+        _, gy = hand_with_grad(y, w, alpha)
+        gw = hand_with_grad(w, y, alpha)[1]
+        fy = _fd_grad(lambda t: hand_with_grad(t, w, alpha)[0], y.copy(), 1e-6)
+        fw = _fd_grad(lambda t: hand_with_grad(y, t, alpha)[0], w.copy(), 1e-6)
         assert _rel_err(np.vstack([gy, gw]), np.vstack([fy, fw])) < tol
 
         # original in 3D, sigma comparable to the cloud spread so the
         # Gaussian kernels (and with them the gradient) stay alive
         x3 = rng.normal(0, 0.7, (ny, 3))
         v = rng.uniform(0.3, 2.0, ny)
-        lcfg = LegConfig(sigma=rng.uniform(0.8, 1.6))
-        _, g_mapped, _ = leg_with_grad(x3, y, v, lcfg)
-        f_mapped = _fd_grad(lambda t: leg_with_grad(x3, t, v, lcfg)[0], y.copy(), 1e-5)
+        sigma = rng.uniform(0.8, 1.6)
+        _, g_mapped, _ = leg_with_grad(x3, y, v, sigma)
+        f_mapped = _fd_grad(lambda t: leg_with_grad(x3, t, v, sigma)[0], y.copy(), 1e-5)
         assert _rel_err(g_mapped, f_mapped) < tol
 
         rows = [np.array([0, 1])]
         tgt = [rng.normal(0, 1, (3, 2))]
-        ocfg = ObjectiveConfig(beta1=1.3, beta2=0.7, beta3=0.9,
-                               hand=hcfg, leg=lcfg)
+        ocfg = ObjectiveConfig(beta1=1.3, beta2=0.7, beta3=0.9)
         _, g_map, g_v = total_loss_with_grad(
-            x3, y, v, w, rows, tgt, ocfg, n_base=ny - 1)
+            x3, y, v, w, rows, tgt, ocfg, alpha, sigma, n_base=ny - 1)
         f_map = _fd_grad(
-            lambda t: total_loss_with_grad(x3, t, v, w, rows, tgt, ocfg,
+            lambda t: total_loss_with_grad(x3, t, v, w, rows, tgt, ocfg, alpha, sigma,
                                            n_base=ny - 1)[0].total, y.copy(), 1e-5)
         f_v = _fd_grad(
-            lambda t: total_loss_with_grad(x3, y, t, w, rows, tgt, ocfg,
+            lambda t: total_loss_with_grad(x3, y, t, w, rows, tgt, ocfg, alpha, sigma,
                                            n_base=ny - 1)[0].total, v.copy(), 1e-5)
         assert _rel_err(np.concatenate([g_map.ravel(), g_v]),
                         np.concatenate([f_map.ravel(), f_v])) < tol
@@ -350,26 +347,26 @@ def test_c03_gradient_checks():
 def test_c04_distortion_fixed_points_and_invariances():
     rng = np.random.default_rng(14)
     x = rng.uniform(0, 1, (12, 2))
-    cfg = LegConfig(sigma=0.5)
+    sigma = 0.5
 
     v_id = np.full(12, 0.5)  # lambda = 1
-    assert leg_with_grad(x, x, v_id, cfg)[0] < 1e-12
+    assert leg_with_grad(x, x, v_id, sigma)[0] < 1e-12
 
     for c in (0.5, 2.7):
         v_c = np.full(12, 1.0 / (2.0 * c))
-        assert leg_with_grad(x, c * x, v_c, cfg)[0] < 1e-12
+        assert leg_with_grad(x, c * x, v_c, sigma)[0] < 1e-12
 
     y = rng.uniform(0, 1, (12, 2))
-    base = leg_with_grad(x, y, v_id, cfg)[0]
+    base = leg_with_grad(x, y, v_id, sigma)[0]
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert abs(leg_with_grad(x, y @ rot.T + np.array([3.0, -1.5]), v_id, cfg)[0]
+    assert abs(leg_with_grad(x, y @ rot.T + np.array([3.0, -1.5]), v_id, sigma)[0]
                - base) < 1e-10
-    assert abs(leg_with_grad(x @ rot.T + 2.0, y, v_id, cfg)[0] - base) < 1e-10
+    assert abs(leg_with_grad(x @ rot.T + 2.0, y, v_id, sigma)[0] - base) < 1e-10
 
     for c in (0.25, 4.0):
         v_scaled = np.full(12, 0.5 / c)
-        assert abs(leg_with_grad(x, c * y, v_scaled, cfg)[0] - base) < 1e-10
+        assert abs(leg_with_grad(x, c * y, v_scaled, sigma)[0] - base) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +392,7 @@ def test_c05_angle_bound_audit():
     t0 = time.monotonic()
     for seed in range(100):
         tri, mapped, v = _warped_grid_instance(3000 + seed)
-        report = audit_theorem_bound(tri, mapped, v, LegConfig(sigma=0.5))
+        report = audit_theorem_bound(tri, mapped, v, 0.5)
         assert report.holds, f"instance seed {3000 + seed}"
     assert time.monotonic() - t0 < 20.0
 

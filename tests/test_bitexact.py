@@ -41,8 +41,6 @@ from pcparam.geometry import (
     sampling_gap_estimate,
 )
 from pcparam.losses import (
-    HandConfig,
-    LegConfig,
     audit_theorem_bound,
     hand_with_grad,
     leg_with_grad,
@@ -550,7 +548,7 @@ def test_hand_with_grad_matches_reference(alpha):
     rng = np.random.default_rng(6)
     y = _cloud(rng, 300, 2, 0.3)
     w = _with_coincident_pair(y, _cloud(rng, 200, 2, 0.3))
-    for got, want in zip(hand_with_grad(y, w, HandConfig(alpha)),
+    for got, want in zip(hand_with_grad(y, w, alpha),
                          ref_hand_with_grad(y, w, alpha), strict=True):
         _assert_close(got, want)
 
@@ -563,7 +561,7 @@ def test_leg_with_grad_matches_reference(dim):
     x[9] = x[4]
     y[9] = y[4]  # a coincident pair in both clouds
     v = rng.uniform(0.2, 2.0, 300)
-    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)),
+    for got, want in zip(leg_with_grad(x, y, v, 0.3),
                          ref_leg_inv_grad(x, y, v, 0.3)):
         _assert_close(got, want)
 
@@ -582,7 +580,7 @@ def test_tiled_hand_matches_reference(monkeypatch, tile, dim, alpha):
     w = _with_coincident_pair(y, _cloud(rng, 70, dim, 0.3))
     w[10] = w[11] = y[12]  # a point of y on two coincident w points
     monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
-    for got, want in zip(hand_with_grad(y, w, HandConfig(alpha)),
+    for got, want in zip(hand_with_grad(y, w, alpha),
                          ref_hand_with_grad(y, w, alpha), strict=True):
         _assert_close(got, want)
 
@@ -598,7 +596,7 @@ def test_tiled_leg_matches_reference(monkeypatch, tile, dim):
     y[30] = y[31]  # images that collapse while the originals do not
     v = rng.uniform(0.2, 2.0, 151)
     monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
-    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)),
+    for got, want in zip(leg_with_grad(x, y, v, 0.3),
                          ref_leg_inv_grad(x, y, v, 0.3)):
         _assert_close(got, want)
 
@@ -612,8 +610,8 @@ def test_tiled_energies_do_not_depend_on_tile_size(monkeypatch):
     runs = []
     for tile in TILES:
         monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
-        runs.append(hand_with_grad(y, w, HandConfig(40.0))
-                    + leg_with_grad(x, y, v, LegConfig(0.4)))
+        runs.append(hand_with_grad(y, w, 40.0)
+                    + leg_with_grad(x, y, v, 0.4))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             _assert_close(got, want, rel=1e-13)
@@ -898,14 +896,14 @@ def test_few_rows_match_reference(monkeypatch, n):
     assert np.array_equal(backward(spec, params, x, ct, tape=tape),
                           ref_backward(spec, params, x, ct))
     y, w = _cloud(rng, n, 2), _cloud(rng, 4, 2)
-    for got, want in zip(hand_with_grad(y, w, HandConfig(20.0)), ref_hand_with_grad(y, w, 20.0),
+    for got, want in zip(hand_with_grad(y, w, 20.0), ref_hand_with_grad(y, w, 20.0),
                          strict=True):
         _assert_close(got, want)
-    for got, want in zip(hand_with_grad(w, y, HandConfig(20.0)), ref_hand_with_grad(w, y, 20.0),
+    for got, want in zip(hand_with_grad(w, y, 20.0), ref_hand_with_grad(w, y, 20.0),
                          strict=True):
         _assert_close(got, want)
     v = rng.uniform(0.2, 2.0, n)
-    for got, want in zip(leg_with_grad(x, y, v, LegConfig(0.3)), ref_leg_inv_grad(x, y, v, 0.3)):
+    for got, want in zip(leg_with_grad(x, y, v, 0.3), ref_leg_inv_grad(x, y, v, 0.3)):
         _assert_close(got, want)
 
 
@@ -1211,7 +1209,7 @@ def test_edge_table_matches_dict_incidence():
         # the audit's edge extrema over the dict's edges
         mapped = mesh.vertices * np.array([1.5, 0.5])
         v = np.linspace(0.5, 2.0, len(mesh.vertices))
-        report = audit_theorem_bound(mesh, mapped, v, LegConfig(0.5))
+        report = audit_theorem_bound(mesh, mapped, v, 0.5)
         ei, ej = np.array(keys).T
         dx = np.linalg.norm(mesh.vertices[ei] - mesh.vertices[ej], axis=1)
         dy = np.linalg.norm(mapped[ei] - mapped[ej], axis=1)

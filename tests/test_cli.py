@@ -699,6 +699,16 @@ MALFORMED_TABLES = [
 ]
 
 
+def test_plot_stage_lines_bad_cell_exits_2_naming_the_line(tmp_path, caplog):
+    log_csv = tmp_path / "log.csv"
+    log_csv.write_text("stage,loss_total\n1,0.5\n2,abc\n")
+    out = tmp_path / "x.svg"
+    assert main(["plot", "--input", str(log_csv), "--kind", "stage_lines",
+                 "--out", str(out)]) == 2
+    assert f"config error: {log_csv}:3: not a numeric row" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, text, message", MALFORMED_TABLES)
 @pytest.mark.parametrize("kind", ["scatter", "histogram"])
 def test_plot_malformed_table_exits_2(tmp_path, caplog, name, text, message, kind):
@@ -793,6 +803,79 @@ def range_inputs(workdir, identity_setup):
         "audit-bound": ["audit", "--kind", "distortion-bound", "--mesh", str(mesh),
                         "--mapped", cloud, "--lambda-inv", str(lam), "--out", out + ".csv"],
     }
+
+
+# one malformed file of each kind the commands read; the mesh and domain
+# errors come from int() and json, whose messages do not name the file
+MALFORMED_FILES = {
+    "cloud": ("bad.csv", "x,y\n0.1,0.2\n0.3,abc\n"),
+    "mesh": ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
+    "checkpoint": ("bad.ckpt.json", "{"),
+    "domain": ("bad.json", "{"),
+}
+
+
+def _with_flag(argv, flag, value):
+    """argv with flag set to value, replacing the value it had."""
+    if flag in argv:
+        k = argv.index(flag)
+        return [*argv[: k + 1], value, *argv[k + 2:]]
+    return [*argv, flag, value]
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("map", "--input", "cloud"),
+    ("map", "--checkpoint", "checkpoint"),
+    ("map", "--lambda-checkpoint", "checkpoint"),
+    ("eval", "--input", "cloud"),
+    ("eval", "--checkpoint", "checkpoint"),
+    ("eval", "--mesh", "mesh"),
+    ("eval", "--domain-file", "domain"),
+    ("boundary", "--mapped", "cloud"),
+    ("reconstruct", "--input", "cloud"),
+    ("reconstruct", "--checkpoint", "checkpoint"),
+    ("reconstruct", "--domain-file", "domain"),
+    ("reconstruct-lambda", "--lambda-checkpoint", "checkpoint"),
+    ("sample-domain", "--domain-file", "domain"),
+    ("plot", "--input", "cloud"),
+    ("audit-bound", "--mesh", "mesh"),
+    ("audit-bound", "--mapped", "cloud"),
+    ("audit-bound", "--lambda-inv", "cloud"),
+])
+def test_malformed_input_file_exits_2_naming_it(range_inputs, identity_setup, tmp_path, caplog,
+                                                command, flag, kind):
+    name, text = MALFORMED_FILES[kind]
+    bad = tmp_path / name
+    bad.write_text(text)
+    ck, lam = str(identity_setup["ckpt"]), str(identity_setup["lambda"])
+    argv = {
+        **range_inputs,
+        "map": ["map", "--checkpoint", ck, "--input", str(identity_setup["cloud"]),
+                "--out", str(tmp_path / "m.csv"), "--lambda-checkpoint", lam,
+                "--lambda-out", str(tmp_path / "l.csv")],
+        "reconstruct-lambda": [*range_inputs["reconstruct"], "--mode", "lambda_adapted",
+                               "--lambda-checkpoint", lam],
+    }[command]
+    assert main(_with_flag(argv, flag, str(bad))) == 2
+    assert "config error: " in caplog.text and str(bad) in caplog.text
+
+
+@pytest.mark.parametrize("key, kind", [
+    ("config", None), ("input", "cloud"), ("eval_mesh", "mesh"), ("domain", "domain"),
+])
+def test_fit_malformed_file_exits_2_naming_it(tmp_path, tiny_cloud_csv, caplog, key, kind):
+    cfg_path = tmp_path / "fit.json"
+    if kind is None:
+        bad = cfg_path
+        cfg_path.write_bytes(b"\xff{}")  # not UTF-8
+    else:
+        name, text = MALFORMED_FILES[kind]
+        bad = tmp_path / name
+        bad.write_text(text)
+        value = {"file": str(bad)} if key == "domain" else str(bad)
+        _write_config(cfg_path, _tiny_config(tiny_cloud_csv, tmp_path / "out", **{key: value}))
+    assert main(["fit", "--config", str(cfg_path)]) == 2
+    assert "config error: " in caplog.text and str(bad) in caplog.text
 
 
 @pytest.mark.parametrize("command, flag, value", [

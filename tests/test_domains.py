@@ -173,8 +173,9 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_malformed_documents():
-    with pytest.raises(ValueError, match="loops"):
-        domain_from_json({"segments": []})
+    for doc in ({"segments": []}, {"loops": 5}, {"loops": [5]}):
+        with pytest.raises(ValueError, match="loops"):
+            domain_from_json(doc)
     with pytest.raises(ValueError, match="type"):
         domain_from_json({"loops": [[{"start": [0, 0], "end": [1, 1]}]]})
     with pytest.raises(ValueError, match="unknown segment type"):

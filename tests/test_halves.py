@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pcparam import _halves
-from pcparam.losses import _SIGMA_FLOOR, LegConfig, leg_with_grad
+from pcparam.losses import _SIGMA_FLOOR, leg_with_grad
 
 needs_control = pytest.mark.skipif(
     not _halves._blas_control(), reason="no OpenBLAS thread control in this process"
@@ -158,7 +158,7 @@ def test_leg_just_above_the_floor_warns_on_neither_thread(monkeypatch):
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
         warnings.simplefilter("always")
         value, g_mapped, g_inv = leg_with_grad(
-            x, y, rng.uniform(0.3, 1.2, 41), LegConfig(1.05 * _SIGMA_FLOOR)
+            x, y, rng.uniform(0.3, 1.2, 41), 1.05 * _SIGMA_FLOOR
         )
     assert not caught
     assert np.isfinite(value) and np.isfinite(g_mapped).all() and np.isfinite(g_inv).all()

@@ -129,6 +129,11 @@ def test_mesh_error_paths(tmp_path):
     quadoff.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
     with pytest.raises(ValueError, match="4-gon"):
         load_mesh(quadoff)
+    for text in ("OFF\n", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"):  # no counts, no face
+        short = tmp_path / "short.off"
+        short.write_text(text)
+        with pytest.raises(ValueError, match="ends before its declared counts"):
+            load_mesh(short)
     with pytest.raises(ValueError, match="unsupported"):
         load_mesh(tmp_path / "m.stl")
     with pytest.raises(ValueError, match="unsupported"):

@@ -10,8 +10,6 @@ import pytest
 from pcparam.geometry import TriangleMesh, modified_hausdorff_exact
 from pcparam.losses import (
     BoundAuditReport,
-    HandConfig,
-    LegConfig,
     ObjectiveConfig,
     audit_theorem_bound,
     hand_with_grad,
@@ -19,6 +17,10 @@ from pcparam.losses import (
     leg_with_grad,
     total_loss_with_grad,
 )
+
+
+# the sharpness and kernel width the combined-objective tests use
+ALPHA, SIGMA = 20.0, 0.5
 
 
 def _fd_grad(f, x, eps=1e-6):
@@ -50,15 +52,15 @@ def _rel_err(analytic, numeric):
 
 
 def test_hand_singletons_twice_distance():
-    cfg = HandConfig(alpha=7.0)
-    assert hand_with_grad([[0.0, 0.0]], [[3.0, 4.0]], cfg)[0] == 10.0
-    assert hand_with_grad([[1.0, 1.0, 1.0]], [[1.0, 1.0, 6.0]], cfg)[0] == 10.0
+    alpha = 7.0
+    assert hand_with_grad([[0.0, 0.0]], [[3.0, 4.0]], alpha)[0] == 10.0
+    assert hand_with_grad([[1.0, 1.0, 1.0]], [[1.0, 1.0, 6.0]], alpha)[0] == 10.0
 
 
 def test_hand_closed_form_two_vs_one():
     # y = {(0,0),(1,0)}, w = {(0,0)}: hand = e^a/(1+e^a) + e^-a/(1+e^-a)
     a = 2.0
-    got = hand_with_grad([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], HandConfig(alpha=a))[0]
+    got = hand_with_grad([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], a)[0]
     want = np.exp(a) / (1 + np.exp(a)) + np.exp(-a) / (1 + np.exp(-a))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -67,12 +69,12 @@ def test_hand_symmetric():
     # symmetric up to summation order: numpy reduces transposed rows in a
     # different blocking, so allow an ulp-scale difference
     rng = np.random.default_rng(3)
-    cfg = HandConfig(alpha=11.0)
+    alpha = 11.0
     for _ in range(20):
         y = rng.normal(0, 1, (int(rng.integers(1, 15)), 2))
         w = rng.normal(0, 1, (int(rng.integers(1, 15)), 2))
-        assert hand_with_grad(y, w, cfg)[0] == pytest.approx(
-            hand_with_grad(w, y, cfg)[0], rel=1e-13
+        assert hand_with_grad(y, w, alpha)[0] == pytest.approx(
+            hand_with_grad(w, y, alpha)[0], rel=1e-13
         )
 
 
@@ -84,25 +86,25 @@ def test_hand_converges_to_modified_hausdorff():
         exact = modified_hausdorff_exact(y, w)
         both = np.vstack([y, w])
         diam = np.sqrt(((both[:, None] - both[None]) ** 2).sum(-1)).max()
-        err_lo = abs(hand_with_grad(y, w, HandConfig(alpha=5.0))[0] - exact)
-        err_hi = abs(hand_with_grad(y, w, HandConfig(alpha=80.0))[0] - exact)
+        err_lo = abs(hand_with_grad(y, w, 5.0)[0] - exact)
+        err_hi = abs(hand_with_grad(y, w, 80.0)[0] - exact)
         assert err_hi <= err_lo + 1e-12
         # near-ties between point distances slow the exponential rate, so the
         # sharp claim is percent-of-diameter accuracy at alpha = 100
-        err_tight = abs(hand_with_grad(y, w, HandConfig(alpha=100.0))[0] - exact)
+        err_tight = abs(hand_with_grad(y, w, 100.0)[0] - exact)
         assert err_tight < 1e-2 * diam
 
 
 def test_hand_gradient_fd():
     rng = np.random.default_rng(21)
-    cfg = HandConfig(alpha=6.0)
+    alpha = 6.0
     for _ in range(10):
         y = rng.normal(0, 1, (int(rng.integers(2, 10)), 2))
         w = rng.normal(0, 1, (int(rng.integers(2, 10)), 2))
-        _, gy = hand_with_grad(y, w, cfg)
-        gw = hand_with_grad(w, y, cfg)[1]
-        fy = _fd_grad(lambda p: hand_with_grad(p, w, cfg)[0], y)
-        fw = _fd_grad(lambda p: hand_with_grad(y, p, cfg)[0], w)
+        _, gy = hand_with_grad(y, w, alpha)
+        gw = hand_with_grad(w, y, alpha)[1]
+        fy = _fd_grad(lambda p: hand_with_grad(p, w, alpha)[0], y)
+        fw = _fd_grad(lambda p: hand_with_grad(y, p, alpha)[0], w)
         assert _rel_err(gy, fy) < 1e-6
         assert _rel_err(gw, fw) < 1e-6
 
@@ -110,20 +112,17 @@ def test_hand_gradient_fd():
 def test_hand_gradient_finite_at_coincident_points():
     y = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     w = np.array([[0.0, 0.0], [2.0, 1.0]])
-    val, gy = hand_with_grad(y, w, HandConfig(alpha=5.0))
-    gw = hand_with_grad(w, y, HandConfig(alpha=5.0))[1]
+    val, gy = hand_with_grad(y, w, 5.0)
+    gw = hand_with_grad(w, y, 5.0)[1]
     assert np.isfinite(val)
     assert np.isfinite(gy).all()
     assert np.isfinite(gw).all()
 
 
 def test_hand_config_validation():
-    with pytest.raises(ValueError):
-        HandConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        HandConfig(alpha=-3.0)
-    with pytest.raises(ValueError):
-        HandConfig(alpha=float("nan"))
+    for alpha in (0.0, -3.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            hand_with_grad([[0.0, 0.0]], [[1.0, 0.0]], alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +136,9 @@ def test_lambda_pair_values():
     y = np.array([[0.0, 0.0], [1.5, 0.0]])
     e = np.exp(-1.0) - np.exp(-2.25 / 2.0**2)
     want = 2.0 * e * e / 4.0
-    cfg = LegConfig(sigma=1.0)
-    assert leg_with_grad(x, y, [0.1, 0.4], cfg)[0] == pytest.approx(want, rel=1e-15)
-    assert leg_with_grad(x[::-1], y[::-1], [0.4, 0.1], cfg)[0] == pytest.approx(want, rel=1e-15)
+    sigma = 1.0
+    assert leg_with_grad(x, y, [0.1, 0.4], sigma)[0] == pytest.approx(want, rel=1e-15)
+    assert leg_with_grad(x[::-1], y[::-1], [0.4, 0.1], sigma)[0] == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("sigma", [1e-160, 1e-200, 5e-324])
@@ -147,14 +146,15 @@ def test_leg_config_rejects_sigma_whose_square_is_not_normal(sigma):
     # below sqrt(smallest normal) the energy came out nan, or 1 / sigma^2
     # raised a bare ZeroDivisionError
     with pytest.raises(ValueError, match=f"sigma must be at least .* got {sigma!r}"):
-        LegConfig(sigma=sigma)
+        leg_with_grad(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), sigma)
 
 
 def test_leg_config_accepts_sigma_at_the_floor():
     floor = max(math.sqrt(sys.float_info.min), math.sqrt(8.0 / sys.float_info.max))
-    assert LegConfig(sigma=floor).sigma == floor
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert np.isfinite(leg_with_grad(x, x, np.ones(2), floor)[0])
     with pytest.raises(ValueError, match="sigma"):
-        LegConfig(sigma=float(np.nextafter(floor, 0.0)))
+        leg_with_grad(x, x, np.ones(2), float(np.nextafter(floor, 0.0)))
 
 
 @pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])
@@ -162,7 +162,7 @@ def test_leg_config_rejects_sigma_whose_gradient_scale_overflows(sigma):
     # sigma^2 is a normal float here, but the gradient scale 8 / sigma^2
     # overflowed to inf and both gradients came out nan
     with pytest.raises(ValueError, match=f"sigma must be at least .* got {sigma!r}"):
-        LegConfig(sigma=sigma)
+        leg_with_grad(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), sigma)
 
 
 # the exponent -sqy / (sigma lam)^2 overflows to -inf here; exp(-inf) is the
@@ -173,32 +173,32 @@ def test_leg_gradients_are_finite_just_above_the_floor():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(40, 2))
     y[7] = y[3] + 1e-154  # one image pair about sigma apart
-    value, g_mapped, g_inv = leg_with_grad(x, y, rng.uniform(0.3, 1.2, 40), LegConfig(2.2e-154))
+    value, g_mapped, g_inv = leg_with_grad(x, y, rng.uniform(0.3, 1.2, 40), 2.2e-154)
     assert np.isfinite(value)
     assert np.isfinite(g_mapped).all() and np.isfinite(g_inv).all()
 
 
 def test_lambda_pair_validation():
     x = np.zeros((2, 2))
-    cfg = LegConfig()
+    sigma = 0.5
     with pytest.raises(ValueError, match="inverse factors for"):
-        leg_with_grad(x, x, [], cfg)
+        leg_with_grad(x, x, [], sigma)
     with pytest.raises(ValueError, match="positive"):
-        leg_with_grad(x, x, [0.5, -0.1], cfg)
+        leg_with_grad(x, x, [0.5, -0.1], sigma)
     with pytest.raises(ValueError, match="positive"):
-        leg_with_grad(x, x, [0.0, 0.0], cfg)
+        leg_with_grad(x, x, [0.0, 0.0], sigma)
     with pytest.raises(ValueError, match="finite"):
-        leg_with_grad(x, x, [np.inf, 1.0], cfg)
+        leg_with_grad(x, x, [np.inf, 1.0], sigma)
 
 
 def test_lambda_inv_chain_matches_fd():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, (8, 3))
     y = rng.normal(0, 1, (8, 2))
-    cfg = LegConfig(sigma=0.7)
+    sigma = 0.7
     v0 = rng.uniform(0.3, 1.5, 8)
-    _, _, analytic = leg_with_grad(x, y, v0, cfg)
-    numeric = _fd_grad(lambda v: leg_with_grad(x, y, v, cfg)[0], v0)
+    _, _, analytic = leg_with_grad(x, y, v0, sigma)
+    numeric = _fd_grad(lambda v: leg_with_grad(x, y, v, sigma)[0], v0)
     assert _rel_err(analytic, numeric) < 1e-6
 
 
@@ -211,7 +211,7 @@ def test_leg_identity_is_exact_zero():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (12, 2))
     v = np.full(12, 0.5)  # lambda = 1
-    assert leg_with_grad(x, x, v, LegConfig(sigma=0.6))[0] == 0.0
+    assert leg_with_grad(x, x, v, 0.6)[0] == 0.0
 
 
 def test_leg_compensated_scaling_is_fixed_point():
@@ -219,7 +219,7 @@ def test_leg_compensated_scaling_is_fixed_point():
     x = rng.normal(0, 1, (10, 2))
     for s in (0.25, 3.0):
         v = np.full(10, 1.0 / (2 * s))  # lambda = s
-        assert leg_with_grad(x, s * x, v, LegConfig(sigma=0.5))[0] < 1e-12
+        assert leg_with_grad(x, s * x, v, 0.5)[0] < 1e-12
 
 
 def test_leg_rigid_invariance():
@@ -227,12 +227,12 @@ def test_leg_rigid_invariance():
     x = rng.normal(0, 1, (9, 3))
     y = rng.normal(0, 1, (9, 2))
     v = rng.uniform(0.2, 1.0, 9)
-    cfg = LegConfig(sigma=0.8)
-    base = leg_with_grad(x, y, v, cfg)[0]
+    sigma = 0.8
+    base = leg_with_grad(x, y, v, sigma)[0]
     th = 1.234
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     moved = y @ rot.T + np.array([5.0, -2.0])
-    assert abs(leg_with_grad(x, moved, v, cfg)[0] - base) < 1e-10
+    assert abs(leg_with_grad(x, moved, v, sigma)[0] - base) < 1e-10
 
 
 def test_leg_joint_scale_covariance():
@@ -241,30 +241,30 @@ def test_leg_joint_scale_covariance():
     x = rng.normal(0, 1, (7, 3))
     y = rng.normal(0, 1, (7, 2))
     v = rng.uniform(0.2, 1.0, 7)
-    cfg = LegConfig(sigma=0.5)
+    sigma = 0.5
     c = 1.7
-    scaled = leg_with_grad(x, c * y, v / c, cfg)[0]  # lambda scaled by c
-    assert abs(scaled - leg_with_grad(x, y, v, cfg)[0]) < 1e-10
+    scaled = leg_with_grad(x, c * y, v / c, sigma)[0]  # lambda scaled by c
+    assert abs(scaled - leg_with_grad(x, y, v, sigma)[0]) < 1e-10
 
 
 def test_leg_positive_when_distorted():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     y = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # one edge stretched
-    assert leg_with_grad(x, y, np.full(3, 0.5), LegConfig(sigma=1.0))[0] > 1e-4
+    assert leg_with_grad(x, y, np.full(3, 0.5), 1.0)[0] > 1e-4
 
 
 def test_leg_gradients_fd():
     rng = np.random.default_rng(14)
-    cfg = LegConfig(sigma=0.6)
+    sigma = 0.6
     for _ in range(10):
         n = int(rng.integers(3, 12))
         x = rng.normal(0, 1, (n, 3))
         y = rng.normal(0, 1, (n, 2))
         v = rng.uniform(0.3, 1.2, n)
-        _, gy, gv = leg_with_grad(x, y, v, cfg)
-        fy = _fd_grad(lambda p: leg_with_grad(x, p, v, cfg)[0], y)
+        _, gy, gv = leg_with_grad(x, y, v, sigma)
+        fy = _fd_grad(lambda p: leg_with_grad(x, p, v, sigma)[0], y)
         assert _rel_err(gy, fy) < 1e-6
-        fv = _fd_grad(lambda p: leg_with_grad(x, y, p, cfg)[0], v)
+        fv = _fd_grad(lambda p: leg_with_grad(x, y, p, sigma)[0], v)
         assert _rel_err(gv, fv) < 1e-6
 
 
@@ -272,13 +272,13 @@ def test_leg_shape_mismatch_errors():
     x = np.zeros((3, 2))
     v = np.ones(3)
     with pytest.raises(ValueError):
-        leg_with_grad(x, np.zeros((4, 2)), v, LegConfig())
+        leg_with_grad(x, np.zeros((4, 2)), v, 0.5)
     with pytest.raises(ValueError):
-        leg_with_grad(x, np.zeros((3, 2)), np.ones(2), LegConfig())
+        leg_with_grad(x, np.zeros((3, 2)), np.ones(2), 0.5)
     bad = v.copy()
     bad[1] = -1.0
     with pytest.raises(ValueError):
-        leg_with_grad(x, np.zeros((3, 2)), bad, LegConfig())
+        leg_with_grad(x, np.zeros((3, 2)), bad, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +287,36 @@ def test_leg_shape_mismatch_errors():
 
 
 def test_landmark_energy_frozen_singletons():
-    cfg = HandConfig(alpha=4.0)
-    got = landmark_energy_with_grad([[[0.0, 0.0]]], [[[3.0, 0.0]]], cfg)[0]
+    alpha = 4.0
+    got = landmark_energy_with_grad([[[0.0, 0.0]]], [[[3.0, 0.0]]], alpha)[0]
     assert got == 6.0  # twice the distance for singleton clouds
 
 
 def test_landmark_energy_sums_pairs():
-    cfg = HandConfig(alpha=4.0)
+    alpha = 4.0
     m1, q1 = [[0.0, 0.0]], [[3.0, 0.0]]
     m2, q2 = [[1.0, 1.0], [2.0, 2.0]], [[1.0, 1.0]]
-    total = landmark_energy_with_grad([m1, m2], [q1, q2], cfg)[0]
-    want = hand_with_grad(m1, q1, cfg)[0] + hand_with_grad(m2, q2, cfg)[0]
+    total = landmark_energy_with_grad([m1, m2], [q1, q2], alpha)[0]
+    want = hand_with_grad(m1, q1, alpha)[0] + hand_with_grad(m2, q2, alpha)[0]
     assert total == pytest.approx(want, rel=1e-15)
-    assert landmark_energy_with_grad([], [], cfg)[0] == 0.0
+    assert landmark_energy_with_grad([], [], alpha)[0] == 0.0
 
 
 def test_landmark_energy_list_mismatch():
     with pytest.raises(ValueError):
-        landmark_energy_with_grad([[[0.0, 0.0]]], [], HandConfig())
+        landmark_energy_with_grad([[[0.0, 0.0]]], [], 20.0)
 
 
 def test_landmark_energy_gradients():
     rng = np.random.default_rng(15)
-    cfg = HandConfig(alpha=5.0)
+    alpha = 5.0
     m = [rng.normal(0, 1, (4, 2)), rng.normal(0, 1, (3, 2))]
     q = [rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (3, 2))]
-    _, grads = landmark_energy_with_grad(m, q, cfg)
+    _, grads = landmark_energy_with_grad(m, q, alpha)
     for k in range(2):
         def f(p, k=k):
             clouds = [p if i == k else m[i] for i in range(2)]
-            return landmark_energy_with_grad(clouds, q, cfg)[0]
+            return landmark_energy_with_grad(clouds, q, alpha)[0]
 
         assert _rel_err(grads[k], _fd_grad(f, m[k])) < 1e-6
 
@@ -341,10 +341,10 @@ def test_total_is_weighted_sum_of_parts():
     x, y, v, w, rows, targets = _instance()
     n = 10
     cfg = ObjectiveConfig(beta1=5.0, beta2=2.0, beta3=0.5)
-    bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, n_base=n)[0]
-    want_leg = leg_with_grad(x, y, v, cfg.leg)[0]
-    want_hand = hand_with_grad(y[:n], w, cfg.hand)[0]
-    want_lm = landmark_energy_with_grad([y[rows[0]]], targets, cfg.hand)[0]
+    bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n)[0]
+    want_leg = leg_with_grad(x, y, v, SIGMA)[0]
+    want_hand = hand_with_grad(y[:n], w, ALPHA)[0]
+    want_lm = landmark_energy_with_grad([y[rows[0]]], targets, ALPHA)[0]
     assert bd.leg == pytest.approx(want_leg, rel=1e-14)
     assert bd.hand == pytest.approx(want_hand, rel=1e-14)
     assert bd.landmark == pytest.approx(want_lm, rel=1e-14)
@@ -356,10 +356,10 @@ def test_total_is_weighted_sum_of_parts():
 def test_total_n_base_restricts_domain_term():
     x, y, v, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=0.0, beta2=1.0, beta3=0.0)
-    bd_cut = total_loss_with_grad(x, y, None, w, [], [], cfg, n_base=10)[0]
-    bd_all = total_loss_with_grad(x, y, None, w, [], [], cfg)[0]
-    assert bd_cut.hand == hand_with_grad(y[:10], w, cfg.hand)[0]
-    assert bd_all.hand == hand_with_grad(y, w, cfg.hand)[0]
+    bd_cut = total_loss_with_grad(x, y, None, w, [], [], cfg, ALPHA, SIGMA, n_base=10)[0]
+    bd_all = total_loss_with_grad(x, y, None, w, [], [], cfg, ALPHA, SIGMA)[0]
+    assert bd_cut.hand == hand_with_grad(y[:10], w, ALPHA)[0]
+    assert bd_all.hand == hand_with_grad(y, w, ALPHA)[0]
     assert bd_cut.hand != bd_all.hand
 
 
@@ -368,7 +368,7 @@ def test_total_identity_with_zero_weights_is_zero():
     x = rng.normal(0, 1, (8, 2))
     v = np.full(8, 0.5)
     cfg = ObjectiveConfig(beta1=4.0, beta2=0.0, beta3=0.0)
-    bd = total_loss_with_grad(x, x, v, np.zeros((1, 2)), [], [], cfg)[0]
+    bd = total_loss_with_grad(x, x, v, np.zeros((1, 2)), [], [], cfg, ALPHA, SIGMA)[0]
     assert bd.total == 0.0
     assert bd.leg == 0.0
 
@@ -376,7 +376,7 @@ def test_total_identity_with_zero_weights_is_zero():
 def test_total_beta1_zero_skips_distortion():
     x, y, _, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=0.0, beta2=1.0, beta3=1.0)
-    bd = total_loss_with_grad(x, y, None, w, rows, targets, cfg, n_base=10)[0]
+    bd = total_loss_with_grad(x, y, None, w, rows, targets, cfg, ALPHA, SIGMA, n_base=10)[0]
     assert bd.leg == 0.0
     assert bd.total == pytest.approx(bd.hand + bd.landmark, rel=1e-14)
 
@@ -385,21 +385,25 @@ def test_total_requires_lambda_when_beta1_positive():
     x, y, _, w, rows, targets = _instance()
     cfg = ObjectiveConfig(beta1=1.0, beta2=1.0, beta3=1.0)
     with pytest.raises(ValueError, match="lambda_inv_values"):
-        total_loss_with_grad(x, y, None, w, rows, targets, cfg, n_base=10)
+        total_loss_with_grad(x, y, None, w, rows, targets, cfg, ALPHA, SIGMA, n_base=10)
 
 
 def test_total_gradients_fd():
     x, y, v, w, rows, targets = _instance()
     n = 10
     cfg = ObjectiveConfig(beta1=5.0, beta2=2.0, beta3=0.5)
-    bd, gm, gv = total_loss_with_grad(x, y, v, w, rows, targets, cfg, n_base=n)
+    bd, gm, gv = total_loss_with_grad(x, y, v, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n)
     assert np.isfinite(bd.total)
 
     def f_mapped(p):
-        return total_loss_with_grad(x, p, v, w, rows, targets, cfg, n_base=n)[0].total
+        return total_loss_with_grad(
+            x, p, v, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n
+        )[0].total
 
     def f_v(p):
-        return total_loss_with_grad(x, y, p, w, rows, targets, cfg, n_base=n)[0].total
+        return total_loss_with_grad(
+            x, y, p, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n
+        )[0].total
 
     assert _rel_err(gm, _fd_grad(f_mapped, y)) < 1e-5
     assert _rel_err(gv, _fd_grad(f_v, v)) < 1e-5
@@ -416,7 +420,7 @@ def test_total_loss_memory_is_bounded():
     w = rng.uniform(-1, 1, (n, 2))
     tracemalloc.start()
     try:
-        bd = total_loss_with_grad(x, y, v, w, [], [], ObjectiveConfig())[0]
+        bd = total_loss_with_grad(x, y, v, w, [], [], ObjectiveConfig(), ALPHA, SIGMA)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,7 +465,7 @@ def _bump_instance(seed):
 def test_audit_bound_holds_on_random_instances():
     for seed in range(8):
         mesh, mapped, v = _bump_instance(seed)
-        report = audit_theorem_bound(mesh, mapped, v, LegConfig(sigma=0.5))
+        report = audit_theorem_bound(mesh, mapped, v, 0.5)
         assert isinstance(report, BoundAuditReport)
         assert report.holds
         assert report.lhs >= report.rhs
@@ -472,15 +476,15 @@ def test_audit_bound_holds_on_random_instances():
 
 def test_audit_bound_error_paths():
     mesh, mapped, v = _bump_instance(0)
-    cfg = LegConfig(sigma=0.5)
+    sigma = 0.5
     with pytest.raises(ValueError):
-        audit_theorem_bound(mesh, mapped[:-1], v, cfg)
+        audit_theorem_bound(mesh, mapped[:-1], v, sigma)
     with pytest.raises(ValueError):
-        audit_theorem_bound(mesh, mapped, v[:-1], cfg)
+        audit_theorem_bound(mesh, mapped, v[:-1], sigma)
     bad = v.copy()
     bad[2] = 0.0
     with pytest.raises(ValueError):
-        audit_theorem_bound(mesh, mapped, bad, cfg)
+        audit_theorem_bound(mesh, mapped, bad, sigma)
 
 
 def test_audit_bound_rejects_zero_length_edge():
@@ -489,4 +493,4 @@ def test_audit_bound_rejects_zero_length_edge():
     mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
     mapped = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(ValueError, match="zero-length"):
-        audit_theorem_bound(mesh, mapped, np.full(3, 0.5), LegConfig(sigma=0.5))
+        audit_theorem_bound(mesh, mapped, np.full(3, 0.5), 0.5)

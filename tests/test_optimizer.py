@@ -1,12 +1,13 @@
 """RMSprop update, stage schedule, and the staged training driver."""
 
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
-from pcparam import _halves
+from pcparam import _halves, optimizer
 from pcparam.domains import preset_domain
 from pcparam.geometry import TriangleMesh
 from pcparam.losses import LossBreakdown, ObjectiveConfig
@@ -197,6 +198,33 @@ def test_train_stage_progression():
     assert all(np.isfinite(r.eval_hausdorff) for r in result.records)
 
 
+def test_train_passes_the_scheduled_alpha_and_sigma_to_the_loss(monkeypatch):
+    # StageConfig is the only source of alpha and sigma: every loss call gets
+    # the alpha of alpha_schedule for its epoch and the sigma of its stage
+    original = optimizer.total_loss_with_grad
+    seen = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs).arguments
+        seen.append((bound["alpha"], bound["sigma"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "total_loss_with_grad", recording)
+    stage = StageConfig(epochs=3, batch_points=4, batch_domain=8, epochs_min=1,
+                        sigma=0.4, alpha_init=2.0, alpha_final=6.0)
+    result = train(_tiny_cloud(8), preset_domain("square"), **_tiny_kwargs(stage=stage))
+    assert len(result.records) == 2
+    want = []
+    cfg = stage
+    for _ in result.records:
+        for epoch in range(1, cfg.epochs + 1):
+            alpha = alpha_schedule(epoch, cfg.epochs, cfg.alpha_init, cfg.alpha_final)
+            want += [(alpha, cfg.sigma)] * (8 // cfg.batch_points)
+        cfg = advance_stage(cfg, 8, 16)
+    assert seen == want
+    assert len(set(seen)) == 4  # alphas 2, 4 and 6 at sigma 0.4, then 6 at 0.4 / sqrt(2)
+
+
 def test_train_single_stage_when_batch_covers_cloud():
     x = _tiny_cloud(6)
     dom = preset_domain("square")
@@ -339,6 +367,8 @@ def test_train_mapped_output_shape():
     mapped = forward(result.map_spec, result.map_params, x)
     assert mapped.shape == (7, 2)
     assert np.isfinite(mapped).all()
+    # the mapping train returns is the one its last evaluation computed
+    np.testing.assert_array_equal(result.mapped, mapped)
 
 
 def test_train_diverging_run_raises_training_error():
