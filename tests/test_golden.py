@@ -28,14 +28,19 @@ numpy's sin/cos/exp loops and OpenBLAS's kernels are chosen per CPU and per
 build, so on another build the bits may differ without any change to this
 code; the test then skips rather than report a false failure.
 
+GOLDEN_PARAMS pins the parameters in each fit's checkpoints apart from the
+file: the SHA-256 of the float64 array that `load_checkpoint` returns. A
+change to the checkpoint encoding alone moves the `*.ckpt.json` hashes in
+GOLDEN and leaves GOLDEN_PARAMS as it is.
+
 A change that moves these bits on purpose re-freezes them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which runs the three cases as the tests do and prints FROZEN_BUILD, GOLDEN
-and GOLDEN_RECONSTRUCT in this file's format, to paste over the tables
-below. Every re-freeze needs a CHANGES.md entry that names the change that
-moved the bits and why.
+which runs the three cases as the tests do and prints FROZEN_BUILD, GOLDEN,
+GOLDEN_PARAMS and GOLDEN_RECONSTRUCT in this file's format, to paste over
+the tables below. Every re-freeze needs a CHANGES.md entry that names the
+change that moved the bits and why.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import pytest
 from pcparam.geometry import TriangleMesh
 from pcparam.io import save_cloud, save_mesh
 from pcparam.meshing import delaunay
-from pcparam.neural import NetworkSpec, save_checkpoint
+from pcparam.neural import NetworkSpec, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +84,17 @@ GOLDEN = {
     },
 }
 
+GOLDEN_PARAMS = {
+    "landmark_2d": {
+        "map.ckpt.json": "ea242479b6626d83ee4916d299a981cbb0f7e5221a340a68083c21bf4d14fe64",
+        "lambda.ckpt.json": "d0831d65065822625515c6c49adb10d67a400d1662f452f017f520e12d28f5ce",
+    },
+    "fixed_boundary_3d": {
+        "map.ckpt.json": "410e20484f1311602b432c1197d07b95de86e5bf2a917cba378bb54783212128",
+        "lambda.ckpt.json": "7f57a9530157022360314896ab953c929f981d86bcd44a7b64582f12746774de",
+    },
+}
+
 GOLDEN_RECONSTRUCT = {
     "uniform.obj": "a97708b2f63410071f4bcdbd206852eeaf0f45929e4ce2d5c36b80e62a9e4602",
     "uniform_param.obj": "d0e1cd124efd9e503a3e67a74e87fc8158d3fdc46b5169a30e6207a7e6d7e76c",
@@ -87,6 +103,7 @@ GOLDEN_RECONSTRUCT = {
 }
 
 OUTPUTS = ("log.csv", "mapped.csv", "map.ckpt.json", "lambda.ckpt.json")
+CHECKPOINTS = ("map.ckpt.json", "lambda.ckpt.json")
 
 
 def _build() -> dict:
@@ -211,11 +228,19 @@ def _hashes(directory: Path, names) -> dict[str, str]:
     return {f: hashlib.sha256((directory / f).read_bytes()).hexdigest() for f in names}
 
 
-def _run_fit(name: str, work: Path) -> dict[str, str]:
+def _param_hashes(directory: Path, names) -> dict[str, str]:
+    return {
+        f: hashlib.sha256(load_checkpoint(directory / f)[1].tobytes()).hexdigest()
+        for f in names
+    }
+
+
+def _run_fit(name: str, work: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """The hashes of the fit's output files and of its checkpoints' parameters."""
     cfg = SETUPS[name](work)
     (work / "fit.json").write_text(json.dumps(cfg))
     _run_cli(work, ["fit", "--config", "fit.json"])
-    return _hashes(work / "out", OUTPUTS)
+    return _hashes(work / "out", OUTPUTS), _param_hashes(work / "out", CHECKPOINTS)
 
 
 def _run_reconstruct(work: Path) -> dict[str, str]:
@@ -253,7 +278,9 @@ def test_golden_fit_hashes(name, tmp_path):
     build = _build()
     if build != FROZEN_BUILD:
         pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
-    assert _run_fit(name, tmp_path) == GOLDEN[name]
+    files, params = _run_fit(name, tmp_path)
+    assert params == GOLDEN_PARAMS[name]
+    assert files == GOLDEN[name]
 
 
 def test_golden_reconstruct_hashes(tmp_path):
@@ -305,16 +332,17 @@ def _print_table(name: str, table: dict) -> None:
 def main() -> None:
     """Print the golden tables as this checkout and build compute them."""
     with tempfile.TemporaryDirectory() as tmp:
-        fits = {}
+        fits, params = {}, {}
         for name in GOLDEN:
             work = Path(tmp) / name
             work.mkdir()
-            fits[name] = _run_fit(name, work)
+            fits[name], params[name] = _run_fit(name, work)
         work = Path(tmp) / "reconstruct_disk"
         work.mkdir()
         reconstruct = _run_reconstruct(work)
     _print_table("FROZEN_BUILD", _build())
     _print_table("GOLDEN", fits)
+    _print_table("GOLDEN_PARAMS", params)
     _print_table("GOLDEN_RECONSTRUCT", reconstruct)
 
 
