@@ -11,6 +11,7 @@ the network runs forward once per gradient.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ __all__ = [
     "default_lambda_spec",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,8 @@ def _backward_rows(spec: NetworkSpec, tape: list, ct) -> np.ndarray:
 
 
 def save_checkpoint(path, spec: NetworkSpec, params) -> None:
-    """Write {version, spec, params} as JSON. Deterministic byte output."""
+    """Write {version, spec, params} as one line of JSON, params as the
+    base64 text of its little-endian float64 bytes. Deterministic bytes."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (param_count(spec),):
         raise ValueError(f"params shape {params.shape} does not match {spec}")
@@ -236,7 +238,7 @@ def save_checkpoint(path, spec: NetworkSpec, params) -> None:
             "output_activation": spec.output_activation,
             "omega": spec.omega,
         },
-        "params": params.tolist(),
+        "params": base64.b64encode(params.astype("<f8").tobytes()).decode("ascii"),
     }
     # json.dump always runs the pure-Python encoder; dumps uses the C one
     # (same bytes)
@@ -245,17 +247,52 @@ def save_checkpoint(path, spec: NetworkSpec, params) -> None:
         f.write("\n")
 
 
+def _decode_params(version: int, raw) -> np.ndarray:
+    """The flat float64 parameters of a version-1 (list of numbers) or
+    version-2 (base64 of little-endian float64) `params` field."""
+    if version == 1:
+        if not isinstance(raw, list):
+            raise ValueError(f"params is a {type(raw).__name__}, not a list")
+        try:
+            params = np.asarray(raw)
+            flat = params.ndim == 1 and params.dtype.kind in "fi"
+        except ValueError:  # ragged nesting
+            flat = False
+        if not flat:
+            raise ValueError("params is not a flat list of numbers")
+        return params.astype(np.float64)
+    if not isinstance(raw, str):
+        raise ValueError(f"params is a {type(raw).__name__}, not a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII str
+        raise ValueError(f"params is not base64: {exc}") from None
+    if len(data) % 8:
+        raise ValueError(f"params holds {len(data)} bytes, not whole float64 values")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64)
+
+
 def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
-    """Read a checkpoint; validates version, spec fields and parameter count."""
+    """Read a checkpoint of version 2 or 1; validates version, spec fields
+    and parameter count. Any malformed document is a ValueError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: corrupt checkpoint JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: malformed checkpoint: top level is a {type(doc).__name__}, not an object"
+        )
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         s = doc["spec"]
+        if not isinstance(s, dict):
+            raise TypeError(f"spec is a {type(s).__name__}, not an object")
+        if not isinstance(s["hidden_widths"], list):
+            raise TypeError(f"hidden_widths is a {type(s['hidden_widths']).__name__}, not a list")
         spec = NetworkSpec(
             input_dim=int(s["input_dim"]),
             hidden_widths=tuple(int(w) for w in s["hidden_widths"]),
@@ -263,8 +300,8 @@ def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
             output_activation=str(s.get("output_activation", "linear")),
             omega=float(s.get("omega", 1.0)),
         )
-        params = np.asarray(doc["params"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+        params = _decode_params(version, doc["params"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
     if params.shape != (param_count(spec),):
         raise ValueError(

@@ -73,14 +73,14 @@ GOLDEN = {
     "landmark_2d": {
         "log.csv": "57665ce512e9c3d5a837d6b6c7326da15a8eef2c828db4d293ad7d5300de9fcb",
         "mapped.csv": "8adb0578d2af145acec6fec014cb54a85dce66011cc2f5f26975f67a1fec7aaa",
-        "map.ckpt.json": "33bae7032ce6afc2f49403877054d9277571751953251b7681e63298235a31c1",
-        "lambda.ckpt.json": "f6a234404f88230d73a54f061d0378a30231e6bc63a3de15c5af88be1a89664e",
+        "map.ckpt.json": "4a0ef4bd341e091eeeb1736a6ab2558f27de47e414eb330d6470e79fb5e8b657",
+        "lambda.ckpt.json": "f89d8ca0ee1a7e34fa5ea42b3dad87ba8bdc1e67a1964698875bcd029292acde",
     },
     "fixed_boundary_3d": {
         "log.csv": "bbc7a5952a4e61977b64fcce5bbc157b4531fd0bfec59a952c6d16627ebcf35a",
         "mapped.csv": "268278e14a7ffd7286718f608baf327e359240737d8272594b74b2d023795e6d",
-        "map.ckpt.json": "e565ad9f70c9ea072178f888212b97ba20aec07efc24ca0e39bc97ce43353c0a",
-        "lambda.ckpt.json": "12a3db3e16be92d4f05872d5e8a5a21bc862844efcb259a4d7182485e8fff4d2",
+        "map.ckpt.json": "e79c42e0925205f5b4a185f8cf5834b2005a5ba6d44881c7284ede790d730110",
+        "lambda.ckpt.json": "a41e292e321db6fb5b7500fd64452b72a0d264e8edb928330cbc930f5f25f5f5",
     },
 }
 

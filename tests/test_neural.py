@@ -1,5 +1,8 @@
 """Sine-activation networks: init, forward/backward, checkpoints."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -160,11 +163,19 @@ def test_forward_validation():
 def test_checkpoint_round_trip(tmp_path):
     spec = NetworkSpec(3, (8, 4), 2, output_activation="softplus", omega=1.5)
     params = init_params(spec, seed=9)
+    params[:4] = [5e-324, -0.0, 0.1 + 0.2, np.nan]
     path = tmp_path / "net.ckpt.json"
     save_checkpoint(path, spec, params)
     spec2, params2 = load_checkpoint(path)
     assert spec2 == spec
-    np.testing.assert_array_equal(params2, params)
+    assert params2.dtype == np.float64 and params2.tobytes() == params.tobytes()
+    # one line of strict JSON, params the base64 of the little-endian bytes
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON token {c}"))
+    assert list(doc) == ["version", "spec", "params"]
+    assert doc["version"] == CHECKPOINT_VERSION == 2
+    assert base64.b64decode(doc["params"]) == params.astype("<f8").tobytes()
     # save is byte deterministic
     path2 = tmp_path / "again.ckpt.json"
     save_checkpoint(path2, spec, params)
@@ -182,8 +193,6 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="corrupt"):
         load_checkpoint(bad)
 
-    import json
-
     doc = json.loads(good.read_text())
     doc["version"] = 99
     vfile = tmp_path / "version.json"
@@ -192,7 +201,7 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         load_checkpoint(vfile)
 
     doc = json.loads(good.read_text())
-    doc["params"] = doc["params"][:-1]
+    doc["params"] = base64.b64encode(base64.b64decode(doc["params"])[:-8]).decode()
     pfile = tmp_path / "params.json"
     pfile.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="parameters"):
@@ -200,3 +209,72 @@ def test_checkpoint_rejects_bad_files(tmp_path):
 
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.json", spec, params[:-1])
+
+
+# a version-1 document as version 1 wrote it: params.tolist() through
+# json.dumps, shortest round-trip decimals, NaN as a bare token
+V1_DOC = (
+    '{"version":1,"spec":{"input_dim":1,"hidden_widths":[2],"output_dim":1,'
+    '"output_activation":"linear","omega":1.0},'
+    '"params":[0.30000000000000004,5e-324,-0.0,-1.7976931348623157e+308,'
+    '0.1,NaN,1e-05]}\n'
+)
+
+
+def test_checkpoint_reads_version_1_bit_for_bit(tmp_path):
+    path = tmp_path / "v1.ckpt.json"
+    path.write_text(V1_DOC)
+    spec, params = load_checkpoint(path)
+    assert spec == NetworkSpec(1, (2,), 1)
+    expected = np.array([0.1 + 0.2, 5e-324, -0.0, -np.finfo(np.float64).max, 0.1, np.nan, 1e-5])
+    assert params.dtype == np.float64 and params.tobytes() == expected.tobytes()
+    # integers in the list are read as numbers too
+    path.write_text(V1_DOC.replace("0.1,NaN,1e-05", "1,-2,0"))
+    assert load_checkpoint(path)[1][-3:].tolist() == [1.0, -2.0, 0.0]
+
+
+def _doc(**changes) -> str:
+    """A version-2 document of NetworkSpec(1, (2,), 1) with keys replaced."""
+    spec = {"input_dim": 1, "hidden_widths": [2], "output_dim": 1}
+    params = base64.b64encode(np.arange(7.0).astype("<f8").tobytes()).decode()
+    doc = {"version": 2, "spec": spec, "params": params}
+    for key, value in changes.items():
+        (spec if key in spec else doc)[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[1, 2]", "top level is a list, not an object", id="list-document"),
+    pytest.param('"x"', "top level is a str, not an object", id="string-document"),
+    pytest.param(_doc(version=3), "unsupported checkpoint version 3", id="version-3"),
+    pytest.param(_doc(version=True), "unsupported checkpoint version True", id="version-true"),
+    pytest.param(_doc(version="2"), "unsupported checkpoint version '2'", id="version-str"),
+    pytest.param(_doc(spec=[1, 2]), "spec is a list, not an object", id="spec-list"),
+    pytest.param(_doc(hidden_widths="2"), "hidden_widths is a str, not a list", id="widths-str"),
+    pytest.param(_doc(hidden_widths=[0]), "hidden widths must be >= 1", id="widths-zero"),
+    pytest.param(_doc(params=[0.0] * 7), "params is a list, not a base64 string",
+                 id="v2-params-list"),
+    pytest.param(_doc(params="AAAA*AAA"), "params is not base64", id="v2-not-base64"),
+    pytest.param(_doc(params="AAAA\nAAA="), "params is not base64", id="v2-newline"),
+    pytest.param(_doc(params="AAAA"), "3 bytes, not whole float64 values", id="v2-partial"),
+    pytest.param(_doc(params=""), "checkpoint has 0 parameters, spec wants 7", id="v2-empty"),
+    pytest.param(_doc(version=1, params=[[1, 2], [3, 4], [5, 6], [7]]),
+                 "params is not a flat list of numbers", id="v1-ragged"),
+    pytest.param(_doc(version=1, hidden_widths=[], output_dim=3,
+                      params=[[1, 2], [3, 4], [5, 6]]),
+                 "params is not a flat list of numbers", id="v1-nested"),
+    pytest.param(_doc(version=1, params=["1"] * 7), "params is not a flat list of numbers",
+                 id="v1-strings"),
+    pytest.param(_doc(version=1, params=[True] * 7), "params is not a flat list of numbers",
+                 id="v1-bools"),
+    pytest.param(_doc(version=1, params="AAAA"), "params is a str, not a list", id="v1-str"),
+    pytest.param(_doc(version=1, params=[0.0] * 6), "checkpoint has 6 parameters",
+                 id="v1-count"),
+])
+def test_checkpoint_malformed_document_names_the_path(tmp_path, text, message):
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
