@@ -472,9 +472,8 @@ def cmd_sample_domain(args) -> int:
 
 def _stage_series(path) -> dict[str, list[tuple[float, float]]]:
     """Per plotted column of a `log.csv`, its (stage, value) points; rows
-    with the value empty are left out. An error names the line, counting
-    the header as line 1 and no blank lines, which `fit` never writes."""
-    header, rows = pcio.load_table(path)
+    with the value empty are left out. An error names the file's line."""
+    header, rows = pcio.load_numbered_table(path)
     if "stage" not in header:
         raise ValueError(f"{path}: no 'stage' column")
     si = header.index("stage")
@@ -484,7 +483,7 @@ def _stage_series(path) -> dict[str, list[tuple[float, float]]]:
             continue
         ci = header.index(name)
         pts = series[name] = []
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             if len(row) > max(si, ci) and row[ci] != "":
                 try:
                     pts.append((float(row[si]), float(row[ci])))

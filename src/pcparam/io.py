@@ -22,6 +22,7 @@ __all__ = [
     "save_mesh",
     "save_table",
     "load_table",
+    "load_numbered_table",
 ]
 
 
@@ -193,10 +194,23 @@ def save_table(path, header: list[str], rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-def load_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV as (header, string rows); empty lines skipped."""
+def load_numbered_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV as (header, rows), each row a (line number, string cells)
+    pair, counting the file's first line as 1; empty lines skipped."""
+    recs = []
     with open(path, newline="") as fh:
-        recs = [rec for rec in csv.reader(fh) if rec]
+        reader = csv.reader(fh)
+        start = 1
+        for rec in reader:
+            if rec:
+                recs.append((start, rec))
+            start = reader.line_num + 1
     if not recs:
         raise ValueError(f"{path}: empty table")
-    return recs[0], recs[1:]
+    return recs[0][1], recs[1:]
+
+
+def load_table(path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV as (header, string rows); empty lines skipped."""
+    header, rows = load_numbered_table(path)
+    return header, [row for _, row in rows]

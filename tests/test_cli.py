@@ -701,12 +701,16 @@ MALFORMED_TABLES = [
 
 def test_plot_stage_lines_bad_cell_exits_2_naming_the_line(tmp_path, caplog):
     log_csv = tmp_path / "log.csv"
-    log_csv.write_text("stage,loss_total\n1,0.5\n2,abc\n")
     out = tmp_path / "x.svg"
-    assert main(["plot", "--input", str(log_csv), "--kind", "stage_lines",
-                 "--out", str(out)]) == 2
-    assert f"config error: {log_csv}:3: not a numeric row" in caplog.text
-    assert not out.exists()
+    # blank lines count: the bad cell is on line 4 of the second file
+    for text, line in (("stage,loss_total\n1,0.5\n2,abc\n", 3),
+                       ("stage,loss_total\n\n1,0.5\n2,abc\n", 4)):
+        log_csv.write_text(text)
+        caplog.clear()
+        assert main(["plot", "--input", str(log_csv), "--kind", "stage_lines",
+                     "--out", str(out)]) == 2
+        assert f"config error: {log_csv}:{line}: not a numeric row" in caplog.text
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name, text, message", MALFORMED_TABLES)
@@ -805,12 +809,24 @@ def range_inputs(workdir, identity_setup):
     }
 
 
-# one malformed file of each kind the commands read; the mesh and domain
-# errors come from int() and json, whose messages do not name the file
+# one malformed file of each kind the commands read, and checkpoints that
+# parse as JSON but are not one: a list, a nested params list that holds
+# as many numbers as the spec wants, hidden_widths as a string of digits.
+# The mesh and domain errors come from int() and json, whose messages do
+# not name the file
 MALFORMED_FILES = {
     "cloud": ("bad.csv", "x,y\n0.1,0.2\n0.3,abc\n"),
     "mesh": ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
     "checkpoint": ("bad.ckpt.json", "{"),
+    "checkpoint-list": ("list.ckpt.json", "[1, 2]"),
+    "checkpoint-nested": ("nested.ckpt.json", json.dumps({
+        "version": 1, "spec": {"input_dim": 2, "hidden_widths": [], "output_dim": 2},
+        "params": [[1, 2], [3, 4], [5, 6]],
+    })),
+    "checkpoint-widths": ("widths.ckpt.json", json.dumps({
+        "version": 1, "spec": {"input_dim": 2, "hidden_widths": "256", "output_dim": 2},
+        "params": [0.0] * 71,  # as many as widths (2, 5, 6) would want
+    })),
     "domain": ("bad.json", "{"),
 }
 
@@ -827,6 +843,9 @@ def _with_flag(argv, flag, value):
     ("map", "--input", "cloud"),
     ("map", "--checkpoint", "checkpoint"),
     ("map", "--lambda-checkpoint", "checkpoint"),
+    ("map", "--checkpoint", "checkpoint-list"),
+    ("map", "--checkpoint", "checkpoint-nested"),
+    ("map", "--checkpoint", "checkpoint-widths"),
     ("eval", "--input", "cloud"),
     ("eval", "--checkpoint", "checkpoint"),
     ("eval", "--mesh", "mesh"),
