@@ -7,6 +7,7 @@ from pcparam.geometry import TriangleMesh
 from pcparam.io import (
     load_cloud,
     load_mesh,
+    load_numbered_table,
     load_table,
     save_cloud,
     save_mesh,
@@ -150,6 +151,15 @@ def test_table_round_trip(tmp_path):
     assert header == ["name", "value", "note"]
     assert rows == [["alpha", "0.1", ""], ["beta", "2.0", "ok"]]
     assert float(rows[0][1]) == 0.1  # repr floats round-trip
+
+
+def test_numbered_table_gives_each_rows_first_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n\n1,2\n"x\ny",3\n\n4,5\n')
+    header, rows = load_numbered_table(path)
+    assert header == ["a", "b"]
+    assert rows == [(3, ["1", "2"]), (4, ["x\ny", "3"]), (7, ["4", "5"])]
+    assert load_table(path) == (header, [row for _, row in rows])
 
 
 def test_table_empty_file(tmp_path):
