@@ -2,6 +2,16 @@
 
 Floats are written with repr so files round-trip bit for bit and identical
 runs produce identical bytes.
+
+Every text input is read as records by one rule. A file is CSV exactly
+when its suffix is `.csv`: its records are the csv module's (a quoted cell
+may span lines), each cell stripped and empty cells kept. Any other file
+is split on whitespace, a record a line, after cutting `#` comments.
+Records without a non-empty cell are skipped; an error names the line a
+record starts on. A numeric table (a cloud, a plotted or audited table)
+skips a CSV's first record as a header when its first cell is not a
+number. Every other cell must be a number, an empty one is an error, and
+every row must be as long as the first.
 """
 
 from __future__ import annotations
@@ -26,6 +36,30 @@ __all__ = [
 ]
 
 
+def _is_csv(path: Path) -> bool:
+    return path.suffix.lower() == ".csv"
+
+
+def _records(path: Path):
+    """(line, cells) for each record with a non-empty cell, `line` the file
+    line the record starts on, counting from 1; see the module docstring."""
+    if _is_csv(path):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            start = 1
+            for rec in reader:
+                cells = [c.strip() for c in rec]
+                if any(cells):
+                    yield start, cells
+                start = reader.line_num + 1
+    else:
+        with open(path) as fh:
+            for line, text in enumerate(fh, start=1):
+                cells = text.split("#", 1)[0].split()
+                if cells:
+                    yield line, cells
+
+
 def _parse_float_row(parts: list[str], path, lineno: int) -> list[float]:
     try:
         return [float(p) for p in parts]
@@ -35,37 +69,24 @@ def _parse_float_row(parts: list[str], path, lineno: int) -> list[float]:
 
 def load_numeric_table(path) -> np.ndarray:
     """Read rows of numbers from a .csv file or a whitespace-separated one,
-    as an (n, k) float array; (0, 0) when there are no rows.
-
-    Whitespace-separated files take '#' comments. CSV may carry one header
-    line (detected by a non-numeric first field). A non-numeric row is an
-    error that names its line; rows of different lengths are an error too.
-    """
+    as an (n, k) float array; (0, 0) when there are no rows. The rules are
+    the module docstring's."""
     path = Path(path)
     rows: list[list[float]] = []
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="") as fh:
-            for lineno, rec in enumerate(csv.reader(fh), start=1):
-                rec = [c.strip() for c in rec if c.strip()]
-                if not rec:
-                    continue
-                if lineno == 1:
-                    try:
-                        float(rec[0])
-                    except ValueError:
-                        continue  # header
-                rows.append(_parse_float_row(rec, path, lineno))
-    else:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                rows.append(_parse_float_row(line.split(), path, lineno))
+    ragged = None
+    for k, (line, cells) in enumerate(_records(path)):
+        if k == 0 and _is_csv(path):
+            try:
+                float(cells[0])
+            except ValueError:
+                continue  # header
+        rows.append(_parse_float_row(cells, path, line))
+        if ragged is None and len(cells) != len(rows[0]):
+            ragged = line
     if not rows:
         return np.empty((0, 0))
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"{path}: inconsistent column counts")
+    if ragged is not None:
+        raise ValueError(f"{path}: inconsistent column counts, first at line {ragged}")
     return np.array(rows)
 
 
@@ -82,44 +103,33 @@ def save_cloud(path, cloud) -> None:
     """Write a cloud as .xyz (bare floats) or .csv (x,y[,z] header)."""
     cloud = as_cloud(cloud)
     path = Path(path)
+    if _is_csv(path):
+        save_table(path, list("xyz"[: cloud.shape[1]]), cloud.tolist())
+        return
     buf = _io.StringIO()
-    if path.suffix.lower() == ".csv":
-        buf.write(",".join("xyz"[: cloud.shape[1]][k] for k in range(cloud.shape[1])))
-        buf.write("\n")
-        for row in cloud:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    else:
-        for row in cloud:
-            buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in cloud:
+        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
     path.write_text(buf.getvalue())
 
 
 def _load_obj(path: Path) -> TriangleMesh:
     verts: list[list[float]] = []
     faces: list[list[int]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append(_parse_float_row(parts[1:4], path, lineno))
-            elif parts[0] == "f":
-                idx = [int(p.split("/", 1)[0]) for p in parts[1:]]
-                if len(idx) != 3:
-                    raise ValueError(f"{path}:{lineno}: only triangle faces supported")
-                faces.append([i - 1 for i in idx])
+    for line, cells in _records(path):
+        if cells[0] == "v":
+            verts.append(_parse_float_row(cells[1:4], path, line))
+        elif cells[0] == "f":
+            idx = [int(p.split("/", 1)[0]) for p in cells[1:]]
+            if len(idx) != 3:
+                raise ValueError(f"{path}:{line}: only triangle faces supported")
+            faces.append([i - 1 for i in idx])
     if not verts:
         raise ValueError(f"{path}: no vertices")
     return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def _load_off(path: Path) -> TriangleMesh:
-    with open(path) as fh:
-        tokens: list[str] = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
+    tokens = [t for _, cells in _records(path) for t in cells]
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
     try:
@@ -195,22 +205,16 @@ def save_table(path, header: list[str], rows) -> None:
 
 
 def load_numbered_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Read a CSV as (header, rows), each row a (line number, string cells)
-    pair, counting the file's first line as 1; empty lines skipped."""
-    recs = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        start = 1
-        for rec in reader:
-            if rec:
-                recs.append((start, rec))
-            start = reader.line_num + 1
+    """Read a table as (header, rows), each row a (line number, string
+    cells) pair, counting the file's first line as 1; records are read as
+    the module docstring says, so a CSV's empty cells are kept."""
+    recs = list(_records(Path(path)))
     if not recs:
         raise ValueError(f"{path}: empty table")
     return recs[0][1], recs[1:]
 
 
 def load_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV as (header, string rows); empty lines skipped."""
+    """Read a table as (header, string rows), as `load_numbered_table`."""
     header, rows = load_numbered_table(path)
     return header, [row for _, row in rows]

@@ -596,10 +596,13 @@ class InverseInterpolator:
     combines the corresponding original points barycentrically. Queries
     within 1e-9 of the triangulated region are snapped onto it; queries
     farther outside are flagged out in the returned mask (their output row is
-    NaN). A query that coincides bitwise with a mapped point returns its
-    original point exactly. A mapped point or query of magnitude
-    `geometry._COORD_BOUND` or more is rejected with a ValueError, since
-    the distances and predicates on it would overflow.
+    NaN). A query that equals a corner of its triangle bit for bit returns
+    that mapped point's original point exactly. Every mapped point is a
+    corner of each triangle that contains it; a hull collinear to within
+    the module docstring's tolerance could leave one in no triangle, and it
+    is then snapped like any outside query. A mapped point or query of
+    magnitude `geometry._COORD_BOUND` or more is rejected with a
+    ValueError, since the distances and predicates on it would overflow.
 
     A query's triangle is the lowest-id triangle of `mesh` that contains
     it, edges and corners counted as inside, as the exact `orient2d`
@@ -626,8 +629,6 @@ class InverseInterpolator:
                 stacklevel=3,
             )
         self.mesh = delaunay(mapped_u)
-        # exact-match lookup for bitwise vertex hits
-        self._exact = {(float(x), float(y)): i for i, (x, y) in enumerate(self.mesh.vertices)}
         # (start, direction, squared length, triangle) of the hull edges,
         # built on the first snap
         self._hull: tuple[np.ndarray, ...] | None = None
@@ -713,20 +714,12 @@ class InverseInterpolator:
         n = len(queries)
         out = np.full((n, values.shape[1]), np.nan)
         ok = np.zeros(n, dtype=bool)
-        hits = np.array([self._exact.get(q, -1) for q in map(tuple, queries.tolist())],
-                        dtype=np.int64)
-        vertex = hits >= 0
-        out[vertex] = values[hits[vertex]]
-        ok[vertex] = True
-
-        rest = np.flatnonzero(~vertex)
-        tid = np.full(n, -1, dtype=np.int64)
-        tid[rest] = self._locate(queries[rest])
+        tid = self._locate(queries)
         where = queries.copy()
-        outer = np.flatnonzero(~vertex & (tid < 0))
+        outer = np.flatnonzero(tid < 0)
         if len(outer):
             tid[outer], where[outer] = self._snap(queries[outer])
-        inner = np.flatnonzero(~vertex & (tid >= 0))
+        inner = np.flatnonzero(tid >= 0)
         if len(inner) == 0:
             return out, ok
         tri = self.mesh.triangles[tid[inner]]
@@ -738,6 +731,9 @@ class InverseInterpolator:
             raise ValueError("degenerate triangle in barycentric solve") from exc
         w = np.column_stack([1.0 - beta - gamma, beta, gamma])
         out[inner] = (w[:, None, :] @ values[tri])[:, 0, :]
+        corner = (self.mesh.vertices[tri] == queries[inner, None, :]).all(axis=2)
+        hit = np.flatnonzero(corner.any(axis=1))
+        out[inner[hit]] = values[tri[hit, corner[hit].argmax(axis=1)]]
         ok[inner] = True
         return out, ok
 

@@ -179,16 +179,15 @@ def _forward_rows(spec: NetworkSpec, layers, a, out, keep: bool) -> list | None:
     return tape
 
 
-def backward(spec: NetworkSpec, params, inputs, output_cotangent, *, tape: list) -> np.ndarray:
+def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
     """Reverse-mode pass: d loss / d params, flat.
 
-    `output_cotangent` is d loss / d outputs, shape (n, output_dim). `tape`
-    is the tape a forward() of the same spec, params and inputs filled; its
-    activations and weights are reused, so a training step runs each net
-    forward once, and neither `params` nor `inputs` is read. Training moves
-    only the parameters, so no gradient in the inputs is formed. Each piece
-    of the rows runs back through its own tape, as forward() cut them; the
-    gradient is half 0's plus half 1's.
+    `tape` is the tape a forward() of the same spec filled, and
+    `output_cotangent` is d loss / d outputs, shape (n, output_dim). The
+    tape's activations and weights are reused, so a training step runs each
+    net forward once. Training moves only the parameters, so no gradient in
+    the inputs is formed. Each piece of the rows runs back through its own
+    tape, as forward() cut them; the gradient is half 0's plus half 1's.
     """
     dims = spec.layer_dims
     if not tape or [len(t) for t in tape] != [len(dims)] * len(tape):

@@ -400,15 +400,10 @@ def train(
                             f"loss is {breakdown.total}"
                         )
                     try:
-                        g_map = backward(
-                            map_spec, map_params, x_batch, g_mapped, tape=map_tape
-                        )
+                        g_map = backward(map_spec, map_tape, g_mapped)
                         map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
                         if use_lambda:
-                            g_lam = backward(
-                                lambda_spec, lambda_params, x_batch, g_v[:, None],
-                                tape=lambda_tape,
-                            )
+                            g_lam = backward(lambda_spec, lambda_tape, g_v[:, None])
                             lambda_params = rmsprop_step(
                                 lambda_params, g_lam, lambda_state, opt_cfg
                             )

@@ -321,7 +321,7 @@ def test_c03_gradient_checks():
         cot = rng.normal(0, 1, (4, 2))
         tape = []
         forward(spec, params, xin, tape=tape)
-        g_params = backward(spec, params, xin, cot, tape=tape)
+        g_params = backward(spec, tape, cot)
         f_params = _fd_grad(
             lambda t: float((forward(spec, t, xin) * cot).sum()),
             params.copy(), 1e-6)
@@ -331,7 +331,7 @@ def test_c03_gradient_checks():
         lparams = init_params(lspec, rng)
         lcot = rng.normal(0, 1, (4, 1))
         forward(lspec, lparams, xin, tape=tape)
-        gl_params = backward(lspec, lparams, xin, lcot, tape=tape)
+        gl_params = backward(lspec, tape, lcot)
         fl_params = _fd_grad(
             lambda t: float((forward(lspec, t, xin) * lcot).sum()),
             lparams.copy(), 1e-6)

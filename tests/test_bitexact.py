@@ -875,7 +875,7 @@ def test_backward_matches_reference(monkeypatch, activation):
         tape = []
         out = forward(spec, params, x, tape=tape)
         assert np.array_equal(out, forward(spec, params, x))
-        got = backward(spec, params, x, ct, tape=tape)
+        got = backward(spec, tape, ct)
         assert np.array_equal(got, ref_backward(spec, params, x, ct))
 
 
@@ -893,7 +893,7 @@ def test_few_rows_match_reference(monkeypatch, n):
     out = forward(spec, params, x, tape=tape)
     rows = np.vstack([forward(spec, params, x[i : i + 1]) for i in range(n)])
     np.testing.assert_allclose(out, rows, rtol=1e-13)
-    assert np.array_equal(backward(spec, params, x, ct, tape=tape),
+    assert np.array_equal(backward(spec, tape, ct),
                           ref_backward(spec, params, x, ct))
     y, w = _cloud(rng, n, 2), _cloud(rng, 4, 2)
     for got, want in zip(hand_with_grad(y, w, 20.0), ref_hand_with_grad(y, w, 20.0),
@@ -914,10 +914,10 @@ def test_backward_rejects_mismatched_tape():
     tape = []
     forward(NetworkSpec(2, (8, 8), 2), init_params(NetworkSpec(2, (8, 8), 2), 0), x, tape=tape)
     with pytest.raises(ValueError, match="tape has 3 layers"):
-        backward(spec, params, x, np.zeros((10, 2)), tape=tape)
+        backward(spec, tape, np.zeros((10, 2)))
     forward(spec, params, x[:4], tape=tape)
     with pytest.raises(ValueError, match="cotangent shape"):
-        backward(spec, params, x, np.zeros((10, 2)), tape=tape)
+        backward(spec, tape, np.zeros((10, 2)))
 
 
 # ---------------------------------------------------------------------------

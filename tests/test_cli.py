@@ -696,6 +696,10 @@ MALFORMED_TABLES = [
                  id="ragged"),
     pytest.param("word.csv", "x,y\n0.1,0.2\n0.3,abc\n", "word.csv:3: not a numeric row",
                  id="non-numeric"),
+    pytest.param("gap.csv", "x,y\n0.1,\n0.3,0.4\n", "gap.csv:2: not a numeric row",
+                 id="empty-cell"),
+    pytest.param("short.csv", "x,y\n0.1,0.2\n0.3,0.4\n0.5\n0.6\n",
+                 "short.csv: inconsistent column counts, first at line 4", id="ragged-line"),
 ]
 
 
@@ -816,6 +820,10 @@ def range_inputs(workdir, identity_setup):
 # not name the file
 MALFORMED_FILES = {
     "cloud": ("bad.csv", "x,y\n0.1,0.2\n0.3,abc\n"),
+    # a 3-column cloud with an empty middle column, and one with trailing
+    # commas: neither is a 2-d cloud
+    "cloud-gap": ("cloud.csv", "x,y,z\n0.12,,0.64\n0.5,,0.25\n"),
+    "cloud-trailing": ("cloud.csv", "x,y\n0.12,0.64,\n0.5,0.25,\n"),
     "mesh": ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
     "checkpoint": ("bad.ckpt.json", "{"),
     "checkpoint-list": ("list.ckpt.json", "[1, 2]"),
@@ -879,10 +887,16 @@ def test_malformed_input_file_exits_2_naming_it(range_inputs, identity_setup, tm
     assert "config error: " in caplog.text and str(bad) in caplog.text
 
 
-@pytest.mark.parametrize("key, kind", [
-    ("config", None), ("input", "cloud"), ("eval_mesh", "mesh"), ("domain", "domain"),
+# `where` is the line the message must name after the path, when it names one
+@pytest.mark.parametrize("key, kind, where", [
+    pytest.param(key, kind, where, id=f"{key}-{kind}") for key, kind, where in [
+        ("config", None, ""), ("input", "cloud", ":3"), ("eval_mesh", "mesh", ""),
+        ("domain", "domain", ""), ("input", "cloud-gap", ":2"),
+        ("input", "cloud-trailing", ":2"),
+    ]
 ])
-def test_fit_malformed_file_exits_2_naming_it(tmp_path, tiny_cloud_csv, caplog, key, kind):
+def test_fit_malformed_file_exits_2_naming_it(tmp_path, tiny_cloud_csv, caplog, key, kind,
+                                              where):
     cfg_path = tmp_path / "fit.json"
     if kind is None:
         bad = cfg_path
@@ -894,7 +908,7 @@ def test_fit_malformed_file_exits_2_naming_it(tmp_path, tiny_cloud_csv, caplog, 
         value = {"file": str(bad)} if key == "domain" else str(bad)
         _write_config(cfg_path, _tiny_config(tiny_cloud_csv, tmp_path / "out", **{key: value}))
     assert main(["fit", "--config", str(cfg_path)]) == 2
-    assert "config error: " in caplog.text and str(bad) in caplog.text
+    assert "config error: " in caplog.text and f"{bad}{where}" in caplog.text
 
 
 @pytest.mark.parametrize("command, flag, value", [

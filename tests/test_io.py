@@ -45,6 +45,9 @@ def test_csv_header_sniffing(tmp_path):
     path.write_text("1.5,2.5\n3.0,4.0\n")
     back = load_cloud(path)
     np.testing.assert_array_equal(back, [[1.5, 2.5], [3.0, 4.0]])
+    # the header is the first record, wherever it starts
+    path.write_text("\nx,y\n1.5,2.5\n")
+    np.testing.assert_array_equal(load_cloud(path), [[1.5, 2.5]])
 
 
 def test_xyz_comments_and_blank_lines(tmp_path):
@@ -67,6 +70,22 @@ def test_cloud_error_messages(tmp_path):
     ragged.write_text("1 2 3\n4 5\n")
     with pytest.raises(ValueError, match="inconsistent"):
         load_cloud(ragged)
+    # the first short line is named, not the last
+    ragged.write_text("1 2 3\n\n4 5 6\n7 8\n9\n")
+    with pytest.raises(ValueError,
+                       match=r"ragged\.xyz: inconsistent column counts, first at line 4"):
+        load_cloud(ragged)
+    # an empty cell is an error, not a narrower row
+    gap = tmp_path / "gap.csv"
+    for text in ("x,y,z\n0.12,,0.64\n", "x,y\n0.1,0.2,\n"):
+        gap.write_text(text)
+        with pytest.raises(ValueError, match=r"gap\.csv:2: not a numeric row"):
+            load_cloud(gap)
+    # a quoted cell over lines 2-3 leaves the next record on line 4
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('x,y\n"1.0\n",2.0\n3.0,abc\n')
+    with pytest.raises(ValueError, match=r"quoted\.csv:4: not a numeric row"):
+        load_cloud(quoted)
 
 
 def _mesh():
@@ -89,6 +108,13 @@ def test_off_round_trip(tmp_path):
     save_mesh(path, mesh)
     text = path.read_text()
     assert text.startswith("OFF\n4 2 0\n")
+    back = load_mesh(path)
+    np.testing.assert_array_equal(back.vertices, mesh.vertices)
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    # comments may sit between the header, the counts and the rows
+    lines = text.splitlines()
+    path.write_text("\n".join(["OFF # header", "# counts next", lines[1], "# vertices",
+                               *lines[2:6], "  # faces", *lines[6:]]) + "\n")
     back = load_mesh(path)
     np.testing.assert_array_equal(back.vertices, mesh.vertices)
     np.testing.assert_array_equal(back.triangles, mesh.triangles)
@@ -115,8 +141,8 @@ def test_obj_slash_indices_and_comments(tmp_path):
 
 def test_mesh_error_paths(tmp_path):
     quad = tmp_path / "quad.obj"
-    quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-    with pytest.raises(ValueError, match="triangle"):
+    quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n\nf 1 2 3 4\n")
+    with pytest.raises(ValueError, match=r"quad\.obj:6: only triangle faces"):
         load_mesh(quad)
     noverts = tmp_path / "empty.obj"
     noverts.write_text("# nothing\n")
@@ -160,6 +186,10 @@ def test_numbered_table_gives_each_rows_first_line(tmp_path):
     assert header == ["a", "b"]
     assert rows == [(3, ["1", "2"]), (4, ["x\ny", "3"]), (7, ["4", "5"])]
     assert load_table(path) == (header, [row for _, row in rows])
+    # only a .csv file is CSV; any other splits on whitespace after '#'
+    path = tmp_path / "t.txt"
+    path.write_text("a b  # names\n\n1 2\n")
+    assert load_numbered_table(path) == (["a", "b"], [(3, ["1", "2"])])
 
 
 def test_table_empty_file(tmp_path):

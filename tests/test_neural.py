@@ -134,7 +134,7 @@ def test_backward_matches_fd():
         ct = rng.normal(0, 1, (6, spec.output_dim))
         tape = []
         forward(spec, params, x, tape=tape)
-        g = backward(spec, params, x, ct, tape=tape)
+        g = backward(spec, tape, ct)
         fd = _fd_param_grad(spec, params, x, ct)
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
@@ -157,7 +157,7 @@ def test_forward_validation():
     tape = []
     forward(spec, params, np.zeros((2, 2)), tape=tape)
     with pytest.raises(ValueError, match="cotangent shape"):
-        backward(spec, params, np.zeros((2, 2)), np.zeros((3, 2)), tape=tape)
+        backward(spec, tape, np.zeros((3, 2)))
 
 
 def test_checkpoint_round_trip(tmp_path):
