@@ -22,17 +22,10 @@ import numpy as np
 
 from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
-from .geometry import angle_distortion, sampling_gap_estimate
+from .geometry import TriangleMesh, angle_distortion, sampling_gap_estimate
 from .losses import ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
-from .neural import (
-    NetworkSpec,
-    default_lambda_spec,
-    default_map_spec,
-    forward,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .neural import default_lambda_spec, default_map_spec, forward, load_checkpoint, save_checkpoint
 from .optimizer import RmsPropConfig, StageConfig, StageRecord, _chunked_hausdorff, train
 from .svgplot import histogram_svg, line_series_svg, scatter_svg
 from .boltzmann import extremum_error_and_bound
@@ -58,7 +51,13 @@ def _read(load, path):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_MODES = ("shape_matching", "free_boundary", "fixed_boundary", "landmark")
+# the weights each mode forces to zero; every other weight must be > 0
+_MODE_ZEROS = {
+    "shape_matching": ("beta1", "beta3"),
+    "free_boundary": ("beta2", "beta3"),
+    "fixed_boundary": ("beta3",),
+    "landmark": (),
+}
 
 
 _DEFAULTS = {
@@ -109,8 +108,10 @@ def _validate_landmarks(entries) -> list[dict]:
         if not (isinstance(rows, list) and rows and
                 all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in rows)):
             raise ConfigError(f"landmarks[{k}].rows must be a non-empty list of indices")
-        if not (isinstance(target, list) and target and
-                all(isinstance(p, list) and len(p) == 2 for p in target)):
+        if not (isinstance(target, list) and target and all(
+                isinstance(p, list) and len(p) == 2
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
+                for p in target)):
             raise ConfigError(f"landmarks[{k}].target must be a non-empty list of [x, y]")
         out.append({"rows": list(rows), "target": [[float(a), float(b)] for a, b in target]})
     return out
@@ -141,8 +142,8 @@ def load_run_config(path, out_dir_override=None) -> dict:
     cfg["output_dir"] = str(out_dir)
 
     cfg["mode"] = raw.get("mode", _DEFAULTS["mode"])
-    if cfg["mode"] not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
+    if cfg["mode"] not in _MODE_ZEROS:
+        raise ConfigError(f"mode must be one of {tuple(_MODE_ZEROS)}, got {cfg['mode']!r}")
     seed = raw.get("seed", _DEFAULTS["seed"])
     if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
@@ -156,6 +157,8 @@ def load_run_config(path, out_dir_override=None) -> dict:
         raise ConfigError("domain needs exactly one of 'preset' or 'file'")
     if "preset" in domain and domain["preset"] not in PRESETS:
         raise ConfigError(f"domain preset must be one of {PRESETS}, got {domain['preset']!r}")
+    if "file" in domain and not isinstance(domain["file"], str):
+        raise ConfigError(f"domain.file must be a path, got {domain['file']!r}")
     cfg["domain"] = dict(domain)
 
     cfg["objective"] = _merge_section(raw, "objective")
@@ -192,7 +195,8 @@ def load_run_config(path, out_dir_override=None) -> dict:
 
 
 def finalize_config(cfg: dict, input_dim: int) -> dict:
-    """Resolve net defaults for the cloud dimension and apply mode forcing."""
+    """Resolve net defaults for the cloud dimension and apply mode forcing;
+    the result builds the run's objects (`_run_objects`) or this raises."""
     eff = json.loads(json.dumps(cfg))  # deep copy of plain JSON data
     for name, spec in (("map_net", default_map_spec(input_dim)),
                        ("lambda_net", default_lambda_spec(input_dim))):
@@ -201,27 +205,41 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
         net.setdefault("omega", spec.omega)
 
     mode = eff["mode"]
-    obj = eff["objective"]
+    for name in _MODE_ZEROS[mode]:
+        eff["objective"][name] = 0.0
     landmarks = eff.get("landmarks", [])
-    if mode == "shape_matching":
-        obj["beta1"] = 0.0
-        obj["beta3"] = 0.0
-    elif mode == "free_boundary":
-        obj["beta2"] = 0.0
-        obj["beta3"] = 0.0
-    elif mode == "fixed_boundary":
-        obj["beta3"] = 0.0
     if mode != "landmark" and landmarks:
         raise ConfigError(f"landmarks are only allowed in landmark mode, not {mode!r}")
     if mode == "landmark" and not landmarks:
         raise ConfigError("landmark mode needs a non-empty 'landmarks' list")
-    if mode in ("free_boundary", "fixed_boundary", "landmark") and obj["beta1"] <= 0:
-        raise ConfigError(f"{mode} mode needs beta1 > 0")
-    if mode in ("shape_matching", "fixed_boundary", "landmark") and obj["beta2"] <= 0:
-        raise ConfigError(f"{mode} mode needs beta2 > 0")
-    if mode == "landmark" and obj["beta3"] <= 0:
-        raise ConfigError("landmark mode needs beta3 > 0")
+    objective = _run_objects(eff, input_dim)[0]
+    for name in ("beta1", "beta2", "beta3"):
+        if name not in _MODE_ZEROS[mode] and getattr(objective, name) <= 0:
+            raise ConfigError(f"{mode} mode needs {name} > 0")
     return eff
+
+
+def _run_objects(eff: dict, input_dim: int):
+    """The objects `train` takes, built from an effective config: objective,
+    stage, optimizer, map spec and lambda spec. The lambda spec is built and
+    checked even when beta1 = 0, where None takes its place. A value the
+    objects refuse is a ConfigError."""
+    try:
+        objective = ObjectiveConfig(**eff["objective"])
+        stage = StageConfig(**eff["stage"])
+        optimizer = RmsPropConfig(**eff["optimizer"])
+        map_spec, lambda_spec = (
+            dataclasses.replace(
+                default(input_dim),
+                hidden_widths=tuple(eff[name]["hidden_widths"]),
+                omega=float(eff[name]["omega"]),
+            )
+            for name, default in (("map_net", default_map_spec),
+                                  ("lambda_net", default_lambda_spec))
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return objective, stage, optimizer, map_spec, lambda_spec if objective.beta1 > 0 else None
 
 
 def _check_numeric_flags(args) -> None:
@@ -243,22 +261,21 @@ def _load_domain(preset, path) -> Domain:
     return _read(load_domain, path)
 
 
-def _load_checkpoint_for(
-    path, cloud: np.ndarray, label: str = "checkpoint"
-) -> tuple[NetworkSpec, np.ndarray]:
-    """Load a checkpoint and check that its network takes the cloud's points."""
+def _checkpoint_output(path, cloud: np.ndarray, label: str = "checkpoint") -> np.ndarray:
+    """The network of the checkpoint at path run on the cloud, once its
+    input dimension is checked against the cloud's."""
     spec, params = _read(load_checkpoint, path)
     if spec.input_dim != cloud.shape[1]:
         raise ConfigError(
             f"{label} expects {spec.input_dim}-d input, cloud is {cloud.shape[1]}-d"
         )
-    return spec, params
+    return forward(spec, params, cloud)
 
 
-def _mesh_vertices_for(cloud: np.ndarray, mesh):
-    """Reconcile a loaded (always 3-column) mesh with a 2-d training cloud."""
-    from .geometry import TriangleMesh
-
+def _mesh_vertices_for(cloud: np.ndarray, path) -> TriangleMesh:
+    """The mesh at path, reconciled (always 3-column as read) with a 2-d
+    training cloud."""
+    mesh = _read(pcio.load_mesh, path)
     if cloud.shape[1] == 2 and mesh.vertices.shape[1] == 3:
         if (mesh.vertices[:, 2] == 0.0).all():
             return TriangleMesh(mesh.vertices[:, :2].copy(), mesh.triangles)
@@ -279,30 +296,12 @@ def cmd_fit(args) -> int:
         return 0
 
     domain = _load_domain(eff["domain"].get("preset"), eff["domain"].get("file"))
-    try:
-        objective = ObjectiveConfig(**eff["objective"])
-        stage = StageConfig(**eff["stage"])
-        optimizer = RmsPropConfig(**eff["optimizer"])
-        map_spec = dataclasses.replace(
-            default_map_spec(cloud.shape[1]),
-            hidden_widths=tuple(eff["map_net"]["hidden_widths"]),
-            omega=float(eff["map_net"]["omega"]),
-        )
-        lambda_spec = None
-        if objective.beta1 > 0:
-            lambda_spec = dataclasses.replace(
-                default_lambda_spec(cloud.shape[1]),
-                hidden_widths=tuple(eff["lambda_net"]["hidden_widths"]),
-                omega=float(eff["lambda_net"]["omega"]),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
+    objective, stage, optimizer, map_spec, lambda_spec = _run_objects(eff, cloud.shape[1])
     landmarks = [np.array(e["rows"], dtype=np.int64) for e in eff.get("landmarks", [])]
     targets = [np.array(e["target"], dtype=np.float64) for e in eff.get("landmarks", [])]
     eval_mesh = None
     if eff["eval_mesh"] is not None:
-        eval_mesh = _mesh_vertices_for(cloud, _read(pcio.load_mesh, eff["eval_mesh"]))
+        eval_mesh = _mesh_vertices_for(cloud, eff["eval_mesh"])
 
     out_dir = Path(eff["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,18 +356,16 @@ def cmd_fit(args) -> int:
 
 def cmd_map(args) -> int:
     cloud = _read(pcio.load_cloud, args.input)
-    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-    pcio.save_cloud(args.out, forward(spec, params, cloud))
+    pcio.save_cloud(args.out, _checkpoint_output(args.checkpoint, cloud))
     if args.lambda_checkpoint:
-        lspec, lparams = _load_checkpoint_for(args.lambda_checkpoint, cloud, "lambda checkpoint")
-        vals = forward(lspec, lparams, cloud).ravel()
+        vals = _checkpoint_output(args.lambda_checkpoint, cloud, "lambda checkpoint").ravel()
         pcio.save_table(args.lambda_out, ["lambda_inv"], [[v] for v in vals])
     return 0
 
 
 def cmd_eval(args) -> int:
     cloud = _read(pcio.load_cloud, args.input)
-    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
+    mapped = _checkpoint_output(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,14 +373,13 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(args.seed)
     dense = domain.sample_area(args.sample_size, rng)
     denser = domain.sample_area(4 * args.sample_size, rng)
-    mapped = forward(spec, params, cloud)
     rows = [
         ["hausdorff", _chunked_hausdorff(mapped, dense)],
         ["domain_sample_gap", sampling_gap_estimate(dense, denser)],
         ["mapped_sample_gap", sampling_gap_estimate(mapped, denser)],
     ]
     if args.mesh:
-        mesh = _mesh_vertices_for(cloud, _read(pcio.load_mesh, args.mesh))
+        mesh = _mesh_vertices_for(cloud, args.mesh)
         report = angle_distortion(mesh, mapped, n_bins=args.bins)
         rows.append(["mean_abs_angle", report.mean_abs])
         pcio.save_table(
@@ -407,9 +403,7 @@ def cmd_boundary(args) -> int:
     else:
         if not (args.checkpoint and args.input):
             raise ConfigError("boundary needs --mapped or both --checkpoint and --input")
-        cloud = _read(pcio.load_cloud, args.input)
-        spec, params = _load_checkpoint_for(args.checkpoint, cloud)
-        mapped = forward(spec, params, cloud)
+        mapped = _checkpoint_output(args.checkpoint, _read(pcio.load_cloud, args.input))
 
     mesh = delaunay(mapped)
     pruned = prune_long_faces(mesh, args.h)
@@ -433,16 +427,14 @@ def cmd_boundary(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cloud = _read(pcio.load_cloud, args.input)
-    spec, params = _load_checkpoint_for(args.checkpoint, cloud)
+    mapped = _checkpoint_output(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
-    mapped = forward(spec, params, cloud)
 
     lam_vals = None
     if args.mode == "lambda_adapted":
         if not args.lambda_checkpoint:
             raise ConfigError("lambda_adapted mode needs --lambda-checkpoint")
-        lspec, lparams = _load_checkpoint_for(args.lambda_checkpoint, cloud, "lambda checkpoint")
-        lam_vals = forward(lspec, lparams, cloud).ravel()
+        lam_vals = _checkpoint_output(args.lambda_checkpoint, cloud, "lambda checkpoint").ravel()
 
     result = reconstruct_surface(
         mapped, cloud, domain,
@@ -549,13 +541,10 @@ def cmd_audit(args) -> int:
         raise ConfigError(f"{args.lambda_inv}: no values found")
     vals = data[:, 0]
     report = audit_theorem_bound(mesh, mapped, vals, args.sigma)
-    names = [
-        "lhs", "rhs", "holds", "d_sigma", "lambda0", "lambda_t",
-        "r_lambda", "max_edge", "n_points", "n_triangles",
-    ]
     pcio.save_table(
-        args.out, names,
-        [[getattr(report, n) if n != "holds" else int(report.holds) for n in names]],
+        args.out,
+        [f.name for f in dataclasses.fields(report)],
+        [dataclasses.astuple(dataclasses.replace(report, holds=int(report.holds)))],
     )
     log.info("bound %s: lhs=%.6g rhs=%.6g", "holds" if report.holds else "FAILS",
              report.lhs, report.rhs)

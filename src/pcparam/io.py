@@ -117,9 +117,14 @@ def _load_obj(path: Path) -> TriangleMesh:
     faces: list[list[int]] = []
     for line, cells in _records(path):
         if cells[0] == "v":
+            if len(cells) < 4:
+                raise ValueError(f"{path}:{line}: a vertex needs x, y and z: {cells!r}")
             verts.append(_parse_float_row(cells[1:4], path, line))
         elif cells[0] == "f":
-            idx = [int(p.split("/", 1)[0]) for p in cells[1:]]
+            try:
+                idx = [int(p.split("/", 1)[0]) for p in cells[1:]]
+            except ValueError:
+                raise ValueError(f"{path}:{line}: not a numeric face: {cells!r}") from None
             if len(idx) != 3:
                 raise ValueError(f"{path}:{line}: only triangle faces supported")
             faces.append([i - 1 for i in idx])
@@ -129,25 +134,34 @@ def _load_obj(path: Path) -> TriangleMesh:
 
 
 def _load_off(path: Path) -> TriangleMesh:
-    tokens = [t for _, cells in _records(path) for t in cells]
-    if not tokens or tokens[0] != "OFF":
+    tokens = [(line, t) for line, cells in _records(path) for t in cells]
+    if not tokens or tokens[0][1] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
-    try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip edge count
-        verts = np.array(
-            [float(t) for t in tokens[pos : pos + 3 * nv]], dtype=np.float64
-        ).reshape(nv, 3)
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise ValueError(f"{path}: only triangle faces supported, got {cnt}-gon")
-            faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-            pos += 4
-    except IndexError:
-        raise ValueError(f"{path}: OFF file ends before its declared counts") from None
+
+    def take(pos: int, count: int, kind=int) -> list:
+        """The count tokens from pos as numbers; an error names the line of
+        the first one that is not."""
+        if pos + count > len(tokens):
+            raise ValueError(f"{path}: OFF file ends before its declared counts")
+        out = []
+        for line, t in tokens[pos : pos + count]:
+            try:
+                out.append(kind(t))
+            except ValueError:
+                raise ValueError(f"{path}:{line}: not a number: {t!r}") from None
+        return out
+
+    nv, nf = take(1, 2)
+    pos = 4  # skip edge count
+    verts = np.array(take(pos, 3 * nv, float), dtype=np.float64).reshape(nv, 3)
+    pos += 3 * nv
+    faces = []
+    for _ in range(nf):
+        cnt = take(pos, 1)[0]
+        if cnt != 3:
+            raise ValueError(f"{path}: only triangle faces supported, got {cnt}-gon")
+        faces.append(take(pos + 1, 3))
+        pos += 4
     return TriangleMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 

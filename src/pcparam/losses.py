@@ -13,6 +13,7 @@ suite.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -50,10 +51,17 @@ __all__ = [
 _SIGMA_FLOOR = max(math.sqrt(sys.float_info.min), math.sqrt(8.0 / sys.float_info.max))
 
 
+def _check_real(name: str, value, ok, want: str) -> None:
+    """Reject a value that is a bool, not a real number, or fails ok, as
+    `{name} must be {want}`: the one rule for the numbers of a config."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 def _check_sigma(name: str, value: float) -> None:
-    """Reject a kernel width that is not finite or below `_SIGMA_FLOOR`."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    """Reject a kernel width that is not a finite positive number or is below
+    `_SIGMA_FLOOR`."""
+    _check_real(name, value, lambda v: 0 < v < math.inf, "positive and finite")
     if value < _SIGMA_FLOOR:
         raise ValueError(
             f"{name} must be at least {_SIGMA_FLOOR:.6g} (its square must be a normal "
@@ -77,12 +85,8 @@ class ObjectiveConfig:
     beta3: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.beta1) and self.beta1 >= 0):
-            raise ValueError(f"beta1 must be non-negative, got {self.beta1}")
-        if not (np.isfinite(self.beta2) and self.beta2 >= 0):
-            raise ValueError(f"beta2 must be non-negative, got {self.beta2}")
-        if not (np.isfinite(self.beta3) and self.beta3 >= 0):
-            raise ValueError(f"beta3 must be non-negative, got {self.beta3}")
+        for name in ("beta1", "beta2", "beta3"):
+            _check_real(name, getattr(self, name), lambda v: 0 <= v < math.inf, "non-negative")
 
 
 # both energies run their row tiles in two halves at once (`_halves.split`),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ from . import _halves
 from .domains import Domain
 from .geometry import _COORD_BOUND, TriangleMesh, _check_coord_bound, angle_distortion, as_cloud
 from .geometry import hausdorff_exact as _chunked_hausdorff
-from .losses import LossBreakdown, ObjectiveConfig, _check_sigma, total_loss_with_grad
+from .losses import (LossBreakdown, ObjectiveConfig, _check_real, _check_sigma,
+                     total_loss_with_grad)
 from .neural import (
     NetworkSpec,
     backward,
@@ -56,14 +58,10 @@ class RmsPropConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        for name in ("learning_rate", "eps"):
+            _check_real(name, getattr(self, name), lambda v: 0 < v < math.inf, "positive")
+        for name in ("rho", "momentum"):
+            _check_real(name, getattr(self, name), lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 @dataclass
@@ -142,15 +140,12 @@ class StageConfig:
 
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_points", "batch_domain", "epochs_min"):
-            val = getattr(self, name)
-            if not (isinstance(val, (int, np.integer)) and val >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {val!r}")
+            _check_real(name, getattr(self, name),
+                        lambda v: isinstance(v, numbers.Integral) and v >= 1, "a positive integer")
         for name in ("sigma", "sigma_min"):
             _check_sigma(name, getattr(self, name))
         for name in ("alpha_init", "alpha_final", "alpha_max"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive, got {val!r}")
+            _check_real(name, getattr(self, name), lambda v: 0 < v < math.inf, "positive")
 
 
 def advance_stage(cfg: StageConfig, n_points: int, n_domain: int) -> StageConfig:

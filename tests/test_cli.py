@@ -181,6 +181,10 @@ def test_config_field_validation(tmp_path, tiny_cloud_csv):
     cfg["map_net"] = {"hidden_widths": [8, 0]}
     with pytest.raises(ConfigError, match="hidden_widths"):
         load_run_config(_write_config(tmp_path / "f.json", cfg))
+    cfg = base()
+    cfg["domain"] = {"file": 5}  # not a path, and open(5) would read a file descriptor
+    with pytest.raises(ConfigError, match="domain.file must be a path, got 5"):
+        load_run_config(_write_config(tmp_path / "g.json", cfg))
 
 
 def test_config_landmark_validation(tmp_path, tiny_cloud_csv):
@@ -196,8 +200,9 @@ def test_config_landmark_validation(tmp_path, tiny_cloud_csv):
         load_run_config(with_landmarks([{"rows": [], "target": [[0, 0]]}]))
     with pytest.raises(ConfigError, match=r"landmarks\[0\]\.rows"):
         load_run_config(with_landmarks([{"rows": [True], "target": [[0, 0]]}]))
-    with pytest.raises(ConfigError, match=r"landmarks\[0\]\.target"):
-        load_run_config(with_landmarks([{"rows": [1], "target": [[0, 0, 0]]}]))
+    for target in ([[0, 0, 0]], [["a", 1]], [[None, 1]], [[True, 1]]):
+        with pytest.raises(ConfigError, match=r"landmarks\[0\]\.target must be"):
+            load_run_config(with_landmarks([{"rows": [1], "target": target}]))
     ok = load_run_config(with_landmarks([{"rows": [1, 2], "target": [[0, 1]]}]))
     assert ok["landmarks"] == [{"rows": [1, 2], "target": [[0.0, 1.0]]}]
 
@@ -299,6 +304,48 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
     }
     assert main(["fit", "--config", cfg_path, "--print-effective-config"]) == 0
     assert capsys.readouterr().out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("over", [
+    pytest.param({"stage": {"epochs": 0}}, id="epochs-0"),
+    pytest.param({"optimizer": {"rho": 2}}, id="rho-2"),
+    pytest.param({"map_net": {"omega": "fast"}}, id="omega-string"),
+    pytest.param({"objective": {"beta2": None}}, id="beta2-null"),
+    pytest.param({"stage": {"epochs": True}}, id="epochs-true"),
+    pytest.param({"stage": {"sigma": "0.5"}}, id="sigma-string"),
+    # shape matching forces beta1 = 0, so `fit` trains no lambda net, but the
+    # effective config prints its section
+    pytest.param({"mode": "shape_matching", "lambda_net": {"omega": 0}},
+                 id="lambda-net-at-beta1-0"),
+    pytest.param({"mode": "landmark", "objective": {"beta3": 1.0},
+                  "landmarks": [{"rows": [0], "target": [["a", 1]]}]}, id="landmark-target"),
+])
+def test_fit_and_print_effective_config_refuse_a_bad_config_alike(tmp_path, tiny_cloud_csv, over):
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
+    for key, val in over.items():
+        cfg[key] = {**cfg.get(key, {}), **val} if isinstance(val, dict) else val
+    path = _write_config(tmp_path / "c.json", cfg)
+    errors = []
+    for extra in ([], ["--print-effective-config"]):
+        proc = _run_pcparam("fit", "--config", path, *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        errors.append([line for line in proc.stderr.splitlines()
+                       if line.startswith("config error: ")])
+    assert len(errors[0]) == 1 and errors[0] == errors[1]
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_quick_start_config_prints(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)  # the block names cloud.csv relative to the working directory
+    save_cloud(tmp_path / "cloud.csv", np.random.default_rng(2).uniform(0.0, 1.0, (8, 3)))
+    (tmp_path / "run1.json").write_text(block)
+    assert main(["fit", "--config", "run1.json", "--print-effective-config"]) == 0
+    eff = json.loads(capsys.readouterr().out)
+    for key, val in json.loads(block).items():
+        assert eff[key] == ({**eff[key], **val} if isinstance(val, dict) else val), key
 
 
 def test_fit_missing_input_exits_2(tmp_path, caplog):
@@ -890,7 +937,7 @@ def test_malformed_input_file_exits_2_naming_it(range_inputs, identity_setup, tm
 # `where` is the line the message must name after the path, when it names one
 @pytest.mark.parametrize("key, kind, where", [
     pytest.param(key, kind, where, id=f"{key}-{kind}") for key, kind, where in [
-        ("config", None, ""), ("input", "cloud", ":3"), ("eval_mesh", "mesh", ""),
+        ("config", None, ""), ("input", "cloud", ":3"), ("eval_mesh", "mesh", ":4"),
         ("domain", "domain", ""), ("input", "cloud-gap", ":2"),
         ("input", "cloud-trailing", ":2"),
     ]

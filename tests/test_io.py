@@ -144,6 +144,17 @@ def test_mesh_error_paths(tmp_path):
     quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n\nf 1 2 3 4\n")
     with pytest.raises(ValueError, match=r"quad\.obj:6: only triangle faces"):
         load_mesh(quad)
+    # a cell that is not a number, or a short vertex, names its line
+    for name, text, where in [
+        ("face.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", r"face\.obj:4: "),
+        ("vertex.obj", "v 0 0 0\n# two coordinates\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+         r"vertex\.obj:3: "),
+        ("vertex.off", "OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", r"vertex\.off:4: "),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_mesh(bad)
     noverts = tmp_path / "empty.obj"
     noverts.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no vertices"):

@@ -436,6 +436,9 @@ def test_objective_config_validation():
         ObjectiveConfig(beta2=-0.5)
     with pytest.raises(ValueError):
         ObjectiveConfig(beta3=float("inf"))
+    for name, bad in (("beta1", True), ("beta2", None), ("beta3", "1")):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got {bad!r}"):
+            ObjectiveConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------

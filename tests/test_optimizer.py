@@ -95,6 +95,10 @@ def test_rmsprop_config_validation():
         RmsPropConfig(momentum=-0.1)
     with pytest.raises(ValueError):
         RmsPropConfig(eps=0.0)
+    # a number must be a real number, not a bool, a string or None
+    for name, bad in (("learning_rate", True), ("rho", False), ("momentum", "0.5"), ("eps", None)):
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {bad!r}"):
+            RmsPropConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,10 @@ def test_stage_config_validation():
         StageConfig(sigma=0.0)
     with pytest.raises(ValueError):
         StageConfig(alpha_final=float("nan"))
+    for name, bad in (("epochs", True), ("batch_points", 8.0), ("sigma", "0.5"),
+                      ("alpha_init", None), ("alpha_max", True)):
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {bad!r}"):
+            StageConfig(**{name: bad})
     for name in ("sigma", "sigma_min"):
         for tiny in (1e-200, 1.5e-154, 2.0e-154):
             with pytest.raises(ValueError, match=f"{name} must be at least .* got {tiny!r}"):
