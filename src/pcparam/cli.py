@@ -77,7 +77,7 @@ _TOP_KEYS = {
     "optimizer", "map_net", "lambda_net", "landmarks", "domain_size",
     "eval_sample_size", "eval_mesh",
 }
-_NET_KEYS = {"hidden_widths", "omega"}
+_NET_KEYS = {"hidden_widths", "omega", "dtype"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -172,11 +172,13 @@ def load_run_config(path, out_dir_override=None) -> dict:
                 raise ConfigError(f"config key {name!r} must be an object")
             _check_keys(net, _NET_KEYS, name)
             widths = net.get("hidden_widths")
-            if widths is not None and not (
+            if "hidden_widths" in net and not (
                 isinstance(widths, list) and widths
                 and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in widths)
             ):
-                raise ConfigError(f"{name}.hidden_widths must be a list of positive integers")
+                raise ConfigError(
+                    f"{name}.hidden_widths must be a list of positive integers, got {widths!r}"
+                )
             cfg[name] = {k: net[k] for k in net}
 
     if "landmarks" in raw:
@@ -203,6 +205,7 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
         net = eff.setdefault(name, {})
         net.setdefault("hidden_widths", list(spec.hidden_widths))
         net.setdefault("omega", spec.omega)
+        net.setdefault("dtype", spec.dtype)
 
     mode = eff["mode"]
     for name in _MODE_ZEROS[mode]:
@@ -223,22 +226,21 @@ def _run_objects(eff: dict, input_dim: int):
     """The objects `train` takes, built from an effective config: objective,
     stage, optimizer, map spec and lambda spec. The lambda spec is built and
     checked even when beta1 = 0, where None takes its place. A value the
-    objects refuse is a ConfigError."""
+    objects refuse is a ConfigError; one of a net names its section, as
+    `map_net.omega`."""
     try:
         objective = ObjectiveConfig(**eff["objective"])
         stage = StageConfig(**eff["stage"])
         optimizer = RmsPropConfig(**eff["optimizer"])
-        map_spec, lambda_spec = (
-            dataclasses.replace(
-                default(input_dim),
-                hidden_widths=tuple(eff[name]["hidden_widths"]),
-                omega=float(eff[name]["omega"]),
-            )
-            for name, default in (("map_net", default_map_spec),
-                                  ("lambda_net", default_lambda_spec))
-        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    specs = []
+    for name, default in (("map_net", default_map_spec), ("lambda_net", default_lambda_spec)):
+        try:
+            specs.append(dataclasses.replace(default(input_dim), **eff[name]))
+        except ValueError as exc:  # NetworkSpec's messages start with the field name
+            raise ConfigError(f"{name}.{exc}") from exc
+    map_spec, lambda_spec = specs
     return objective, stage, optimizer, map_spec, lambda_spec if objective.beta1 > 0 else None
 
 

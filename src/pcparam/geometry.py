@@ -19,6 +19,7 @@ the bits of the full distance matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,14 @@ def _edge_table(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
     e = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     _, first, count = np.unique(e[:, 0] * n + e[:, 1], return_index=True, return_counts=True)
     return e[first], count, first
+
+
+def _check_real(name: str, value, ok, want: str) -> None:
+    """Reject a value that is a bool, not a real number, or fails ok, as
+    `{name} must be {want}`: the one rule for the numbers of a config and
+    of a network spec."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 # coordinates must stay below this magnitude wherever squared distances of

@@ -152,6 +152,8 @@ def _load_off(path: Path) -> TriangleMesh:
         return out
 
     nv, nf = take(1, 2)
+    if nv < 0 or nf < 0:
+        raise ValueError(f"{path}:{tokens[1][0]}: negative vertex or face count: {nv} {nf}")
     pos = 4  # skip edge count
     verts = np.array(take(pos, 3 * nv, float), dtype=np.float64).reshape(nv, 3)
     pos += 3 * nv

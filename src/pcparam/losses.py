@@ -13,7 +13,6 @@ suite.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from . import _halves
 from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
+    _check_real,
     _diff_factors,
     _edge_table,
     _row_tiles,
@@ -49,13 +49,6 @@ __all__ = [
 # its precision or overflows and the distortion energy or its gradients turn
 # to nan. The second bound, about 2.11e-154, is the larger.
 _SIGMA_FLOOR = max(math.sqrt(sys.float_info.min), math.sqrt(8.0 / sys.float_info.max))
-
-
-def _check_real(name: str, value, ok, want: str) -> None:
-    """Reject a value that is a bool, not a real number, or fails ok, as
-    `{name} must be {want}`: the one rule for the numbers of a config."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 def _check_sigma(name: str, value: float) -> None:

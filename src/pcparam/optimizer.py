@@ -20,9 +20,10 @@ import numpy as np
 
 from . import _halves
 from .domains import Domain
-from .geometry import _COORD_BOUND, TriangleMesh, _check_coord_bound, angle_distortion, as_cloud
+from .geometry import (_COORD_BOUND, TriangleMesh, _check_coord_bound, _check_real,
+                       angle_distortion, as_cloud)
 from .geometry import hausdorff_exact as _chunked_hausdorff
-from .losses import (LossBreakdown, ObjectiveConfig, _check_real, _check_sigma,
+from .losses import (LossBreakdown, ObjectiveConfig, _check_sigma,
                      total_loss_with_grad)
 from .neural import (
     NetworkSpec,

@@ -258,7 +258,9 @@ def test_train_and_fit_pick_the_same_default_map_net(tmp_path, tiny_cloud_csv):
         map_spec=None, lambda_spec=NetworkSpec(2, (4,), 1, output_activation="softplus"),
         domain_size=16, eval_sample_size=16,
     )
-    assert result.map_spec == NetworkSpec(2, tuple(net["hidden_widths"]), 2, omega=net["omega"])
+    assert net["dtype"] == "float32"
+    assert result.map_spec == NetworkSpec(2, tuple(net["hidden_widths"]), 2, omega=net["omega"],
+                                          dtype=net["dtype"])
 
 
 def test_print_effective_config_round_trips(tmp_path, tiny_cloud_csv, capsys):
@@ -289,8 +291,9 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
         "eval_mesh": None,
         "eval_sample_size": 4096,
         "input": str(cloud),
-        "lambda_net": {"hidden_widths": [128, 128, 128], "omega": 1.0},
-        "map_net": {"hidden_widths": [256] * 5 if dim == 3 else [64] * 3, "omega": 1.0},
+        "lambda_net": {"dtype": "float32", "hidden_widths": [128, 128, 128], "omega": 1.0},
+        "map_net": {"dtype": "float32", "hidden_widths": [256] * 5 if dim == 3 else [64] * 3,
+                    "omega": 1.0},
         "mode": "fixed_boundary",
         "objective": {"beta1": 5.0, "beta2": 1.0, "beta3": 0.0},
         "optimizer": {"eps": 1e-08, "learning_rate": 0.0001, "momentum": 0.9, "rho": 0.99},
@@ -334,6 +337,22 @@ def test_fit_and_print_effective_config_refuse_a_bad_config_alike(tmp_path, tiny
                        if line.startswith("config error: ")])
     assert len(errors[0]) == 1 and errors[0] == errors[1]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"map_net": {"omega": True}}, "map_net.omega must be positive and finite, got True"),
+    ({"map_net": {"omega": "2"}}, "map_net.omega must be positive and finite, got '2'"),
+    ({"lambda_net": {"omega": None}}, "lambda_net.omega must be positive and finite, got None"),
+    ({"map_net": {"hidden_widths": None}},
+     "map_net.hidden_widths must be a list of positive integers, got None"),
+    ({"lambda_net": {"dtype": "float16"}},
+     "lambda_net.dtype must be one of ('float64', 'float32'), got 'float16'"),
+])
+def test_a_bad_net_value_names_its_key(tmp_path, tiny_cloud_csv, caplog, over, message):
+    cfg = {**_tiny_config(tiny_cloud_csv, tmp_path / "o"), **over}
+    path = _write_config(tmp_path / "c.json", cfg)
+    assert main(["fit", "--config", path, "--print-effective-config"]) == 2
+    assert f"config error: {message}" in caplog.messages
 
 
 def test_readme_quick_start_config_prints(tmp_path, monkeypatch, capsys):

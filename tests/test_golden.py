@@ -26,21 +26,31 @@ The hashes were frozen with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
 (OpenBLAS DYNAMIC_ARCH, Haswell kernels) on an x86-64 CPU with AVX-512.
 numpy's sin/cos/exp loops and OpenBLAS's kernels are chosen per CPU and per
 build, so on another build the bits may differ without any change to this
-code; the test then skips rather than report a false failure.
+code; the test then skips rather than report a false failure. The CPU is
+told by numpy's X86_V4 (AVX-512) dispatch group, which, unlike the AVX512F
+flag, reads False when NPY_DISABLE_CPU_FEATURES turns those loops off:
+with "X86_V4 X86_V3" off, the float32 sin and cos loops give other bits.
 
 GOLDEN_PARAMS pins the parameters in each fit's checkpoints apart from the
 file: the SHA-256 of the float64 array that `load_checkpoint` returns. A
 change to the checkpoint encoding alone moves the `*.ckpt.json` hashes in
 GOLDEN and leaves GOLDEN_PARAMS as it is.
 
+The fits run their nets in the default float32. GOLDEN_FLOAT64 and
+GOLDEN_PARAMS_FLOAT64 pin the same fits with `"dtype": "float64"` in both
+nets' sections. They hold the hashes of the fits from before float32 became
+the default: a float64 checkpoint holds no dtype field, so its bytes did
+not change either.
+
 A change that moves these bits on purpose re-freezes them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which runs the three cases as the tests do and prints FROZEN_BUILD, GOLDEN,
-GOLDEN_PARAMS and GOLDEN_RECONSTRUCT in this file's format, to paste over
-the tables below. Every re-freeze needs a CHANGES.md entry that names the
-change that moved the bits and why.
+which runs the cases as the tests do and prints FROZEN_BUILD, GOLDEN,
+GOLDEN_PARAMS, GOLDEN_FLOAT64, GOLDEN_PARAMS_FLOAT64 and GOLDEN_RECONSTRUCT
+in this file's format, to paste over the tables below. Every re-freeze
+needs a CHANGES.md entry that names the change that moved the bits and
+why.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FROZEN_BUILD = {
     "numpy": "2.4.6",
     "blas": "scipy-openblas 0.3.31.188.0",
-    "avx512f": True,
+    "x86_v4": True,
 }
 
 GOLDEN = {
@@ -95,6 +105,32 @@ GOLDEN_PARAMS = {
     },
 }
 
+GOLDEN_FLOAT64 = {
+    "landmark_2d": {
+        "log.csv": "57665ce512e9c3d5a837d6b6c7326da15a8eef2c828db4d293ad7d5300de9fcb",
+        "mapped.csv": "8adb0578d2af145acec6fec014cb54a85dce66011cc2f5f26975f67a1fec7aaa",
+        "map.ckpt.json": "4a0ef4bd341e091eeeb1736a6ab2558f27de47e414eb330d6470e79fb5e8b657",
+        "lambda.ckpt.json": "f89d8ca0ee1a7e34fa5ea42b3dad87ba8bdc1e67a1964698875bcd029292acde",
+    },
+    "fixed_boundary_3d": {
+        "log.csv": "bbc7a5952a4e61977b64fcce5bbc157b4531fd0bfec59a952c6d16627ebcf35a",
+        "mapped.csv": "268278e14a7ffd7286718f608baf327e359240737d8272594b74b2d023795e6d",
+        "map.ckpt.json": "e79c42e0925205f5b4a185f8cf5834b2005a5ba6d44881c7284ede790d730110",
+        "lambda.ckpt.json": "a41e292e321db6fb5b7500fd64452b72a0d264e8edb928330cbc930f5f25f5f5",
+    },
+}
+
+GOLDEN_PARAMS_FLOAT64 = {
+    "landmark_2d": {
+        "map.ckpt.json": "ea242479b6626d83ee4916d299a981cbb0f7e5221a340a68083c21bf4d14fe64",
+        "lambda.ckpt.json": "d0831d65065822625515c6c49adb10d67a400d1662f452f017f520e12d28f5ce",
+    },
+    "fixed_boundary_3d": {
+        "map.ckpt.json": "410e20484f1311602b432c1197d07b95de86e5bf2a917cba378bb54783212128",
+        "lambda.ckpt.json": "7f57a9530157022360314896ab953c929f981d86bcd44a7b64582f12746774de",
+    },
+}
+
 GOLDEN_RECONSTRUCT = {
     "uniform.obj": "a97708b2f63410071f4bcdbd206852eeaf0f45929e4ce2d5c36b80e62a9e4602",
     "uniform_param.obj": "d0e1cd124efd9e503a3e67a74e87fc8158d3fdc46b5169a30e6207a7e6d7e76c",
@@ -113,7 +149,7 @@ def _build() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "avx512f": bool(__cpu_features__.get("AVX512F")),
+        "x86_v4": bool(__cpu_features__.get("X86_V4")),
     }
 
 
@@ -235,9 +271,14 @@ def _param_hashes(directory: Path, names) -> dict[str, str]:
     }
 
 
-def _run_fit(name: str, work: Path) -> tuple[dict[str, str], dict[str, str]]:
-    """The hashes of the fit's output files and of its checkpoints' parameters."""
+def _run_fit(name: str, work: Path, dtype: str | None = None) -> tuple[dict[str, str],
+                                                                        dict[str, str]]:
+    """The hashes of the fit's output files and of its checkpoints'
+    parameters; with `dtype`, both nets' sections ask for it."""
     cfg = SETUPS[name](work)
+    if dtype is not None:
+        for net in ("map_net", "lambda_net"):
+            cfg[net]["dtype"] = dtype
     (work / "fit.json").write_text(json.dumps(cfg))
     _run_cli(work, ["fit", "--config", "fit.json"])
     return _hashes(work / "out", OUTPUTS), _param_hashes(work / "out", CHECKPOINTS)
@@ -281,6 +322,16 @@ def test_golden_fit_hashes(name, tmp_path):
     files, params = _run_fit(name, tmp_path)
     assert params == GOLDEN_PARAMS[name]
     assert files == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FLOAT64))
+def test_golden_float64_fit_hashes(name, tmp_path):
+    build = _build()
+    if build != FROZEN_BUILD:
+        pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
+    files, params = _run_fit(name, tmp_path, "float64")
+    assert params == GOLDEN_PARAMS_FLOAT64[name]
+    assert files == GOLDEN_FLOAT64[name]
 
 
 def test_golden_reconstruct_hashes(tmp_path):
@@ -332,17 +383,21 @@ def _print_table(name: str, table: dict) -> None:
 def main() -> None:
     """Print the golden tables as this checkout and build compute them."""
     with tempfile.TemporaryDirectory() as tmp:
-        fits, params = {}, {}
+        fits, params, fits64, params64 = {}, {}, {}, {}
         for name in GOLDEN:
             work = Path(tmp) / name
             work.mkdir()
             fits[name], params[name] = _run_fit(name, work)
+            (work / "float64").mkdir()
+            fits64[name], params64[name] = _run_fit(name, work / "float64", "float64")
         work = Path(tmp) / "reconstruct_disk"
         work.mkdir()
         reconstruct = _run_reconstruct(work)
     _print_table("FROZEN_BUILD", _build())
     _print_table("GOLDEN", fits)
     _print_table("GOLDEN_PARAMS", params)
+    _print_table("GOLDEN_FLOAT64", fits64)
+    _print_table("GOLDEN_PARAMS_FLOAT64", params64)
     _print_table("GOLDEN_RECONSTRUCT", reconstruct)
 
 

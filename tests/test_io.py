@@ -150,6 +150,9 @@ def test_mesh_error_paths(tmp_path):
         ("vertex.obj", "v 0 0 0\n# two coordinates\nv 1 0\nv 0 1 0\nf 1 2 3\n",
          r"vertex\.obj:3: "),
         ("vertex.off", "OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", r"vertex\.off:4: "),
+        # a negative count would read as no vertices or no faces
+        ("faces.off", "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", r"faces\.off:2: negative"),
+        ("verts.off", "# counts on line 3\nOFF\n-3 0 0\n", r"verts\.off:3: negative"),
     ]:
         bad = tmp_path / name
         bad.write_text(text)

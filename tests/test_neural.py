@@ -1,7 +1,9 @@
 """Sine-activation networks: init, forward/backward, checkpoints."""
 
 import base64
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ def test_param_count_frozen_values():
 
 
 def test_default_spec_shapes():
+    assert default_map_spec(2).dtype == default_lambda_spec(3).dtype == "float32"
+    assert NetworkSpec(2, (4,), 2).dtype == "float64"
     assert default_map_spec(2).hidden_widths == (64,) * 3
     assert default_map_spec(3).hidden_widths == (256,) * 5
     assert default_map_spec(2).input_dim == 2
@@ -49,6 +53,15 @@ def test_spec_validation():
         NetworkSpec(2, (4,), 2, output_activation="relu")
     with pytest.raises(ValueError):
         NetworkSpec(2, (4,), 2, omega=0.0)
+    # omega is a real number, not a bool or a string of one
+    for omega in (True, "2", None, float("nan")):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            NetworkSpec(2, (4,), 2, omega=omega)
+    assert NetworkSpec(2, (4,), 2, omega=2).omega == 2.0
+    assert type(NetworkSpec(2, (4,), 2, omega=np.float32(2)).omega) is float
+    for dtype in ("float16", np.float32, None):
+        with pytest.raises(ValueError, match="dtype must be one of"):
+            NetworkSpec(2, (4,), 2, dtype=dtype)
 
 
 def test_init_bounds_and_zero_biases():
@@ -160,6 +173,45 @@ def test_forward_validation():
         backward(spec, tape, np.zeros((3, 2)))
 
 
+# the largest |float32 - float64| of outputs and of parameter gradients,
+# over the largest float64 entry, at the default widths must stay below
+# this: about 84 float32 epsilons. Measured: 3e-7 to 1e-6.
+FLOAT32_REL_BOUND = 1e-5
+
+
+@pytest.mark.parametrize("n", [1024, 2046])
+@pytest.mark.parametrize("default", [default_map_spec, default_lambda_spec])
+def test_float32_matches_float64_at_default_widths(default, n):
+    spec32 = default(3)
+    spec64 = dataclasses.replace(spec32, dtype="float64")
+    params = init_params(spec64, seed=4)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, (n, 3))
+    ct = rng.normal(0.0, 1.0, (n, spec64.output_dim))
+    got = {}
+    for spec in (spec32, spec64):
+        tape = []
+        out = forward(spec, params, x, tape=tape)
+        got[spec.dtype] = out, backward(spec, tape, ct)
+        assert tape[0][0][0].dtype == spec.dtype  # the weights the layer loop ran
+    for k in (0, 1):  # outputs, gradient
+        want, have = got["float64"][k], got["float32"][k]
+        assert have.dtype == np.float64
+        assert np.abs(have - want).max() / np.abs(want).max() < FLOAT32_REL_BOUND
+
+
+def test_float32_forward_refuses_inputs_past_float32_range():
+    spec = NetworkSpec(3, (8,), 2, dtype="float32")
+    params = init_params(spec, seed=0)
+    x = np.array([[0.0, 1e39, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow in the cast
+        with pytest.raises(ValueError, match=r"1e\+39.*below 3\.40282e\+38"):
+            forward(spec, params, x)
+    out = forward(dataclasses.replace(spec, dtype="float64"), params, x)
+    assert np.isfinite(out).all()
+
+
 def test_checkpoint_round_trip(tmp_path):
     spec = NetworkSpec(3, (8, 4), 2, output_activation="softplus", omega=1.5)
     params = init_params(spec, seed=9)
@@ -180,6 +232,32 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "again.ckpt.json"
     save_checkpoint(path2, spec, params)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checkpoint_bytes_are_json_dumps_of_the_document(tmp_path, dtype):
+    # the base64 text is written outside the encoder, with the bytes that
+    # json.dumps gives the whole document; "dtype" only when not float64
+    spec = NetworkSpec(3, (8, 4), 2, output_activation="softplus", omega=1.5, dtype=dtype)
+    params = init_params(spec, seed=9)
+    path = tmp_path / "net.ckpt.json"
+    save_checkpoint(path, spec, params)
+    spec_doc = {"input_dim": 3, "hidden_widths": [8, 4], "output_dim": 2,
+                "output_activation": "softplus", "omega": 1.5}
+    if dtype != "float64":
+        spec_doc["dtype"] = dtype
+    doc = {"version": 2, "spec": spec_doc,
+           "params": base64.b64encode(params.astype("<f8").tobytes()).decode("ascii")}
+    assert path.read_bytes() == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    assert load_checkpoint(path)[0] == spec
+
+
+def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
+    path = tmp_path / "old.ckpt.json"
+    path.write_text(_doc())
+    assert load_checkpoint(path)[0] == NetworkSpec(1, (2,), 1, dtype="float64")
+    path.write_text(V1_DOC)
+    assert load_checkpoint(path)[0].dtype == "float64"
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):
@@ -239,7 +317,7 @@ def _doc(**changes) -> str:
     params = base64.b64encode(np.arange(7.0).astype("<f8").tobytes()).decode()
     doc = {"version": 2, "spec": spec, "params": params}
     for key, value in changes.items():
-        (spec if key in spec else doc)[key] = value
+        (spec if key in {f.name for f in dataclasses.fields(NetworkSpec)} else doc)[key] = value
     return json.dumps(doc)
 
 
@@ -252,6 +330,11 @@ def _doc(**changes) -> str:
     pytest.param(_doc(spec=[1, 2]), "spec is a list, not an object", id="spec-list"),
     pytest.param(_doc(hidden_widths="2"), "hidden_widths is a str, not a list", id="widths-str"),
     pytest.param(_doc(hidden_widths=[0]), "hidden widths must be >= 1", id="widths-zero"),
+    pytest.param(_doc(dtype="float16"), "dtype must be one of ('float64', 'float32'), got "
+                 "'float16'", id="dtype-float16"),
+    pytest.param(_doc(dtype=32), "dtype must be one of", id="dtype-number"),
+    pytest.param(_doc(omega=True), "omega must be positive and finite, got True",
+                 id="omega-true"),
     pytest.param(_doc(params=[0.0] * 7), "params is a list, not a base64 string",
                  id="v2-params-list"),
     pytest.param(_doc(params="AAAA*AAA"), "params is not base64", id="v2-not-base64"),
