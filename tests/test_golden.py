@@ -81,27 +81,27 @@ FROZEN_BUILD = {
 
 GOLDEN = {
     "landmark_2d": {
-        "log.csv": "57665ce512e9c3d5a837d6b6c7326da15a8eef2c828db4d293ad7d5300de9fcb",
-        "mapped.csv": "8adb0578d2af145acec6fec014cb54a85dce66011cc2f5f26975f67a1fec7aaa",
-        "map.ckpt.json": "4a0ef4bd341e091eeeb1736a6ab2558f27de47e414eb330d6470e79fb5e8b657",
-        "lambda.ckpt.json": "f89d8ca0ee1a7e34fa5ea42b3dad87ba8bdc1e67a1964698875bcd029292acde",
+        "log.csv": "4719588dcc2898e39677795c375845387ab11101c9920d80433a7fa4cdcce916",
+        "mapped.csv": "403ac71f09bcedc03b6167ffc18b3fab61979043df669680d52a4737bada1db1",
+        "map.ckpt.json": "bfd8c9de1d65c6e3cd70c67a8af91bf69bd0a8da3c7aa6346e8f670b9df38adf",
+        "lambda.ckpt.json": "b329833f06073833781ca7a8a5b43adea64260cfc2880cacc4ee80e2c10f0d97",
     },
     "fixed_boundary_3d": {
-        "log.csv": "bbc7a5952a4e61977b64fcce5bbc157b4531fd0bfec59a952c6d16627ebcf35a",
-        "mapped.csv": "268278e14a7ffd7286718f608baf327e359240737d8272594b74b2d023795e6d",
-        "map.ckpt.json": "e79c42e0925205f5b4a185f8cf5834b2005a5ba6d44881c7284ede790d730110",
-        "lambda.ckpt.json": "a41e292e321db6fb5b7500fd64452b72a0d264e8edb928330cbc930f5f25f5f5",
+        "log.csv": "a76b5c0f1e46d9b61801dc16aeda805404d4475776a93773f386064cf13d6c62",
+        "mapped.csv": "928e0990e3e12a252c126fe8d4ac86cc5babb34b1a9a29541c2883d7a770f062",
+        "map.ckpt.json": "ee966f4f20a58f89785cdfeda67dfb207cb8be37794eab5e92e9aaa077acb183",
+        "lambda.ckpt.json": "8066fec8f4ca02323251af0ba8e25ab1069669dbdd8b66334e01da6d05bd2177",
     },
 }
 
 GOLDEN_PARAMS = {
     "landmark_2d": {
-        "map.ckpt.json": "ea242479b6626d83ee4916d299a981cbb0f7e5221a340a68083c21bf4d14fe64",
-        "lambda.ckpt.json": "d0831d65065822625515c6c49adb10d67a400d1662f452f017f520e12d28f5ce",
+        "map.ckpt.json": "d6c796247b764667e13a99e279b394fb38d9479b5b9dba83ae61f77be8cf8bc1",
+        "lambda.ckpt.json": "812c0f743ae9af236d656b52822adbee66d5ae3d388b25440fdcc54ad0fae313",
     },
     "fixed_boundary_3d": {
-        "map.ckpt.json": "410e20484f1311602b432c1197d07b95de86e5bf2a917cba378bb54783212128",
-        "lambda.ckpt.json": "7f57a9530157022360314896ab953c929f981d86bcd44a7b64582f12746774de",
+        "map.ckpt.json": "348740fad587acf3e4e89333a449e007d6c28bc5fc051bdad913be6e6e9f8da7",
+        "lambda.ckpt.json": "6b46d9e67510238dd0c3ec1e9aa46b069c50cb94f4c07977f666e90680c1c111",
     },
 }
 
