@@ -77,7 +77,7 @@ _TOP_KEYS = {
     "optimizer", "map_net", "lambda_net", "landmarks", "domain_size",
     "eval_sample_size", "eval_mesh",
 }
-_NET_KEYS = {"hidden_widths", "omega", "dtype"}
+_NET_KEYS = {"hidden_widths", "omega"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -205,7 +205,6 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
         net = eff.setdefault(name, {})
         net.setdefault("hidden_widths", list(spec.hidden_widths))
         net.setdefault("omega", spec.omega)
-        net.setdefault("dtype", spec.dtype)
 
     mode = eff["mode"]
     for name in _MODE_ZEROS[mode]:

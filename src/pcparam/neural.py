@@ -18,16 +18,19 @@ the parameters, the optimizer state and the losses stay float64. On numpy
 2.4 (x86-64, AVX-512) float32 sin on a 1024 x 256 array takes about
 0.3 ms against about 6 ms for float64, which takes the scalar libm path.
 numpy picks its float32 sin and cos loops by CPU feature, so float32 bits
-can differ between CPUs with and without AVX2/FMA3. A float32 net refuses
-inputs of magnitude 3.40282e38, the largest float32, or more. The default
-specs are float32; the finite-difference checks and the bit-exact tests
-run float64 specs.
+can differ between CPUs with and without AVX2/FMA3. forward() on a float32
+net refuses rows on which some layer could reach half the largest float32
+(1.70141e38), bounding each layer from the largest input, the column sums
+of |weights|, the biases and omega; with the default 3-D init at omega 1
+that admits inputs up to about 4e37. backward() refuses a float32 gradient
+that left float32's range. The default specs are float32; the
+finite-difference checks and the bit-exact tests run float64 specs.
 
 A checkpoint is one line of JSON, {"version": 2, "spec": {...}, "params":
 "..."}, with params the base64 text of the flat vector's little-endian
 float64 bytes, whatever the spec's dtype. The spec holds "dtype" only when
 it is not "float64", so a file without it loads as a float64 net. Writing
-the 264,706 parameters of the default 3-D map net takes about 35 ms and
+the 264,706 parameters of the default 3-D map net takes about 13 ms and
 reading them about 30 ms (2 vCPUs), against about 0.35 s and 0.2 s for
 version 1, which listed them as shortest round-trip decimals and still
 loads.
@@ -62,9 +65,10 @@ CHECKPOINT_VERSION = 2
 
 _DTYPES = ("float64", "float32")
 
-# a float32 layer loop refuses inputs of this magnitude or more, which the
-# cast to float32 would turn into inf
-_FLOAT32_BOUND = float(np.finfo(np.float32).max)
+# a float32 layer loop refuses a pass that could form a value of this
+# magnitude or more: half the largest float32, which leaves room for the
+# rounding of any matmul sum shorter than 2**22 terms
+_FLOAT32_LIMIT = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
 
 
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer (weights, bias) of the flat float64 params, in spec.dtype."""
+    """Per layer (weights, bias) views of the flat float64 params."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (param_count(spec),):
         raise ValueError(
@@ -124,7 +128,6 @@ def _unpack(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.
         raise ValueError(
             f"non-finite parameter at index {int(np.flatnonzero(~np.isfinite(params))[0])}"
         )
-    params = params.astype(spec.dtype, copy=False)
     layers = []
     off = 0
     for fi, fo in spec.layer_dims:
@@ -152,21 +155,36 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_inputs(spec: NetworkSpec, inputs) -> np.ndarray:
-    """The inputs as finite (n, input_dim) rows in spec.dtype; a float32
-    spec also refuses magnitudes the cast would turn into inf."""
+    """The inputs as finite float64 (n, input_dim) rows."""
     a = np.asarray(inputs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise ValueError(f"inputs must be (n, {spec.input_dim}), got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("inputs contain non-finite values")
-    if spec.dtype == "float32" and a.size:
-        biggest = float(np.abs(a).max())
-        if not biggest < _FLOAT32_BOUND:
+    return a
+
+
+def _check_float32_reach(spec: NetworkSpec, layers, a: np.ndarray) -> None:
+    """Refuse a float32 pass of these float64 layers over rows `a` that
+    could leave float32's range. A layer whose inputs stay within `reach`
+    forms values within reach * (largest column sum of |w|) + max |b|,
+    times omega on a hidden layer; sin keeps the next layer's inputs within
+    1. `reach` starts at 1 or more, so a weight or bias past the limit is
+    refused whatever the inputs."""
+    biggest = float(np.abs(a).max(initial=0.0))
+    reach = max(1.0, biggest)
+    last = len(layers) - 1
+    for li, (w, b) in enumerate(layers):
+        peak = reach * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max())
+        if li < last:
+            peak *= max(spec.omega, 1.0)  # before and after the omega scaling
+        if not peak < _FLOAT32_LIMIT:
             raise ValueError(
-                f"inputs reach magnitude {biggest:g}; a float32 network takes inputs "
-                f"below {_FLOAT32_BOUND:g}, the largest float32"
+                f"a float32 network keeps its layer values below {_FLOAT32_LIMIT:g}, half "
+                f"the largest float32; on inputs of magnitude up to {biggest:g} layer {li} "
+                f"could reach {peak:g}"
             )
-    return a.astype(spec.dtype, copy=False)
+        reach = 1.0
 
 
 def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> np.ndarray:
@@ -181,6 +199,10 @@ def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> n
     """
     layers = _unpack(spec, params)
     a = _check_inputs(spec, inputs)
+    if spec.dtype == "float32":
+        _check_float32_reach(spec, layers, a)
+        layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in layers]
+        a = a.astype(np.float32)
     out = np.empty((len(a), spec.output_dim))
 
     def half(lo: int, hi: int) -> list | None:
@@ -228,7 +250,8 @@ def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
     net forward once. Training moves only the parameters, so no gradient in
     the inputs is formed. Each piece of the rows runs back through its own
     tape, as forward() cut them; the gradient is half 0's plus half 1's.
-    The layer loop runs in spec.dtype and the gradient is float64.
+    The layer loop runs in spec.dtype and the gradient is float64; a
+    float32 loop that overflowed is refused.
     """
     dims = spec.layer_dims
     if not tape or [len(t) for t in tape] != [len(dims)] * len(tape):
@@ -241,7 +264,14 @@ def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
     def half(lo: int, hi: int) -> np.ndarray:
         return _backward_rows(spec, tape[1 if lo else 0], ct[lo:hi])
 
-    grad, *rest = _halves.split(half, n, _widest(spec))
+    grads = _halves.split(half, n, _widest(spec))
+    if spec.dtype == "float32" and not all(np.isfinite(g).all() for g in grads):
+        raise ValueError(
+            f"the float32 gradient left float32's range (magnitude up to "
+            f"{float(np.finfo(np.float32).max):g}) on output cotangents of magnitude up to "
+            f"{float(np.abs(ct).max(initial=0.0)):g}"
+        )
+    grad, *rest = grads
     for g in rest:
         grad += g
     return grad
@@ -255,20 +285,24 @@ def _backward_rows(spec: NetworkSpec, tape: list, ct) -> np.ndarray:
     o = len(grad)
     if spec.output_activation == "softplus":  # the head is float64
         ct = ct * _sigmoid(tape[-1][2].astype(np.float64, copy=False))
-    dz = ct.astype(spec.dtype, copy=False)
-    for li in range(len(dims) - 1, -1, -1):
-        w, a, _ = tape[li]
-        fi, fo = dims[li]
-        o -= fi * fo + fo
-        grad[o : o + fi * fo] = (a.T @ dz).ravel()
-        grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
-        if li > 0:
-            # d sin(omega z) / dz = omega cos(omega z); the tape holds omega z
-            deriv = np.cos(tape[li - 1][2])
-            if spec.omega != 1.0:
-                deriv *= spec.omega
-            dz = dz @ w.T
-            dz *= deriv
+    # a float32 overflow leaves inf or NaN in the gradient, which backward()
+    # refuses, so it need not warn here
+    quiet = {"over": "ignore", "invalid": "ignore"} if spec.dtype == "float32" else {}
+    with np.errstate(**quiet):
+        dz = ct.astype(spec.dtype, copy=False)
+        for li in range(len(dims) - 1, -1, -1):
+            w, a, _ = tape[li]
+            fi, fo = dims[li]
+            o -= fi * fo + fo
+            grad[o : o + fi * fo] = (a.T @ dz).ravel()
+            grad[o + fi * fo : o + fi * fo + fo] = dz.sum(axis=0)
+            if li > 0:
+                # d sin(omega z) / dz = omega cos(omega z); the tape holds omega z
+                deriv = np.cos(tape[li - 1][2])
+                if spec.omega != 1.0:
+                    deriv *= spec.omega
+                dz = dz @ w.T
+                dz *= deriv
     return grad
 
 

@@ -258,9 +258,8 @@ def test_train_and_fit_pick_the_same_default_map_net(tmp_path, tiny_cloud_csv):
         map_spec=None, lambda_spec=NetworkSpec(2, (4,), 1, output_activation="softplus"),
         domain_size=16, eval_sample_size=16,
     )
-    assert net["dtype"] == "float32"
     assert result.map_spec == NetworkSpec(2, tuple(net["hidden_widths"]), 2, omega=net["omega"],
-                                          dtype=net["dtype"])
+                                          dtype="float32")
 
 
 def test_print_effective_config_round_trips(tmp_path, tiny_cloud_csv, capsys):
@@ -291,9 +290,8 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
         "eval_mesh": None,
         "eval_sample_size": 4096,
         "input": str(cloud),
-        "lambda_net": {"dtype": "float32", "hidden_widths": [128, 128, 128], "omega": 1.0},
-        "map_net": {"dtype": "float32", "hidden_widths": [256] * 5 if dim == 3 else [64] * 3,
-                    "omega": 1.0},
+        "lambda_net": {"hidden_widths": [128, 128, 128], "omega": 1.0},
+        "map_net": {"hidden_widths": [256] * 5 if dim == 3 else [64] * 3, "omega": 1.0},
         "mode": "fixed_boundary",
         "objective": {"beta1": 5.0, "beta2": 1.0, "beta3": 0.0},
         "optimizer": {"eps": 1e-08, "learning_rate": 0.0001, "momentum": 0.9, "rho": 0.99},
@@ -345,8 +343,8 @@ def test_fit_and_print_effective_config_refuse_a_bad_config_alike(tmp_path, tiny
     ({"lambda_net": {"omega": None}}, "lambda_net.omega must be positive and finite, got None"),
     ({"map_net": {"hidden_widths": None}},
      "map_net.hidden_widths must be a list of positive integers, got None"),
-    ({"lambda_net": {"dtype": "float16"}},
-     "lambda_net.dtype must be one of ('float64', 'float32'), got 'float16'"),
+    # a net's precision is not a config value: the CLI runs the float32 defaults
+    ({"lambda_net": {"dtype": "float64"}}, "unknown config key 'lambda_net.dtype'"),
 ])
 def test_a_bad_net_value_names_its_key(tmp_path, tiny_cloud_csv, caplog, over, message):
     cfg = {**_tiny_config(tiny_cloud_csv, tmp_path / "o"), **over}

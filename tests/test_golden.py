@@ -37,10 +37,10 @@ change to the checkpoint encoding alone moves the `*.ckpt.json` hashes in
 GOLDEN and leaves GOLDEN_PARAMS as it is.
 
 The fits run their nets in the default float32. GOLDEN_FLOAT64 and
-GOLDEN_PARAMS_FLOAT64 pin the same fits with `"dtype": "float64"` in both
-nets' sections. They hold the hashes of the fits from before float32 became
-the default: a float64 checkpoint holds no dtype field, so its bytes did
-not change either.
+GOLDEN_PARAMS_FLOAT64 pin the same fits with both default specs turned to
+float64 in the child interpreter (`_FLOAT64_NETS`). They hold the hashes of
+the fits from before float32 became the default: a float64 checkpoint
+holds no dtype field, so its bytes did not change either.
 
 A change that moves these bits on purpose re-freezes them with
 
@@ -242,10 +242,18 @@ _HALVES = {
     "none": "import pcparam._halves as h; h._control = False\n",
 }
 
+# the default map and lambda specs of `pcparam fit`, in float64
+_FLOAT64_NETS = (
+    "import dataclasses, pcparam.cli as c\n"
+    "for f in ('default_map_spec', 'default_lambda_spec'):\n"
+    "    setattr(c, f, lambda d, g=getattr(c, f): dataclasses.replace(g(d), dtype='float64'))\n"
+)
 
-def _run_cli(work: Path, argv: list[str], threads: int = 1, halves: str = "shipped") -> None:
+
+def _run_cli(work: Path, argv: list[str], threads: int = 1, halves: str = "shipped",
+             prelude: str = "") -> None:
     """`pcparam argv` in a fresh interpreter with `threads` BLAS threads, the
-    row halves run as `_HALVES[halves]` says."""
+    row halves run as `_HALVES[halves]` says, after the code `prelude`."""
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     env["OMP_NUM_THREADS"] = str(threads)
@@ -254,7 +262,7 @@ def _run_cli(work: Path, argv: list[str], threads: int = 1, halves: str = "shipp
     )
     code = "import sys; from pcparam.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", _HALVES[halves] + code, *argv],
+        [sys.executable, "-c", _HALVES[halves] + prelude + code, *argv],
         cwd=work, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -271,16 +279,12 @@ def _param_hashes(directory: Path, names) -> dict[str, str]:
     }
 
 
-def _run_fit(name: str, work: Path, dtype: str | None = None) -> tuple[dict[str, str],
-                                                                        dict[str, str]]:
+def _run_fit(name: str, work: Path, float64: bool = False) -> tuple[dict[str, str],
+                                                                    dict[str, str]]:
     """The hashes of the fit's output files and of its checkpoints'
-    parameters; with `dtype`, both nets' sections ask for it."""
-    cfg = SETUPS[name](work)
-    if dtype is not None:
-        for net in ("map_net", "lambda_net"):
-            cfg[net]["dtype"] = dtype
-    (work / "fit.json").write_text(json.dumps(cfg))
-    _run_cli(work, ["fit", "--config", "fit.json"])
+    parameters; with `float64`, both nets run in float64."""
+    (work / "fit.json").write_text(json.dumps(SETUPS[name](work)))
+    _run_cli(work, ["fit", "--config", "fit.json"], prelude=_FLOAT64_NETS if float64 else "")
     return _hashes(work / "out", OUTPUTS), _param_hashes(work / "out", CHECKPOINTS)
 
 
@@ -329,7 +333,7 @@ def test_golden_float64_fit_hashes(name, tmp_path):
     build = _build()
     if build != FROZEN_BUILD:
         pytest.skip(f"hashes were frozen on {FROZEN_BUILD}, this build is {build}")
-    files, params = _run_fit(name, tmp_path, "float64")
+    files, params = _run_fit(name, tmp_path, float64=True)
     assert params == GOLDEN_PARAMS_FLOAT64[name]
     assert files == GOLDEN_FLOAT64[name]
 
@@ -389,7 +393,7 @@ def main() -> None:
             work.mkdir()
             fits[name], params[name] = _run_fit(name, work)
             (work / "float64").mkdir()
-            fits64[name], params64[name] = _run_fit(name, work / "float64", "float64")
+            fits64[name], params64[name] = _run_fit(name, work / "float64", float64=True)
         work = Path(tmp) / "reconstruct_disk"
         work.mkdir()
         reconstruct = _run_reconstruct(work)

@@ -203,13 +203,31 @@ def test_float32_matches_float64_at_default_widths(default, n):
 def test_float32_forward_refuses_inputs_past_float32_range():
     spec = NetworkSpec(3, (8,), 2, dtype="float32")
     params = init_params(spec, seed=0)
-    x = np.array([[0.0, 1e39, 0.5]])
+    big_weight = params.copy()
+    big_weight[-1] = 1e39  # an output bias past float32 even on small inputs
+    for p, x, reach in [
+        (params, np.array([[0.0, 1e39, 0.5]]), r"1e\+39 layer 0"),  # the cast alone overflows
+        (params, np.array([[2e38, 1e38, -2e38]]), r"2e\+38 layer 0"),  # so does the first matmul
+        (big_weight, np.array([[0.0, 1.0, 0.5]]), r"1 layer 1"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the refusal
+            with pytest.raises(ValueError, match=r"below 1\.70141e\+38, half the largest "
+                                                 r"float32; on inputs of magnitude up to " + reach):
+                forward(spec, p, x)
+        assert np.isfinite(forward(dataclasses.replace(spec, dtype="float64"), p, x)).all()
+    # inputs the default init admits stay finite, without a warning
+    spec = default_map_spec(3)
+    params = init_params(spec, seed=0)
+    x = np.random.default_rng(0).uniform(-3e37, 3e37, (64, 3))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # and no overflow in the cast
-        with pytest.raises(ValueError, match=r"1e\+39.*below 3\.40282e\+38"):
-            forward(spec, params, x)
-    out = forward(dataclasses.replace(spec, dtype="float64"), params, x)
-    assert np.isfinite(out).all()
+        warnings.simplefilter("error")
+        tape = []
+        assert np.isfinite(forward(spec, params, x, tape=tape)).all()
+        assert np.isfinite(backward(spec, tape, np.ones((64, 2)))).all()
+        # a gradient past float32's range is refused, not left inf or NaN
+        with pytest.raises(ValueError, match=r"float32 gradient left float32's range"):
+            backward(spec, tape, np.full((64, 2), 1e6))
 
 
 def test_checkpoint_round_trip(tmp_path):
