@@ -22,11 +22,12 @@ import numpy as np
 
 from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
-from .geometry import TriangleMesh, angle_distortion, sampling_gap_estimate
+from .geometry import (TriangleMesh, angle_distortion, hausdorff_exact as _chunked_hausdorff,
+                       sampling_gap_estimate)
 from .losses import ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
 from .neural import default_lambda_spec, default_map_spec, forward, load_checkpoint, save_checkpoint
-from .optimizer import RmsPropConfig, StageConfig, StageRecord, _chunked_hausdorff, train
+from .optimizer import RmsPropConfig, StageConfig, StageRecord, train
 from .svgplot import histogram_svg, line_series_svg, scatter_svg
 from .boltzmann import extremum_error_and_bound
 
@@ -135,7 +136,10 @@ def load_run_config(path, out_dir_override=None) -> dict:
     cfg: dict = {}
     if "input" not in raw:
         raise ConfigError("config key 'input' is required")
-    cfg["input"] = str(raw["input"])
+    for key in ("input", "output_dir"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a path, got {raw[key]!r}")
+    cfg["input"] = raw["input"]
     out_dir = out_dir_override or raw.get("output_dir")
     if not out_dir:
         raise ConfigError("config key 'output_dir' is required (or pass --out-dir)")
@@ -170,16 +174,8 @@ def load_run_config(path, out_dir_override=None) -> dict:
             net = raw[name]
             if not isinstance(net, dict):
                 raise ConfigError(f"config key {name!r} must be an object")
-            _check_keys(net, _NET_KEYS, name)
-            widths = net.get("hidden_widths")
-            if "hidden_widths" in net and not (
-                isinstance(widths, list) and widths
-                and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in widths)
-            ):
-                raise ConfigError(
-                    f"{name}.hidden_widths must be a list of positive integers, got {widths!r}"
-                )
-            cfg[name] = {k: net[k] for k in net}
+            _check_keys(net, _NET_KEYS, name)  # NetworkSpec checks the values
+            cfg[name] = dict(net)
 
     if "landmarks" in raw:
         cfg["landmarks"] = _validate_landmarks(raw["landmarks"])

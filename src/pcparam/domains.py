@@ -16,15 +16,21 @@ non-self-intersecting (not checked).
 
 Samplers are deterministic per seed: area sampling rejects from the bounding
 box, boundary sampling is proportional to arc length across all loops.
+
+A domain file is JSON, {"loops": [[segment, ...], ...]}, the outer loop
+first; a segment is {"type": "line" or "arc", ...} with the fields of Line
+or Arc, which check them as they do anywhere, and unknown keys are refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .geometry import _check_real
 
 __all__ = [
     "Line",
@@ -43,20 +49,29 @@ _CHAIN_TOL = 1e-9
 _BOUNDARY_TOL = 1e-12
 
 
+def _set_point(seg, name: str) -> None:
+    """Store field `name` of seg as an (x, y) tuple of floats, refusing
+    anything but exactly two finite reals."""
+    value = getattr(seg, name)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{name} must be a point [x, y], got {value!r}")
+    for i, v in enumerate(value):
+        _check_real(f"{name}[{i}]", v, math.isfinite, "finite")
+    object.__setattr__(seg, name, (float(value[0]), float(value[1])))
+
+
 @dataclass(frozen=True)
 class Line:
     start: tuple[float, float]
     end: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.start, dtype=np.float64)
-        b = np.asarray(self.end, dtype=np.float64)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("non-finite line endpoint")
-        if np.linalg.norm(b - a) <= 1e-12:
+        _set_point(self, "start")
+        _set_point(self, "end")
+        if math.dist(self.start, self.end) <= 1e-12:
             raise ValueError(f"zero-length line segment at {self.start}")
-        object.__setattr__(self, "start", (float(a[0]), float(a[1])))
-        object.__setattr__(self, "end", (float(b[0]), float(b[1])))
 
     @property
     def p0(self) -> np.ndarray:
@@ -108,15 +123,14 @@ class Arc:
     ccw: bool = True
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=np.float64)
-        if not (np.isfinite(c).all() and np.isfinite(self.radius)):
-            raise ValueError("non-finite arc data")
-        if self.radius <= 0:
-            raise ValueError(f"arc radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", (float(c[0]), float(c[1])))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "start_angle", float(self.start_angle))
-        object.__setattr__(self, "end_angle", float(self.end_angle))
+        _set_point(self, "center")
+        for name, ok, want in (("radius", lambda v: 0 < v < math.inf, "positive and finite"),
+                               ("start_angle", math.isfinite, "finite"),
+                               ("end_angle", math.isfinite, "finite")):
+            _check_real(name, getattr(self, name), ok, want)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not isinstance(self.ccw, bool):
+            raise ValueError(f"ccw must be a bool, got {self.ccw!r}")
 
     @property
     def c(self) -> np.ndarray:
@@ -314,36 +328,24 @@ class Domain:
 # --- JSON serialization ------------------------------------------------------
 
 
+_SEGMENT_TYPES = {Line: "line", Arc: "arc"}
+
+
 def _segment_to_json(seg: Segment) -> dict:
-    if isinstance(seg, Line):
-        return {"type": "line", "start": list(seg.start), "end": list(seg.end)}
-    return {
-        "type": "arc",
-        "center": list(seg.center),
-        "radius": seg.radius,
-        "start_angle": seg.start_angle,
-        "end_angle": seg.end_angle,
-        "ccw": seg.ccw,
-    }
+    return {"type": _SEGMENT_TYPES[type(seg)], **asdict(seg)}
 
 
 def _segment_from_json(doc: dict) -> Segment:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError(f"segment record must be an object with a 'type': {doc!r}")
-    kind = doc["type"]
-    try:
-        if kind == "line":
-            return Line(tuple(doc["start"]), tuple(doc["end"]))
-        if kind == "arc":
-            return Arc(
-                tuple(doc["center"]),
-                float(doc["radius"]),
-                float(doc["start_angle"]),
-                float(doc["end_angle"]),
-                bool(doc.get("ccw", True)),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {kind} segment: {exc}") from exc
+    fields = dict(doc)
+    kind = fields.pop("type")
+    for cls, name in _SEGMENT_TYPES.items():
+        if kind == name:
+            try:
+                return cls(**fields)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"malformed {name} segment: {exc}") from exc
     raise ValueError(f"unknown segment type {kind!r}")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,10 +142,11 @@ def _edge_table(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _check_real(name: str, value, ok, want: str) -> None:
-    """Reject a value that is a bool, not a real number, or fails ok, as
-    `{name} must be {want}`: the one rule for the numbers of a config and
-    of a network spec."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+    """Reject a value that is a bool, not a real number, an integer too
+    large for a float, or fails ok, as `{name} must be {want}`: the one rule
+    for the numbers of a config, a network spec and a domain segment."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value)
+            or (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max)):
         raise ValueError(f"{name} must be {want}, got {value!r}")
 
 

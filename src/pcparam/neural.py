@@ -28,12 +28,13 @@ finite-difference checks and the bit-exact tests run float64 specs.
 
 A checkpoint is one line of JSON, {"version": 2, "spec": {...}, "params":
 "..."}, with params the base64 text of the flat vector's little-endian
-float64 bytes, whatever the spec's dtype. The spec holds "dtype" only when
-it is not "float64", so a file without it loads as a float64 net. Writing
-the 264,706 parameters of the default 3-D map net takes about 13 ms and
-reading them about 30 ms (2 vCPUs), against about 0.35 s and 0.2 s for
-version 1, which listed them as shortest round-trip decimals and still
-loads.
+float64 bytes, whatever the spec's dtype. The spec holds the fields of
+NetworkSpec, which checks them on reading as it does anywhere; it holds
+"dtype" only when it is not "float64", so a file without it loads as a
+float64 net. Writing the 264,706 parameters of the default 3-D map net
+takes about 13 ms and reading them about 30 ms (2 vCPUs), against about
+0.35 s and 0.2 s for version 1, which listed them as shortest round-trip
+decimals and still loads.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,6 +73,10 @@ _DTYPES = ("float64", "float32")
 _FLOAT32_LIMIT = float(np.finfo(np.float32).max) / 2
 
 
+def _is_size(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture of one network."""
@@ -83,11 +89,14 @@ class NetworkSpec:
     dtype: str = "float64"  # precision of the layer loop, one of _DTYPES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
-        if any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden widths must be >= 1")
+        for name in ("input_dim", "output_dim"):
+            _check_real(name, getattr(self, name), _is_size, "an integer >= 1")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        widths = self.hidden_widths
+        if not (isinstance(widths, (list, tuple))
+                and all(not isinstance(w, bool) and _is_size(w) for w in widths)):
+            raise ValueError(f"hidden_widths must be a list of positive integers, got {widths!r}")
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in widths))
         if self.output_activation not in ("linear", "softplus"):
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         _check_real("omega", self.omega, lambda v: 0 < v < math.inf, "positive and finite")
@@ -313,17 +322,10 @@ def save_checkpoint(path, spec: NetworkSpec, params) -> None:
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (param_count(spec),):
         raise ValueError(f"params shape {params.shape} does not match {spec}")
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_widths": list(spec.hidden_widths),
-            "output_dim": spec.output_dim,
-            "output_activation": spec.output_activation,
-            "omega": spec.omega,
-            **({"dtype": spec.dtype} if spec.dtype != "float64" else {}),
-        },
-    }
+    fields = asdict(spec)
+    if spec.dtype == "float64":
+        del fields["dtype"]
+    doc = {"version": CHECKPOINT_VERSION, "spec": fields}
     # the document as json.dumps would write it with "params" last; the
     # base64 text needs no escapes, and scanning its megabytes for them
     # took about 13 ms of a 33 ms write, so it goes outside the encoder
@@ -361,7 +363,8 @@ def _decode_params(version: int, raw) -> np.ndarray:
 
 def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
     """Read a checkpoint of version 2 or 1; validates version, spec fields
-    and parameter count. Any malformed document is a ValueError naming path."""
+    (NetworkSpec's own checks) and parameter count. Any malformed document
+    is a ValueError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -375,19 +378,10 @@ def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
     if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
-        s = doc["spec"]
-        if not isinstance(s, dict):
-            raise TypeError(f"spec is a {type(s).__name__}, not an object")
-        if not isinstance(s["hidden_widths"], list):
-            raise TypeError(f"hidden_widths is a {type(s['hidden_widths']).__name__}, not a list")
-        spec = NetworkSpec(
-            input_dim=int(s["input_dim"]),
-            hidden_widths=tuple(int(w) for w in s["hidden_widths"]),
-            output_dim=int(s["output_dim"]),
-            output_activation=str(s.get("output_activation", "linear")),
-            omega=s.get("omega", 1.0),
-            dtype=s.get("dtype", "float64"),
-        )
+        fields = doc["spec"]
+        if not isinstance(fields, dict):
+            raise TypeError(f"spec is a {type(fields).__name__}, not an object")
+        spec = NetworkSpec(**fields)
         params = _decode_params(version, doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc

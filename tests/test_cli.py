@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -178,13 +179,24 @@ def test_config_field_validation(tmp_path, tiny_cloud_csv):
     with pytest.raises(ConfigError, match="preset"):
         load_run_config(_write_config(tmp_path / "e.json", cfg))
     cfg = base()
-    cfg["map_net"] = {"hidden_widths": [8, 0]}
-    with pytest.raises(ConfigError, match="hidden_widths"):
-        load_run_config(_write_config(tmp_path / "f.json", cfg))
-    cfg = base()
     cfg["domain"] = {"file": 5}  # not a path, and open(5) would read a file descriptor
     with pytest.raises(ConfigError, match="domain.file must be a path, got 5"):
         load_run_config(_write_config(tmp_path / "g.json", cfg))
+    # nor is any other JSON value that str() would turn into one
+    for key, value in (("input", 5), ("input", None), ("output_dir", ["o"])):
+        cfg = {**base(), key: value}
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a path, got {value!r}")):
+            load_run_config(_write_config(tmp_path / "h.json", cfg))
+
+
+def test_fit_with_a_bool_output_dir_exits_2_and_writes_nothing(tmp_path, tiny_cloud_csv,
+                                                               monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)  # str(True) would be the directory ./True
+    cfg = {**_tiny_config(tiny_cloud_csv, "o"), "output_dir": True}
+    path = _write_config(tmp_path / "c.json", cfg)
+    assert main(["fit", "--config", path]) == 2
+    assert "config error: output_dir must be a path, got True" in caplog.messages
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_config_landmark_validation(tmp_path, tiny_cloud_csv):
@@ -246,6 +258,9 @@ def test_finalize_network_defaults(tmp_path, tiny_cloud_csv):
     assert eff3["map_net"]["hidden_widths"] == [256] * 5
     assert eff3["lambda_net"]["hidden_widths"] == [128] * 3
     assert eff3["map_net"]["omega"] == 1.0
+    # no hidden layer is a linear net, as NetworkSpec and checkpoints allow
+    cfg["map_net"] = {"hidden_widths": []}
+    assert finalize_config(cfg, input_dim=2)["map_net"]["hidden_widths"] == []
 
 
 def test_train_and_fit_pick_the_same_default_map_net(tmp_path, tiny_cloud_csv):
@@ -314,6 +329,7 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
     pytest.param({"objective": {"beta2": None}}, id="beta2-null"),
     pytest.param({"stage": {"epochs": True}}, id="epochs-true"),
     pytest.param({"stage": {"sigma": "0.5"}}, id="sigma-string"),
+    pytest.param({"stage": {"sigma": 10**400}}, id="sigma-past-the-float-range"),
     # shape matching forces beta1 = 0, so `fit` trains no lambda net, but the
     # effective config prints its section
     pytest.param({"mode": "shape_matching", "lambda_net": {"omega": 0}},
@@ -345,12 +361,18 @@ def test_fit_and_print_effective_config_refuse_a_bad_config_alike(tmp_path, tiny
      "map_net.hidden_widths must be a list of positive integers, got None"),
     # a net's precision is not a config value: the CLI runs the float32 defaults
     ({"lambda_net": {"dtype": "float64"}}, "unknown config key 'lambda_net.dtype'"),
+    # NetworkSpec, not the config loader, checks the widths
+    ({"map_net": {"hidden_widths": [8, 0]}},
+     "map_net.hidden_widths must be a list of positive integers, got [8, 0]"),
 ])
 def test_a_bad_net_value_names_its_key(tmp_path, tiny_cloud_csv, caplog, over, message):
     cfg = {**_tiny_config(tiny_cloud_csv, tmp_path / "o"), **over}
     path = _write_config(tmp_path / "c.json", cfg)
-    assert main(["fit", "--config", path, "--print-effective-config"]) == 2
-    assert f"config error: {message}" in caplog.messages
+    for extra in ([], ["--print-effective-config"]):
+        caplog.clear()
+        assert main(["fit", "--config", path, *extra]) == 2
+        assert f"config error: {message}" in caplog.messages
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_quick_start_config_prints(tmp_path, monkeypatch, capsys):
@@ -721,6 +743,21 @@ def test_sample_domain_custom_file(workdir):
     assert main(["sample-domain", "--domain-file", str(dom_path), "--n", "50",
                  "--out", str(out)]) == 0
     assert load_cloud(out).shape == (50, 2)
+
+
+def test_sample_domain_file_with_a_bad_point_exits_2_naming_it(tmp_path):
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps({"loops": [[
+        {"type": "line", "start": [0], "end": [1, 0]},
+        {"type": "line", "start": [1, 0], "end": [0, 0]},
+    ]]}))
+    proc = _run_pcparam("sample-domain", "--domain-file", str(bad), "--n", "10",
+                        "--out", str(tmp_path / "d.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {bad}: malformed line segment: start must be a point [x, y], " \
+        "got [0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_plot_kinds(workdir, fitted):

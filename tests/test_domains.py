@@ -184,6 +184,43 @@ def test_json_malformed_documents():
         domain_from_json({"loops": [[{"type": "arc", "center": [0, 0]}]]})
 
 
+ARC = {"type": "arc", "center": [0, 0], "radius": 1, "start_angle": 0, "end_angle": math.pi,
+       "ccw": False}
+LINE = {"type": "line", "start": [-1, 0], "end": [1, 0]}
+
+
+@pytest.mark.parametrize("record, message", [
+    # a string is not a bool: "false" must not sample the other half-disk
+    pytest.param({**ARC, "ccw": "false"}, "ccw must be a bool, got 'false'", id="ccw-string"),
+    pytest.param({**ARC, "radius": "2"}, "radius must be positive and finite, got '2'",
+                 id="radius-string"),
+    pytest.param({**ARC, "end_angle": True}, "end_angle must be finite, got True",
+                 id="angle-true"),
+    pytest.param({**LINE, "start": [0]}, "start must be a point [x, y], got [0]",
+                 id="start-one-number"),
+    pytest.param({**LINE, "start": [0, 0, 5]}, "start must be a point [x, y], got [0, 0, 5]",
+                 id="start-three-numbers"),
+    pytest.param({**LINE, "width": 1}, "unexpected keyword argument 'width'",
+                 id="unknown-key"),
+    # past the float range, so float() would raise OverflowError
+    pytest.param({**ARC, "radius": 10**400}, "radius must be positive and finite, got 1000",
+                 id="radius-huge-integer"),
+])
+def test_json_segment_fields_are_checked(record, message):
+    with pytest.raises(ValueError, match="malformed") as info:
+        domain_from_json({"loops": [[record, LINE]]})
+    assert message in str(info.value)
+
+
+def test_json_ccw_false_is_the_lower_half_disk():
+    lower = domain_from_json({"loops": [[ARC, LINE]]})
+    pts = lower.sample_area(200, 0)
+    assert (pts[:, 1] <= 1e-12).all()
+    # ccw may be left out, and then the arc runs counter-clockwise
+    upper = domain_from_json({"loops": [[{k: v for k, v in ARC.items() if k != "ccw"}, LINE]]})
+    assert (upper.sample_area(200, 0)[:, 1] >= -1e-12).all()
+
+
 def test_landmark_target_lines():
     # 200 landmark targets on each of [-0.5, 0.5] x {-0.25} and x {+0.25}
     x = np.linspace(-0.5, 0.5, 200)

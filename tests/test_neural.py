@@ -346,13 +346,27 @@ def _doc(**changes) -> str:
     pytest.param(_doc(version=True), "unsupported checkpoint version True", id="version-true"),
     pytest.param(_doc(version="2"), "unsupported checkpoint version '2'", id="version-str"),
     pytest.param(_doc(spec=[1, 2]), "spec is a list, not an object", id="spec-list"),
-    pytest.param(_doc(hidden_widths="2"), "hidden_widths is a str, not a list", id="widths-str"),
-    pytest.param(_doc(hidden_widths=[0]), "hidden widths must be >= 1", id="widths-zero"),
+    pytest.param(_doc(hidden_widths="2"), "hidden_widths must be a list of positive integers, "
+                 "got '2'", id="widths-str"),
+    pytest.param(_doc(hidden_widths=[0]), "hidden_widths must be a list of positive integers, "
+                 "got [0]", id="widths-zero"),
+    # sizes are integers, not truncated to them
+    pytest.param(_doc(hidden_widths=[2.7]), "hidden_widths must be a list of positive integers, "
+                 "got [2.7]", id="widths-float"),
+    pytest.param(_doc(input_dim=2.0), "input_dim must be an integer >= 1, got 2.0",
+                 id="input-dim-float"),
+    pytest.param(_doc(output_dim=True), "output_dim must be an integer >= 1, got True",
+                 id="output-dim-true"),
+    pytest.param(_doc(spec={"input_dim": 1, "hidden_widths": [2], "output_dim": 1, "depth": 3}),
+                 "unexpected keyword argument 'depth'", id="spec-unknown-key"),
     pytest.param(_doc(dtype="float16"), "dtype must be one of ('float64', 'float32'), got "
                  "'float16'", id="dtype-float16"),
     pytest.param(_doc(dtype=32), "dtype must be one of", id="dtype-number"),
     pytest.param(_doc(omega=True), "omega must be positive and finite, got True",
                  id="omega-true"),
+    # past the float range, so float() would raise OverflowError
+    pytest.param(_doc(omega=10**400), "omega must be positive and finite, got 1000",
+                 id="omega-huge-integer"),
     pytest.param(_doc(params=[0.0] * 7), "params is a list, not a base64 string",
                  id="v2-params-list"),
     pytest.param(_doc(params="AAAA*AAA"), "params is not base64", id="v2-not-base64"),
