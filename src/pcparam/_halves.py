@@ -1,15 +1,15 @@
 """Two fixed row halves of one computation, the first on a worker thread.
 
-`split(fn, n, width)` returns `[fn(0, mid), fn(mid, n)]` for `mid = n // 2`
-when each half gives every numpy call at least `_MIN_HALF` elements (`width`
-per row), and `[fn(0, n)]`, one piece, otherwise: on smaller arrays the two
-threads' hand-offs of the interpreter lock and the second set of numpy
-calls cost more than a second core gains. The first half runs on one
-lazily made worker thread and the second on the caller, while OpenBLAS is
-held at one thread. The cut depends on the sizes alone, so the bits of a
-result depend neither on the core count nor on the timing of the threads.
-Where no OpenBLAS thread control is found the halves run one after the
-other on the caller, which gives the same bits.
+`split(fn, n, width, mid)` returns `[fn(0, mid), fn(mid, n)]` for the cut row
+`mid`, by default `n // 2`, when each half gives every numpy call at least
+`_MIN_HALF` elements (`width` per row), and `[fn(0, n)]`, one piece,
+otherwise: on smaller arrays the two threads' hand-offs of the interpreter
+lock and the second set of numpy calls cost more than a second core gains.
+The first half runs on one lazily made worker thread and the second on the
+caller, while OpenBLAS is held at one thread. The cut depends on the sizes
+alone, so the bits of a result depend neither on the core count nor on the
+timing of the threads. Where no OpenBLAS thread control is found the halves
+run one after the other on the caller, which gives the same bits.
 
 OpenBLAS's idle workers busy-wait on their cores between calls, so a numpy
 loop on the worker thread would share its core with a spinning BLAS thread.
@@ -127,10 +127,11 @@ def _with_errstate(err: dict, fn, lo: int, hi: int):
         return fn(lo, hi)
 
 
-def split(fn, n: int, width: int) -> list:
-    """[fn(0, n // 2), fn(n // 2, n)], the first half on the worker thread,
-    when each half gives every numpy call at least `_MIN_HALF` elements,
-    `width` a row; else [fn(0, n)].
+def split(fn, n: int, width: int, mid: int | None = None) -> list:
+    """[fn(0, mid), fn(mid, n)], the first half on the worker thread, when
+    each half gives every numpy call at least `_MIN_HALF` elements, `width` a
+    row; else [fn(0, n)]. The cut row `mid` is n // 2 unless the caller,
+    whose rows differ in work, gives its own.
 
     Both halves have finished when this returns or raises. An error of the
     first half is raised before one of the second, as the sequential order
@@ -138,9 +139,10 @@ def split(fn, n: int, width: int) -> list:
     time the caller is done with the second, as when its core is taken
     away, the caller runs it too.
     """
-    mid = n // 2
+    if mid is None:
+        mid = n // 2
     with blas_hold():
-        if mid == 0 or mid * width < _MIN_HALF:
+        if not 0 < mid < n or min(mid, n - mid) * width < _MIN_HALF:
             return [fn(0, n)]
         if not _blas_control():
             return [fn(0, mid), fn(mid, n)]

@@ -207,7 +207,8 @@ def _sq_dists_into(lhs, rhs, out: np.ndarray, scratch: np.ndarray) -> np.ndarray
     return out
 
 
-def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1):
+def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1,
+               upper: bool = False):
     """The dense squared distances |a_i - b_k|^2 of two clouds of one
     dimension, one row tile at a time.
 
@@ -217,14 +218,27 @@ def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1):
     tile holds at most `scale * _TILE_ELEMS` elements, or one row if a row
     alone is larger. The buffers are made once per call and overwritten by
     the next tile; an empty a yields nothing.
+
+    With `upper`, a must be the first rows of b, and the tile of rows lo:hi
+    holds only the columns lo: of b, the band on and right of the diagonal
+    of the symmetric matrix; its first hi - lo columns are the diagonal
+    block. The bands widen in rows as they narrow in columns.
     """
     lhs, rhs = _diff_factors(a, b)
-    rows = max(1, scale * _TILE_ELEMS // len(b))
-    bufs = np.empty((2 + spare, min(rows, len(a)), len(b)))
-    for lo in range(0, len(a), rows):
-        sq, scratch, *spares = bufs[:, : min(rows, len(a) - lo)]
-        t = slice(lo, lo + len(sq))
-        yield t, _sq_dists_into(lhs[:, t], rhs, sq, scratch), scratch, spares
+    limit, bands, lo = scale * _TILE_ELEMS, [], 0
+    while lo < len(a):
+        first = lo if upper else 0
+        hi = min(len(a), lo + max(1, limit // (len(b) - first)))
+        bands.append((lo, hi, first))
+        lo = hi
+    if not bands:
+        return
+    bufs = np.empty((2 + spare, max((hi - lo) * (len(b) - first) for lo, hi, first in bands)))
+    for lo, hi, first in bands:
+        shape = (2 + spare, hi - lo, len(b) - first)
+        sq, scratch, *spares = bufs[:, : shape[1] * shape[2]].reshape(shape)
+        t = slice(lo, hi)
+        yield t, _sq_dists_into(lhs[:, t], rhs[:, :, first:], sq, scratch), scratch, spares
 
 
 def pairwise_distances(a, b) -> np.ndarray:

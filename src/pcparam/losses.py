@@ -89,23 +89,43 @@ class ObjectiveConfig:
 _TILE_SCALE = 2
 
 
-def _soft_min_weights(d: np.ndarray, low, a: float, out: np.ndarray) -> np.ndarray:
-    """exp(-a (d - low)) into out: soft-min weights before normalising."""
-    np.subtract(d, low, out=out)
-    out *= -a
-    return np.exp(out, out=out)
+def _soft_min_coef(weights, d, p, a: float, low) -> np.ndarray:
+    """weights * (p / d - a) into weights, overwriting d, and 0 where d is 0.
+
+    For the soft-min weights exp(a low - a d) of a row or column with
+    soft-min value v and p = 1 + a v, this is the derivative of the soft-min
+    in d over d, up to the line's scale: a coincident pair gets a zero
+    subgradient. low holds the row minima of d.
+    """
+    zero = d == 0.0 if low.min() == 0.0 else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p, d, out=d)
+        d -= a
+        weights *= d
+    if zero is not None:
+        weights[zero] = 0.0
+    return weights
 
 
-def _soft_min_jac(d, low, value, scale, a: float, out, scratch) -> np.ndarray:
-    """scale * exp(-a (d - low)) * (1 - a (d - value)) into out. For low, value the
-    min and soft-min along a row, this is d value / d d when scale = 1 / weight sum."""
-    g = _soft_min_weights(d, low, a, out)
-    g *= scale
-    np.subtract(d, value, out=scratch)
-    scratch *= -a
-    scratch += 1.0
-    g *= scratch
-    return g
+def _pull(sums: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j coef_ij (y_i - w_j) from sums = coef @ [1, w], one matmul for
+    both the row sums and the weighted sums of w."""
+    return sums[:, :1] * y - sums[:, 1:]
+
+
+def _check_alpha_reach(alpha: float, y: np.ndarray, w: np.ndarray) -> None:
+    """Reject a sharpness alpha whose product with the largest distance that
+    the bounding boxes of y and w allow is not below the largest float:
+    `hand_with_grad` forms alpha times every pair distance."""
+    # half the per-axis spans, which cannot overflow, then twice their norm
+    half = np.maximum(w.max(axis=0) / 2 - y.min(axis=0) / 2,
+                      y.max(axis=0) / 2 - w.min(axis=0) / 2)
+    reach = 2.0 * math.hypot(*half.tolist())
+    if not alpha * reach < sys.float_info.max:
+        raise ValueError(
+            f"alpha = {alpha!r} times the largest pair distance the clouds' bounding "
+            f"boxes allow, {reach:.6g}, must stay below {sys.float_info.max:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -120,48 +140,66 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
     Soft-max over points of the soft-min of the pairwise distances, in both
     directions, summed. Symmetric in (y, w); converges to the modified
     (sum-form) Hausdorff distance exponentially fast in the sharpness alpha,
-    which must be positive and finite.
+    which must be positive, and whose product with the largest pair distance
+    that the clouds' bounding boxes allow must stay below the largest float.
     Coincident pairs (zero distance) get a zero subgradient contribution.
     Training moves only y, the mapped points; by the symmetry, the gradient
     in w is `hand_with_grad(w, y, alpha)[1]`.
 
-    Two passes over row tiles of the distances keep memory O(n + m). A tile
-    holds whole rows, so the soft-min of a y point is exact per tile; that of
-    a w point is an online softmax (Milakov & Gimelshein 2018) of running
-    minimum, weight sum and weighted distance sum, rescaled as the minimum
-    drops. The second pass recomputes each tile for the gradient rows. Both
-    passes run the rows in two fixed halves, the first on a worker thread
-    (`_halves.split`). Each half keeps its own column state; the two are
-    rescaled to their common minimum and added, half 0 first.
+    Two passes over row tiles of the distances d keep memory O(n + m). Each
+    tile forms -alpha d once. A soft-min weight of a row or column with
+    minimum low and soft-min value v is exp(alpha low - alpha d), and the
+    gradient coefficient of a pair is its weight times (1 + alpha v) / d -
+    alpha, the soft-min's derivative in d over d, scaled per row or column.
+
+    A tile holds whole rows, so the soft-min of a y point is exact per tile,
+    and pass 1 also forms the row part of the gradient from the same
+    weights, in one product with [1, w]; it is scaled per row once every
+    soft-min is known. The soft-min of a w point is an online softmax
+    (Milakov & Gimelshein 2018) of running minimum, weight sum and weighted
+    distance sum, rescaled as the minimum drops. Pass 2 recomputes each tile
+    for the column part of the gradient alone, its column scales already
+    exact and folded into the product with [1, w]. Both passes run the rows
+    in two fixed halves, the first on a worker thread (`_halves.split`).
+    Each half keeps its own column state; the two are rescaled to their
+    common minimum and added, half 0 first.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     y, w = _same_dim_clouds(y, w)
     a = alpha
+    _check_alpha_reach(a, y, w)
     n, m = len(y), len(w)
 
     r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
+    g_rows = np.empty_like(y)  # row part of the gradient, before its row scale
+    ones_w = np.column_stack([np.ones(m), w])
 
     def soft_mins(lo: int, hi: int):
-        """Pass 1 over rows lo:hi: their row soft-mins, and the online
-        column state (minimum, maximum, weight sum, weighted distance sum)
-        of these rows alone."""
+        """Pass 1 over rows lo:hi: their row soft-mins and unscaled row
+        gradients, and the online column state (minimum, maximum, weight
+        sum, weighted distance sum) of these rows alone."""
         c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
         c_sum, c_dot = np.zeros(m), np.zeros(m)
-        for t, d, _, (e,) in _row_tiles(y[lo:hi], w, 1, _TILE_SCALE):
+        for t, d, u, (e,) in _row_tiles(y[lo:hi], w, 1, _TILE_SCALE):
             t = slice(lo + t.start, lo + t.stop)
             np.sqrt(d, out=d)
+            np.multiply(d, -a, out=u)
             r_low[t] = low = d.min(axis=1)
-            _soft_min_weights(d, low[:, None], a, e)
+            np.add(u, (a * low)[:, None], out=e)
+            np.exp(e, out=e)
             r_sum[t] = e.sum(axis=1)
-            r[t] = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
-            low = np.minimum(c_low, d.min(axis=0))
-            rescale = np.exp(a * (low - c_low))
-            _soft_min_weights(d, low, a, e)
-            c_sum = c_sum * rescale + e.sum(axis=0)
-            c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, e)
-            c_low = low
+            r[t] = value = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
+            col_low = np.minimum(c_low, d.min(axis=0))
+            rescale = np.exp(a * (col_low - c_low))
+            u += a * col_low
+            np.exp(u, out=u)
+            c_sum = c_sum * rescale + u.sum(axis=0)
+            c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, u)
+            c_low = col_low
             np.maximum(c_high, d.max(axis=0), out=c_high)
+            coef = _soft_min_coef(e, d, (1.0 + a * value)[:, None], a, low)
+            g_rows[t] = _pull(coef @ ones_w, y[t])
         return c_low, c_high, c_sum, c_dot
 
     # the halves' column states, rescaled to their common minimum and added
@@ -175,23 +213,22 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
         c_dot = c_dot + part_dot * rescale
     c = np.clip(c_dot / c_sum, c_low, c_high)
     r_scale = boltzmann_gradient(r, a) / r_sum
-    c_scale = boltzmann_gradient(c, a) / c_sum
+    # the column scales go into the product with [1, w]
+    scaled_w = (boltzmann_gradient(c, a) / c_sum)[:, None] * ones_w
+    c_shift, c_p = a * c_low, 1.0 + a * c
 
-    # coef = d value / d distance, over the distance (0 where that is 0)
     gy = np.empty_like(y)
 
     def gradients(lo: int, hi: int) -> None:
         """Pass 2 over rows lo:hi: their rows of gy."""
-        for t, d, scratch, (coef, g) in _row_tiles(y[lo:hi], w, 2, _TILE_SCALE):
+        for t, d, g, _ in _row_tiles(y[lo:hi], w, 0, _TILE_SCALE):
             t = slice(lo + t.start, lo + t.stop)
             np.sqrt(d, out=d)
-            _soft_min_jac(d, r_low[t, None], r[t, None], r_scale[t, None], a, coef, scratch)
-            coef += _soft_min_jac(d, c_low, c, c_scale, a, g, scratch)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                coef /= d
-            if r_low[t].min() == 0.0:
-                coef[d == 0.0] = 0.0
-            gy[t] = coef.sum(axis=1)[:, None] * y[t] - coef @ w
+            np.multiply(d, -a, out=g)
+            g += c_shift
+            np.exp(g, out=g)
+            coef = _soft_min_coef(g, d, c_p, a, r_low[t])
+            gy[t] = _pull(coef @ scaled_w, y[t]) + r_scale[t, None] * g_rows[t]
 
     _halves.split(gradients, n, m)
     return boltzmann(r, a) + boltzmann(c, a), gy
@@ -216,10 +253,15 @@ def leg_with_grad(
     finite, one per point). Zero exactly when every image pair distance
     equals lambda_ij times the original distance.
 
-    Row tiles keep memory O(n) beyond the tile buffers. lambda is symmetric,
-    so both gradients are row sums, each pair counted twice. The rows run in
-    two fixed halves, the first on a worker thread (`_halves.split`), and
-    the value is half 0's sum plus half 1's.
+    The mismatch, both affinities and lambda are symmetric in (i, j), so
+    only the pairs j >= i are formed, in row bands [lo, hi) x [lo, n) of
+    the upper triangle (`geometry._row_tiles`), keeping memory O(n) beyond
+    the band buffers. A band's row sums go to its rows and the column sums
+    of its part right of the diagonal block to those columns; its value
+    counts twice, less its diagonal block, which holds both orders of its
+    pairs. The bands run in two fixed halves cut where each holds half the
+    pairs, the first on a worker thread (`_halves.split`). Each half keeps
+    its own gradients, and the halves are added half 0 first.
     """
     _check_sigma("sigma", sigma)
     x = as_cloud(original)
@@ -235,40 +277,50 @@ def leg_with_grad(
     neg_inv_s2 = -1.0 / (sigma * sigma)
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
+    ones_y = np.column_stack([np.ones(n), y])
 
-    g_mapped, g_inv = np.empty_like(y), np.empty(n)
-
-    def rows(lo: int, hi: int) -> float:
-        """Rows lo:hi of both gradients; their part of the sum of squares."""
-        value = 0.0
+    def bands(lo: int, hi: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """Bands of rows lo:hi: their part of the sum of squares and of
+        both gradients."""
+        value, g_mapped, g_inv = 0.0, np.zeros_like(y), np.zeros(n)
         # for a tiny sigma a scaled squared distance can overflow to -inf; its
         # exp is the exact 0, which is the right affinity, so no warning is due
         with np.errstate(over="ignore"):
-            for t, e, scratch, (sqy, inv_lam, hy) in _row_tiles(x[lo:hi], x, 3, _TILE_SCALE):
-                t = slice(lo + t.start, lo + t.stop)
+            for t, e, inv_lam, (sqy, hy) in _row_tiles(x[lo:hi], x[lo:], 2, _TILE_SCALE,
+                                                       upper=True):
+                rows, cols = slice(lo + t.start, lo + t.stop), slice(lo + t.start, n)
+                right = slice(rows.stop, n)  # the columns right of the diagonal block
+                side = len(e)
                 # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
                 # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
                 e *= neg_inv_s2
                 np.exp(e, out=e)
-                _sq_dists_into(y_lhs[:, t], y_rhs, sqy, scratch)
-                np.matmul(v_lhs[0, t], v_rhs[0], out=inv_lam)
+                # inv_lam is the distance pass's scratch until it is formed
+                _sq_dists_into(y_lhs[:, rows], y_rhs[:, :, cols], sqy, inv_lam)
+                np.matmul(v_lhs[0, rows], v_rhs[0, :, cols], out=inv_lam)
                 np.multiply(inv_lam, inv_lam, out=hy)
                 hy *= sqy
                 hy *= neg_inv_s2
                 np.exp(hy, out=hy)
                 e -= hy
-                value += float(np.vdot(e, e))
+                block = e[:, :side]
+                value += 2.0 * float(np.vdot(e, e)) - float(np.einsum("ij,ij->", block, block))
                 # with p = 4 e hy and both orders of each pair:
                 # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
                 # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
                 e *= hy
                 e *= inv_lam
-                g_inv[t] = np.einsum("ij,ij->i", e, sqy)
+                sqy *= e
+                g_inv[rows] += sqy.sum(axis=1)
+                g_inv[right] += sqy[:, side:].sum(axis=0)
                 e *= inv_lam
-                g_mapped[t] = e.sum(axis=1)[:, None] * y[t] - e @ y
-        return value
+                g_mapped[rows] += _pull(e @ ones_y[cols], y[rows])
+                g_mapped[right] += _pull(e[:, side:].T @ ones_y[rows], y[right])
+        return value, g_mapped, g_inv
 
-    value = sum(_halves.split(rows, n, n))
+    # the cut row that leaves half the n (n + 1) / 2 pairs j >= i on each side
+    cut = round(n * (1.0 - math.sqrt(0.5)))
+    value, g_mapped, g_inv = (sum(part) for part in zip(*_halves.split(bands, n, n, cut)))
     k = -8.0 * neg_inv_s2 / (n * n)
     return value / (n * n), g_mapped * k, g_inv * k
 

@@ -566,6 +566,80 @@ def test_leg_with_grad_matches_reference(dim):
         _assert_close(got, want)
 
 
+def _pieces(monkeypatch):
+    """The number of pieces of each `_halves.split` call from here on."""
+    counts, split = [], _halves.split
+
+    def counted(*args, **kwargs):
+        out = split(*args, **kwargs)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(_halves, "split", counted)
+    return counts
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 80.0])
+def test_two_half_hand_matches_reference(monkeypatch, dim, alpha):
+    # enough rows for both passes to run in two halves, cut at row 300, with
+    # coincident pairs on both sides of the cut
+    rng = np.random.default_rng(60 + dim)
+    y = _cloud(rng, 600, dim, 0.3)
+    w = _cloud(rng, 601, dim, 0.3)
+    w[3], w[400], w[401], w[500] = y[5], y[299], y[300], y[599]
+    pieces = _pieces(monkeypatch)
+    for got, want in zip(hand_with_grad(y, w, alpha),
+                         ref_hand_with_grad(y, w, alpha), strict=True):
+        _assert_close(got, want)
+    assert pieces == [2, 2]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_two_half_leg_matches_reference(monkeypatch, dim):
+    # enough points for the bands to run in two halves, cut where each holds
+    # half the pairs j >= i, with coincident pairs in either half and across
+    # the cut, in both clouds or only in the images
+    n = 600
+    cut = round(n * (1.0 - math.sqrt(0.5)))
+    rng = np.random.default_rng(62 + dim)
+    x = _cloud(rng, n, dim, 0.5)
+    y = _cloud(rng, n, 2, 0.5)
+    for i, j in ((2, cut - 1), (cut - 2, cut), (cut + 1, n - 1)):
+        x[j], y[j] = x[i], y[i]
+    y[cut - 3] = y[cut + 3]
+    v = rng.uniform(0.2, 2.0, n)
+    pieces = _pieces(monkeypatch)
+    for got, want in zip(leg_with_grad(x, y, v, 0.3),
+                         ref_leg_inv_grad(x, y, v, 0.3), strict=True):
+        _assert_close(got, want)
+    assert pieces == [2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_few_point_leg_matches_reference(n):
+    rng = np.random.default_rng(64 + n)
+    x = _cloud(rng, n, 3, 0.5)
+    y = _cloud(rng, n, 2, 0.5)
+    v = rng.uniform(0.2, 2.0, n)
+    for got, want in zip(leg_with_grad(x, y, v, 0.3),
+                         ref_leg_inv_grad(x, y, v, 0.3), strict=True):
+        _assert_close(got, want)
+
+
+@pytest.mark.parametrize("shift", [1e2, 1e3])
+@pytest.mark.parametrize("alpha", [2.0, 100.0])
+def test_far_apart_hand_matches_reference(shift, alpha):
+    # alpha times the distances grows with the gap between the clouds, and
+    # so does the rounding of the soft-min Jacobians formed from it
+    rng = np.random.default_rng(68)
+    y = _cloud(rng, 300, 2, 0.3)
+    w = _cloud(rng, 200, 2, 0.3) + shift
+    for got, want in zip(hand_with_grad(y, w, alpha),
+                         ref_hand_with_grad(y, w, alpha), strict=True):
+        _assert_close(got, want, rel=1e-10)
+
+
 # tile sizes in elements: one-row tiles, tiles that do not divide the row
 # count, the default, and one tile holding everything
 TILES = [1, 1000, geometry._TILE_ELEMS, 1 << 22]
@@ -636,6 +710,22 @@ def test_row_tiles_match_difference_tensor(monkeypatch, tile, dim, n, m):
     assert tiles[-1][0].stop == n
     assert all(shape == (t.stop - t.start, m) for t, shape in tiles)
     assert max(shape[0] for _, shape in tiles) == max(1, min(n, tile // m))
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("n, rows", [(1, 1), (3, 2), (151, 151), (151, 100)])
+def test_upper_row_tiles_are_the_bands_on_and_right_of_the_diagonal(monkeypatch, tile, n, rows):
+    rng = np.random.default_rng(75 + n)
+    b = _cloud(rng, n, 3)
+    b[-1] = b[0]  # a coincident pair
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
+    want = ref_sq_dists(b, b)
+    tiles = [(t, sq.copy()) for t, sq, _, _ in geometry._row_tiles(b[:rows], b, 1, upper=True)]
+    assert [t.start for t, _ in tiles] == [0] + [t.stop for t, _ in tiles[:-1]]
+    assert tiles[-1][0].stop == rows
+    for t, sq in tiles:
+        assert np.array_equal(sq, want[t, t.start:])
+        assert sq.size <= tile or len(sq) == 1
 
 
 def test_row_tiles_of_no_rows_yield_nothing():

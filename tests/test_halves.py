@@ -32,6 +32,19 @@ def test_split_cuts_in_two_only_halves_of_enough_elements(n):
         assert _halves.split(ranges, n, (big - 1) // (n // 2)) == whole
 
 
+def test_split_cuts_at_the_callers_row_by_the_same_size_rule():
+    big = _halves._MIN_HALF
+    ranges = lambda lo, hi: (lo, hi)  # noqa: E731
+    assert _halves.split(ranges, 10, big, 3) == [(0, 3), (3, 10)]
+    assert _halves.split(ranges, 10, big, 8) == [(0, 8), (8, 10)]
+    # the smaller half must reach the size, whichever side it is on
+    assert _halves.split(ranges, 10, -(-big // 3), 7) == [(0, 7), (7, 10)]
+    assert _halves.split(ranges, 10, (big - 1) // 3, 3) == [(0, 10)]
+    assert _halves.split(ranges, 10, (big - 1) // 3, 7) == [(0, 10)]
+    for mid in (0, 10):
+        assert _halves.split(ranges, 10, big, mid) == [(0, 10)]
+
+
 @needs_control
 def test_split_runs_only_a_large_first_half_on_the_worker_thread():
     here = threading.current_thread().name

@@ -1,6 +1,7 @@
 """Smooth Hausdorff surrogate, localized distortion energy, combined objective."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -128,6 +129,35 @@ def test_hand_config_validation():
 # ---------------------------------------------------------------------------
 # lambda factors
 # ---------------------------------------------------------------------------
+
+
+def _box_reach(y, w):
+    """The largest distance between a point of y's bounding box and one of w's."""
+    return math.dist(np.maximum(w.max(axis=0) - y.min(axis=0), y.max(axis=0) - w.min(axis=0)),
+                     np.zeros(y.shape[1]))
+
+
+@pytest.mark.parametrize("scale, alpha", [(1.0, 1e308), (1e6, 1e303)])
+def test_hand_refuses_an_alpha_that_overflows(scale, alpha):
+    rng = np.random.default_rng(3)
+    y, w = rng.normal(size=(40, 2)) * scale, rng.normal(size=(30, 2)) * scale
+    with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r} times")):
+        hand_with_grad(y, w, alpha)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+def test_hand_is_finite_up_to_the_alpha_bound(scale):
+    # up to where alpha times the box-allowed largest distance reaches the
+    # largest float: 1e307 on the unit clouds and 1e301 on the 1e6 ones
+    # were finite before that bound, and still are
+    rng = np.random.default_rng(3)
+    y, w = rng.normal(size=(40, 2)) * scale, rng.normal(size=(30, 2)) * scale
+    bound = min(sys.float_info.max / _box_reach(y, w), sys.float_info.max)
+    for alpha in (1e307 / scale, 0.5 * bound, 0.999999 * bound):
+        if alpha < bound:
+            value, gy = hand_with_grad(y, w, alpha)
+            assert np.isfinite(value) and np.isfinite(gy).all()
 
 
 def test_lambda_pair_values():
