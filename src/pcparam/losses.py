@@ -22,6 +22,7 @@ from . import _halves
 from .boltzmann import boltzmann, boltzmann_gradient
 from .geometry import (
     TriangleMesh,
+    _check_coord_bound,
     _check_real,
     _diff_factors,
     _edge_table,
@@ -88,23 +89,9 @@ class ObjectiveConfig:
 # the interpreter lock cost more than the second core gains
 _TILE_SCALE = 2
 
-
-def _soft_min_coef(weights, d, p, a: float, low) -> np.ndarray:
-    """weights * (p / d - a) into weights, overwriting d, and 0 where d is 0.
-
-    For the soft-min weights exp(a low - a d) of a row or column with
-    soft-min value v and p = 1 + a v, this is the derivative of the soft-min
-    in d over d, up to the line's scale: a coincident pair gets a zero
-    subgradient. low holds the row minima of d.
-    """
-    zero = d == 0.0 if low.min() == 0.0 else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(p, d, out=d)
-        d -= a
-        weights *= d
-    if zero is not None:
-        weights[zero] = 0.0
-    return weights
+# `hand_with_grad` makes about sixty numpy calls per tile, half of them on
+# one row or column of it, so its tiles are twice as large
+_HAND_TILE_SCALE = 2 * _TILE_SCALE
 
 
 def _pull(sums: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -142,96 +129,128 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
     (sum-form) Hausdorff distance exponentially fast in the sharpness alpha,
     which must be positive, and whose product with the largest pair distance
     that the clouds' bounding boxes allow must stay below the largest float.
+    Every coordinate must stay below `geometry._COORD_BOUND` in magnitude.
     Coincident pairs (zero distance) get a zero subgradient contribution.
     Training moves only y, the mapped points; by the symmetry, the gradient
     in w is `hand_with_grad(w, y, alpha)[1]`.
 
-    Two passes over row tiles of the distances d keep memory O(n + m). Each
-    tile forms -alpha d once. A soft-min weight of a row or column with
-    minimum low and soft-min value v is exp(alpha low - alpha d), and the
-    gradient coefficient of a pair is its weight times (1 + alpha v) / d -
-    alpha, the soft-min's derivative in d over d, scaled per row or column.
+    One pass over row tiles of the distances d from w to y, each tile all
+    of y against some rows of w, keeps memory O(n + m) and forms each d
+    once. A point's soft-min weights are exp(alpha low - alpha d), low its
+    nearest distance, and the gradient coefficient of a pair is its weight
+    times (1 + alpha v) / d - alpha for v the point's soft-min: the
+    soft-min's derivative in d over d, scaled per point by its Boltzmann
+    gradient over its weight sum.
 
-    A tile holds whole rows, so the soft-min of a y point is exact per tile,
-    and pass 1 also forms the row part of the gradient from the same
-    weights, in one product with [1, w]; it is scaled per row once every
-    soft-min is known. The soft-min of a w point is an online softmax
-    (Milakov & Gimelshein 2018) of running minimum, weight sum and weighted
-    distance sum, rescaled as the minimum drops. Pass 2 recomputes each tile
-    for the column part of the gradient alone, its column scales already
-    exact and folded into the product with [1, w]. Both passes run the rows
-    in two fixed halves, the first on a worker thread (`_halves.split`).
-    Each half keeps its own column state; the two are rescaled to their
-    common minimum and added, half 0 first.
+    A tile holds whole rows of w, so the soft-min of a w point, its clip and
+    its pair coefficients are exact in the tile. Its Boltzmann gradient
+    needs every soft-min: it is s (1 + alpha (c - ref)) - s alpha (B - ref)
+    over the sum of s = exp(alpha (c - ref)), for B the Boltzmann average
+    and ref the running largest soft-min, so the two parts go into two sums
+    of coefficient * [1, w] per y point, rescaled as ref rises.
+
+    The soft-min of a y point is an online softmax (Milakov & Gimelshein
+    2018) of running minimum, maximum, weight sum and weighted distance
+    sum, rescaled as the minimum drops. Its gradient is carried as the sums
+    of weight / d * [1, w], coincident pairs left out, and of weight *
+    [1, w], which take their scales, the Boltzmann gradient over the weight
+    sum times 1 + alpha v and alpha, at the end. The rows of w run in two
+    fixed halves, the first on a worker thread (`_halves.split`). Each half
+    keeps its own state for every y point; the two are rescaled to common
+    references and added, half 0 first.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     y, w = _same_dim_clouds(y, w)
+    _check_coord_bound(y, "y")
+    _check_coord_bound(w, "w")
     a = alpha
     _check_alpha_reach(a, y, w)
-    n, m = len(y), len(w)
+    n, m, k = len(y), len(w), y.shape[1] + 1
+    # the sums take coordinates about the middle of the clouds' common box:
+    # each stays within the reach, so alpha times it is finite
+    centre = np.minimum(y.min(axis=0), w.min(axis=0)) / 2 + np.maximum(
+        y.max(axis=0), w.max(axis=0)) / 2
+    ones_w = np.vstack([np.ones(m), (w - centre).T])  # [1, w] by columns
+    c = np.empty(m)  # the soft-min of each w point
 
-    r, r_low, r_sum = np.empty(n), np.empty(n), np.empty(n)
-    g_rows = np.empty_like(y)  # row part of the gradient, before its row scale
-    ones_w = np.column_stack([np.ones(m), w])
+    def tiles(lo: int, hi: int):
+        """Rows lo:hi of w: their soft-mins into c, and the state of this
+        half. For each y point: the running minimum, maximum and weighted
+        distance sum of its distances to these rows, and its sums of
+        weight / d * [1, w] and weight * [1, w]. For the rows: their running
+        largest soft-min ref, and per y point the two sums of their
+        Boltzmann gradient's parts."""
+        low, high, dot = np.full(n, np.inf), np.full(n, -np.inf), np.zeros(n)
+        sums, w_sums, ref = np.zeros((2 * k, n)), np.zeros((2 * k, n)), None
+        # a coincident pair divides by zero, and its coefficients are zeroed
+        with np.errstate(divide="ignore"):
+            for t, d, e, (f,) in _row_tiles(w[lo:hi], y, 1, _HAND_TILE_SCALE):
+                t = slice(lo + t.start, lo + t.stop)
+                np.sqrt(d, out=d)
+                row_low = d.min(axis=1)
+                zero = d == 0.0 if row_low.min() == 0.0 else None
+                # the rows: the soft-mins of the w points, exact
+                np.multiply(d, -a, out=e)
+                e += (a * row_low)[:, None]
+                np.exp(e, out=e)
+                e_sum = e.sum(axis=1)
+                c[t] = v = np.clip(np.vecdot(d, e) / e_sum, row_low, d.max(axis=1))
+                # the columns: one step of the soft-mins of the y points
+                col_low = np.minimum(low, d.min(axis=0))
+                rescale = np.exp(a * (col_low - low))
+                low = col_low
+                np.multiply(d, -a, out=f)
+                f += a * low
+                np.exp(f, out=f)
+                np.maximum(high, d.max(axis=0), out=high)
+                dot *= rescale
+                dot += np.einsum("ij,ij->j", d, f)
+                sums *= rescale
+                sums[k:] += ones_w[:, t] @ f
+                f /= d
+                if zero is not None:
+                    f[zero] = 0.0
+                sums[:k] += ones_w[:, t] @ f
+                # the rows' Boltzmann gradients, against the running largest v
+                top = float(v.max())
+                if ref is None:
+                    ref = top
+                elif top > ref:
+                    w_sums[:k] -= a * (top - ref) * w_sums[k:]
+                    w_sums *= math.exp(a * (ref - top))
+                    ref = top
+                s = np.exp(a * (v - ref)) / e_sum
+                scaled = np.vstack([s * (1.0 + a * (v - ref)) * ones_w[:, t], s * ones_w[:, t]])
+                # the rows' pair coefficients e ((1 + a v) / d - a), in e
+                np.divide((1.0 + a * v)[:, None], d, out=d)
+                d -= a
+                e *= d
+                if zero is not None:
+                    e[zero] = 0.0
+                w_sums += scaled @ e
+        return low, high, dot, sums, ref, w_sums
 
-    def soft_mins(lo: int, hi: int):
-        """Pass 1 over rows lo:hi: their row soft-mins and unscaled row
-        gradients, and the online column state (minimum, maximum, weight
-        sum, weighted distance sum) of these rows alone."""
-        c_low, c_high = np.full(m, np.inf), np.full(m, -np.inf)
-        c_sum, c_dot = np.zeros(m), np.zeros(m)
-        for t, d, u, (e,) in _row_tiles(y[lo:hi], w, 1, _TILE_SCALE):
-            t = slice(lo + t.start, lo + t.stop)
-            np.sqrt(d, out=d)
-            np.multiply(d, -a, out=u)
-            r_low[t] = low = d.min(axis=1)
-            np.add(u, (a * low)[:, None], out=e)
-            np.exp(e, out=e)
-            r_sum[t] = e.sum(axis=1)
-            r[t] = value = np.clip(np.einsum("ij,ij->i", d, e) / r_sum[t], low, d.max(axis=1))
-            col_low = np.minimum(c_low, d.min(axis=0))
-            rescale = np.exp(a * (col_low - c_low))
-            u += a * col_low
-            np.exp(u, out=u)
-            c_sum = c_sum * rescale + u.sum(axis=0)
-            c_dot = c_dot * rescale + np.einsum("ij,ij->j", d, u)
-            c_low = col_low
-            np.maximum(c_high, d.max(axis=0), out=c_high)
-            coef = _soft_min_coef(e, d, (1.0 + a * value)[:, None], a, low)
-            g_rows[t] = _pull(coef @ ones_w, y[t])
-        return c_low, c_high, c_sum, c_dot
-
-    # the halves' column states, rescaled to their common minimum and added
-    states = _halves.split(soft_mins, n, m)
-    c_low = np.minimum.reduce([low for low, _, _, _ in states])
-    c_high = np.maximum.reduce([high for _, high, _, _ in states])
-    c_sum = c_dot = 0.0
-    for low, _, part_sum, part_dot in states:
-        rescale = np.exp(a * (c_low - low))
-        c_sum = c_sum + part_sum * rescale
-        c_dot = c_dot + part_dot * rescale
-    c = np.clip(c_dot / c_sum, c_low, c_high)
-    r_scale = boltzmann_gradient(r, a) / r_sum
-    # the column scales go into the product with [1, w]
-    scaled_w = (boltzmann_gradient(c, a) / c_sum)[:, None] * ones_w
-    c_shift, c_p = a * c_low, 1.0 + a * c
-
-    gy = np.empty_like(y)
-
-    def gradients(lo: int, hi: int) -> None:
-        """Pass 2 over rows lo:hi: their rows of gy."""
-        for t, d, g, _ in _row_tiles(y[lo:hi], w, 0, _TILE_SCALE):
-            t = slice(lo + t.start, lo + t.stop)
-            np.sqrt(d, out=d)
-            np.multiply(d, -a, out=g)
-            g += c_shift
-            np.exp(g, out=g)
-            coef = _soft_min_coef(g, d, c_p, a, r_low[t])
-            gy[t] = _pull(coef @ scaled_w, y[t]) + r_scale[t, None] * g_rows[t]
-
-    _halves.split(gradients, n, m)
-    return boltzmann(r, a) + boltzmann(c, a), gy
+    # the halves' states, rescaled to the common references and added
+    halves = _halves.split(tiles, m, n)
+    low = np.minimum.reduce([h[0] for h in halves])
+    high = np.maximum.reduce([h[1] for h in halves])
+    ref = max(h[4] for h in halves)
+    dot = sums = w_sums = 0.0
+    for part_low, _, part_dot, part_sums, part_ref, part_w_sums in halves:
+        rescale = np.exp(a * (low - part_low))
+        dot = dot + part_dot * rescale
+        sums = sums + part_sums * rescale
+        part_w_sums[:k] -= a * (ref - part_ref) * part_w_sums[k:]
+        w_sums = w_sums + part_w_sums * math.exp(a * (part_ref - ref))
+    r_sum = sums[k]
+    r = np.clip(dot / r_sum, low, high)
+    b = boltzmann(c, a)
+    # the w points' parts, s (1 + a (c - ref)) - s a (b - ref), over sum s
+    grad = (w_sums[:k] - a * (b - ref) * w_sums[k:]) / np.exp(a * (c - ref)).sum()
+    # the y points' scales bg(r) / r_sum times (1 + a r) / d - a
+    grad += boltzmann_gradient(r, a) / r_sum * ((1.0 + a * r) * sums[:k] - a * sums[k:])
+    return boltzmann(r, a) + b, _pull(grad.T, y - centre)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +269,8 @@ def leg_with_grad(
     lambda-compensated Gaussian affinity of their images, at kernel width
     sigma (finite and at least `_SIGMA_FLOOR`), where
     lambda_ij = 1 / (v_i + v_j) for the inverse factors v (positive and
-    finite, one per point). Zero exactly when every image pair distance
+    finite, one per point). Both clouds' coordinates must stay below
+    `geometry._COORD_BOUND` in magnitude. Zero exactly when every image pair distance
     equals lambda_ij times the original distance.
 
     The mismatch, both affinities and lambda are symmetric in (i, j), so
@@ -266,6 +286,8 @@ def leg_with_grad(
     _check_sigma("sigma", sigma)
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
+    _check_coord_bound(x, "original")
+    _check_coord_bound(y, "mapped")
     n = len(x)
     if len(y) != n:
         raise ValueError(f"original has {n} points but mapped has {len(y)}")

@@ -160,6 +160,37 @@ def test_hand_is_finite_up_to_the_alpha_bound(scale):
             assert np.isfinite(value) and np.isfinite(gy).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energies_refuse_clouds_past_the_coordinate_bound():
+    # past about 1e154 the squared pair distances overflow (at 1e160 `hand`
+    # warned of an overflow in a multiply and `leg` of an invalid value), so
+    # both energies refuse every cloud past the bound and name it
+    rng = np.random.default_rng(4)
+    y, w = rng.normal(size=(20, 2)) * 1e160, rng.normal(size=(15, 2)) * 1e160
+    bound = re.escape("must stay below 1e+150")
+    for clouds in ((y, w), (w, y), (y / 1e160, w), (y, w / 1e160)):
+        with pytest.raises(ValueError, match=bound):
+            hand_with_grad(*clouds, 1e-200)
+    x = rng.normal(size=(20, 3)) * 1e160
+    v = np.ones(20)
+    for original, mapped in ((x, y), (x, y / 1e160), (x / 1e160, y)):
+        with pytest.raises(ValueError, match=bound):
+            leg_with_grad(original, mapped, v, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shift", [1e6, -1e12])
+def test_hand_is_finite_up_to_the_alpha_bound_off_the_origin(shift):
+    # the bound is on alpha times the pair distances, which do not grow with
+    # the clouds' distance from the origin; the gradient sums must not either
+    rng = np.random.default_rng(5)
+    y, w = rng.normal(size=(40, 2)) + shift, rng.normal(size=(30, 2)) + shift
+    bound = sys.float_info.max / _box_reach(y, w)
+    for alpha in (0.5 * bound, 0.999999 * bound):
+        value, gy = hand_with_grad(y, w, alpha)
+        assert np.isfinite(value) and np.isfinite(gy).all()
+
+
 def test_lambda_pair_values():
     # two points: only the off-diagonal pairs count, with lambda_01 = 1 / (0.1 + 0.4) = 2
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -456,6 +487,23 @@ def test_total_loss_memory_is_bounded():
         tracemalloc.stop()
     assert np.isfinite(bd.total)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_hand_memory_is_bounded():
+    # one pass over row tiles of the domain sample: beyond the tiles, each
+    # half keeps O(n) sums per point, never an n x m array (128 MB here)
+    rng = np.random.default_rng(19)
+    n = 4096
+    y = rng.normal(0, 1, (n, 2))
+    w = rng.uniform(-1, 1, (n, 2))
+    tracemalloc.start()
+    try:
+        value, gy = hand_with_grad(y, w, ALPHA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and np.isfinite(gy).all()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_objective_config_validation():
