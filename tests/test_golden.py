@@ -83,13 +83,13 @@ FROZEN_BUILD = {
 
 GOLDEN = {
     "landmark_2d": {
-        "log.csv": "b8e59a151712a945dfd3952bfebe9b2d2e084d61dfae0e9af557bec471377f69",
+        "log.csv": "d53652d7ee5108940bc19686aee4e927cb9e2594ba7f2a03448fa45ab98cf12d",
         "mapped.csv": "403ac71f09bcedc03b6167ffc18b3fab61979043df669680d52a4737bada1db1",
         "map.ckpt.json": "bfd8c9de1d65c6e3cd70c67a8af91bf69bd0a8da3c7aa6346e8f670b9df38adf",
         "lambda.ckpt.json": "b329833f06073833781ca7a8a5b43adea64260cfc2880cacc4ee80e2c10f0d97",
     },
     "fixed_boundary_3d": {
-        "log.csv": "6ddac75fc76fbdfa7d47b2b7019fb6e8e88181ca65af3dea804dc7d7e131c64f",
+        "log.csv": "3f298b59a46a5c85af7f0f671c4455cbda3b2f0678582d95cf8b5d5b59a49135",
         "mapped.csv": "928e0990e3e12a252c126fe8d4ac86cc5babb34b1a9a29541c2883d7a770f062",
         "map.ckpt.json": "ee966f4f20a58f89785cdfeda67dfb207cb8be37794eab5e92e9aaa077acb183",
         "lambda.ckpt.json": "8066fec8f4ca02323251af0ba8e25ab1069669dbdd8b66334e01da6d05bd2177",
@@ -109,27 +109,27 @@ GOLDEN_PARAMS = {
 
 GOLDEN_FLOAT64 = {
     "landmark_2d": {
-        "log.csv": "c13c72bc183c2f41d06aa011fe94e53146d46cd8403444fad559f21d79103c20",
-        "mapped.csv": "764aa71956ae94987479513f2c69eedc04c61dc75a97eac436cc3e660e25d55c",
-        "map.ckpt.json": "0a0b9ff59034b056e2145a1fd06ba7108f48171b5f0680111f5985c9d628b2b4",
-        "lambda.ckpt.json": "e9a58dcfe9ca3569c030a0c6e69478dbb8c17e07d67da587df8aa6300492018d",
+        "log.csv": "c4d68b5ad1c667eaaaa197d75337372e8a097d9e92b163eddf789bbecb4f5f75",
+        "mapped.csv": "d7388601858e80e06084bcde2fa0035269c070d67fdcefcf0b285c030fe84a05",
+        "map.ckpt.json": "937847aa6fc2d43326e9da6f4ed0b74349a0e11016dd91f5198f8209bc150365",
+        "lambda.ckpt.json": "4e15adb103fbc49298a29c85e345b1b814f90c8dece01b8b77ebd01f31e40f71",
     },
     "fixed_boundary_3d": {
-        "log.csv": "a8ee97ca036d2c595487f6201006c35c602d9106f1643913495397ef9f749560",
-        "mapped.csv": "4a2eeb39e151950c73da78451677094b2b538f85bc2b3219be681c1092c8619b",
-        "map.ckpt.json": "26d66e325b4af2abc06d88acfb65638d8bafc3b5632c2f230b788f3db0d5a398",
-        "lambda.ckpt.json": "05cb7514715b596d0389b74f97b4fbafc44c368aa1fa2683bb82f7e54da83b77",
+        "log.csv": "b65661604ec350597cce4b70c6fe5dfeeb68d701aa6db4761dfe09487e087958",
+        "mapped.csv": "e78bdeff98832dab179b98227f7e2c1e742f7254db10913f8a9b19881d8eb5b9",
+        "map.ckpt.json": "55a4ebada574e986bbce7b223e3c83138aa5f5f41b98c9209079273a546eac47",
+        "lambda.ckpt.json": "376b54ca8d3656754607f5a4040b57b2686f6421f2721115150a90c599c3590a",
     },
 }
 
 GOLDEN_PARAMS_FLOAT64 = {
     "landmark_2d": {
-        "map.ckpt.json": "75483cd0872da494d07d56d320120d2bc7dc2b4b60c2aafb62bc7604551606c8",
-        "lambda.ckpt.json": "0c0337b221b904ca9bd327c7441af62dff022d0164d2dc43156e277d8728e25e",
+        "map.ckpt.json": "ed5a2ab21540fbe8fc8e7c35a4aff60904dfaf6c89f4d673d1ea5d33fecb2dce",
+        "lambda.ckpt.json": "82a06292057de67b81789d9357ea57438fce8ec78c0e7df26024047a40e47ddc",
     },
     "fixed_boundary_3d": {
-        "map.ckpt.json": "b8d84420cdf3cd3007c8f964626293661526fa1b6617f67a4aeda9e90962751e",
-        "lambda.ckpt.json": "91624ad02c8ed447e3f2b50678545d2947295e167885fda6391d3c80d8020153",
+        "map.ckpt.json": "4f76dcffb1178c39898c51b6b32b43a3c165c9be659db89555fec7b2b1211ff3",
+        "lambda.ckpt.json": "7ce36407d35b14338bcfa500757977d34f210d5fed17982242d60aaace99bc57",
     },
 }
 
