@@ -100,6 +100,14 @@ def _pull(sums: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sums[:, :1] * y - sums[:, 1:]
 
 
+def _raise_ref(sums: np.ndarray, k: int, shift: float) -> None:
+    """Move in place the two parts of a Boltzmann gradient's sums, those of
+    s (1 + alpha (c - ref)) and of s for s = exp(alpha (c - ref)), to a
+    reference shift / alpha higher."""
+    sums[:k] -= shift * sums[k:]
+    sums *= math.exp(-shift)
+
+
 def _check_alpha_reach(alpha: float, y: np.ndarray, w: np.ndarray) -> None:
     """Reject a sharpness alpha whose product with the largest distance that
     the bounding boxes of y and w allow is not below the largest float:
@@ -217,8 +225,7 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
                 if ref is None:
                     ref = top
                 elif top > ref:
-                    w_sums[:k] -= a * (top - ref) * w_sums[k:]
-                    w_sums *= math.exp(a * (ref - top))
+                    _raise_ref(w_sums, k, a * (top - ref))
                     ref = top
                 s = np.exp(a * (v - ref)) / e_sum
                 scaled = np.vstack([s * (1.0 + a * (v - ref)) * ones_w[:, t], s * ones_w[:, t]])
@@ -241,8 +248,8 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
         rescale = np.exp(a * (low - part_low))
         dot = dot + part_dot * rescale
         sums = sums + part_sums * rescale
-        part_w_sums[:k] -= a * (ref - part_ref) * part_w_sums[k:]
-        w_sums = w_sums + part_w_sums * math.exp(a * (part_ref - ref))
+        _raise_ref(part_w_sums, k, a * (ref - part_ref))
+        w_sums = w_sums + part_w_sums
     r_sum = sums[k]
     r = np.clip(dot / r_sum, low, high)
     b = boltzmann(c, a)

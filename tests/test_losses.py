@@ -162,9 +162,8 @@ def test_hand_is_finite_up_to_the_alpha_bound(scale):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_energies_refuse_clouds_past_the_coordinate_bound():
-    # past about 1e154 the squared pair distances overflow (at 1e160 `hand`
-    # warned of an overflow in a multiply and `leg` of an invalid value), so
-    # both energies refuse every cloud past the bound and name it
+    # past about 1e154 the squared pair distances overflow, so both energies
+    # refuse every cloud past the bound, naming it, before any arithmetic
     rng = np.random.default_rng(4)
     y, w = rng.normal(size=(20, 2)) * 1e160, rng.normal(size=(15, 2)) * 1e160
     bound = re.escape("must stay below 1e+150")
