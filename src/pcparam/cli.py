@@ -304,6 +304,7 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     last_ckpt: dict[str, Path] = {}  # the last stage's files hold the final parameters
+    rows: list[tuple] = []
 
     def on_stage(stage_idx, record, map_params, lambda_params):
         last_ckpt["map.ckpt.json"] = out_dir / f"map_stage{stage_idx}.ckpt.json"
@@ -311,6 +312,10 @@ def cmd_fit(args) -> int:
         if lambda_params is not None:
             last_ckpt["lambda.ckpt.json"] = out_dir / f"lambda_stage{stage_idx}.ckpt.json"
             save_checkpoint(last_ckpt["lambda.ckpt.json"], lambda_spec, lambda_params)
+        # the rows so far, so a fit that fails later keeps its finished stages
+        rows.append(dataclasses.astuple(record))
+        pcio.save_table(out_dir / "log.csv", [f.name for f in dataclasses.fields(StageRecord)],
+                        rows)
         log.info(
             "stage %d done: loss %.6g, hausdorff %.6g",
             stage_idx, record.loss_total, record.eval_hausdorff,
@@ -338,11 +343,6 @@ def cmd_fit(args) -> int:
 
     for name, path in last_ckpt.items():
         shutil.copyfile(path, out_dir / name)
-    pcio.save_table(
-        out_dir / "log.csv",
-        [f.name for f in dataclasses.fields(StageRecord)],
-        [dataclasses.astuple(rec) for rec in result.records],
-    )
     pcio.save_cloud(out_dir / "mapped.csv", result.mapped)
     (out_dir / "effective_config.json").write_text(
         json.dumps(eff, indent=1, sort_keys=True) + "\n"

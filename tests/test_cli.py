@@ -1,5 +1,6 @@
 """Command-line flows: config handling, all eight verbs, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -503,6 +504,33 @@ def test_fit_final_checkpoints_are_last_stage_files(workdir, tiny_cloud_csv):
         final = (out / f"{net}.ckpt.json").read_bytes()
         assert final == (out / f"{net}_stage{last}.ckpt.json").read_bytes()
         assert final != (out / f"{net}_stage1.ckpt.json").read_bytes()
+
+
+def test_fit_that_fails_in_stage_2_keeps_the_stage_1_row(tmp_path, tiny_cloud_csv, monkeypatch,
+                                                        caplog):
+    # log.csv is rewritten as each stage ends, so a fit that diverges in its
+    # second stage still leaves the first stage's row next to its checkpoints
+    stage = {"epochs": 2, "batch_points": 4, "batch_domain": 8, "epochs_min": 1}
+    whole = tmp_path / "whole"
+    assert main(["fit", "--config", _write_config(
+        tmp_path / "whole.json", _tiny_config(tiny_cloud_csv, whole, stage=stage))]) == 0
+    total_loss_with_grad = pcparam.optimizer.total_loss_with_grad
+
+    def nan_in_stage_2(original, *args, **kwargs):
+        breakdown, g_mapped, g_v = total_loss_with_grad(original, *args, **kwargs)
+        if len(original) == 8:  # the full batch of stage 2
+            breakdown = dataclasses.replace(breakdown, total=float("nan"))
+        return breakdown, g_mapped, g_v
+
+    monkeypatch.setattr(pcparam.optimizer, "total_loss_with_grad", nan_in_stage_2)
+    out = tmp_path / "failed"
+    assert main(["fit", "--config", _write_config(
+        tmp_path / "failed.json", _tiny_config(tiny_cloud_csv, out, stage=stage))]) == 1
+    assert "stage 2 epoch 1 batch 0: loss is nan" in caplog.text
+    whole_lines = (whole / "log.csv").read_text().splitlines()
+    assert (out / "log.csv").read_text().splitlines() == whole_lines[:2]
+    assert (out / "map_stage1.ckpt.json").is_file()
+    assert not (out / "map_stage2.ckpt.json").exists()
 
 
 def test_fit_reruns_byte_identical(workdir, tiny_cloud_csv, fitted):
