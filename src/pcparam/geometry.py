@@ -175,9 +175,10 @@ def _same_dim_clouds(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-# elements of one row tile of a dense (n, m) distance pass, 256 kB: a tile and
-# its buffers stay in cache, and the buffers are made once per pass, since
-# writing into fresh pages costs about as much as the arithmetic
+# float64 elements of one row tile of a dense (n, m) distance pass, 256 kB: a
+# tile and its buffers stay in cache, and the buffers are made once per pass,
+# since writing into fresh pages costs about as much as the arithmetic. The
+# budget is in bytes: a float32 tile holds twice the elements
 _TILE_ELEMS = 1 << 15
 
 
@@ -185,10 +186,12 @@ def _diff_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """(lhs, rhs) with lhs[c] @ rhs[c] == a[:, c, None] - b[:, c] bit for bit:
     each entry is a_i * 1 + 1 * (-b_k), two exact products and one rounding
     in any order. BLAS writes it several times faster than a broadcast
-    subtraction. lhs[:, lo:hi] gives the rows lo:hi of a."""
-    lhs = np.ones((a.shape[1], len(a), 2))
+    subtraction. lhs[:, lo:hi] gives the rows lo:hi of a. Both are in the
+    operands' common dtype."""
+    dtype = np.result_type(a, b)
+    lhs = np.ones((a.shape[1], len(a), 2), dtype)
     lhs[:, :, 0] = a.T
-    rhs = np.ones((b.shape[1], 2, len(b)))
+    rhs = np.ones((b.shape[1], 2, len(b)), dtype)
     np.negative(b.T, out=rhs[:, 1, :])
     return lhs, rhs
 
@@ -214,10 +217,11 @@ def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1,
 
     Yields (rows, sq, scratch, spares): the slice of a's rows in the tile,
     their squared distances to all of b by `_sq_dists_into`, that pass's
-    scratch buffer and a list of `spare` more buffers, all of sq's shape. A
-    tile holds at most `scale * _TILE_ELEMS` elements, or one row if a row
-    alone is larger. The buffers are made once per call and overwritten by
-    the next tile; an empty a yields nothing.
+    scratch buffer and a list of `spare` more buffers, all of sq's shape and
+    of the operands' common dtype. A tile holds at most the bytes of
+    `scale * _TILE_ELEMS` float64 elements, or one row if a row alone is
+    larger. The buffers are made once per call and overwritten by the next
+    tile; an empty a yields nothing.
 
     With `upper`, a must be the first rows of b, and the tile of rows lo:hi
     holds only the columns lo: of b, the band on and right of the diagonal
@@ -225,7 +229,7 @@ def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1,
     block. The bands widen in rows as they narrow in columns.
     """
     lhs, rhs = _diff_factors(a, b)
-    limit, bands, lo = scale * _TILE_ELEMS, [], 0
+    limit, bands, lo = scale * _TILE_ELEMS * 8 // lhs.itemsize, [], 0
     while lo < len(a):
         first = lo if upper else 0
         hi = min(len(a), lo + max(1, limit // (len(b) - first)))
@@ -233,7 +237,8 @@ def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1,
         lo = hi
     if not bands:
         return
-    bufs = np.empty((2 + spare, max((hi - lo) * (len(b) - first) for lo, hi, first in bands)))
+    bufs = np.empty((2 + spare, max((hi - lo) * (len(b) - first) for lo, hi, first in bands)),
+                    lhs.dtype)
     for lo, hi, first in bands:
         shape = (2 + spare, hi - lo, len(b) - first)
         sq, scratch, *spares = bufs[:, : shape[1] * shape[2]].reshape(shape)

@@ -108,19 +108,57 @@ def _raise_ref(sums: np.ndarray, k: int, shift: float) -> None:
     sums *= math.exp(-shift)
 
 
-def _check_alpha_reach(alpha: float, y: np.ndarray, w: np.ndarray) -> None:
-    """Reject a sharpness alpha whose product with the largest distance that
-    the bounding boxes of y and w allow is not below the largest float:
-    `hand_with_grad` forms alpha times every pair distance."""
+def _box_reach(y: np.ndarray, w: np.ndarray) -> float:
+    """The largest distance between a point of y's bounding box and one of
+    w's, which bounds every pair distance."""
     # half the per-axis spans, which cannot overflow, then twice their norm
     half = np.maximum(w.max(axis=0) / 2 - y.min(axis=0) / 2,
                       y.max(axis=0) / 2 - w.min(axis=0) / 2)
-    reach = 2.0 * math.hypot(*half.tolist())
-    if not alpha * reach < sys.float_info.max:
-        raise ValueError(
-            f"alpha = {alpha!r} times the largest pair distance the clouds' bounding "
-            f"boxes allow, {reach:.6g}, must stay below {sys.float_info.max:.6g}"
-        )
+    return 2.0 * math.hypot(*half.tolist())
+
+
+# the exponent floor of float32 tiles: every exponent is clamped to it before
+# `exp`, so every exponential factor is at least e^-30, and two of them times
+# one more factor down to 1 / `_FLOAT32_SPAN` stay a normal float32 (2e-36
+# against the smallest normal, 1.2e-38). Subnormal float32 arithmetic is slow:
+# with the floor at -80, the products of two e^-80 factors in `leg_with_grad`
+# fell below the smallest normal, and a call at n = 2046 took 36 ms against
+# 17 ms at -40 and 28 ms on float64 tiles. Next to the largest weight, 1, a
+# weight below e^-30 = 9.4e-14 is far below float32's precision, so the floor
+# moves a sum of m weights by at most m e^-30
+_EXP_FLOOR = -30.0
+
+# float32 tiles run only where every scale their factors are formed from lies
+# within [1 / _FLOAT32_SPAN, _FLOAT32_SPAN]: past the top, products of two or
+# three such factors could overflow float32 or feed -inf times 0; below the
+# bottom, squared distances and 1 / sigma^2 lose their precision or underflow,
+# and the Gaussian affinities of `leg_with_grad` all round to 1
+_FLOAT32_SPAN = 2.0 ** 32
+
+
+def _tile_dtype(tile_dtype, *scales: float) -> np.dtype:
+    """The dtype of the tiles: float64, or float32 when that is asked for
+    and every one of the scales (all positive, from the inputs) lies within
+    float32's reach, [1 / `_FLOAT32_SPAN`, `_FLOAT32_SPAN`]."""
+    dtype = np.dtype(tile_dtype)
+    if dtype not in (np.float64, np.float32):
+        raise ValueError(f"tile_dtype must be float64 or float32, got {dtype}")
+    if dtype == np.float32 and all(1.0 / _FLOAT32_SPAN <= s <= _FLOAT32_SPAN for s in scales):
+        return dtype
+    return np.dtype(np.float64)
+
+
+def _floor(exponents: np.ndarray, dtype: np.dtype) -> None:
+    """Clamp the exponents of float32 tiles at `_EXP_FLOOR`, in place."""
+    if dtype == np.float32:
+        np.maximum(exponents, _EXP_FLOOR, out=exponents)
+
+
+def _centred(points: np.ndarray, centre: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The points as float32 tiles take them, centred and cast, so their
+    differences keep float32's precision; float64 tiles take them as they
+    are."""
+    return points if dtype == np.float64 else (points - centre).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +166,7 @@ def _check_alpha_reach(alpha: float, y: np.ndarray, w: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
+def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float, np.ndarray]:
     """Smooth two-sided Hausdorff surrogate between clouds y and w, plus its
     gradient with respect to the coordinates of y.
 
@@ -166,20 +204,36 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
     fixed halves, the first on a worker thread (`_halves.split`). Each half
     keeps its own state for every y point; the two are rescaled to common
     references and added, half 0 first.
+
+    tile_dtype (float64 or float32) is the precision of the tiles'
+    element work: distances, exponentials, pair coefficients and the
+    matmuls on [1, w]. The per-point state, the weight sums, the references,
+    the merge of the halves, the value and the gradient are float64 either
+    way. float32 tiles take the clouds centred on their common box, clamp
+    every exponent at `_EXP_FLOOR`, and run only where the box-allowed
+    largest distance D, D^2 and alpha D are within float32's reach
+    (`_tile_dtype`); elsewhere the float64 tiles run.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     y, w = _same_dim_clouds(y, w)
     _check_coord_bound(y, "y")
     _check_coord_bound(w, "w")
-    a = alpha
-    _check_alpha_reach(a, y, w)
+    a = float(alpha)  # a Python float, which float32 tiles take as float32
+    reach = _box_reach(y, w)
+    if not a * reach < sys.float_info.max:
+        raise ValueError(
+            f"alpha = {alpha!r} times the largest pair distance the clouds' bounding "
+            f"boxes allow, {reach:.6g}, must stay below {sys.float_info.max:.6g}"
+        )
+    dt = _tile_dtype(tile_dtype, reach, reach * reach, a * reach)
     n, m, k = len(y), len(w), y.shape[1] + 1
     # the sums take coordinates about the middle of the clouds' common box:
     # each stays within the reach, so alpha times it is finite
     centre = np.minimum(y.min(axis=0), w.min(axis=0)) / 2 + np.maximum(
         y.max(axis=0), w.max(axis=0)) / 2
-    ones_w = np.vstack([np.ones(m), (w - centre).T])  # [1, w] by columns
+    ones_w = np.vstack([np.ones(m), (w - centre).T]).astype(dt)  # [1, w] by columns
+    tile_y, tile_w = _centred(y, centre, dt), _centred(w, centre, dt)
     c = np.empty(m)  # the soft-min of each w point
 
     def tiles(lo: int, hi: int):
@@ -193,7 +247,7 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
         sums, w_sums, ref = np.zeros((2 * k, n)), np.zeros((2 * k, n)), None
         # a coincident pair divides by zero, and its coefficients are zeroed
         with np.errstate(divide="ignore"):
-            for t, d, e, (f,) in _row_tiles(w[lo:hi], y, 1, _HAND_TILE_SCALE):
+            for t, d, e, (f,) in _row_tiles(tile_w[lo:hi], tile_y, 1, _HAND_TILE_SCALE):
                 t = slice(lo + t.start, lo + t.stop)
                 np.sqrt(d, out=d)
                 row_low = d.min(axis=1)
@@ -201,15 +255,17 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
                 # the rows: the soft-mins of the w points, exact
                 np.multiply(d, -a, out=e)
                 e += (a * row_low)[:, None]
+                _floor(e, dt)
                 np.exp(e, out=e)
-                e_sum = e.sum(axis=1)
+                e_sum = e.sum(axis=1, dtype=np.float64)
                 c[t] = v = np.clip(np.vecdot(d, e) / e_sum, row_low, d.max(axis=1))
                 # the columns: one step of the soft-mins of the y points
                 col_low = np.minimum(low, d.min(axis=0))
                 rescale = np.exp(a * (col_low - low))
                 low = col_low
                 np.multiply(d, -a, out=f)
-                f += a * low
+                f += (a * low).astype(dt, copy=False)
+                _floor(f, dt)
                 np.exp(f, out=f)
                 np.maximum(high, d.max(axis=0), out=high)
                 dot *= rescale
@@ -227,10 +283,13 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
                 elif top > ref:
                     _raise_ref(w_sums, k, a * (top - ref))
                     ref = top
-                s = np.exp(a * (v - ref)) / e_sum
-                scaled = np.vstack([s * (1.0 + a * (v - ref)) * ones_w[:, t], s * ones_w[:, t]])
+                x = a * (v - ref)
+                _floor(x, dt)
+                s = np.exp(x) / e_sum
+                scaled = np.vstack([s * (1.0 + a * (v - ref)) * ones_w[:, t],
+                                    s * ones_w[:, t]]).astype(dt, copy=False)
                 # the rows' pair coefficients e ((1 + a v) / d - a), in e
-                np.divide((1.0 + a * v)[:, None], d, out=d)
+                np.divide((1.0 + a * v).astype(dt, copy=False)[:, None], d, out=d)
                 d -= a
                 e *= d
                 if zero is not None:
@@ -257,7 +316,8 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
     grad = (w_sums[:k] - a * (b - ref) * w_sums[k:]) / np.exp(a * (c - ref)).sum()
     # the y points' scales bg(r) / r_sum times (1 + a r) / d - a
     grad += boltzmann_gradient(r, a) / r_sum * ((1.0 + a * r) * sums[:k] - a * sums[k:])
-    return boltzmann(r, a) + b, _pull(grad.T, y - centre)
+    pull_y = y - centre if dt == np.float64 else tile_y.astype(np.float64)
+    return boltzmann(r, a) + b, _pull(grad.T, pull_y)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +326,7 @@ def hand_with_grad(y, w, alpha: float) -> tuple[float, np.ndarray]:
 
 
 def leg_with_grad(
-    original, mapped, lambda_inv_values, sigma: float
+    original, mapped, lambda_inv_values, sigma: float, *, tile_dtype=np.float64
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Localized distortion energy of a mapped cloud, plus its gradients in the
     mapped coordinates and in the per-point inverse factors.
@@ -289,6 +349,15 @@ def leg_with_grad(
     pairs. The bands run in two fixed halves cut where each holds half the
     pairs, the first on a worker thread (`_halves.split`). Each half keeps
     its own gradients, and the halves are added half 0 first.
+
+    tile_dtype (float64 or float32) is the precision of the bands' element
+    work: distances, affinities, lambda and the matmuls on [1, y]. The sums
+    across rows, the value and the gradients are float64 either way. float32
+    bands take each cloud centred on its box, clamp every exponent at
+    `_EXP_FLOOR`, and run only where the larger box-allowed largest
+    distance D of the two clouds, D^2, 1 / sigma^2, D^2 / sigma^2, the
+    largest inverse factor and its square are within float32's reach
+    (`_tile_dtype`); elsewhere the float64 bands run.
     """
     _check_sigma("sigma", sigma)
     x = as_cloud(original)
@@ -303,15 +372,22 @@ def leg_with_grad(
         raise ValueError(f"{v.size} inverse factors for {n} points")
     if not (np.isfinite(v).all() and (v > 0.0).all()):
         raise ValueError("inverse factors must be positive and finite")
-    neg_inv_s2 = -1.0 / (sigma * sigma)
+    neg_inv_s2 = -1.0 / float(sigma * sigma)  # as alpha in `hand_with_grad`
+    reach, top = max(_box_reach(x, x), _box_reach(y, y)), float(v.max())
+    dt = _tile_dtype(tile_dtype, reach, reach * reach, -neg_inv_s2,
+                     reach * reach * -neg_inv_s2, top, top * top)
+    # the centres of the boxes
+    x, y = (_centred(p, p.min(axis=0) / 2 + p.max(axis=0) / 2, dt) for p in (x, y))
+    v = v.astype(dt, copy=False)
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
-    ones_y = np.column_stack([np.ones(n), y])
+    ones_y = np.column_stack([np.ones(n, dt), y])
+    pull_y = y.astype(np.float64, copy=False)
 
     def bands(lo: int, hi: int) -> tuple[float, np.ndarray, np.ndarray]:
         """Bands of rows lo:hi: their part of the sum of squares and of
         both gradients."""
-        value, g_mapped, g_inv = 0.0, np.zeros_like(y), np.zeros(n)
+        value, g_mapped, g_inv = 0.0, np.zeros_like(pull_y), np.zeros(n)
         # for a tiny sigma a scaled squared distance can overflow to -inf; its
         # exp is the exact 0, which is the right affinity, so no warning is due
         with np.errstate(over="ignore"):
@@ -323,6 +399,7 @@ def leg_with_grad(
                 # e = gx - hy, the affinity mismatch, with gx = exp(-|x_i - x_j|^2 / s2),
                 # hy = exp(-sqy / (s2 lam^2)), sqy = |y_i - y_j|^2, 1 / lam = v_i + v_j
                 e *= neg_inv_s2
+                _floor(e, dt)
                 np.exp(e, out=e)
                 # inv_lam is the distance pass's scratch until it is formed
                 _sq_dists_into(y_lhs[:, rows], y_rhs[:, :, cols], sqy, inv_lam)
@@ -330,10 +407,15 @@ def leg_with_grad(
                 np.multiply(inv_lam, inv_lam, out=hy)
                 hy *= sqy
                 hy *= neg_inv_s2
+                _floor(hy, dt)
                 np.exp(hy, out=hy)
                 e -= hy
                 block = e[:, :side]
-                value += 2.0 * float(np.vdot(e, e)) - float(np.einsum("ij,ij->", block, block))
+                if dt == np.float64:
+                    value += 2.0 * float(np.vdot(e, e)) - float(np.einsum("ij,ij->", block, block))
+                else:  # float32 dots of one row each, added in float64
+                    value += (2.0 * float(np.vecdot(e, e).sum(dtype=np.float64))
+                              - float(np.vecdot(block, block).sum(dtype=np.float64)))
                 # with p = 4 e hy and both orders of each pair:
                 # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
                 # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)
@@ -343,8 +425,8 @@ def leg_with_grad(
                 g_inv[rows] += sqy.sum(axis=1)
                 g_inv[right] += sqy[:, side:].sum(axis=0)
                 e *= inv_lam
-                g_mapped[rows] += _pull(e @ ones_y[cols], y[rows])
-                g_mapped[right] += _pull(e[:, side:].T @ ones_y[rows], y[right])
+                g_mapped[rows] += _pull(e @ ones_y[cols], pull_y[rows])
+                g_mapped[right] += _pull(e[:, side:].T @ ones_y[rows], pull_y[right])
         return value, g_mapped, g_inv
 
     # the cut row that leaves half the n (n + 1) / 2 pairs j >= i on each side
@@ -360,13 +442,13 @@ def leg_with_grad(
 
 
 def landmark_energy_with_grad(
-    mapped_landmarks, targets, alpha: float
+    mapped_landmarks, targets, alpha: float, *, tile_dtype=np.float64
 ) -> tuple[float, list[np.ndarray]]:
     """Sum of smooth Hausdorff surrogates between landmark images and targets,
     plus the gradient for each mapped landmark cloud.
 
     Point counts may differ within a pair (regions are matched as sets, not
-    point-to-point). Empty lists give 0.
+    point-to-point). Empty lists give 0. tile_dtype goes to `hand_with_grad`.
     """
     if len(mapped_landmarks) != len(targets):
         raise ValueError(
@@ -375,7 +457,7 @@ def landmark_energy_with_grad(
     value = 0.0
     grads: list[np.ndarray] = []
     for m, q in zip(mapped_landmarks, targets):
-        v, gm = hand_with_grad(m, q, alpha)
+        v, gm = hand_with_grad(m, q, alpha, tile_dtype=tile_dtype)
         value += v
         grads.append(gm)
     return value, grads
@@ -407,6 +489,8 @@ def total_loss_with_grad(
     alpha: float,
     sigma: float,
     n_base: int | None = None,
+    *,
+    tile_dtype=np.float64,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Combined objective on one batch, plus its gradients in the mapped
     coordinates and in the inverse factors.
@@ -419,7 +503,8 @@ def total_loss_with_grad(
     its points inside `mapped`; `targets` the corresponding planar target
     clouds. With beta1 == 0 the distortion term is skipped entirely,
     `lambda_inv_values` may be None and the gradient in the inverse factors
-    is zero.
+    is zero. tile_dtype, float64 or float32, is the precision of the
+    energies' tiles (`hand_with_grad`, `leg_with_grad`).
     """
     x = as_cloud(original)
     y = as_cloud(mapped, dim=2)
@@ -448,19 +533,21 @@ def total_loss_with_grad(
 
     leg_val = 0.0
     if cfg.beta1 > 0:
-        leg_val, g_leg_y, g_leg_v = leg_with_grad(x, y, lambda_inv_values, sigma)
+        leg_val, g_leg_y, g_leg_v = leg_with_grad(x, y, lambda_inv_values, sigma,
+                                                  tile_dtype=tile_dtype)
         g_mapped += cfg.beta1 * g_leg_y
         g_v = cfg.beta1 * g_leg_v
 
     hand_val = 0.0
     if cfg.beta2 > 0:
-        hand_val, g_hand_y = hand_with_grad(y[:n_base], domain_sample, alpha)
+        hand_val, g_hand_y = hand_with_grad(y[:n_base], domain_sample, alpha,
+                                            tile_dtype=tile_dtype)
         g_mapped[:n_base] += cfg.beta2 * g_hand_y
 
     lm_val = 0.0
     if cfg.beta3 > 0 and landmark_rows:
         lm_val, g_lm = landmark_energy_with_grad(
-            [y[rows] for rows in landmark_rows], targets, alpha
+            [y[rows] for rows in landmark_rows], targets, alpha, tile_dtype=tile_dtype
         )
         for rows, g_k in zip(landmark_rows, g_lm):
             np.add.at(g_mapped, rows, cfg.beta3 * g_k)

@@ -264,6 +264,10 @@ def train(
     distortion term is skipped (shape matching only). Otherwise lambda_spec
     defaults to a small softplus-headed net over the input dimension.
 
+    The energies run float32 tiles (`total_loss_with_grad`'s tile_dtype)
+    when the map net is float32 and so is the inverse-factor net, if there
+    is one; otherwise float64 tiles.
+
     Fully deterministic for fixed inputs and seed. batch_callback, if given,
     is called as batch_callback(stage, epoch, batch_index, breakdown) after
     every step; stage_callback as stage_callback(stage, record, map_params,
@@ -295,6 +299,11 @@ def train(
             raise ValueError("inverse-factor network needs a softplus output")
     else:
         lambda_spec = None
+    # the float32 nets take the loss gradients cast to float32, so float64
+    # tiles would only feed them bits that the cast drops
+    float32_nets = map_spec.dtype == "float32" and (lambda_spec is None
+                                                     or lambda_spec.dtype == "float32")
+    tile_dtype = np.float32 if float32_nets else np.float64
 
     landmarks = [] if landmarks is None else list(landmarks)
     targets = [] if targets is None else [as_cloud(t, dim=2) for t in targets]
@@ -389,6 +398,7 @@ def train(
                     breakdown, g_mapped, g_v = total_loss_with_grad(
                         x_batch, mapped, lam_inv, w, landmark_rows, targets,
                         objective, alpha, stage_cfg.sigma, n_base=len(chunk),
+                        tile_dtype=tile_dtype,
                     )
                     if not np.isfinite(breakdown.total):
                         raise TrainingError(

@@ -616,6 +616,75 @@ def test_two_half_leg_matches_reference(monkeypatch, dim):
     assert pieces == [2]
 
 
+# float32 tiles against the float64 kernel: within these fractions of the
+# largest gradient entry and of the value
+F32_GRAD, F32_VALUE = 5e-5, 1e-6
+
+
+def _assert_float32_close(got, want, grad_rel=F32_GRAD):
+    """float32-tile results (value, gradients...) against float64 ones; the
+    float32 tiles must have run, so the bits differ."""
+    assert abs(got[0] - want[0]) <= F32_VALUE * abs(want[0])
+    for g, w in zip(got[1:], want[1:], strict=True):
+        _assert_close(g, w, grad_rel)
+    assert not all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+
+def _two_half_hand_clouds(dim, shift=0.0):
+    # the clouds of test_two_half_hand_matches_reference: the rows of w cut
+    # at 300, with coincident pairs in either half and on both sides of the cut
+    rng = np.random.default_rng(60 + dim)
+    y = _cloud(rng, 600, dim, 0.3)
+    w = _cloud(rng, 601, dim, 0.3)
+    w[3], w[299], w[300], w[500] = y[5], y[299], y[300], y[599]
+    return y, w + shift
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 50.0, 100.0])
+def test_two_half_hand_float32_tiles_match_float64(monkeypatch, dim, alpha):
+    y, w = _two_half_hand_clouds(dim)
+    pieces = _pieces(monkeypatch)
+    _assert_float32_close(hand_with_grad(y, w, alpha, tile_dtype=np.float32),
+                          hand_with_grad(y, w, alpha))
+    assert pieces == [2, 2]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 50.0, 100.0])
+def test_far_apart_hand_float32_tiles_match_float64(alpha):
+    # 1e3 apart the gradient needs a looser bound, 1e-2 of its largest
+    # entry (seen: 1.7e-3, 4e-3 and 6.5e-3 at alpha 2, 50 and 100), because
+    # float32 rounding grows with alpha times the gap D: a pair's
+    # coefficient (1 + alpha v) / d - alpha and a point's scales 1 + alpha r
+    # and alpha are about alpha D, and what is left after they cancel is
+    # about 1. The float64 kernel has the same cancellation at float64's
+    # epsilon (test_far_apart_hand_matches_reference). The value, a float64
+    # Boltzmann average of soft-mins summed in float64, keeps its bound
+    y, w = _two_half_hand_clouds(2, 1e3)
+    _assert_float32_close(hand_with_grad(y, w, alpha, tile_dtype=np.float32),
+                          hand_with_grad(y, w, alpha), grad_rel=1e-2)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("sigma", [0.5, 0.1])
+def test_two_half_leg_float32_tiles_match_float64(monkeypatch, sigma, shift):
+    # the clouds of test_two_half_leg_matches_reference, also 1e3 off the
+    # origin, which the float32 bands take centred
+    n = 600
+    cut = round(n * (1.0 - math.sqrt(0.5)))
+    rng = np.random.default_rng(65)
+    x = _cloud(rng, n, 3, 0.5) + shift
+    y = _cloud(rng, n, 2, 0.5) - shift
+    for i, j in ((2, cut - 1), (cut - 2, cut), (cut + 1, n - 1)):
+        x[j], y[j] = x[i], y[i]
+    y[cut - 3] = y[cut + 3]
+    v = rng.uniform(0.2, 2.0, n)
+    pieces = _pieces(monkeypatch)
+    _assert_float32_close(leg_with_grad(x, y, v, sigma, tile_dtype=np.float32),
+                          leg_with_grad(x, y, v, sigma))
+    assert pieces == [2, 2]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_few_point_leg_matches_reference(n):
     rng = np.random.default_rng(64 + n)
@@ -726,6 +795,28 @@ def test_upper_row_tiles_are_the_bands_on_and_right_of_the_diagonal(monkeypatch,
     for t, sq in tiles:
         assert np.array_equal(sq, want[t, t.start:])
         assert sq.size <= tile or len(sq) == 1
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_float32_row_tiles_hold_twice_the_elements(upper):
+    # the tile budget is in bytes: float64 tiles keep their sizes, float32
+    # tiles hold twice the rows, and their squared distances are those of
+    # the float32 difference tensor, bit for bit
+    rng = np.random.default_rng(81)
+    a = _cloud(rng, 512, 3)
+    a[7] = a[200]  # a coincident pair
+    b = a if upper else _cloud(rng, 512, 3)
+    sizes = {}
+    for dtype in (np.float64, np.float32):
+        ta, tb = a.astype(dtype), b.astype(dtype)
+        want = ref_sq_dists(ta, tb)
+        sizes[dtype] = []
+        for t, sq, scratch, (spare,) in geometry._row_tiles(ta, tb, 1, 2, upper=upper):
+            assert sq.dtype == scratch.dtype == spare.dtype == dtype
+            assert np.array_equal(sq, want[t, t.start if upper else 0:])
+            sizes[dtype].append(len(sq))
+    assert sizes[np.float64][0] == 2 * geometry._TILE_ELEMS // len(b)
+    assert sizes[np.float32][0] == 2 * sizes[np.float64][0]
 
 
 def test_row_tiles_of_no_rows_yield_nothing():

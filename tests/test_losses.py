@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcparam import losses
 from pcparam.geometry import TriangleMesh, modified_hausdorff_exact
 from pcparam.losses import (
     BoundAuditReport,
@@ -188,6 +189,54 @@ def test_hand_is_finite_up_to_the_alpha_bound_off_the_origin(shift):
     for alpha in (0.5 * bound, 0.999999 * bound):
         value, gy = hand_with_grad(y, w, alpha)
         assert np.isfinite(value) and np.isfinite(gy).all()
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float32_tiles_past_their_reach_run_float64():
+    # inputs past float32's reach take the float64 tiles and give their
+    # result bit for bit, with no warning: a tiny sigma (1 / sigma^2 is inf
+    # in float32, and -inf times the zero diagonal would be nan), clouds at
+    # 1e19 (their squared distances overflow float32) and at 1e-30 (theirs
+    # underflow), inverse factors at 1e20, and alpha D past float32's max
+    rng = np.random.default_rng(8)
+    x, y, w = rng.normal(size=(40, 3)), rng.normal(size=(40, 2)), rng.normal(size=(30, 2))
+    v = rng.uniform(0.5, 2.0, 40)
+    legs = [(x, y, v, 1e-20), (x * 1e19, y * 1e19, v, 0.5), (x, y * 1e19, v, 0.5),
+            (x * 1e-30, y * 1e-30, v, 1e-30), (x, y, v * 1e20, 0.5)]
+    for args in legs:
+        assert _same_bits(leg_with_grad(*args, tile_dtype=np.float32), leg_with_grad(*args))
+    alpha_past = 2.0 * float(np.finfo(np.float32).max) / _box_reach(y, w)
+    hands = [(y * 1e19, w * 1e19, 20.0), (y * 1e-30, w * 1e-30, 1e30), (y, w, alpha_past)]
+    for args in hands:
+        assert _same_bits(hand_with_grad(*args, tile_dtype=np.float32), hand_with_grad(*args))
+    # within the reach, the float32 tiles run
+    assert not _same_bits(leg_with_grad(x, y, v, 0.5, tile_dtype=np.float32),
+                          leg_with_grad(x, y, v, 0.5))
+    assert not _same_bits(hand_with_grad(y, w, 20.0, tile_dtype=np.float32),
+                          hand_with_grad(y, w, 20.0))
+
+
+def test_float32_tile_reach():
+    span = losses._FLOAT32_SPAN
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert losses._tile_dtype(np.float32, 1.0, span, 1.0 / span) == f32
+    for scales in ((1.0, 2.0 * span), (1.0 / (2.0 * span), 1.0), (math.inf,)):
+        assert losses._tile_dtype(np.float32, *scales) == f64
+    assert losses._tile_dtype(np.float64, 1.0) == f64
+    with pytest.raises(ValueError, match="tile_dtype must be float64 or float32"):
+        hand_with_grad([[0.0, 0.0]], [[1.0, 0.0]], 1.0, tile_dtype=np.float16)
+
+
+def test_exponent_floor_keeps_float32_products_normal():
+    # the product of two exponential factors at the floor, times the
+    # smallest other factor the reach admits, is still a normal float32,
+    # so no subnormal (slow) arithmetic follows from the clamped exponents
+    lowest = np.exp(np.float32(losses._EXP_FLOOR))
+    assert lowest * lowest * np.float32(1.0 / losses._FLOAT32_SPAN) >= np.finfo(np.float32).tiny
 
 
 def test_lambda_pair_values():
@@ -411,6 +460,19 @@ def test_total_is_weighted_sum_of_parts():
     assert bd.total == pytest.approx(
         5.0 * want_leg + 2.0 * want_hand + 0.5 * want_lm, rel=1e-13
     )
+
+
+def test_total_passes_float32_tiles_to_every_term():
+    x, y, v, w, rows, targets = _instance()
+    n = 10
+    cfg = ObjectiveConfig(beta1=5.0, beta2=2.0, beta3=0.5)
+    bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n,
+                              tile_dtype=np.float32)[0]
+    f32 = {"tile_dtype": np.float32}
+    assert bd.leg == leg_with_grad(x, y, v, SIGMA, **f32)[0] != leg_with_grad(x, y, v, SIGMA)[0]
+    assert bd.hand == hand_with_grad(y[:n], w, ALPHA, **f32)[0]
+    assert bd.landmark == landmark_energy_with_grad([y[rows[0]]], targets, ALPHA, **f32)[0]
+    assert bd.landmark != landmark_energy_with_grad([y[rows[0]]], targets, ALPHA)[0]
 
 
 def test_total_n_base_restricts_domain_term():

@@ -1,5 +1,6 @@
 """RMSprop update, stage schedule, and the staged training driver."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -231,6 +232,29 @@ def test_train_passes_the_scheduled_alpha_and_sigma_to_the_loss(monkeypatch):
         cfg = advance_stage(cfg, 8, 16)
     assert seen == want
     assert len(set(seen)) == 4  # alphas 2, 4 and 6 at sigma 0.4, then 6 at 0.4 / sqrt(2)
+
+
+@pytest.mark.parametrize("map_dtype, lambda_dtype, beta1, want", [
+    ("float32", "float32", 1.0, np.float32),
+    ("float32", "float64", 1.0, np.float64),
+    ("float64", "float32", 1.0, np.float64),
+    ("float32", "float64", 0.0, np.float32),  # beta1 = 0 makes no lambda net
+])
+def test_train_runs_float32_tiles_only_with_float32_nets(monkeypatch, map_dtype, lambda_dtype,
+                                                         beta1, want):
+    original = optimizer.total_loss_with_grad
+    seen = set()
+
+    def recording(*args, tile_dtype, **kwargs):
+        seen.add(tile_dtype)
+        return original(*args, tile_dtype=tile_dtype, **kwargs)
+
+    monkeypatch.setattr(optimizer, "total_loss_with_grad", recording)
+    train(_tiny_cloud(8), preset_domain("square"), **_tiny_kwargs(
+        objective=ObjectiveConfig(beta1=beta1, beta2=1.0, beta3=0.0),
+        map_spec=dataclasses.replace(_TINY_MAP, dtype=map_dtype),
+        lambda_spec=dataclasses.replace(_TINY_LAMBDA, dtype=lambda_dtype)))
+    assert seen == {want}
 
 
 def test_train_single_stage_when_batch_covers_cloud():
