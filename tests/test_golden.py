@@ -83,27 +83,27 @@ FROZEN_BUILD = {
 
 GOLDEN = {
     "landmark_2d": {
-        "log.csv": "d53652d7ee5108940bc19686aee4e927cb9e2594ba7f2a03448fa45ab98cf12d",
-        "mapped.csv": "403ac71f09bcedc03b6167ffc18b3fab61979043df669680d52a4737bada1db1",
-        "map.ckpt.json": "bfd8c9de1d65c6e3cd70c67a8af91bf69bd0a8da3c7aa6346e8f670b9df38adf",
-        "lambda.ckpt.json": "b329833f06073833781ca7a8a5b43adea64260cfc2880cacc4ee80e2c10f0d97",
+        "log.csv": "b153b16c0fe98cbef6723173c6fb2ba85b116a697376cc559a1581bde84c13dd",
+        "mapped.csv": "7647969b8c282dd84a9e36deafd76c946714c246652d89115613ed375624f9ae",
+        "map.ckpt.json": "e9cbfed1df62854f022d7dde85d9f5968f945456e714c62b3e8215f261ea9202",
+        "lambda.ckpt.json": "243a8581fe7f88bad1da421ab4bbd82fd05c8796dc4e6e97566af43b8b6a7d95",
     },
     "fixed_boundary_3d": {
-        "log.csv": "3f298b59a46a5c85af7f0f671c4455cbda3b2f0678582d95cf8b5d5b59a49135",
-        "mapped.csv": "928e0990e3e12a252c126fe8d4ac86cc5babb34b1a9a29541c2883d7a770f062",
-        "map.ckpt.json": "ee966f4f20a58f89785cdfeda67dfb207cb8be37794eab5e92e9aaa077acb183",
-        "lambda.ckpt.json": "8066fec8f4ca02323251af0ba8e25ab1069669dbdd8b66334e01da6d05bd2177",
+        "log.csv": "966c1f1e3cfd2cc77d8c5d74cb4c0b4005d28e978b848b53b094c16d026c394d",
+        "mapped.csv": "02fedaabad91ff5e584a35586ccfb8eed37142e83c86868c83f31982a670b984",
+        "map.ckpt.json": "970a2c9bd189e2cb2f806c95e93b03d662621b21bc7225e222316716dbacf805",
+        "lambda.ckpt.json": "2d2d61a1fbac69bef3a776cfca01add3111e970bdbd6f7c2518b5f722ac32113",
     },
 }
 
 GOLDEN_PARAMS = {
     "landmark_2d": {
-        "map.ckpt.json": "d6c796247b764667e13a99e279b394fb38d9479b5b9dba83ae61f77be8cf8bc1",
-        "lambda.ckpt.json": "812c0f743ae9af236d656b52822adbee66d5ae3d388b25440fdcc54ad0fae313",
+        "map.ckpt.json": "955cd413da7f78c395fbc5dd2d39eddee47c7e670f095dd81ddadc745f1839d9",
+        "lambda.ckpt.json": "037b768bc7eacb084c9e72362ff32048e7bbe569479a850fe8d72c37d21e2ae4",
     },
     "fixed_boundary_3d": {
-        "map.ckpt.json": "348740fad587acf3e4e89333a449e007d6c28bc5fc051bdad913be6e6e9f8da7",
-        "lambda.ckpt.json": "6b46d9e67510238dd0c3ec1e9aa46b069c50cb94f4c07977f666e90680c1c111",
+        "map.ckpt.json": "2f0352da006dd26542afb58022be9838888aaae44e45d3616a6f9423d9cd3110",
+        "lambda.ckpt.json": "bcd3c1400d7b3d1200459aace2a5e08e24a73f3d213e336b548f59880b2e42d9",
     },
 }
 
