@@ -7,7 +7,9 @@ together with its analytic gradients with respect to the mapped coordinates
 (and the inverse-conformal-factor values where relevant); callers that need
 only the value take element [0]. Gradients are exact derivatives of the
 implemented formulas; finite-difference agreement is enforced in the test
-suite.
+suite. The two dense energies do their per-pair element work in row tiles
+of float64, or of float32 on request (`tile_dtype`), where the inputs are
+within float32's reach; their values and gradients are float64 either way.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float,
     # each stays within the reach, so alpha times it is finite
     centre = np.minimum(y.min(axis=0), w.min(axis=0)) / 2 + np.maximum(
         y.max(axis=0), w.max(axis=0)) / 2
-    ones_w = np.vstack([np.ones(m), (w - centre).T]).astype(dt)  # [1, w] by columns
+    ones_w = np.vstack([np.ones(m), (w - centre).T]).astype(dt, copy=False)  # [1, w] by columns
     tile_y, tile_w = _centred(y, centre, dt), _centred(w, centre, dt)
     c = np.empty(m)  # the soft-min of each w point
 
@@ -286,7 +288,7 @@ def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float,
                 x = a * (v - ref)
                 _floor(x, dt)
                 s = np.exp(x) / e_sum
-                scaled = np.vstack([s * (1.0 + a * (v - ref)) * ones_w[:, t],
+                scaled = np.vstack([s * (1.0 + x) * ones_w[:, t],
                                     s * ones_w[:, t]]).astype(dt, copy=False)
                 # the rows' pair coefficients e ((1 + a v) / d - a), in e
                 np.divide((1.0 + a * v).astype(dt, copy=False)[:, None], d, out=d)
@@ -376,7 +378,7 @@ def leg_with_grad(
     reach, top = max(_box_reach(x, x), _box_reach(y, y)), float(v.max())
     dt = _tile_dtype(tile_dtype, reach, reach * reach, -neg_inv_s2,
                      reach * reach * -neg_inv_s2, top, top * top)
-    # the centres of the boxes
+    # float32 bands take each cloud about the middle of its box
     x, y = (_centred(p, p.min(axis=0) / 2 + p.max(axis=0) / 2, dt) for p in (x, y))
     v = v.astype(dt, copy=False)
     y_lhs, y_rhs = _diff_factors(y, y)
