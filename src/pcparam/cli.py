@@ -22,8 +22,8 @@ import numpy as np
 
 from . import io as pcio
 from .domains import PRESETS, Domain, load_domain, preset_domain
-from .geometry import (TriangleMesh, angle_distortion, hausdorff_exact as _chunked_hausdorff,
-                       sampling_gap_estimate)
+from .geometry import (TriangleMesh, _check_real, angle_distortion,
+                       hausdorff_exact as _chunked_hausdorff, sampling_gap_estimate)
 from .losses import ObjectiveConfig, audit_theorem_bound
 from .meshing import boundary_edges, delaunay, prune_long_faces, reconstruct_surface
 from .neural import default_lambda_spec, default_map_spec, forward, load_checkpoint, save_checkpoint
@@ -148,10 +148,14 @@ def load_run_config(path, out_dir_override=None) -> dict:
     cfg["mode"] = raw.get("mode", _DEFAULTS["mode"])
     if cfg["mode"] not in _MODE_ZEROS:
         raise ConfigError(f"mode must be one of {tuple(_MODE_ZEROS)}, got {cfg['mode']!r}")
-    seed = raw.get("seed", _DEFAULTS["seed"])
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    cfg["seed"] = seed
+    for name, least, want in (("seed", 0, "a non-negative integer"),
+                              ("domain_size", 1, "a positive integer"),
+                              ("eval_sample_size", 1, "a positive integer")):
+        cfg[name] = raw.get(name, _DEFAULTS[name])
+        try:
+            _check_real(name, cfg[name], lambda v: isinstance(v, int) and v >= least, want)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     domain = raw.get("domain", _DEFAULTS["domain"])
     if not isinstance(domain, dict):
@@ -180,11 +184,6 @@ def load_run_config(path, out_dir_override=None) -> dict:
     if "landmarks" in raw:
         cfg["landmarks"] = _validate_landmarks(raw["landmarks"])
 
-    for name in ("domain_size", "eval_sample_size"):
-        val = raw.get(name, _DEFAULTS[name])
-        if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
-            raise ConfigError(f"{name} must be a positive integer, got {val!r}")
-        cfg[name] = val
     mesh = raw.get("eval_mesh", _DEFAULTS["eval_mesh"])
     if mesh is not None and not isinstance(mesh, str):
         raise ConfigError(f"eval_mesh must be a path or null, got {mesh!r}")

@@ -10,6 +10,8 @@ implemented formulas; finite-difference agreement is enforced in the test
 suite. The two dense energies do their per-pair element work in row tiles
 of float64, or of float32 on request (`tile_dtype`), where the inputs are
 within float32's reach; their values and gradients are float64 either way.
+Both precisions run the same statements on centred clouds; only the reach
+(`_tile_dtype`) and the exponent floor of float32 tiles (`_floor`) differ.
 """
 
 from __future__ import annotations
@@ -156,13 +158,6 @@ def _floor(exponents: np.ndarray, dtype: np.dtype) -> None:
         np.maximum(exponents, _EXP_FLOOR, out=exponents)
 
 
-def _centred(points: np.ndarray, centre: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """The points as float32 tiles take them, centred and cast, so their
-    differences keep float32's precision; float64 tiles take them as they
-    are."""
-    return points if dtype == np.float64 else (points - centre).astype(dtype)
-
-
 # ---------------------------------------------------------------------------
 # smooth Hausdorff surrogate
 # ---------------------------------------------------------------------------
@@ -211,10 +206,10 @@ def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float,
     element work: distances, exponentials, pair coefficients and the
     matmuls on [1, w]. The per-point state, the weight sums, the references,
     the merge of the halves, the value and the gradient are float64 either
-    way. float32 tiles take the clouds centred on their common box, clamp
-    every exponent at `_EXP_FLOOR`, and run only where the box-allowed
-    largest distance D, D^2 and alpha D are within float32's reach
-    (`_tile_dtype`); elsewhere the float64 tiles run.
+    way. Both precisions take the clouds centred on their common box;
+    float32 tiles also clamp every exponent at `_EXP_FLOOR`, and run only
+    where the box-allowed largest distance D, D^2 and alpha D are within
+    float32's reach (`_tile_dtype`); elsewhere the float64 tiles run.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -230,12 +225,12 @@ def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float,
         )
     dt = _tile_dtype(tile_dtype, reach, reach * reach, a * reach)
     n, m, k = len(y), len(w), y.shape[1] + 1
-    # the sums take coordinates about the middle of the clouds' common box:
+    # the tiles take coordinates about the middle of the clouds' common box:
     # each stays within the reach, so alpha times it is finite
     centre = np.minimum(y.min(axis=0), w.min(axis=0)) / 2 + np.maximum(
         y.max(axis=0), w.max(axis=0)) / 2
-    ones_w = np.vstack([np.ones(m), (w - centre).T]).astype(dt, copy=False)  # [1, w] by columns
-    tile_y, tile_w = _centred(y, centre, dt), _centred(w, centre, dt)
+    tile_y, tile_w = ((p - centre).astype(dt, copy=False) for p in (y, w))
+    ones_w = np.vstack([np.ones(m, dt), tile_w.T])  # [1, w] by columns
     c = np.empty(m)  # the soft-min of each w point
 
     def tiles(lo: int, hi: int):
@@ -318,8 +313,7 @@ def hand_with_grad(y, w, alpha: float, *, tile_dtype=np.float64) -> tuple[float,
     grad = (w_sums[:k] - a * (b - ref) * w_sums[k:]) / np.exp(a * (c - ref)).sum()
     # the y points' scales bg(r) / r_sum times (1 + a r) / d - a
     grad += boltzmann_gradient(r, a) / r_sum * ((1.0 + a * r) * sums[:k] - a * sums[k:])
-    pull_y = y - centre if dt == np.float64 else tile_y.astype(np.float64)
-    return boltzmann(r, a) + b, _pull(grad.T, pull_y)
+    return boltzmann(r, a) + b, _pull(grad.T, tile_y.astype(np.float64, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +347,11 @@ def leg_with_grad(
     its own gradients, and the halves are added half 0 first.
 
     tile_dtype (float64 or float32) is the precision of the bands' element
-    work: distances, affinities, lambda and the matmuls on [1, y]. The sums
-    across rows, the value and the gradients are float64 either way. float32
-    bands take each cloud centred on its box, clamp every exponent at
-    `_EXP_FLOOR`, and run only where the larger box-allowed largest
+    work: distances, affinities, lambda, the matmuls on [1, y] and the dots
+    of each row's mismatches; the sums of those dots and of the rows, the
+    value and the gradients are float64 either way. Both precisions take
+    each cloud centred on its box; float32 bands also clamp every exponent
+    at `_EXP_FLOOR`, and run only where the larger box-allowed largest
     distance D of the two clouds, D^2, 1 / sigma^2, D^2 / sigma^2, the
     largest inverse factor and its square are within float32's reach
     (`_tile_dtype`); elsewhere the float64 bands run.
@@ -378,8 +373,9 @@ def leg_with_grad(
     reach, top = max(_box_reach(x, x), _box_reach(y, y)), float(v.max())
     dt = _tile_dtype(tile_dtype, reach, reach * reach, -neg_inv_s2,
                      reach * reach * -neg_inv_s2, top, top * top)
-    # float32 bands take each cloud about the middle of its box
-    x, y = (_centred(p, p.min(axis=0) / 2 + p.max(axis=0) / 2, dt) for p in (x, y))
+    # both precisions take each cloud about the middle of its box
+    x, y = ((p - (p.min(axis=0) / 2 + p.max(axis=0) / 2)).astype(dt, copy=False)
+            for p in (x, y))
     v = v.astype(dt, copy=False)
     y_lhs, y_rhs = _diff_factors(y, y)
     v_lhs, v_rhs = _diff_factors(v[:, None], -v[:, None])  # v_i - (-v_j)
@@ -413,11 +409,9 @@ def leg_with_grad(
                 np.exp(hy, out=hy)
                 e -= hy
                 block = e[:, :side]
-                if dt == np.float64:
-                    value += 2.0 * float(np.vdot(e, e)) - float(np.einsum("ij,ij->", block, block))
-                else:  # float32 dots of one row each, added in float64
-                    value += (2.0 * float(np.vecdot(e, e).sum(dtype=np.float64))
-                              - float(np.vecdot(block, block).sum(dtype=np.float64)))
+                # dots of one row each, added in float64
+                value += (2.0 * float(np.vecdot(e, e).sum(dtype=np.float64))
+                          - float(np.vecdot(block, block).sum(dtype=np.float64)))
                 # with p = 4 e hy and both orders of each pair:
                 # d value / d y_i = sum_j 2 p (y_i - y_j) / (n^2 s2 lam^2),
                 # d value / d v_i = sum_j 2 p sqy / (n^2 s2 lam)

@@ -22,8 +22,8 @@ can differ between CPUs with and without AVX2/FMA3. forward() on a float32
 net refuses rows on which some layer could reach half the largest float32
 (1.70141e38), bounding each layer from the largest input, the column sums
 of |weights|, the biases and omega; with the default 3-D init at omega 1
-that admits inputs up to about 4e37. backward() refuses a float32 gradient
-that left float32's range. The default specs are float32; the
+that admits inputs up to about 4e37. backward() raises FloatingPointError
+on a gradient that left its dtype's range. The default specs are float32; the
 finite-difference checks and the bit-exact tests run float64 specs.
 
 A checkpoint is one line of JSON, {"version": 2, "spec": {...}, "params":
@@ -259,8 +259,8 @@ def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
     net forward once. Training moves only the parameters, so no gradient in
     the inputs is formed. Each piece of the rows runs back through its own
     tape, as forward() cut them; the gradient is half 0's plus half 1's.
-    The layer loop runs in spec.dtype and the gradient is float64; a
-    float32 loop that overflowed is refused.
+    The layer loop runs in spec.dtype and the gradient is float64; a loop
+    that overflowed spec.dtype is refused with a FloatingPointError.
     """
     dims = spec.layer_dims
     if not tape or [len(t) for t in tape] != [len(dims)] * len(tape):
@@ -274,10 +274,10 @@ def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
         return _backward_rows(spec, tape[1 if lo else 0], ct[lo:hi])
 
     grads = _halves.split(half, n, _widest(spec))
-    if spec.dtype == "float32" and not all(np.isfinite(g).all() for g in grads):
-        raise ValueError(
-            f"the float32 gradient left float32's range (magnitude up to "
-            f"{float(np.finfo(np.float32).max):g}) on output cotangents of magnitude up to "
+    if not all(np.isfinite(g).all() for g in grads):
+        raise FloatingPointError(
+            f"the {spec.dtype} gradient left {spec.dtype}'s range (magnitude up to "
+            f"{float(np.finfo(spec.dtype).max):g}) on output cotangents of magnitude up to "
             f"{float(np.abs(ct).max(initial=0.0)):g}"
         )
     grad, *rest = grads
@@ -294,10 +294,9 @@ def _backward_rows(spec: NetworkSpec, tape: list, ct) -> np.ndarray:
     o = len(grad)
     if spec.output_activation == "softplus":  # the head is float64
         ct = ct * _sigmoid(tape[-1][2].astype(np.float64, copy=False))
-    # a float32 overflow leaves inf or NaN in the gradient, which backward()
+    # an overflow leaves inf or NaN in the gradient, which backward()
     # refuses, so it need not warn here
-    quiet = {"over": "ignore", "invalid": "ignore"} if spec.dtype == "float32" else {}
-    with np.errstate(**quiet):
+    with np.errstate(over="ignore", invalid="ignore"):
         dz = ct.astype(spec.dtype, copy=False)
         for li in range(len(dims) - 1, -1, -1):
             w, a, _ = tape[li]

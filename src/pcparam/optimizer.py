@@ -89,10 +89,15 @@ def rmsprop_step(
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ValueError(f"grad shape {grad.shape} != params shape {params.shape}")
-    bad = ~np.isfinite(grad)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise FloatingPointError(f"non-finite gradient at parameter index {idx}")
+    # v averages g^2: a gradient that is not finite, or whose square (twice
+    # it, for the rounding of the average) overflows, is refused
+    top = float(np.abs(grad).max(initial=0.0))
+    if not math.isfinite(2.0 * top * top):
+        with np.errstate(over="ignore"):
+            idx = int(np.flatnonzero(~np.isfinite(2.0 * grad * grad))[0])
+        raise FloatingPointError(
+            f"gradient {grad[idx]:g} at parameter index {idx} is not finite or its square overflows"
+        )
     out = np.empty(params.shape)
 
     def half(lo: int, hi: int) -> None:

@@ -331,6 +331,7 @@ def test_print_effective_config_of_a_minimal_config(tmp_path, capsys, dim):
     pytest.param({"stage": {"epochs": True}}, id="epochs-true"),
     pytest.param({"stage": {"sigma": "0.5"}}, id="sigma-string"),
     pytest.param({"stage": {"sigma": 10**400}}, id="sigma-past-the-float-range"),
+    pytest.param({"seed": 10**400}, id="seed-past-the-float-range"),
     # shape matching forces beta1 = 0, so `fit` trains no lambda net, but the
     # effective config prints its section
     pytest.param({"mode": "shape_matching", "lambda_net": {"omega": 0}},
@@ -424,6 +425,21 @@ def test_fit_huge_input_cloud_exits_2_with_message(tmp_path, caplog):
     assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
     assert "input coordinates reach magnitude" in caplog.text
     assert not (tmp_path / "o" / "log.csv").exists()
+
+
+def test_fit_gradient_overflow_exits_1_naming_the_batch(tmp_path):
+    # a float32 gradient past float32's range is a numeric failure of the run,
+    # reported with its stage, epoch and batch, not a config error
+    cloud = tmp_path / "cloud.csv"
+    save_cloud(cloud, np.random.default_rng(0).uniform(0.1, 0.9, (40, 3)))
+    cfg = _tiny_config(cloud, tmp_path / "o", objective={"beta1": 1.0, "beta2": 1e300},
+                       domain_size=64)
+    cfg["stage"].update(batch_points=32, batch_domain=32)
+    proc = _run_pcparam("fit", "--config", _write_config(tmp_path / "c.json", cfg))
+    assert proc.returncode == 1, proc.stderr
+    assert ("runtime failure: stage 1 epoch 1 batch 0: the float32 gradient left float32's "
+            "range") in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])

@@ -225,9 +225,16 @@ def test_float32_forward_refuses_inputs_past_float32_range():
         tape = []
         assert np.isfinite(forward(spec, params, x, tape=tape)).all()
         assert np.isfinite(backward(spec, tape, np.ones((64, 2)))).all()
-        # a gradient past float32's range is refused, not left inf or NaN
-        with pytest.raises(ValueError, match=r"float32 gradient left float32's range"):
-            backward(spec, tape, np.full((64, 2), 1e6))
+        # a gradient past its dtype's range is refused, not left inf or NaN,
+        # in float32 and in float64 alike
+        for net, ct, top in [(spec, 1e6, r"3\.40282e\+38"),
+                             (dataclasses.replace(spec, dtype="float64"), 1e300,
+                              r"1\.79769e\+308")]:
+            tape = []
+            forward(net, params, x, tape=tape)
+            with pytest.raises(FloatingPointError, match=rf"the {net.dtype} gradient left "
+                                                         rf"{net.dtype}'s range \(magnitude up to {top}\)"):
+                backward(net, tape, np.full((64, 2), ct))
 
 
 def test_checkpoint_round_trip(tmp_path):

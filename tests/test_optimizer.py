@@ -85,6 +85,11 @@ def test_rmsprop_rejects_bad_gradients():
         rmsprop_step(np.zeros(2), np.zeros(3), state, cfg)
     with pytest.raises(FloatingPointError, match="index 1"):
         rmsprop_step(np.zeros(2), np.array([0.0, np.nan]), state, cfg)
+    # a finite gradient whose square overflows v is refused too, before the
+    # state moves and without an overflow warning
+    with pytest.raises(FloatingPointError, match="gradient -1e\\+160 at parameter index 1"):
+        rmsprop_step(np.zeros(2), np.array([1.0, -1e160]), state, cfg)
+    assert not state.v.any() and not state.m.any()
 
 
 def test_rmsprop_config_validation():
@@ -412,6 +417,15 @@ def test_train_diverging_run_raises_training_error():
             stage=StageConfig(epochs=4, batch_points=8, batch_domain=8,
                               epochs_min=1),
         ))
+
+
+def test_train_float64_gradient_overflow_names_the_batch():
+    # at beta2 = 1e300 the float64 gradients stay finite, but their squares
+    # overflow RMSprop's average: the step refuses them, and train names the batch
+    with pytest.raises(TrainingError, match=r"^stage 1 epoch 1 batch 0: gradient \S+ at "
+                                            r"parameter index \d+ is not finite or its square"):
+        train(_tiny_cloud(8), preset_domain("square"), **_tiny_kwargs(
+            objective=ObjectiveConfig(beta1=1.0, beta2=1e300, beta3=0.0)))
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200])
