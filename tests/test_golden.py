@@ -109,27 +109,27 @@ GOLDEN_PARAMS = {
 
 GOLDEN_FLOAT64 = {
     "landmark_2d": {
-        "log.csv": "c4d68b5ad1c667eaaaa197d75337372e8a097d9e92b163eddf789bbecb4f5f75",
-        "mapped.csv": "d7388601858e80e06084bcde2fa0035269c070d67fdcefcf0b285c030fe84a05",
-        "map.ckpt.json": "937847aa6fc2d43326e9da6f4ed0b74349a0e11016dd91f5198f8209bc150365",
-        "lambda.ckpt.json": "4e15adb103fbc49298a29c85e345b1b814f90c8dece01b8b77ebd01f31e40f71",
+        "log.csv": "63a1568ea9ed4bc59859575234d6ef8be959178c6144fc6aa699955b0e2a05bd",
+        "mapped.csv": "553f69b56b787597902c6d2fa3e75f49777bf187aaee9083b05b012fe3f2bd13",
+        "map.ckpt.json": "c95b59114a069b5a21718c142d3237fb548202f3b40cc1323d9b0a234a755c72",
+        "lambda.ckpt.json": "fb191bdbd076f032038a80057e9ba69ebac3614a0f8241d9227c00552150955d",
     },
     "fixed_boundary_3d": {
-        "log.csv": "b65661604ec350597cce4b70c6fe5dfeeb68d701aa6db4761dfe09487e087958",
-        "mapped.csv": "e78bdeff98832dab179b98227f7e2c1e742f7254db10913f8a9b19881d8eb5b9",
-        "map.ckpt.json": "55a4ebada574e986bbce7b223e3c83138aa5f5f41b98c9209079273a546eac47",
-        "lambda.ckpt.json": "376b54ca8d3656754607f5a4040b57b2686f6421f2721115150a90c599c3590a",
+        "log.csv": "df078b8e99768b7f66c1c91b54a18190aac2fa76ec828cb1e153f47821ce91a2",
+        "mapped.csv": "9d359e4741d8f397e3093f45d584b18fdc0e30455e2799ae36a130e6089a0c09",
+        "map.ckpt.json": "0b06d3d20c4d966ebb3ed05227a0f8b117353d6b65ff724445ef9c304f4da73f",
+        "lambda.ckpt.json": "05291876d3c8be063c0281406720e0ca1c3a9fc937c70e251a22adce57f0d7f4",
     },
 }
 
 GOLDEN_PARAMS_FLOAT64 = {
     "landmark_2d": {
-        "map.ckpt.json": "ed5a2ab21540fbe8fc8e7c35a4aff60904dfaf6c89f4d673d1ea5d33fecb2dce",
-        "lambda.ckpt.json": "82a06292057de67b81789d9357ea57438fce8ec78c0e7df26024047a40e47ddc",
+        "map.ckpt.json": "94d12f93efd87e63ebc272ab88c5e8500cc2718fedbb147548ff07cd144b0396",
+        "lambda.ckpt.json": "43696e50a32be7713392b8da809e8c5959a3cb4a1c52ce9f1b35d265b9f8c375",
     },
     "fixed_boundary_3d": {
-        "map.ckpt.json": "4f76dcffb1178c39898c51b6b32b43a3c165c9be659db89555fec7b2b1211ff3",
-        "lambda.ckpt.json": "7ce36407d35b14338bcfa500757977d34f210d5fed17982242d60aaace99bc57",
+        "map.ckpt.json": "f0fd02695edebeae3f9a1bf4bd2bb47f53c987ae18c313e9142cb6d10bc52021",
+        "lambda.ckpt.json": "a27d1cf786a9ce226a82e6135fe971d6d90e76dcf83f07ab87c3a96c3de9ff9f",
     },
 }
 
