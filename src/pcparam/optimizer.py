@@ -90,8 +90,9 @@ def rmsprop_step(
     if grad.shape != params.shape:
         raise ValueError(f"grad shape {grad.shape} != params shape {params.shape}")
     # v averages g^2: a gradient that is not finite, or whose square (twice
-    # it, for the rounding of the average) overflows, is refused
-    top = float(np.abs(grad).max(initial=0.0))
+    # it, for the rounding of the average) overflows, is refused; a NaN
+    # makes both extremes NaN
+    top = max(float(grad.max(initial=0.0)), -float(grad.min(initial=0.0)))
     if not math.isfinite(2.0 * top * top):
         with np.errstate(over="ignore"):
             idx = int(np.flatnonzero(~np.isfinite(2.0 * grad * grad))[0])
