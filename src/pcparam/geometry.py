@@ -168,10 +168,14 @@ def _check_coord_bound(points: np.ndarray, what: str) -> None:
 
 
 def _same_dim_clouds(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two clouds of one dimension, both within the coordinate bound: every
+    caller forms squared distances between them."""
     a = as_cloud(a)
     b = as_cloud(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    _check_coord_bound(a, "first cloud's")
+    _check_coord_bound(b, "second cloud's")
     return a, b
 
 

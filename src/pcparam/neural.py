@@ -18,13 +18,14 @@ the parameters, the optimizer state and the losses stay float64. On numpy
 2.4 (x86-64, AVX-512) float32 sin on a 1024 x 256 array takes about
 0.3 ms against about 6 ms for float64, which takes the scalar libm path.
 numpy picks its float32 sin and cos loops by CPU feature, so float32 bits
-can differ between CPUs with and without AVX2/FMA3. forward() on a float32
-net refuses rows on which some layer could reach half the largest float32
-(1.70141e38), bounding each layer from the largest input, the column sums
-of |weights|, the biases and omega; with the default 3-D init at omega 1
-that admits inputs up to about 4e37. backward() raises FloatingPointError
-on a gradient that left its dtype's range. The default specs are float32; the
-finite-difference checks and the bit-exact tests run float64 specs.
+can differ between CPUs with and without AVX2/FMA3. Both passes check what
+they produced rather than bound it in advance: forward() refuses a pass
+whose output head's pre-activation is not finite, which an inf or NaN in
+any layer reaches, and backward() one whose gradient is not finite, each
+with a FloatingPointError in either dtype. An input the dtype cannot hold,
+past the largest float32 on a float32 net, is a ValueError before the
+pass. The default specs are float32; the finite-difference checks and the
+bit-exact tests run float64 specs.
 
 A checkpoint is one line of JSON, {"version": 2, "spec": {...}, "params":
 "..."}, with params the base64 text of the flat vector's little-endian
@@ -66,11 +67,6 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 _DTYPES = ("float64", "float32")
-
-# a float32 layer loop refuses a pass that could form a value of this
-# magnitude or more: half the largest float32, which leaves room for the
-# rounding of any matmul sum shorter than 2**22 terms
-_FLOAT32_LIMIT = float(np.finfo(np.float32).max) / 2
 
 
 def _is_size(value) -> bool:
@@ -164,36 +160,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_inputs(spec: NetworkSpec, inputs) -> np.ndarray:
-    """The inputs as finite float64 (n, input_dim) rows."""
+    """The inputs as (n, input_dim) rows of spec.dtype, each value finite
+    in it: a float32 net refuses an input past the largest float32, where
+    the cast alone would overflow."""
     a = np.asarray(inputs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise ValueError(f"inputs must be (n, {spec.input_dim}), got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("inputs contain non-finite values")
-    return a
+    biggest, top = float(np.abs(a).max(initial=0.0)), float(np.finfo(spec.dtype).max)
+    if not biggest <= top:
+        raise ValueError(
+            f"inputs reach magnitude {biggest:g}, past the largest {spec.dtype} ({top:g})"
+        )
+    return a.astype(spec.dtype, copy=False)
 
 
-def _check_float32_reach(spec: NetworkSpec, layers, a: np.ndarray) -> None:
-    """Refuse a float32 pass of these float64 layers over rows `a` that
-    could leave float32's range. A layer whose inputs stay within `reach`
-    forms values within reach * (largest column sum of |w|) + max |b|,
-    times omega on a hidden layer; sin keeps the next layer's inputs within
-    1. `reach` starts at 1 or more, so a weight or bias past the limit is
-    refused whatever the inputs."""
-    biggest = float(np.abs(a).max(initial=0.0))
-    reach = max(1.0, biggest)
-    last = len(layers) - 1
-    for li, (w, b) in enumerate(layers):
-        peak = reach * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max())
-        if li < last:
-            peak *= max(spec.omega, 1.0)  # before and after the omega scaling
-        if not peak < _FLOAT32_LIMIT:
-            raise ValueError(
-                f"a float32 network keeps its layer values below {_FLOAT32_LIMIT:g}, half "
-                f"the largest float32; on inputs of magnitude up to {biggest:g} layer {li} "
-                f"could reach {peak:g}"
-            )
-        reach = 1.0
+def _overflow(spec: NetworkSpec, what: str, values, name: str) -> FloatingPointError:
+    """The refusal of a pass whose `what` left spec.dtype's range, naming
+    the largest magnitude of the `values` that went in."""
+    return FloatingPointError(
+        f"the {spec.dtype} {what} left {spec.dtype}'s range (magnitude up to "
+        f"{float(np.finfo(spec.dtype).max):g}) on {name} of magnitude up to "
+        f"{float(np.abs(values).max(initial=0.0)):g}"
+    )
 
 
 def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> np.ndarray:
@@ -204,20 +194,26 @@ def forward(spec: NetworkSpec, params, inputs, *, tape: list | None = None) -> n
     its contents are replaced by what backward() needs of this pass: one
     tape per piece, holding per layer the weights, the layer's input rows
     and its pre-activation (scaled by omega on hidden layers), all in
-    spec.dtype. The output is float64 whatever the dtype.
+    spec.dtype. The output is float64 whatever the dtype; a pass whose
+    head's pre-activation is not finite raises FloatingPointError.
     """
     layers = _unpack(spec, params)
     a = _check_inputs(spec, inputs)
-    if spec.dtype == "float32":
-        _check_float32_reach(spec, layers, a)
-        layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in layers]
-        a = a.astype(np.float32)
     out = np.empty((len(a), spec.output_dim))
 
     def half(lo: int, hi: int) -> list | None:
         return _forward_rows(spec, layers, a[lo:hi], out[lo:hi], tape is not None)
 
-    parts = _halves.split(half, len(a), _widest(spec))
+    # an overflow leaves inf or NaN in the head's pre-activation, which is
+    # refused below, so it need not warn here
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers = [(w.astype(spec.dtype, copy=False), b.astype(spec.dtype, copy=False))
+                  for w, b in layers]
+        parts = _halves.split(half, len(a), _widest(spec))
+    if not np.isfinite(out).all():
+        raise _overflow(spec, "pass", a, "inputs")
+    if spec.output_activation == "softplus":  # in float64
+        out = softplus(out)
     if tape is not None:
         tape[:] = parts
     return out
@@ -229,23 +225,18 @@ def _widest(spec: NetworkSpec) -> int:
 
 
 def _forward_rows(spec: NetworkSpec, layers, a, out, keep: bool) -> list | None:
-    """The layer loop over some rows into `out`; their tape if `keep`."""
+    """The layer loop over some rows, the head's pre-activation into `out`;
+    their tape if `keep`."""
     tape = [] if keep else None
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
         z = a @ w
         z += b
-        if li < last:
-            if spec.omega != 1.0:
-                z *= spec.omega
-            nxt = np.sin(z)
-        elif spec.output_activation == "softplus":
-            nxt = softplus(z)  # in float64
-        else:
-            nxt = z
+        if li < last and spec.omega != 1.0:
+            z *= spec.omega
         if keep:
             tape.append((w, a, z))
-        a = nxt
+        a = np.sin(z) if li < last else z
     out[...] = a
     return tape
 
@@ -275,11 +266,7 @@ def backward(spec: NetworkSpec, tape: list, output_cotangent) -> np.ndarray:
 
     grads = _halves.split(half, n, _widest(spec))
     if not all(np.isfinite(g).all() for g in grads):
-        raise FloatingPointError(
-            f"the {spec.dtype} gradient left {spec.dtype}'s range (magnitude up to "
-            f"{float(np.finfo(spec.dtype).max):g}) on output cotangents of magnitude up to "
-            f"{float(np.abs(ct).max(initial=0.0)):g}"
-        )
+        raise _overflow(spec, "gradient", ct, "output cotangents")
     grad, *rest = grads
     for g in rest:
         grad += g

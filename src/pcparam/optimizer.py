@@ -208,7 +208,21 @@ class TrainResult:
 
 
 class TrainingError(RuntimeError):
-    """Raised when a loss or gradient goes non-finite, naming the batch."""
+    """Raised when a step of a fit overflows, naming its stage, epoch and
+    batch, or the stage-end evaluation does, naming its stage: any
+    FloatingPointError of a network pass, the loss or an RMSprop step."""
+
+
+def _check_mapped(mapped: np.ndarray) -> np.ndarray:
+    """The mapped cloud, refused as an overflow past the coordinate bound,
+    where every squared distance downstream overflows."""
+    worst = float(np.abs(mapped).max())
+    if not worst < _COORD_BOUND:
+        raise FloatingPointError(
+            f"mapped coordinates diverged (max magnitude {worst:g}, past the bound "
+            f"{_COORD_BOUND:g})"
+        )
+    return mapped
 
 
 def _flatten_landmarks(landmarks, n_points: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -374,44 +388,27 @@ def train(
                     x_batch = x[rows]
                     w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
 
-                    map_tape: list = []
-                    mapped = forward(map_spec, map_params, x_batch, tape=map_tape)
-                    # coordinates past the bound overflow every squared distance
-                    # downstream, which would surface as a cryptic validation
-                    # error deep inside the loss; report the divergence here
-                    worst = float(np.abs(mapped).max())
-                    if not (worst < _COORD_BOUND):
-                        raise TrainingError(
-                            f"stage {stage_idx} epoch {epoch} batch {bi}: mapped "
-                            f"coordinates diverged (max magnitude {worst:g})"
-                        )
-                    lambda_tape: list = []
-                    if use_lambda:
-                        lam_inv = forward(
-                            lambda_spec, lambda_params, x_batch, tape=lambda_tape
-                        ).ravel()
-                        if not np.isfinite(lam_inv).all():
-                            raise TrainingError(
-                                f"stage {stage_idx} epoch {epoch} batch {bi}: "
-                                "inverse factors diverged"
-                            )
-                        # a strongly negative pre-activation underflows softplus
-                        # to exact zero; floor at the smallest positive normal so
-                        # a coincident pair of such points cannot zero a pair sum
-                        np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
-                    else:
-                        lam_inv = None
-                    breakdown, g_mapped, g_v = total_loss_with_grad(
-                        x_batch, mapped, lam_inv, w, landmark_rows, targets,
-                        objective, alpha, stage_cfg.sigma, n_base=len(chunk),
-                        tile_dtype=tile_dtype,
-                    )
-                    if not np.isfinite(breakdown.total):
-                        raise TrainingError(
-                            f"stage {stage_idx} epoch {epoch} batch {bi}: "
-                            f"loss is {breakdown.total}"
-                        )
                     try:
+                        map_tape: list = []
+                        mapped = _check_mapped(
+                            forward(map_spec, map_params, x_batch, tape=map_tape))
+                        lambda_tape: list = []
+                        lam_inv = None
+                        if use_lambda:
+                            lam_inv = forward(
+                                lambda_spec, lambda_params, x_batch, tape=lambda_tape
+                            ).ravel()
+                            # a strongly negative pre-activation underflows softplus
+                            # to exact zero; floor at the smallest positive normal so
+                            # a coincident pair of such points cannot zero a pair sum
+                            np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
+                        breakdown, g_mapped, g_v = total_loss_with_grad(
+                            x_batch, mapped, lam_inv, w, landmark_rows, targets,
+                            objective, alpha, stage_cfg.sigma, n_base=len(chunk),
+                            tile_dtype=tile_dtype,
+                        )
+                        if not np.isfinite(breakdown.total):
+                            raise FloatingPointError(f"loss is {breakdown.total}")
                         g_map = backward(map_spec, map_tape, g_mapped)
                         map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
                         if use_lambda:
@@ -427,11 +424,10 @@ def train(
                     if batch_callback is not None:
                         batch_callback(stage_idx, epoch, bi, breakdown)
 
-            mapped_all = forward(map_spec, map_params, x)
-            if not np.isfinite(mapped_all).all():
-                raise TrainingError(
-                    f"stage {stage_idx}: mapped coordinates diverged at evaluation"
-                )
+            try:
+                mapped_all = _check_mapped(forward(map_spec, map_params, x))
+            except FloatingPointError as exc:
+                raise TrainingError(f"stage {stage_idx} evaluation: {exc}") from exc
             eval_h = _chunked_hausdorff(mapped_all, w_eval)
             eval_angle = None
             if eval_mesh is not None:

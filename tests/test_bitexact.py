@@ -983,6 +983,14 @@ EXTREMA_CASES = {
 def _assert_extrema_exact(a, b):
     want = ref_row_min_sq(a, b)
     assert np.array_equal(geometry._row_min_sq(a, b), want)
+    if max(np.abs(a).max(), np.abs(b).max()) >= geometry._COORD_BOUND:
+        # the grid stays exact there, but the public extrema refuse clouds
+        # past the coordinate bound, naming it
+        assert np.array_equal(geometry._row_min_sq(b, a), ref_row_min_sq(b, a))
+        for extremum in (hausdorff_exact, modified_hausdorff_exact, sampling_gap_estimate):
+            with pytest.raises(ValueError, match=r"must stay below 1e\+150"):
+                extremum(b, a)
+        return
     t_ab = float(np.sqrt(want.max()))
     t_ba = float(np.sqrt(ref_row_min_sq(b, a).max()))
     assert hausdorff_exact(a, b) == max(t_ab, t_ba)

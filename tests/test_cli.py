@@ -442,6 +442,17 @@ def test_fit_gradient_overflow_exits_1_naming_the_batch(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_fit_float32_divergence_exits_1_naming_the_batch(tmp_path, tiny_cloud_csv):
+    # the diverged float32 weights overflow the next pass: a numeric failure
+    # of the run, not a config error
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o", optimizer={"learning_rate": 1e200})
+    proc = _run_pcparam("fit", "--config", _write_config(tmp_path / "c.json", cfg))
+    assert proc.returncode == 1, proc.stderr
+    assert re.search(r"runtime failure: stage 1 epoch \d+ batch \d+: the float32 pass left "
+                     r"float32's range", proc.stderr)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])
 @pytest.mark.parametrize("name", ["sigma", "sigma_min"])
 def test_fit_sigma_with_overflowing_gradient_scale_exits_2(tmp_path, tiny_cloud_csv, name, sigma):
@@ -711,6 +722,20 @@ def test_reconstruct_past_the_coordinate_bound_exits_1(tmp_path, identity_setup)
     assert "below 1e+150" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x.obj").exists()
+
+
+def test_eval_past_the_coordinate_bound_exits_1(tmp_path, identity_setup):
+    # the exact extrema form squared distances, which overflow past the bound
+    ckpt = tmp_path / "huge.ckpt.json"
+    save_checkpoint(ckpt, NetworkSpec(2, (), 2), np.array([1e200, 0.0, 0.0, 1e200, 0.0, 0.0]))
+    proc = _run_pcparam("eval", "--checkpoint", str(ckpt),
+                        "--input", str(identity_setup["cloud"]), "--sample-size", "64",
+                        "--out-dir", str(tmp_path / "e"))
+    assert proc.returncode == 1
+    assert "coordinates reach magnitude 1e+200" in proc.stderr
+    assert "below 1e+150" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "e" / "metrics.csv").exists()
 
 
 def test_reconstruct_refused_allocation_exits_1(tmp_path, identity_setup):

@@ -15,7 +15,6 @@ from pcparam.losses import (
     ObjectiveConfig,
     audit_theorem_bound,
     hand_with_grad,
-    landmark_energy_with_grad,
     leg_with_grad,
     total_loss_with_grad,
 )
@@ -395,9 +394,20 @@ def test_leg_shape_mismatch_errors():
 # ---------------------------------------------------------------------------
 
 
+def _landmark_term(clouds, targets, alpha, **kw):
+    """The landmark term of total_loss_with_grad, and its gradient in each
+    landmark cloud, with the clouds stacked as the mapped batch."""
+    rows = np.cumsum([0] + [len(c) for c in clouds])
+    y = np.concatenate([np.asarray(c, dtype=np.float64) for c in clouds]).reshape(-1, 2)
+    cfg = ObjectiveConfig(beta1=0.0, beta2=0.0, beta3=1.0)
+    bd, g, _ = total_loss_with_grad(np.zeros((len(y), 3)), y, None, None,
+                                    [np.arange(a, b) for a, b in zip(rows, rows[1:])],
+                                    targets, cfg, alpha, SIGMA, **kw)
+    return bd.landmark, [g[a:b] for a, b in zip(rows, rows[1:])]
+
+
 def test_landmark_energy_frozen_singletons():
-    alpha = 4.0
-    got = landmark_energy_with_grad([[[0.0, 0.0]]], [[[3.0, 0.0]]], alpha)[0]
+    got = _landmark_term([[[0.0, 0.0]]], [[[3.0, 0.0]]], 4.0)[0]
     assert got == 6.0  # twice the distance for singleton clouds
 
 
@@ -405,15 +415,18 @@ def test_landmark_energy_sums_pairs():
     alpha = 4.0
     m1, q1 = [[0.0, 0.0]], [[3.0, 0.0]]
     m2, q2 = [[1.0, 1.0], [2.0, 2.0]], [[1.0, 1.0]]
-    total = landmark_energy_with_grad([m1, m2], [q1, q2], alpha)[0]
-    want = hand_with_grad(m1, q1, alpha)[0] + hand_with_grad(m2, q2, alpha)[0]
-    assert total == pytest.approx(want, rel=1e-15)
-    assert landmark_energy_with_grad([], [], alpha)[0] == 0.0
+    total = _landmark_term([m1, m2], [q1, q2], alpha)[0]
+    assert total == hand_with_grad(m1, q1, alpha)[0] + hand_with_grad(m2, q2, alpha)[0]
+    # no landmark regions: the term is zero
+    cfg = ObjectiveConfig(beta1=0.0, beta2=0.0, beta3=1.0)
+    assert total_loss_with_grad(np.zeros((2, 3)), m2, None, None, [], [], cfg,
+                                alpha, SIGMA)[0].landmark == 0.0
 
 
 def test_landmark_energy_list_mismatch():
-    with pytest.raises(ValueError):
-        landmark_energy_with_grad([[[0.0, 0.0]]], [], 20.0)
+    with pytest.raises(ValueError, match="1 landmark row lists vs 0 targets"):
+        total_loss_with_grad(np.zeros((1, 3)), [[0.0, 0.0]], None, None, [[0]], [],
+                             ObjectiveConfig(beta1=0.0, beta2=0.0), 20.0, SIGMA)
 
 
 def test_landmark_energy_gradients():
@@ -421,11 +434,13 @@ def test_landmark_energy_gradients():
     alpha = 5.0
     m = [rng.normal(0, 1, (4, 2)), rng.normal(0, 1, (3, 2))]
     q = [rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (3, 2))]
-    _, grads = landmark_energy_with_grad(m, q, alpha)
+    _, grads = _landmark_term(m, q, alpha)
     for k in range(2):
+        np.testing.assert_array_equal(grads[k], hand_with_grad(m[k], q[k], alpha)[1])
+
         def f(p, k=k):
             clouds = [p if i == k else m[i] for i in range(2)]
-            return landmark_energy_with_grad(clouds, q, alpha)[0]
+            return _landmark_term(clouds, q, alpha)[0]
 
         assert _rel_err(grads[k], _fd_grad(f, m[k])) < 1e-6
 
@@ -453,7 +468,7 @@ def test_total_is_weighted_sum_of_parts():
     bd = total_loss_with_grad(x, y, v, w, rows, targets, cfg, ALPHA, SIGMA, n_base=n)[0]
     want_leg = leg_with_grad(x, y, v, SIGMA)[0]
     want_hand = hand_with_grad(y[:n], w, ALPHA)[0]
-    want_lm = landmark_energy_with_grad([y[rows[0]]], targets, ALPHA)[0]
+    want_lm = hand_with_grad(y[rows[0]], targets[0], ALPHA)[0]
     assert bd.leg == pytest.approx(want_leg, rel=1e-14)
     assert bd.hand == pytest.approx(want_hand, rel=1e-14)
     assert bd.landmark == pytest.approx(want_lm, rel=1e-14)
@@ -471,8 +486,8 @@ def test_total_passes_float32_tiles_to_every_term():
     f32 = {"tile_dtype": np.float32}
     assert bd.leg == leg_with_grad(x, y, v, SIGMA, **f32)[0] != leg_with_grad(x, y, v, SIGMA)[0]
     assert bd.hand == hand_with_grad(y[:n], w, ALPHA, **f32)[0]
-    assert bd.landmark == landmark_energy_with_grad([y[rows[0]]], targets, ALPHA, **f32)[0]
-    assert bd.landmark != landmark_energy_with_grad([y[rows[0]]], targets, ALPHA)[0]
+    assert bd.landmark == hand_with_grad(y[rows[0]], targets[0], ALPHA, **f32)[0]
+    assert bd.landmark != hand_with_grad(y[rows[0]], targets[0], ALPHA)[0]
 
 
 def test_total_n_base_restricts_domain_term():

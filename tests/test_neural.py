@@ -203,18 +203,24 @@ def test_float32_matches_float64_at_default_widths(default, n):
 def test_float32_forward_refuses_inputs_past_float32_range():
     spec = NetworkSpec(3, (8,), 2, dtype="float32")
     params = init_params(spec, seed=0)
-    big_weight = params.copy()
-    big_weight[-1] = 1e39  # an output bias past float32 even on small inputs
-    for p, x, reach in [
-        (params, np.array([[0.0, 1e39, 0.5]]), r"1e\+39 layer 0"),  # the cast alone overflows
-        (params, np.array([[2e38, 1e38, -2e38]]), r"2e\+38 layer 0"),  # so does the first matmul
-        (big_weight, np.array([[0.0, 1.0, 0.5]]), r"1 layer 1"),
+    big_bias = params.copy()
+    big_bias[-1] = 1e39  # an output bias past float32 even on small inputs
+    past = r"the float32 pass left float32's range \(magnitude up to 3\.40282e\+38\) on inputs"
+    for p, x, error, message in [
+        # the cast alone overflows: refused before the pass
+        (params, np.array([[0.0, 1e39, 0.5]]), ValueError,
+         r"inputs reach magnitude 1e\+39, past the largest float32 \(3\.40282e\+38\)"),
+        # the first matmul overflows, and then the bias of the head
+        (params, np.array([[2e38, 1e38, -2e38]]), FloatingPointError,
+         past + r" of magnitude up to 2e\+38$"),
+        (big_bias, np.array([[0.0, 1.0, 0.5]]), FloatingPointError,
+         past + r" of magnitude up to 1$"),
     ]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning before the refusal
-            with pytest.raises(ValueError, match=r"below 1\.70141e\+38, half the largest "
-                                                 r"float32; on inputs of magnitude up to " + reach):
-                forward(spec, p, x)
+            for tape in (None, []):
+                with pytest.raises(error, match=message):
+                    forward(spec, p, x, tape=tape)
         assert np.isfinite(forward(dataclasses.replace(spec, dtype="float64"), p, x)).all()
     # inputs the default init admits stay finite, without a warning
     spec = default_map_spec(3)
@@ -235,6 +241,19 @@ def test_float32_forward_refuses_inputs_past_float32_range():
             want = rf"the {net.dtype} gradient left {net.dtype}'s range \(magnitude up to {top}\)"
             with pytest.raises(FloatingPointError, match=want):
                 backward(net, tape, np.full((64, 2), ct))
+
+
+@pytest.mark.parametrize("dtype, weight", [("float64", -1e300), ("float32", -1e30)])
+def test_forward_refuses_a_softplus_head_at_minus_inf(dtype, weight):
+    # the head's pre-activation overflows to -inf, where softplus is a finite 0
+    spec = NetworkSpec(2, (), 1, output_activation="softplus", dtype=dtype)
+    params = np.array([weight, weight, 0.0])
+    x = np.array([[1e10, 1e10], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=rf"^the {dtype} pass left {dtype}'s range"):
+            forward(spec, params, x)
+        assert np.isfinite(forward(spec, params, x[1:])).all()
 
 
 def test_checkpoint_round_trip(tmp_path):

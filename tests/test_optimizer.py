@@ -419,6 +419,38 @@ def test_train_diverging_run_raises_training_error():
         ))
 
 
+def _float32_nets():
+    return {"map_spec": dataclasses.replace(_TINY_MAP, dtype="float32"),
+            "lambda_spec": dataclasses.replace(_TINY_LAMBDA, dtype="float32")}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lr", [1e37, 1e39, 1e200])
+def test_train_float32_divergence_names_the_batch(lr):
+    # the diverged weights overflow a later float32 pass or gradient, which
+    # the step refuses, naming where it happened
+    with pytest.raises(TrainingError, match=r"^stage 1 epoch \d+ batch \d+: the float32 "
+                                            r"(pass|gradient) left float32's range"):
+        train(_tiny_cloud(6), preset_domain("square"), **_tiny_kwargs(
+            optimizer=RmsPropConfig(learning_rate=lr), **_float32_nets()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("float32, lr, message", [
+    (True, 1e140, r"the float32 pass left float32's range"),
+    (False, 1e160, r"mapped coordinates diverged \(max magnitude \S+e\+16\d, past the bound "
+                   r"1e\+150\)"),
+], ids=["float32", "float64"])
+def test_train_divergence_at_evaluation_names_the_stage(float32, lr, message):
+    # one step, so the stage-end evaluation is the first pass of the diverged
+    # weights; the float64 map stays finite but passes the coordinate bound
+    with pytest.raises(TrainingError, match="^stage 1 evaluation: " + message):
+        train(_tiny_cloud(6), preset_domain("square"), **_tiny_kwargs(
+            optimizer=RmsPropConfig(learning_rate=lr),
+            stage=StageConfig(epochs=1, batch_points=6, batch_domain=8, epochs_min=1),
+            **(_float32_nets() if float32 else {})))
+
+
 def test_train_float64_gradient_overflow_names_the_batch():
     # at beta2 = 1e300 the float64 gradients stay finite, but their squares
     # overflow RMSprop's average: the step refuses them, and train names the batch
