@@ -79,23 +79,13 @@ def main() -> None:
               f"[{r.alpha_init:4.0f},{r.alpha_final:4.0f}]  {r.sigma:.3f}"
               f"  {r.eval_hausdorff:10.4f}  {r.eval_mean_abs_angle:15.4f}")
 
-    mapped = result.mapped
-
-    # the inverse-factor net eats surface points; to query it at a planar
-    # parameter location, ride back through the nearest mapped point
-    from pcparam.geometry import pairwise_distances
-
-    def field_from_nearest(p):
-        d = pairwise_distances(np.asarray(p, dtype=np.float64), mapped)
-        nearest = d.argmin(axis=1)
-        return forward(result.lambda_spec, result.lambda_params,
-                       cloud[nearest]).ravel()
-
-    for mode, field in (("uniform", None), ("lambda_adapted",
-                                            field_from_nearest)):
-        recon = reconstruct_surface(mapped, cloud, disk, mode=mode,
+    # the inverse-factor net eats surface points: its values at the cloud
+    # are interpolated over the mapped cloud, as `pcparam reconstruct` does
+    lam_vals = forward(result.lambda_spec, result.lambda_params, cloud).ravel()
+    for mode, vals in (("uniform", None), ("lambda_adapted", lam_vals)):
+        recon = reconstruct_surface(result.mapped, cloud, disk, mode=mode,
                                     target_edge=0.1, seed=0,
-                                    lambda_inv_field=field)
+                                    lambda_inv_values=vals)
         areas = recon.surface.triangle_areas()
         cv = float(areas.std() / areas.mean())
         path = out / f"bump_{mode}.obj"

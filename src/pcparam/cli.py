@@ -300,12 +300,12 @@ def cmd_fit(args) -> int:
         eval_mesh = _mesh_vertices_for(cloud, eff["eval_mesh"])
 
     out_dir = Path(eff["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     last_ckpt: dict[str, Path] = {}  # the last stage's files hold the final parameters
     rows: list[tuple] = []
 
     def on_stage(stage_idx, record, map_params, lambda_params):
+        # made with the first files, so a fit that fails in stage 1 leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
         last_ckpt["map.ckpt.json"] = out_dir / f"map_stage{stage_idx}.ckpt.json"
         save_checkpoint(last_ckpt["map.ckpt.json"], map_spec, map_params)
         if lambda_params is not None:
@@ -363,9 +363,6 @@ def cmd_eval(args) -> int:
     cloud = _read(pcio.load_cloud, args.input)
     mapped = _checkpoint_output(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rng = np.random.default_rng(args.seed)
     dense = domain.sample_area(args.sample_size, rng)
     denser = domain.sample_area(4 * args.sample_size, rng)
@@ -378,6 +375,10 @@ def cmd_eval(args) -> int:
         mesh = _mesh_vertices_for(cloud, args.mesh)
         report = angle_distortion(mesh, mapped, n_bins=args.bins)
         rows.append(["mean_abs_angle", report.mean_abs])
+    # made once every metric is computed, so a failed eval leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.mesh:
         pcio.save_table(
             out_dir / "histogram.csv",
             ["bin_left", "bin_right", "count"],

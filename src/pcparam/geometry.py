@@ -305,10 +305,13 @@ class _Grid:
         c = np.clip(np.floor(self.scaled(pts)), 0, self.shape - 1).astype(np.int64)
         return c[:, 0], c[:, 1]
 
-    def runs(self, ix, iy, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(first, count), each (len(ix), 2 * ring + 1): the positions in
-        `items` of what is filed within `ring` cells of cell (ix, iy), as one
-        run per column of cells."""
+    def blocks(self, pts: np.ndarray, ring: int = 0):
+        """(span, count, pos) per block of consecutive queries: the slice of
+        `pts` it covers, the number of items filed within `ring` cells of
+        each query's cell, and their positions in `items`, grouped by query,
+        one run per column of cells. A block holds at most `_TILE_ELEMS`
+        (query, item) pairs, or one query when that query alone has more."""
+        ix, iy = self.cells(pts)
         nx, ny = (int(v) for v in self.shape)
         y0 = np.maximum(iy - ring, 0)
         y1 = np.minimum(iy + ring, ny - 1) + 1
@@ -319,22 +322,18 @@ class _Grid:
             col = np.clip(jx, 0, nx - 1) * ny
             first[:, k] = self.start[col + y0]
             count[:, k] = np.where((jx >= 0) & (jx < nx), self.start[col + y1] - first[:, k], 0)
-        return first, count
-
-    def pairs(self, pts: np.ndarray, ring: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(query row, item) for every item filed within `ring` cells of each
-        query's cell, grouped by query row."""
-        first, count = self.runs(*self.cells(pts), ring)
-        rows = np.repeat(np.arange(len(pts)), count.sum(axis=1))
-        return rows, self.items[_expand_runs(first, count)]
-
-
-def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The positions first[j] + 0, ..., first[j] + count[j] - 1 of every run j
-    in row-major order."""
-    first, count = first.ravel(), count.ravel()
-    ends = np.cumsum(count)
-    return np.repeat(first - (ends - count), count) + np.arange(ends[-1] if len(ends) else 0)
+        total = count.sum(axis=1)
+        ends = np.cumsum(total)
+        lo = 0
+        while lo < len(ix):
+            limit = ends[lo] - total[lo] + _TILE_ELEMS
+            hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+            # first + 0, ..., first + count - 1 of every run, in order
+            f, c = first[lo:hi].ravel(), count[lo:hi].ravel()
+            run_ends = np.cumsum(c)
+            pos = np.repeat(f - (run_ends - c), c) + np.arange(run_ends[-1])
+            yield slice(lo, hi), total[lo:hi], pos
+            lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -384,30 +383,22 @@ def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cell map and the squared distances round by a few units of 2^-53, so the
     margin covers them thousands of times over. A row that fails the test,
     such as a row far outside b's box, takes the dense path over all of b.
-    Candidate pairs go in blocks of at most `_TILE_ELEMS` elements (one row
-    if a row alone is larger), and dense rows in the tiles of `_row_tiles`,
-    however b is laid out, even when it collapses into one cell.
+    Candidate pairs go in the blocks of `_Grid.blocks`, and dense rows in
+    the tiles of `_row_tiles`, however b is laid out, even when it collapses
+    into one cell.
     """
     grid = _point_grid(b)
     if grid is None:
         return _dense_row_min_sq(a, b)
     bs = b[grid.items].T.copy()  # b in cell order, one row per coordinate
-    u = grid.scaled(a)
-    ix, iy = grid.cells(a)
-    first, count = grid.runs(ix, iy, ring=1)
-    total = count.sum(axis=1)
-    ends = np.cumsum(total)
     best = np.full(len(a), np.inf)
-    lo = 0
-    while lo < len(a):
-        limit = ends[lo] - total[lo] + _TILE_ELEMS
-        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
-        cnt = total[lo:hi]
+    for span, cnt, pos in grid.blocks(a, ring=1):
         some = np.flatnonzero(cnt)
         if len(some):
-            d2 = _pair_sq_dists(a[lo:hi], cnt, bs, _expand_runs(first[lo:hi], count[lo:hi]))
-            best[lo + some] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[some])
-        lo = hi
+            d2 = _pair_sq_dists(a[span], cnt, bs, pos)
+            best[span.start + some] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[some])
+    u = grid.scaled(a)
+    ix, iy = grid.cells(a)
     # g in cells: from a_i to the block's left edge when cells two columns
     # to its left exist, to its right edge when cells two columns to its
     # right exist, and likewise for the rows below and above

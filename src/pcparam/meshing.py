@@ -410,9 +410,6 @@ def _boundary_walk(mesh: TriangleMesh) -> tuple[list[list[int]], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# most dense polyline points the boundary ring may march over: 256 MiB of
-# them, where a target edge far too small for the domain asks for terabytes
-_RING_POINTS = 2**24
 # most vertices a parameter mesh may have, counting every dart that could be
 # accepted: `delaunay` takes about 40 us a point, so a mesh at the limit
 # takes a minute or two where a target edge far too small would take hours
@@ -427,11 +424,11 @@ def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
     radius_at maps an (n, 2) array of points to their spacings. A segment's
     dense polyline steps an eighth of the spacing at its start. The dense
     points of the loops so far are counted before a loop's are made: past
-    `_RING_POINTS` of them, or past `_MESH_VERTICES` ring points (one per
-    eight dense points) plus `darts`, the most points that may join the ring
-    later, a ValueError names the limit. The spacing of a loop's dense
-    points is evaluated in one call over dense[1:], the points in the order
-    a one-point-at-a-time march would ask for them.
+    `_MESH_VERTICES` ring points (one per eight dense points) plus `darts`,
+    the most points that may join the ring later, a ValueError names the
+    limit, so at most 2**21 dense points are made. The spacing of a loop's
+    dense points is evaluated in one call over dense[1:], the points in the
+    order a one-point-at-a-time march would ask for them.
     """
     def step_at(p) -> float:
         return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
@@ -441,12 +438,6 @@ def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
     for loop in domain.loops:
         fine = [step_at(seg.point_at(0.0)) / 8.0 for seg in loop]
         need += sum(seg.length() / f for seg, f in zip(loop, fine))
-        if not need <= _RING_POINTS:
-            raise ValueError(
-                f"the boundary ring at spacing {8.0 * min(fine):g} needs about "
-                f"{need:.3g} polyline points, past the limit of {_RING_POINTS} "
-                "(2**24): the target edge is too small for the domain"
-            )
         if not need / 8.0 + darts <= _MESH_VERTICES:
             raise ValueError(
                 f"the parameter mesh at spacing {8.0 * min(fine):g} could have about "
@@ -475,8 +466,8 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
 
     A candidate p of radius rp is accepted iff every point accepted so far,
     earlier candidates of this round included, lies at least
-    0.5 * (its radius + rp) away. The test against `acc` runs at once for
-    all candidates, on the points of the neighbouring grid cells only: the
+    0.5 * (its radius + rp) away. The test against `acc` runs in the blocks
+    of `_Grid.blocks`, on the points of the neighbouring grid cells only: the
     cell is at least the largest such distance, so a point outside them
     passes anyway. It is also at least the side of about 16 cells per point
     of `acc`, so a tiny radius does not make the grid outgrow the points,
@@ -488,10 +479,12 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
     reach = 0.5 * (float(arad.max()) + float(crad.max()))
     cell = max(reach * (1.0 + 1e-6), _one_per_cell(hi - lo, 16 * len(acc)))
     grid = _Grid(lo, hi, cell, acc, acc)
-    rows, nbr = grid.pairs(cand, ring=1)
-    d = np.linalg.norm(acc[nbr] - cand[rows], axis=1)
     clash = np.zeros(len(cand), dtype=bool)
-    clash[rows[~(d >= 0.5 * (arad[nbr] + crad[rows]))]] = True
+    for span, cnt, pos in grid.blocks(cand, ring=1):
+        rows = np.repeat(np.arange(span.start, span.stop), cnt)
+        nbr = grid.items[pos]
+        d = np.linalg.norm(acc[nbr] - cand[rows], axis=1)
+        clash[rows[~(d >= 0.5 * (arad[nbr] + crad[rows]))]] = True
     new_pts = np.empty_like(cand)
     new_rad = np.empty_like(crad)
     took: list[int] = []
@@ -608,13 +601,13 @@ class InverseInterpolator:
     it, edges and corners counted as inside, as the exact `orient2d`
     decides; so it depends on the query and the mesh alone, not on the
     order of the queries or on earlier calls. A grid of the triangles gives
-    each query its candidates, and the float filter of `orient2d` decides
-    most (query, triangle) pairs at once, strictly inside or certainly
-    outside. A pair the filter cannot decide takes the scalar `orient2d`.
+    the queries their candidates in the blocks of `_Grid.blocks`, and the
+    float filter of `orient2d` decides most (query, triangle) pairs of a
+    block at once, strictly inside or certainly outside. A pair the filter
+    cannot decide takes the scalar `orient2d`.
     """
 
     snap_tolerance = 1e-9
-    _block = 4096  # queries located per vectorised pass
 
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
@@ -654,9 +647,10 @@ class InverseInterpolator:
         inbox = ((q >= self._lo) & (q <= self._hi)).all(axis=1)
         tris, pts = self.mesh.triangles, self.mesh.vertices
         idx = np.flatnonzero(inbox)
-        for s in range(0, len(idx), self._block):
-            block = idx[s:s + self._block]
-            rows, tid = self._grid.pairs(q[block])
+        for span, cnt, pos in self._grid.blocks(q[idx]):
+            block = idx[span]
+            rows = np.repeat(np.arange(len(block)), cnt)
+            tid = self._grid.items[pos]
             qx, qy = q[block][rows].T
             corners = tris[tid]
             inside = np.ones(len(rows), dtype=bool)

@@ -85,7 +85,9 @@ def rmsprop_step(
     theta <- theta - lr m. Updates `state` in place and returns the new
     parameters in a new array. The two halves of the vector run on two
     threads (`_halves.split`); every operation is element-wise, in the order
-    of the formula, so the bits do not depend on the split."""
+    of the formula, so the bits do not depend on the split. A new parameter
+    past float64's range, as a huge learning rate gives, is refused with a
+    FloatingPointError, without a warning, after the state has moved."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ValueError(f"grad shape {grad.shape} != params shape {params.shape}")
@@ -101,7 +103,7 @@ def rmsprop_step(
         )
     out = np.empty(params.shape)
 
-    def half(lo: int, hi: int) -> None:
+    def half(lo: int, hi: int) -> bool:
         g, v, m, t = grad[lo:hi], state.v[lo:hi], state.m[lo:hi], out[lo:hi]
         np.multiply(1.0 - cfg.rho, g, out=t)
         t *= g
@@ -114,8 +116,15 @@ def rmsprop_step(
         m += t
         np.multiply(cfg.learning_rate, m, out=t)
         np.subtract(params[lo:hi], t, out=t)
+        return bool(np.isfinite(t).all())
 
-    _halves.split(half, len(out), 1)
+    # the worker half runs under the caller's error state
+    with np.errstate(over="ignore"):
+        finite = _halves.split(half, len(out), 1)
+    if not all(finite):
+        idx = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise FloatingPointError(f"the update at parameter index {idx} is not finite "
+                                 f"(learning rate {cfg.learning_rate:g})")
     return out
 
 

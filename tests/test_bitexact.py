@@ -50,6 +50,8 @@ from pcparam.meshing import (
     DuplicatePointsWarning,
     InverseInterpolator,
     _boundary_ring,
+    _in_triangle,
+    _throw_darts,
     _Triangulator,
     _walk,
     boundary_edges,
@@ -1339,6 +1341,150 @@ def test_boundary_ring_matches_point_by_point_march(name):
 
     assert np.array_equal(_boundary_ring(domain, radius_at), ref_boundary_ring(domain, step_at))
     assert asked == ref_asked
+
+
+# ---------------------------------------------------------------------------
+# candidate blocks of the uniform grid
+# ---------------------------------------------------------------------------
+
+
+def ref_locate(mesh, queries):
+    """The lowest id of the triangles of mesh that contain each query, or -1:
+    every triangle is tested by the exact `_in_triangle`, except those that
+    the float filter of `orient2d` puts certainly outside."""
+    pts, tris = mesh.vertices.tolist(), mesh.triangles.tolist()
+    corners = mesh.vertices[mesh.triangles]
+    found = []
+    for qx, qy in queries.tolist():
+        maybe = np.ones(len(tris), dtype=bool)
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            left = (corners[:, u, 0] - qx) * (corners[:, v, 1] - qy)
+            right = (corners[:, u, 1] - qy) * (corners[:, v, 0] - qx)
+            det, detsum = left - right, np.abs(left) + np.abs(right)
+            maybe &= ~((det < 0) & (np.abs(det) >= meshing._ORIENT_BOUND * detsum)
+                       & (detsum >= meshing._FILTER_FLOOR))
+        hits = (t for t in np.flatnonzero(maybe).tolist()
+                if _in_triangle(*(pts[v] for v in tris[t]), qx, qy))
+        found.append(next(hits, -1))
+    return np.array(found, dtype=np.int64)
+
+
+def ref_throw_darts(acc, arad, cand, crad):
+    """Rows of cand accepted in order, each tested against every point
+    accepted so far."""
+    took = []
+    for i, (p, rp) in enumerate(zip(cand, crad)):
+        pts = np.vstack([acc, cand[took]])
+        rad = np.concatenate([arad, crad[took]])
+        if (np.linalg.norm(pts - p, axis=1) >= 0.5 * (rad + rp)).all():
+            took.append(i)
+    return np.array(took, dtype=np.int64)
+
+
+def _fan(rim):
+    """A centre and `rim` points on the unit circle. Every triangle of its
+    Delaunay triangulation has the centre as a corner, so the box of every
+    triangle covers a cell at the centre."""
+    th = 2.0 * np.pi * np.arange(rim) / rim
+    return np.vstack([[0.0, 0.0], np.column_stack([np.cos(th), np.sin(th)])])
+
+
+def _spy_blocks(monkeypatch):
+    """The (span, count, pos) of every block `_Grid.blocks` yields from now on."""
+    seen = []
+    blocks = geometry._Grid.blocks
+
+    def spy(grid, pts, ring=0):
+        for block in blocks(grid, pts, ring):
+            seen.append(block)
+            yield block
+
+    monkeypatch.setattr(geometry._Grid, "blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("ring", [0, 1])
+def test_grid_blocks_hold_each_querys_candidates_within_the_tile(monkeypatch, tile, ring):
+    # boxes of several cells, and queries outside the grid, which the cell
+    # map clips to its edge cells; an item comes once per cell of its box
+    # within `ring` cells of the query's
+    rng = np.random.default_rng(95 + ring)
+    bmin = rng.uniform(0.0, 1.0, (300, 2))
+    bmax = bmin + rng.uniform(0.0, 0.2, (300, 2))
+    grid = geometry._Grid((0.0, 0.0), (1.2, 1.2), 0.05, bmin, bmax)
+    pts = rng.uniform(-0.1, 1.3, (500, 2))
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
+    blocks = list(grid.blocks(pts, ring))
+    assert [s.start for s, _, _ in blocks] == [0] + [s.stop for s, _, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == len(pts)
+    ix, iy = grid.cells(pts)
+    x0, y0 = grid.cells(bmin)
+    x1, y1 = grid.cells(bmax)
+    for span, cnt, pos in blocks:
+        assert len(cnt) == span.stop - span.start and cnt.sum() == len(pos)
+        assert len(pos) <= tile or len(cnt) == 1
+        per_query = np.split(grid.items[pos], np.cumsum(cnt)[:-1])
+        for i, items in zip(range(span.start, span.stop), per_query):
+            wide = np.maximum(np.minimum(x1, ix[i] + ring) - np.maximum(x0, ix[i] - ring) + 1, 0)
+            high = np.maximum(np.minimum(y1, iy[i] + ring) - np.maximum(y0, iy[i] - ring) + 1, 0)
+            assert np.array_equal(np.bincount(items, minlength=len(bmin)), wide * high)
+
+
+def test_interpolator_memory_is_bounded_when_every_triangle_meets_the_centre():
+    # each of 4096 queries within 0.05 of a 2001-point fan's centre has 482
+    # to 2000 candidates, 4.8 million pairs in all; in blocks of
+    # `_TILE_ELEMS` pairs the traced peak is about 6 MB, where blocks of 4096
+    # queries peaked at about 800 MB
+    rng = np.random.default_rng(36)
+    mapped = _fan(2000)
+    interp = InverseInterpolator(mapped, rng.normal(size=(len(mapped), 3)))
+    r = 0.05 * np.sqrt(rng.uniform(size=4096))
+    th = rng.uniform(0.0, 2.0 * np.pi, 4096)
+    queries = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    tracemalloc.start()
+    try:
+        _, ok = interp(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert ok.all()
+    assert np.array_equal(interp._locate(queries), ref_locate(interp.mesh, queries))
+
+
+@pytest.mark.parametrize("tile", [1, 64])
+def test_locate_splits_no_query_across_blocks(monkeypatch, tile):
+    # the central queries of a 301-point fan have more than `tile`
+    # candidates each, so each takes a block of its own; the centre lies in
+    # every triangle and the midpoints of its spokes in two
+    rng = np.random.default_rng(37)
+    mapped = _fan(300)
+    interp = InverseInterpolator(mapped, mapped)
+    queries = np.vstack([[[0.0, 0.0]], 0.5 * mapped[1:40], rng.uniform(-0.05, 0.05, (100, 2))])
+    monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
+    seen = _spy_blocks(monkeypatch)
+    found = interp._locate(queries)
+    assert all(len(pos) <= tile or len(cnt) == 1 for _, cnt, pos in seen)
+    assert any(len(cnt) == 1 and cnt[0] > tile for _, cnt, _ in seen)
+    assert np.array_equal(found, ref_locate(interp.mesh, queries))
+    assert found[0] == 0
+
+
+def test_dart_batch_past_the_tile_matches_all_pairs_throwing(monkeypatch):
+    # 8000 accepted points of tiny radius, and 2048 candidates of radii up
+    # to 0.04: cells of 0.02 hold about 3 points, and the candidates have
+    # 58k pairs with them, two blocks of `_TILE_ELEMS`
+    rng = np.random.default_rng(38)
+    acc = rng.uniform(0.0, 1.0, (8000, 2))
+    arad = np.full(len(acc), 1e-4)
+    cand = rng.uniform(0.0, 1.0, (2048, 2))
+    crad = rng.uniform(5e-4, 0.04, len(cand))
+    seen = _spy_blocks(monkeypatch)
+    took = _throw_darts(acc, arad, cand, crad, np.zeros(2), np.ones(2))
+    assert len(seen) >= 2 and sum(len(pos) for _, _, pos in seen) > geometry._TILE_ELEMS
+    assert 0 < len(took) < len(cand)
+    assert np.array_equal(took, ref_throw_darts(acc, arad, cand, crad))
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,18 @@ def test_fit_float32_divergence_exits_1_naming_the_batch(tmp_path, tiny_cloud_cs
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+def test_fit_overflowing_update_exits_1_and_leaves_no_output_dir(tmp_path, tiny_cloud_csv):
+    # the first update overflows at learning rate 1e308: a numeric failure
+    # of the run in stage 1, before any file, so no output directory is made
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o", optimizer={"learning_rate": 1e308})
+    proc = _run_pcparam("fit", "--config", _write_config(tmp_path / "c.json", cfg))
+    assert proc.returncode == 1, proc.stderr
+    assert ("runtime failure: stage 1 epoch 1 batch 0: the update at parameter index "
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("sigma", [1.5e-154, 2.0e-154])
 @pytest.mark.parametrize("name", ["sigma", "sigma_min"])
 def test_fit_sigma_with_overflowing_gradient_scale_exits_2(tmp_path, tiny_cloud_csv, name, sigma):
@@ -735,27 +747,27 @@ def test_eval_past_the_coordinate_bound_exits_1(tmp_path, identity_setup):
     assert "coordinates reach magnitude 1e+200" in proc.stderr
     assert "below 1e+150" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert not (tmp_path / "e" / "metrics.csv").exists()
+    assert not (tmp_path / "e").exists()
 
 
 def test_reconstruct_refused_allocation_exits_1(tmp_path, identity_setup):
     # the disk's boundary polyline would take 488 TiB at 1e-12 and about
     # 10 GiB at 1e-7, which a large machine would allocate; both pass the
-    # ring's point limit and are refused before anything is allocated
+    # mesh's vertex limit and are refused before anything is allocated
     for edge in ("1e-12", "1e-7"):
         proc = _run_pcparam("reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
                             "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",
                             "--target-edge", edge, "--out", str(tmp_path / "x.obj"))
         assert proc.returncode == 1
-        assert "runtime failure: the boundary ring" in proc.stderr
-        assert "past the limit of 16777216 (2**24)" in proc.stderr
+        assert "runtime failure: the parameter mesh" in proc.stderr
+        assert "past the limit of 262144 (2**18) vertices" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.obj").exists()
 
 
 def test_reconstruct_past_the_vertex_limit_exits_1_at_once(tmp_path, identity_setup, caplog):
-    # at 1e-5 the disk's ring passes the polyline limit but its 840k points
-    # would then be triangulated for minutes; the vertex limit refuses it
+    # at 1e-5 the disk's ring and darts would be triangulated for minutes;
+    # the vertex limit refuses them at once
     t0 = time.perf_counter()
     rc = main(["reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
                "--input", str(identity_setup["cloud"]), "--domain-preset", "disk",

@@ -460,6 +460,20 @@ def test_train_float64_gradient_overflow_names_the_batch():
             objective=ObjectiveConfig(beta1=1.0, beta2=1e300, beta3=0.0)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_train_names_the_batch_of_an_overflowing_update(dtype):
+    # at learning rate 1e308 the first update itself overflows; the step
+    # refuses it, and train names the batch, as for any numeric failure
+    nets = {"map_spec": dataclasses.replace(_TINY_MAP, dtype=dtype),
+            "lambda_spec": dataclasses.replace(_TINY_LAMBDA, dtype=dtype)}
+    with pytest.raises(TrainingError, match=r"^stage 1 epoch 1 batch 0: the update at "
+                                            r"parameter index \d+ is not finite "
+                                            r"\(learning rate 1e\+308\)"):
+        train(_tiny_cloud(6), preset_domain("square"), **_tiny_kwargs(
+            optimizer=RmsPropConfig(learning_rate=1e308), **nets))
+
+
 @pytest.mark.parametrize("scale", [1e150, 1e200])
 def test_train_rejects_input_past_the_coordinate_bound(scale):
     # such a cloud used to train to the end with overflowing squared distances
