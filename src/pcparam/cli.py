@@ -16,6 +16,7 @@ import json
 import logging
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -641,13 +642,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A `warnings.showwarning` that logs the message alone, as one line."""
+    log.warning("warning: %s", message)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_numeric_flags(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _log_warning
+            _check_numeric_flags(args)
+            return args.func(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

@@ -16,6 +16,7 @@ sum in another order by design; they must agree with the dense formulas to
 
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -53,7 +54,6 @@ from pcparam.meshing import (
     _in_triangle,
     _throw_darts,
     _Triangulator,
-    _walk,
     boundary_edges,
     delaunay,
     generate_param_mesh,
@@ -300,6 +300,40 @@ def ref_loop_edges(mesh):
                      for u, v in zip(loop, loop[1:] + loop[:1])], dtype=np.int64)
 
 
+def ref_walk(pts, tris, edge, tid, qx, qy):
+    """Triangle containing (qx, qy), by a visibility walk from triangle `tid`.
+
+    `tris` maps triangle id to its ccw corners and `edge` maps each directed
+    edge (u, v) to the triangle it bounds on the left. The walk crosses the
+    first edge with the query strictly on its right and returns None when
+    that edge lies on the hull. A walk that has not settled after
+    4 * len(tris) + 64 steps falls back to testing every triangle.
+    """
+    prev = None
+    for _ in range(4 * len(tris) + 64):
+        a, b, c = tris[tid]
+        moved = False
+        for u, v in ((a, b), (b, c), (c, a)):
+            if prev == (u, v):
+                continue
+            ux, uy = pts[u]
+            vx, vy = pts[v]
+            if orient2d(ux, uy, vx, vy, qx, qy) < 0:
+                nxt = edge.get((v, u))
+                if nxt is None:
+                    return None
+                prev = (v, u)
+                tid = nxt
+                moved = True
+                break
+        if not moved:
+            return tid
+    for tid, (a, b, c) in tris.items():
+        if _in_triangle(pts[a], pts[b], pts[c], qx, qy):
+            return tid
+    return None
+
+
 class RefTriangulator:
     """Bowyer-Watson inserting in index order, over the numpy point array.
 
@@ -329,7 +363,7 @@ class RefTriangulator:
     def insert(self, pi):
         px, py = self.pts[pi]
         start = self.last_tid if self.last_tid in self.tris else next(iter(self.tris))
-        seed = _walk(self.pts, self.tris, self.edge, start, px, py)
+        seed = ref_walk(self.pts, self.tris, self.edge, start, px, py)
         bad, order, stack = {seed}, [seed], [seed]
         while stack:
             a, b, c = self.tris[stack.pop()]
@@ -1606,6 +1640,7 @@ DELAUNAY_CLOUDS = {
     "circle": lambda: _circle(200),
     "uniform_dups": lambda: _with_duplicates(np.random.default_rng(62).uniform(size=(300, 2)), 1),
     "grid_dups": lambda: _with_duplicates(_grid(np.arange(10.0), np.arange(10.0)), 2),
+    "uniform_4000": lambda: np.random.default_rng(65).uniform(0.0, 1.0, (4000, 2)),
 }
 
 
@@ -1633,10 +1668,58 @@ def test_triangulator_does_not_depend_on_insertion_order(name):
     rng = np.random.default_rng(64)
     for order in [np.arange(len(pts))[::-1]] + [rng.permutation(len(pts)) for _ in range(3)]:
         tri = _Triangulator(pts)
-        for pi in order.tolist():
-            tri.insert(pi)
-        got = [t for t in tri.tris.values() if max(t) < len(pts)]
+        tri.insert(order.tolist())
+        got = [t for t in tri.tri if max(t) < len(pts)]
         assert np.array_equal(canonical_triangles(got), want)
+
+
+@pytest.mark.parametrize("name", sorted(DELAUNAY_CLOUDS))
+def test_triangulator_links_are_mutual(name):
+    # a back-pointer set by the wrong rule can leave the final triangles
+    # right on many inputs, so the links are checked on their own
+    pts, _ = meshing._dedup_points(DELAUNAY_CLOUDS[name]())
+    tri = _Triangulator(pts)
+    tri.insert(meshing._snake_order(pts).tolist())
+    edges = {}
+    for t, (a, b, c) in enumerate(tri.tri):
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            edges[(u, v)] = (t, k)
+    for t, (a, b, c) in enumerate(tri.tri):
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            o = tri.nbr[t][k]
+            if o < 0:
+                assert (v, u) not in edges
+                assert {u, v} <= {len(pts), len(pts) + 1, len(pts) + 2}
+            else:
+                assert edges[(v, u)][0] == o
+                assert tri.nbr[o][edges[(v, u)][1]] == t
+
+
+def test_triangulator_walk_stops_at_its_step_bound():
+    # a link of the walk's start triangle turned back onto itself: the walk
+    # crosses that edge forever unless its step bound stops it
+    pts = DELAUNAY_CLOUDS["uniform"]()
+    tri = _Triangulator(pts)
+    tri.insert(range(len(pts) - 1))
+    px, py = pts[-1]
+    a, b, c = tri.tri[tri.last]
+    k = next(k for k, (u, v) in enumerate(((a, b), (b, c), (c, a)))
+             if orient2d(*tri.pts[u], *tri.pts[v], px, py) < 0)
+    tri.nbr[tri.last][k] = tri.last
+    bound = 4 * len(tri.tri) + 64
+    raised = []
+
+    def insert_last():
+        try:
+            tri.insert([len(pts) - 1])
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    worker = threading.Thread(target=insert_last, daemon=True)
+    worker.start()
+    worker.join(timeout=20.0)
+    assert not worker.is_alive()
+    assert raised == [f"point location walk did not settle in {bound} steps"]
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,7 @@ def test_fit_float32_divergence_exits_1_naming_the_batch(tmp_path, tiny_cloud_cs
     assert re.search(r"runtime failure: stage 1 epoch \d+ batch \d+: the float32 pass left "
                      r"float32's range", proc.stderr)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "warning:" not in proc.stderr
 
 
 def test_fit_overflowing_update_exits_1_and_leaves_no_output_dir(tmp_path, tiny_cloud_csv):
@@ -462,6 +463,7 @@ def test_fit_overflowing_update_exits_1_and_leaves_no_output_dir(tmp_path, tiny_
     assert ("runtime failure: stage 1 epoch 1 batch 0: the update at parameter index "
             in proc.stderr)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "warning:" not in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -671,6 +673,19 @@ def test_boundary_on_a_cloud_past_the_coordinate_limit_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_boundary_logs_merged_duplicates_as_one_line(tmp_path, identity_setup):
+    pts = identity_setup["points"]
+    mapped_csv = tmp_path / "dups.csv"
+    save_cloud(mapped_csv, np.vstack([pts, pts[:3]]))
+    proc = _run_pcparam("boundary", "--mapped", str(mapped_csv), "--h", "0.3",
+                        "--out-dir", str(tmp_path / "bnd"))
+    assert proc.returncode == 0, proc.stderr
+    want = (f"warning: 3 of {len(pts) + 3} points were exact duplicates, merged before "
+            "triangulation")
+    assert want in proc.stderr.splitlines()
+    assert "cli.py" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_boundary_exit_codes(tmp_path, identity_setup):
     mapped_csv = tmp_path / "bnd_in.csv"
     save_cloud(mapped_csv, identity_setup["points"])
@@ -747,6 +762,7 @@ def test_eval_past_the_coordinate_bound_exits_1(tmp_path, identity_setup):
     assert "coordinates reach magnitude 1e+200" in proc.stderr
     assert "below 1e+150" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "warning:" not in proc.stderr
     assert not (tmp_path / "e").exists()
 
 

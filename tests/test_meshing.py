@@ -128,7 +128,7 @@ def test_delaunay_rejections_and_dedup():
         delaunay([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="collinear"):
         delaunay([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    with pytest.warns(DuplicatePointsWarning):
+    with pytest.warns(DuplicatePointsWarning, match="^1 of 4 points were exact duplicates"):
         mesh = delaunay([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert len(mesh.vertices) == 3
     with pytest.raises(ValueError, match="3 distinct"):
@@ -388,7 +388,7 @@ def test_interpolator_outside_and_snap():
 def test_interpolator_duplicate_mapped_rows():
     mapped = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     original = np.array([[10.0], [20.0], [99.0], [30.0]])
-    with pytest.warns(DuplicatePointsWarning):
+    with pytest.warns(DuplicatePointsWarning, match="^1 of 4 mapped points were exact"):
         interp = InverseInterpolator(mapped, original)
     out, ok = interp([[0.0, 0.0]])
     assert ok[0]
