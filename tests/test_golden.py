@@ -16,6 +16,8 @@ unlike the hashes, it runs on any build.
   inverse-factor network.
 - `fixed_boundary_3d`: a 3-d fixed-boundary fit with an evaluation mesh,
   which exercises the three-coordinate distance kernels.
+- `shape_matching_2d`: a 2-d shape-matching fit (beta1 = 0), the path
+  without an inverse-factor network: it writes no lambda checkpoint.
 - `reconstruct_disk`: `pcparam reconstruct` in `uniform` and
   `lambda_adapted` mode on a small lifted disk, through a projection
   checkpoint, which exercises dart throwing, the inverse interpolator
@@ -94,6 +96,11 @@ GOLDEN = {
         "map.ckpt.json": "970a2c9bd189e2cb2f806c95e93b03d662621b21bc7225e222316716dbacf805",
         "lambda.ckpt.json": "2d2d61a1fbac69bef3a776cfca01add3111e970bdbd6f7c2518b5f722ac32113",
     },
+    "shape_matching_2d": {
+        "log.csv": "a84412f9ff1e7582f1a6ffd525030845facdff4863fad03bb01e5bc2ae1a3b24",
+        "mapped.csv": "83f268ae6f5375afb2d73aebb1ddf2385bca3ca8a4b15000b0cadf80e9c53b32",
+        "map.ckpt.json": "9e156b21e424f4fb3a675a9119e1a8ee5f96daadcf4d8912268767589d5de35a",
+    },
 }
 
 GOLDEN_PARAMS = {
@@ -104,6 +111,9 @@ GOLDEN_PARAMS = {
     "fixed_boundary_3d": {
         "map.ckpt.json": "2f0352da006dd26542afb58022be9838888aaae44e45d3616a6f9423d9cd3110",
         "lambda.ckpt.json": "bcd3c1400d7b3d1200459aace2a5e08e24a73f3d213e336b548f59880b2e42d9",
+    },
+    "shape_matching_2d": {
+        "map.ckpt.json": "eff07727df935caac71393956a8e0dd2eb5473453f4fad71277ce239b8f5a14a",
     },
 }
 
@@ -120,6 +130,11 @@ GOLDEN_FLOAT64 = {
         "map.ckpt.json": "0b06d3d20c4d966ebb3ed05227a0f8b117353d6b65ff724445ef9c304f4da73f",
         "lambda.ckpt.json": "05291876d3c8be063c0281406720e0ca1c3a9fc937c70e251a22adce57f0d7f4",
     },
+    "shape_matching_2d": {
+        "log.csv": "cf47928464e015b74b181b2e9ae068c10ac736a0f4bb10c153484298897d3703",
+        "mapped.csv": "1d70ac4eee42c6666ec0c6033cb6335eec607f9725a048b203bd1b82c55c1561",
+        "map.ckpt.json": "57315a9d4a591fefb2aebda9ed0a3b82d5da07c4a22aa04b43e5aa19d2f3a4df",
+    },
 }
 
 GOLDEN_PARAMS_FLOAT64 = {
@@ -130,6 +145,9 @@ GOLDEN_PARAMS_FLOAT64 = {
     "fixed_boundary_3d": {
         "map.ckpt.json": "f0fd02695edebeae3f9a1bf4bd2bb47f53c987ae18c313e9142cb6d10bc52021",
         "lambda.ckpt.json": "a27d1cf786a9ce226a82e6135fe971d6d90e76dcf83f07ab87c3a96c3de9ff9f",
+    },
+    "shape_matching_2d": {
+        "map.ckpt.json": "fee4bf79afffd82887395cf1fa89c6891959fd4ff6e071e40245ff06da20f66e",
     },
 }
 
@@ -220,9 +238,34 @@ def _setup_fixed_boundary_3d(work: Path) -> dict:
     }
 
 
+def _setup_shape_matching_2d(work: Path) -> dict:
+    rng = np.random.default_rng(17)
+    # a slanted elliptical blob, matched to the disk
+    r = np.sqrt(rng.uniform(0.0, 1.0, 300))
+    th = rng.uniform(0.0, 2 * np.pi, 300)
+    xy = np.column_stack([0.8 * r * np.cos(th), 0.4 * r * np.sin(th)])
+    save_cloud(work / "cloud.csv", xy @ np.array([[0.8, 0.6], [-0.6, 0.8]]))
+    return {
+        "input": "cloud.csv",
+        "output_dir": "out",
+        "mode": "shape_matching",
+        "seed": 9,
+        "domain": {"preset": "disk"},
+        "objective": {"beta2": 1.0},
+        "stage": {
+            "epochs": 6, "batch_points": 128, "batch_domain": 128,
+            "epochs_min": 3,
+        },
+        "map_net": {"hidden_widths": [32, 32]},
+        "domain_size": 256,
+        "eval_sample_size": 256,
+    }
+
+
 SETUPS = {
     "landmark_2d": _setup_landmark_2d,
     "fixed_boundary_3d": _setup_fixed_boundary_3d,
+    "shape_matching_2d": _setup_shape_matching_2d,
 }
 
 
@@ -271,13 +314,15 @@ def _run_cli(work: Path, argv: list[str], threads: int = 1, halves: str = "shipp
 
 
 def _hashes(directory: Path, names) -> dict[str, str]:
-    return {f: hashlib.sha256((directory / f).read_bytes()).hexdigest() for f in names}
+    """The hashes of the files among names that directory holds."""
+    return {f: hashlib.sha256((directory / f).read_bytes()).hexdigest()
+            for f in names if (directory / f).exists()}
 
 
 def _param_hashes(directory: Path, names) -> dict[str, str]:
     return {
         f: hashlib.sha256(load_checkpoint(directory / f)[1].tobytes()).hexdigest()
-        for f in names
+        for f in names if (directory / f).exists()
     }
 
 
@@ -285,8 +330,12 @@ def _run_fit(name: str, work: Path, float64: bool = False) -> tuple[dict[str, st
                                                                     dict[str, str]]:
     """The hashes of the fit's output files and of its checkpoints'
     parameters; with `float64`, both nets run in float64."""
-    (work / "fit.json").write_text(json.dumps(SETUPS[name](work)))
+    cfg = SETUPS[name](work)
+    (work / "fit.json").write_text(json.dumps(cfg))
     _run_cli(work, ["fit", "--config", "fit.json"], prelude=_FLOAT64_NETS if float64 else "")
+    # a fit writes lambda checkpoints exactly when it has an inverse-factor net
+    lambda_files = sorted(p.name for p in (work / "out").glob("lambda*"))
+    assert bool(lambda_files) == (cfg["mode"] != "shape_matching"), lambda_files
     return _hashes(work / "out", OUTPUTS), _param_hashes(work / "out", CHECKPOINTS)
 
 
@@ -390,7 +439,7 @@ def main() -> None:
     """Print the golden tables as this checkout and build compute them."""
     with tempfile.TemporaryDirectory() as tmp:
         fits, params, fits64, params64 = {}, {}, {}, {}
-        for name in GOLDEN:
+        for name in SETUPS:
             work = Path(tmp) / name
             work.mkdir()
             fits[name], params[name] = _run_fit(name, work)
