@@ -219,10 +219,9 @@ def finalize_config(cfg: dict, input_dim: int) -> dict:
 
 def _run_objects(eff: dict, input_dim: int):
     """The objects `train` takes, built from an effective config: objective,
-    stage, optimizer, map spec and lambda spec. The lambda spec is built and
-    checked even when beta1 = 0, where None takes its place. A value the
-    objects refuse is a ConfigError; one of a net names its section, as
-    `map_net.omega`."""
+    stage, optimizer, map spec and lambda spec (which `train` ignores when
+    beta1 = 0). A value the objects refuse is a ConfigError; one of a net
+    names its section, as `map_net.omega`."""
     try:
         objective = ObjectiveConfig(**eff["objective"])
         stage = StageConfig(**eff["stage"])
@@ -235,8 +234,7 @@ def _run_objects(eff: dict, input_dim: int):
             specs.append(dataclasses.replace(default(input_dim), **eff[name]))
         except ValueError as exc:  # NetworkSpec's messages start with the field name
             raise ConfigError(f"{name}.{exc}") from exc
-    map_spec, lambda_spec = specs
-    return objective, stage, optimizer, map_spec, lambda_spec if objective.beta1 > 0 else None
+    return objective, stage, optimizer, *specs
 
 
 def _check_numeric_flags(args) -> None:
@@ -271,11 +269,12 @@ def _checkpoint_output(path, cloud: np.ndarray, label: str = "checkpoint") -> np
 
 def _mesh_vertices_for(cloud: np.ndarray, path) -> TriangleMesh:
     """The mesh at path, reconciled (always 3-column as read) with a 2-d
-    training cloud."""
+    cloud, whose vertices must be exactly the cloud's rows."""
     mesh = _read(pcio.load_mesh, path)
-    if cloud.shape[1] == 2 and mesh.vertices.shape[1] == 3:
-        if (mesh.vertices[:, 2] == 0.0).all():
-            return TriangleMesh(mesh.vertices[:, :2].copy(), mesh.triangles)
+    if cloud.shape[1] == 2 and (mesh.vertices[:, 2] == 0.0).all():
+        mesh = TriangleMesh(mesh.vertices[:, :2].copy(), mesh.triangles)
+    if not np.array_equal(mesh.vertices, cloud):
+        raise ConfigError(f"{path}: mesh vertices must be exactly the input cloud")
     return mesh
 
 

@@ -12,6 +12,7 @@ preconditioned gradient.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,8 +24,7 @@ from .domains import Domain
 from .geometry import (_COORD_BOUND, TriangleMesh, _check_coord_bound, _check_real,
                        angle_distortion, as_cloud)
 from .geometry import hausdorff_exact as _chunked_hausdorff
-from .losses import (LossBreakdown, ObjectiveConfig, _check_sigma,
-                     total_loss_with_grad)
+from .losses import ObjectiveConfig, _check_sigma, total_loss_with_grad
 from .neural import (
     NetworkSpec,
     backward,
@@ -234,6 +234,21 @@ def _check_mapped(mapped: np.ndarray) -> np.ndarray:
     return mapped
 
 
+def _floor_lambda_inv(out: np.ndarray) -> np.ndarray:
+    """The inverse factors, the softplus head's column floored at the
+    smallest positive normal: a strongly negative pre-activation underflows
+    softplus to exact zero, and a coincident pair of such points would zero
+    a pair sum."""
+    lam_inv = out.ravel()
+    np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
+    return lam_inv
+
+
+def _map_and_lambda(per_net) -> tuple:
+    """(map entry, inverse-factor entry or None) of a per-net list."""
+    return (*per_net, None)[:2]
+
+
 def _flatten_landmarks(landmarks, n_points: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The checked landmark groups, and their rows once each in order of
     first appearance."""
@@ -279,7 +294,8 @@ def train(
     batch_callback=None,
     stage_callback=None,
 ) -> TrainResult:
-    """Fit the parametrization map (and inverse-factor net) to a cloud.
+    """Fit the parametrization map (and inverse-factor net) to a cloud of at
+    least 3 distinct points.
 
     Every epoch permutes the cloud and walks it in batches of batch_points
     (the last batch is whatever remains); landmark points not already in a
@@ -289,50 +305,47 @@ def train(
     until the point batch covers the whole cloud; that final full-batch stage
     still runs.
 
-    With objective.beta1 == 0 no inverse-factor net is created and the
-    distortion term is skipped (shape matching only). Otherwise lambda_spec
-    defaults to a small softplus-headed net over the input dimension.
+    With objective.beta1 == 0 no inverse-factor net is created, lambda_spec
+    is ignored and the distortion term is skipped (shape matching only).
+    Otherwise lambda_spec defaults to a small softplus-headed net over the
+    input dimension.
 
     The energies run float32 tiles (`total_loss_with_grad`'s tile_dtype)
-    when the map net is float32 and so is the inverse-factor net, if there
-    is one; otherwise float64 tiles.
+    when every net of the fit is float32; otherwise float64 tiles.
 
     Fully deterministic for fixed inputs and seed. batch_callback, if given,
     is called as batch_callback(stage, epoch, batch_index, breakdown) after
     every step; stage_callback as stage_callback(stage, record, map_params,
-    lambda_params) with parameter snapshots at each stage end.
+    lambda_params) with copies of the parameters at each stage end,
+    lambda_params None without an inverse-factor net.
     """
     x = as_cloud(points)
-    n_points = len(x)
+    n_points, dim = x.shape
     _check_coord_bound(x, "input")
+    n_distinct = len(np.unique(x, axis=0))
+    if n_distinct < 3:
+        raise ValueError(f"a fit needs at least 3 distinct points, got {n_distinct}")
     objective = ObjectiveConfig() if objective is None else objective
     stage_cfg = StageConfig() if stage is None else stage
     opt_cfg = RmsPropConfig() if optimizer is None else optimizer
-    if map_spec is None:
-        map_spec = default_map_spec(x.shape[1])
-    if map_spec.input_dim != x.shape[1] or map_spec.output_dim != 2:
-        raise ValueError(
-            f"map network must be {x.shape[1]} -> 2, got "
-            f"{map_spec.input_dim} -> {map_spec.output_dim}"
-        )
-    use_lambda = objective.beta1 > 0
-    if use_lambda:
-        if lambda_spec is None:
-            lambda_spec = default_lambda_spec(x.shape[1])
-        if lambda_spec.input_dim != x.shape[1] or lambda_spec.output_dim != 1:
-            raise ValueError(
-                f"inverse-factor network must be {x.shape[1]} -> 1, got "
-                f"{lambda_spec.input_dim} -> {lambda_spec.output_dim}"
-            )
-        if lambda_spec.output_activation != "softplus":
-            raise ValueError("inverse-factor network needs a softplus output")
-    else:
-        lambda_spec = None
+    # the fit's nets, map first, each as (name, spec, output width, output
+    # activation it needs, what its output is to the loss)
+    map_spec = default_map_spec(dim) if map_spec is None else map_spec
+    lambda_spec = default_lambda_spec(dim) if lambda_spec is None else lambda_spec
+    nets = [("map network", map_spec, 2, None, _check_mapped),
+            ("inverse-factor network", lambda_spec, 1, "softplus", _floor_lambda_inv)]
+    if objective.beta1 == 0:  # shape matching has no inverse-factor net
+        del nets[1]
+    for name, spec, width, head, _ in nets:
+        if spec.input_dim != dim or spec.output_dim != width:
+            raise ValueError(f"{name} must be {dim} -> {width}, got "
+                             f"{spec.input_dim} -> {spec.output_dim}")
+        if head is not None and spec.output_activation != head:
+            raise ValueError(f"{name} needs a {head} output")
+    _, specs, _, _, outputs = zip(*nets)
     # the float32 nets take the loss gradients cast to float32, so float64
     # tiles would only feed them bits that the cast drops
-    float32_nets = map_spec.dtype == "float32" and (lambda_spec is None
-                                                     or lambda_spec.dtype == "float32")
-    tile_dtype = np.float32 if float32_nets else np.float64
+    tile_dtype = np.float32 if all(s.dtype == "float32" for s in specs) else np.float64
 
     landmarks = [] if landmarks is None else list(landmarks)
     targets = [] if targets is None else [as_cloud(t, dim=2) for t in targets]
@@ -349,20 +362,13 @@ def train(
 
     root = np.random.SeedSequence(seed)
     # the stage generators are spawned from root after these four, so the
-    # count fixes their seeds, and with them every fit's bits; the fourth is
-    # unused
-    ss_map, ss_lambda, ss_eval, _ = root.spawn(4)
-    map_params = init_params(map_spec, np.random.default_rng(ss_map))
-    map_state = RmsPropState.zeros(param_count(map_spec))
-    if use_lambda:
-        lambda_params = init_params(lambda_spec, np.random.default_rng(ss_lambda))
-        lambda_state = RmsPropState.zeros(param_count(lambda_spec))
-    else:
-        lambda_params = None
-        lambda_state = None
+    # count fixes their seeds, and with them every fit's bits; the second
+    # (the inverse-factor net's) is unused without that net, the fourth always
+    *ss_nets, ss_eval, _ = root.spawn(4)
+    params = [init_params(s, np.random.default_rng(ss)) for s, ss in zip(specs, ss_nets)]
+    states = [RmsPropState.zeros(param_count(s)) for s in specs]
 
-    eval_rng = np.random.default_rng(ss_eval)
-    w_eval = domain.sample_area(eval_sample_size, eval_rng)
+    w_eval = domain.sample_area(eval_sample_size, np.random.default_rng(ss_eval))
 
     stage_cfg = dataclasses.replace(
         stage_cfg,
@@ -371,18 +377,11 @@ def train(
     )
 
     records: list[StageRecord] = []
-    keep_going = True
-    stage_idx = 0
     # OpenBLAS stays at one thread for the whole loop, so that its idle
     # workers do not spin on the core of the second row half
     with _halves.blas_hold():
-        while keep_going:
-            stage_idx += 1
-            if stage_cfg.batch_points == n_points:
-                keep_going = False
+        for stage_idx in itertools.count(1):
             stage_rng = np.random.default_rng(root.spawn(1)[0])
-            last_breakdown: LossBreakdown | None = None
-
             for epoch in range(1, stage_cfg.epochs + 1):
                 alpha = alpha_schedule(
                     epoch, stage_cfg.epochs, stage_cfg.alpha_init, stage_cfg.alpha_final
@@ -398,87 +397,54 @@ def train(
                     w = domain.sample_area(stage_cfg.batch_domain, stage_rng)
 
                     try:
-                        map_tape: list = []
-                        mapped = _check_mapped(
-                            forward(map_spec, map_params, x_batch, tape=map_tape))
-                        lambda_tape: list = []
-                        lam_inv = None
-                        if use_lambda:
-                            lam_inv = forward(
-                                lambda_spec, lambda_params, x_batch, tape=lambda_tape
-                            ).ravel()
-                            # a strongly negative pre-activation underflows softplus
-                            # to exact zero; floor at the smallest positive normal so
-                            # a coincident pair of such points cannot zero a pair sum
-                            np.maximum(lam_inv, np.finfo(np.float64).tiny, out=lam_inv)
-                        breakdown, g_mapped, g_v = total_loss_with_grad(
-                            x_batch, mapped, lam_inv, w, landmark_rows, targets,
+                        tapes = [[] for _ in specs]
+                        # in order, so the map's output is checked before the
+                        # inverse-factor net runs
+                        outs = [output(forward(s, p, x_batch, tape=tape))
+                                for s, p, tape, output in zip(specs, params, tapes, outputs)]
+                        breakdown, *grads = total_loss_with_grad(
+                            x_batch, *_map_and_lambda(outs), w, landmark_rows, targets,
                             objective, alpha, stage_cfg.sigma, n_base=len(chunk),
                             tile_dtype=tile_dtype,
                         )
                         if not np.isfinite(breakdown.total):
                             raise FloatingPointError(f"loss is {breakdown.total}")
-                        g_map = backward(map_spec, map_tape, g_mapped)
-                        map_params = rmsprop_step(map_params, g_map, map_state, opt_cfg)
-                        if use_lambda:
-                            g_lam = backward(lambda_spec, lambda_tape, g_v[:, None])
-                            lambda_params = rmsprop_step(
-                                lambda_params, g_lam, lambda_state, opt_cfg
-                            )
+                        # each net's cotangent has one column per output
+                        for k, (s, tape, g) in enumerate(zip(specs, tapes, grads)):
+                            g_net = backward(s, tape, g.reshape(len(g), -1))
+                            params[k] = rmsprop_step(params[k], g_net, states[k], opt_cfg)
                     except FloatingPointError as exc:
                         raise TrainingError(
                             f"stage {stage_idx} epoch {epoch} batch {bi}: {exc}"
                         ) from exc
-                    last_breakdown = breakdown
                     if batch_callback is not None:
                         batch_callback(stage_idx, epoch, bi, breakdown)
 
             try:
-                mapped_all = _check_mapped(forward(map_spec, map_params, x))
+                mapped_all = _check_mapped(forward(specs[0], params[0], x))
             except FloatingPointError as exc:
                 raise TrainingError(f"stage {stage_idx} evaluation: {exc}") from exc
             eval_h = _chunked_hausdorff(mapped_all, w_eval)
             eval_angle = None
             if eval_mesh is not None:
                 eval_angle = float(angle_distortion(eval_mesh, mapped_all).mean_abs)
-            eval_lm = None
-            if groups:
-                eval_lm = max(
-                    _chunked_hausdorff(mapped_all[g], q) for g, q in zip(groups, targets)
-                )
-            assert last_breakdown is not None
+            eval_lm = max((_chunked_hausdorff(mapped_all[g], q) for g, q in zip(groups, targets)),
+                          default=None)
+            # the loss fields are the stage's last step's
             record = StageRecord(
-                stage=stage_idx,
-                sigma=stage_cfg.sigma,
-                alpha_init=stage_cfg.alpha_init,
-                alpha_final=stage_cfg.alpha_final,
-                epochs=stage_cfg.epochs,
-                batch_points=stage_cfg.batch_points,
-                batch_domain=stage_cfg.batch_domain,
-                loss_total=last_breakdown.total,
-                loss_leg=last_breakdown.leg,
-                loss_hand=last_breakdown.hand,
-                loss_landmark=last_breakdown.landmark,
-                eval_hausdorff=eval_h,
-                eval_mean_abs_angle=eval_angle,
-                eval_landmark_hausdorff=eval_lm,
+                stage=stage_idx, sigma=stage_cfg.sigma, alpha_init=stage_cfg.alpha_init,
+                alpha_final=stage_cfg.alpha_final, epochs=stage_cfg.epochs,
+                batch_points=stage_cfg.batch_points, batch_domain=stage_cfg.batch_domain,
+                loss_total=breakdown.total, loss_leg=breakdown.leg, loss_hand=breakdown.hand,
+                loss_landmark=breakdown.landmark, eval_hausdorff=eval_h,
+                eval_mean_abs_angle=eval_angle, eval_landmark_hausdorff=eval_lm,
             )
             records.append(record)
             if stage_callback is not None:
-                stage_callback(
-                    stage_idx,
-                    record,
-                    map_params.copy(),
-                    None if lambda_params is None else lambda_params.copy(),
-                )
-            if keep_going:
-                stage_cfg = advance_stage(stage_cfg, n_points, domain_size)
+                stage_callback(stage_idx, record, *_map_and_lambda([p.copy() for p in params]))
+            if stage_cfg.batch_points == n_points:
+                break
+            stage_cfg = advance_stage(stage_cfg, n_points, domain_size)
 
-    return TrainResult(
-        map_spec=map_spec,
-        map_params=map_params,
-        lambda_spec=lambda_spec,
-        lambda_params=lambda_params,
-        records=records,
-        mapped=mapped_all,
-    )
+    (map_spec, lambda_spec), (map_params, lambda_params) = map(_map_and_lambda, (specs, params))
+    return TrainResult(map_spec, map_params, lambda_spec, lambda_params, records, mapped_all)

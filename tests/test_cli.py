@@ -22,6 +22,7 @@ from pcparam.cli import (
     main,
 )
 from pcparam.domains import preset_domain
+from pcparam.geometry import TriangleMesh
 from pcparam.io import load_cloud, load_mesh, load_table, save_cloud, save_mesh
 from pcparam.meshing import delaunay
 from pcparam.neural import NetworkSpec, save_checkpoint
@@ -427,6 +428,20 @@ def test_fit_huge_input_cloud_exits_2_with_message(tmp_path, caplog):
     assert not (tmp_path / "o" / "log.csv").exists()
 
 
+@pytest.mark.parametrize("rows, distinct", [
+    ([[0.4, 0.6]], 1),
+    ([[0.4, 0.6], [0.1, 0.2]], 2),
+    ([[0.4, 0.6]] * 10, 1),
+])
+def test_fit_on_fewer_than_three_distinct_points_exits_2(tmp_path, caplog, rows, distinct):
+    cloud = tmp_path / "cloud.csv"
+    save_cloud(cloud, np.array(rows))
+    cfg = _tiny_config(cloud, tmp_path / "o")
+    assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
+    assert f"config error: a fit needs at least 3 distinct points, got {distinct}" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_gradient_overflow_exits_1_naming_the_batch(tmp_path):
     # a float32 gradient past float32's range is a numeric failure of the run,
     # reported with its stage, epoch and batch, not a config error
@@ -640,6 +655,44 @@ def test_eval_metrics(workdir, tiny_cloud_csv, fitted):
     assert len(hr) == 9
     n_faces = len(delaunay(load_cloud(tiny_cloud_csv)).triangles)
     assert sum(int(r[2]) for r in hr) == 3 * n_faces
+
+
+def _mesh_off_the_cloud(cloud: np.ndarray, same_count: bool) -> TriangleMesh:
+    """A mesh that is not over the cloud: over its rows but one, or over the
+    same number of rows with the first one moved."""
+    if same_count:
+        verts = cloud.copy()
+        verts[0] += 0.01
+        return delaunay(verts)
+    return delaunay(cloud[1:])
+
+
+@pytest.mark.parametrize("same_count", [False, True], ids=["fewer_vertices", "moved_vertex"])
+def test_eval_mesh_not_over_the_cloud_exits_2(workdir, tiny_cloud_csv, fitted, tmp_path,
+                                             caplog, same_count):
+    mesh_path = tmp_path / "other.obj"
+    save_mesh(mesh_path, _mesh_off_the_cloud(load_cloud(tiny_cloud_csv), same_count))
+    rc = main([
+        "eval", "--checkpoint", str(fitted / "map.ckpt.json"),
+        "--input", str(tiny_cloud_csv), "--out-dir", str(tmp_path / "ev"),
+        "--sample-size", "64", "--mesh", str(mesh_path),
+    ])
+    assert rc == 2
+    assert f"config error: {mesh_path}: mesh vertices must be exactly the input cloud" \
+        in caplog.text
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("same_count", [False, True], ids=["fewer_vertices", "moved_vertex"])
+def test_fit_eval_mesh_not_over_the_cloud_exits_2(tiny_cloud_csv, tmp_path, caplog,
+                                                 same_count):
+    mesh_path = tmp_path / "other.obj"
+    save_mesh(mesh_path, _mesh_off_the_cloud(load_cloud(tiny_cloud_csv), same_count))
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o", eval_mesh=str(mesh_path))
+    assert main(["fit", "--config", _write_config(tmp_path / "c.json", cfg)]) == 2
+    assert f"config error: {mesh_path}: mesh vertices must be exactly the input cloud" \
+        in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

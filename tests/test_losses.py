@@ -120,6 +120,18 @@ def test_hand_gradient_finite_at_coincident_points():
     assert np.isfinite(gw).all()
 
 
+@pytest.mark.parametrize("tile_dtype", [np.float64, np.float32])
+def test_leg_vanishes_on_copies_of_one_point(tile_dtype):
+    # every pair is coincident before and after the map, so the energy and
+    # both gradients are exact zeros: a step on such a batch moves nothing
+    x = np.tile([[0.4, 0.6]], (5, 1))
+    y = np.tile([[-0.3, 0.2]], (5, 1))
+    val, gy, gv = leg_with_grad(x, y, np.array([0.5, 1.0, 2.0, 3.0, 0.1]), 0.5,
+                                tile_dtype=tile_dtype)
+    assert val == 0.0
+    assert not gy.any() and not gv.any()
+
+
 def test_hand_config_validation():
     for alpha in (0.0, -3.0, float("nan")):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):

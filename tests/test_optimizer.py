@@ -283,18 +283,22 @@ def test_train_bitwise_deterministic():
     assert not np.array_equal(r1.map_params, r3.map_params)
 
 
-def test_train_duplicate_cloud_never_moves():
-    # every point identical: the distortion energy and its gradients vanish,
-    # so with beta2 = beta3 = 0 each step is a no-op and epoch count is moot
-    x = np.tile([[0.4, 0.6]], (5, 1))
-    dom = preset_domain("square")
-    kw = _tiny_kwargs(objective=ObjectiveConfig(beta1=3.0, beta2=0.0, beta3=0.0))
-    r1 = train(x, dom, **{**kw, "stage": StageConfig(
-        epochs=1, batch_points=8, batch_domain=8, epochs_min=1)})
-    r2 = train(x, dom, **{**kw, "stage": StageConfig(
-        epochs=4, batch_points=8, batch_domain=8, epochs_min=1)})
-    np.testing.assert_array_equal(r1.map_params, r2.map_params)
-    np.testing.assert_array_equal(r1.lambda_params, r2.lambda_params)
+@pytest.mark.parametrize("cloud", [
+    [[0.4, 0.6]],
+    [[0.4, 0.6], [0.1, 0.2]],
+    [[0.4, 0.6]] * 10,
+    [[0.4, 0.6], [0.1, 0.2]] * 5,
+], ids=["one_point", "two_points", "ten_copies", "two_points_five_times"])
+def test_train_refuses_fewer_than_three_distinct_points(cloud):
+    distinct = len({tuple(p) for p in cloud})
+    with pytest.raises(ValueError, match=f"at least 3 distinct points, got {distinct}$"):
+        train(np.array(cloud), preset_domain("square"), **_tiny_kwargs())
+
+
+def test_train_runs_on_three_points():
+    x = np.array([[0.4, 0.6], [0.1, 0.2], [0.8, 0.3]] * 2)
+    result = train(x, preset_domain("square"), **_tiny_kwargs())
+    assert result.mapped.shape == (6, 2) and np.isfinite(result.mapped).all()
 
 
 def test_train_shape_matching_has_no_lambda_net():
