@@ -83,8 +83,7 @@ def main() -> None:
     # are interpolated over the mapped cloud, as `pcparam reconstruct` does
     lam_vals = forward(result.lambda_spec, result.lambda_params, cloud).ravel()
     for mode, vals in (("uniform", None), ("lambda_adapted", lam_vals)):
-        recon = reconstruct_surface(result.mapped, cloud, disk, mode=mode,
-                                    target_edge=0.1, seed=0,
+        recon = reconstruct_surface(result.mapped, cloud, disk, target_edge=0.1, seed=0,
                                     lambda_inv_values=vals)
         areas = recon.surface.triangle_areas()
         cv = float(areas.std() / areas.mean())

@@ -433,11 +433,8 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError("lambda_adapted mode needs --lambda-checkpoint")
         lam_vals = _checkpoint_output(args.lambda_checkpoint, cloud, "lambda checkpoint").ravel()
 
-    result = reconstruct_surface(
-        mapped, cloud, domain,
-        mode=args.mode, target_edge=args.target_edge, seed=args.seed,
-        lambda_inv_values=lam_vals,
-    )
+    result = reconstruct_surface(mapped, cloud, domain, target_edge=args.target_edge,
+                                 seed=args.seed, lambda_inv_values=lam_vals)
     pcio.save_mesh(args.out, result.surface)
     if args.param_out:
         pcio.save_mesh(args.param_out, result.param)

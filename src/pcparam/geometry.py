@@ -353,14 +353,12 @@ def _one_per_cell(extent: np.ndarray, m: int) -> float:
     return max(math.sqrt(w / m) * math.sqrt(h), max(w, h) / m)
 
 
-def _point_grid(b: np.ndarray) -> _Grid | None:
-    """Grid over the first two coordinates of b, about one point per cell.
-    None when b's extent overflows."""
+def _point_grid(b: np.ndarray) -> _Grid:
+    """Grid over the first two coordinates of b, about one point per cell;
+    the cell is finite for any b within the coordinate bound."""
     lo = b[:, :2].min(axis=0)
     hi = b[:, :2].max(axis=0)
     cell = _one_per_cell(hi - lo, len(b))
-    if not math.isfinite(cell):
-        return None
     # all of b at one planar point: any side gives a single cell
     return _Grid(lo, hi, cell if cell > 0 else 1.0, b, b)
 
@@ -388,8 +386,6 @@ def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     into one cell.
     """
     grid = _point_grid(b)
-    if grid is None:
-        return _dense_row_min_sq(a, b)
     bs = b[grid.items].T.copy()  # b in cell order, one row per coordinate
     best = np.full(len(a), np.inf)
     for span, cnt, pos in grid.blocks(a, ring=1):

@@ -89,7 +89,8 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
     return _orient_exact(ax, ay, bx, by, cx, cy)
 
 
-def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """+1 iff d is strictly inside the circumcircle of ccw (a, b, c), exactly."""
     ax, ay, bx, by, cx, cy, dx, dy = _dyadic_ints(ax, ay, bx, by, cx, cy, dx, dy)
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
@@ -100,28 +101,6 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
     return int(det > 0) - int(det < 0)
-
-
-def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    """+1 iff d is strictly inside the circumcircle of ccw triangle (a, b, c)."""
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-    permanent = (
-        (abs(bdxcdy) + abs(cdxbdy)) * alift
-        + (abs(cdxady) + abs(adxcdy)) * blift
-        + (abs(adxbdy) + abs(bdxady)) * clift
-    )
-    if permanent >= _FILTER_FLOOR and abs(det) > _INCIRCLE_BOUND * permanent:
-        return int(det > 0) - int(det < 0)
-    return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
 
 def _in_triangle(a, b, c, qx, qy) -> bool:
@@ -213,7 +192,7 @@ class _Triangulator:
         a, b, c = self.tri[t]
         pts = self.pts
         (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[pi]
-        sign = _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
+        sign = incircle(ax, ay, bx, by, cx, cy, dx, dy)
         if sign:
             return sign > 0
         ra, rb, rc = (-1 if v >= self.n else v for v in (a, b, c))
@@ -235,8 +214,8 @@ class _Triangulator:
         not settled after 4 * triangles + 64 steps raises RuntimeError. The
         cavity, every triangle whose circumcircle holds the point, grows from
         there across edges; its slots and two new ones take the new fan. The
-        float filters of `orient2d` and `incircle` are inlined; the exact
-        paths and the tie rule run only where a filter cannot decide.
+        float filters of `orient2d` and of the in-circle test are inlined; the
+        exact paths and the tie rule run only where a filter cannot decide.
         """
         pts, tri, nbr, mark = self.pts, self.tri, self.nbr, self.mark
         fan = [0] * len(pts)  # the new triangle that each rim vertex leads
@@ -354,8 +333,6 @@ def prune_long_faces(mesh: TriangleMesh, h: float) -> TriangleMesh:
     """Drop every face whose longest edge exceeds h; vertices are kept."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive, got {h}")
-    if len(mesh.triangles) == 0:
-        return TriangleMesh(mesh.vertices.copy(), mesh.triangles.copy())
     keep = mesh.edge_lengths().max(axis=1) <= h
     return TriangleMesh(mesh.vertices.copy(), mesh.triangles[keep])
 
@@ -497,26 +474,31 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
     return np.array(took, dtype=np.int64)
 
 
+def _field_values(lambda_inv_field, p: np.ndarray) -> np.ndarray:
+    """The field at the rows of p, checked: one positive finite value each."""
+    u = np.asarray(lambda_inv_field(p), dtype=np.float64).ravel()
+    if u.shape != (len(p),) or not (np.isfinite(u).all() and (u > 0).all()):
+        raise ValueError("lambda_inv_field must return one positive finite value per point")
+    return u
+
+
 def generate_param_mesh(
     domain: Domain,
-    mode: str = "uniform",
     target_edge: float = 0.05,
     seed: int = 0,
     lambda_inv_field=None,
 ) -> TriangleMesh:
     """Mesh the parameter domain with near-target edge lengths.
 
-    mode "uniform": constant-radius Poisson-disk dart throwing. mode
-    "lambda_adapted": dart radius proportional to 1/sqrt(lambda_inv_field(p)),
-    normalized so the median spacing stays at target_edge; the field is a
-    callable (n, 2) -> (n,) of positive values. Points are the boundary ring
-    plus accepted darts; faces come from Delaunay, keeping those whose
-    centroid lies in the domain. A target edge so small that the ring plus
-    every dart that could be accepted would pass `_MESH_VERTICES` vertices
-    is rejected with a ValueError before any point is placed.
+    Poisson-disk dart throwing at spacing 0.75 * target_edge. A field, a
+    callable (n, 2) -> (n,) of positive inverse factors, scales the spacing
+    at p by m / sqrt(lambda_inv_field(p)), m the median of its square root
+    over 256 probe points, so it shrinks where the field is large. Points
+    are the boundary ring plus accepted darts; faces come from Delaunay,
+    keeping those whose centroid lies in the domain. A target edge so small
+    that the ring plus every dart that could be accepted would pass
+    `_MESH_VERTICES` vertices is rejected with a ValueError at once.
     """
-    if mode not in ("uniform", "lambda_adapted"):
-        raise ValueError(f"mode must be 'uniform' or 'lambda_adapted', got {mode!r}")
     if not (np.isfinite(target_edge) and target_edge > 0):
         raise ValueError(f"target_edge must be positive, got {target_edge}")
     lo, hi = domain.bbox
@@ -526,26 +508,15 @@ def generate_param_mesh(
         )
     rng = np.random.default_rng(seed)
 
-    radius_factor = 0.75
-    if mode == "uniform":
-        def radius_at(p: np.ndarray) -> np.ndarray:
-            p = np.atleast_2d(p)
-            return np.full(len(p), radius_factor * target_edge)
-    else:
-        if lambda_inv_field is None:
-            raise ValueError("lambda_adapted mode needs a lambda_inv_field")
+    spacing = 0.75 * target_edge
+    if lambda_inv_field is not None:
         probe = domain.sample_area(256, rng)
-        u = np.asarray(lambda_inv_field(probe), dtype=np.float64).ravel()
-        if u.shape != (256,) or not (np.isfinite(u).all() and (u > 0).all()):
-            raise ValueError("lambda_inv_field must return positive finite values")
-        scale = radius_factor * target_edge * float(np.median(np.sqrt(u)))
+        spacing *= float(np.median(np.sqrt(_field_values(lambda_inv_field, probe))))
 
-        def radius_at(p: np.ndarray) -> np.ndarray:
-            p = np.atleast_2d(p)
-            vals = np.asarray(lambda_inv_field(p), dtype=np.float64).ravel()
-            if not (np.isfinite(vals).all() and (vals > 0).all()):
-                raise ValueError("lambda_inv_field must return positive finite values")
-            return scale / np.sqrt(vals)
+    def radius_at(p: np.ndarray) -> np.ndarray:
+        if lambda_inv_field is None:
+            return np.full(len(p), spacing)
+        return spacing / np.sqrt(_field_values(lambda_inv_field, p))
 
     ring = _boundary_ring(domain, radius_at, _DART_ROUNDS * _DART_BATCH)
     accepted = [ring]
@@ -747,7 +718,6 @@ def reconstruct_surface(
     mapped,
     original,
     domain: Domain,
-    mode: str = "uniform",
     target_edge: float = 0.05,
     seed: int = 0,
     lambda_inv_field=None,
@@ -759,8 +729,10 @@ def reconstruct_surface(
     mapped cloud (barycentric inverse interpolation), and reindexes faces
     over the vertices that landed inside the triangulated region.
 
-    lambda_adapted mode takes a field callable, or per-point inverse factors
-    interpolated over the lift's triangulation (nearest point outside it).
+    The mesh is sized by `generate_param_mesh`'s field: a callable
+    lambda_inv_field, or per-point inverse factors lambda_inv_values
+    interpolated over the lift's triangulation (nearest point outside it),
+    not both; without either it is uniform.
     """
     interp = InverseInterpolator(mapped, as_cloud(original))
     if lambda_inv_values is not None:
@@ -778,7 +750,7 @@ def reconstruct_surface(
                 out[miss[t]] = vals[np.sqrt(sq, out=sq).argmin(axis=1)]
             return out
 
-    param = generate_param_mesh(domain, mode, target_edge, seed, lambda_inv_field)
+    param = generate_param_mesh(domain, target_edge, seed, lambda_inv_field)
     lifted, ok = interp(param.vertices)
     if not ok.any():
         raise ValueError("no parameter vertex could be located in the mapped cloud")

@@ -370,11 +370,7 @@ def train(
 
     w_eval = domain.sample_area(eval_sample_size, np.random.default_rng(ss_eval))
 
-    stage_cfg = dataclasses.replace(
-        stage_cfg,
-        batch_points=min(stage_cfg.batch_points, n_points),
-        batch_domain=min(stage_cfg.batch_domain, domain_size),
-    )
+    stage_cfg = dataclasses.replace(stage_cfg, batch_points=min(stage_cfg.batch_points, n_points))
 
     records: list[StageRecord] = []
     # OpenBLAS stays at one thread for the whole loop, so that its idle

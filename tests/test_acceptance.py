@@ -517,8 +517,7 @@ def test_c10_adapted_reconstruction_uniformity():
     disk = preset_domain("disk")
     cv = {}
     for mode, field in (("uniform", None), ("lambda_adapted", stretch_half)):
-        res = reconstruct_surface(xy, cloud3, disk, mode=mode,
-                                  target_edge=0.08, seed=0,
+        res = reconstruct_surface(xy, cloud3, disk, target_edge=0.08, seed=0,
                                   lambda_inv_field=field)
         areas = res.surface.triangle_areas()
         assert len(areas) > 100

@@ -1299,9 +1299,9 @@ def test_lambda_fallback_matches_nearest_point_loop(monkeypatch, tile):
     vals = rng.uniform(0.5, 2.0, len(mapped))
     fields = []
 
-    def spy(domain, mode, target_edge, seed, lambda_inv_field):
+    def spy(domain, target_edge, seed, lambda_inv_field):
         fields.append(lambda_inv_field)
-        return param_mesh(domain, mode, target_edge, seed, lambda_inv_field)
+        return param_mesh(domain, target_edge, seed, lambda_inv_field)
 
     param_mesh = meshing.generate_param_mesh
     monkeypatch.setattr(meshing, "generate_param_mesh", spy)
@@ -1309,8 +1309,8 @@ def test_lambda_fallback_matches_nearest_point_loop(monkeypatch, tile):
     original = np.column_stack([mapped, rng.normal(size=len(mapped))])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DuplicatePointsWarning)
-        reconstruct_surface(mapped, original, preset_domain("disk"), mode="lambda_adapted",
-                            target_edge=0.3, lambda_inv_values=vals)
+        reconstruct_surface(mapped, original, preset_domain("disk"), target_edge=0.3,
+                            lambda_inv_values=vals)
         interp = InverseInterpolator(mapped, original)
     field = fields[0]
     th = rng.uniform(0.0, 2.0 * np.pi, 300)
@@ -1350,7 +1350,7 @@ def _field(p):
 def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
     domain = _annulus() if name == "annulus" else preset_domain(name)
     field = _field if mode == "lambda_adapted" else None
-    mesh = generate_param_mesh(domain, mode, 0.1, seed=4, lambda_inv_field=field)
+    mesh = generate_param_mesh(domain, 0.1, seed=4, lambda_inv_field=field)
     vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, 4, field)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, triangles)

@@ -181,6 +181,14 @@ def test_prune_thresholds():
         prune_long_faces(mesh, float("nan"))
 
 
+def test_prune_mesh_without_triangles():
+    mesh = TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((0, 3)))
+    pruned = prune_long_faces(mesh, 0.5)
+    assert pruned.triangles.shape == (0, 3)
+    np.testing.assert_array_equal(pruned.vertices, mesh.vertices)
+    assert pruned.vertices is not mesh.vertices
+
+
 def test_prune_idempotent_and_monotone():
     rng = np.random.default_rng(6)
     mesh = delaunay(rng.uniform(0, 1, (60, 2)))
@@ -249,7 +257,7 @@ def test_annulus_boundary_two_loops():
 def test_param_mesh_uniform_square():
     dom = preset_domain("square")
     te = 0.1
-    mesh = generate_param_mesh(dom, "uniform", target_edge=te, seed=0)
+    mesh = generate_param_mesh(dom, target_edge=te, seed=0)
     assert dom.contains_many(mesh.vertices).all()
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     assert dom.contains_many(cent).all()
@@ -259,19 +267,19 @@ def test_param_mesh_uniform_square():
     med = np.median(lengths)
     assert 0.6 * te < med < 1.4 * te
     # darts are deterministic per seed
-    again = generate_param_mesh(dom, "uniform", target_edge=te, seed=0)
+    again = generate_param_mesh(dom, target_edge=te, seed=0)
     np.testing.assert_array_equal(mesh.vertices, again.vertices)
     np.testing.assert_array_equal(mesh.triangles, again.triangles)
-    other = generate_param_mesh(dom, "uniform", target_edge=te, seed=1)
+    other = generate_param_mesh(dom, target_edge=te, seed=1)
     assert not np.array_equal(mesh.vertices, other.vertices)
 
 
 def test_param_mesh_constant_field_matches_uniform_density():
     dom = preset_domain("square")
     te = 0.1
-    uni = generate_param_mesh(dom, "uniform", target_edge=te, seed=3)
+    uni = generate_param_mesh(dom, target_edge=te, seed=3)
     ada = generate_param_mesh(
-        dom, "lambda_adapted", target_edge=te, seed=3,
+        dom, target_edge=te, seed=3,
         lambda_inv_field=lambda p: np.full(len(np.atleast_2d(p)), 2.5),
     )
     med_u = np.median(uni.edge_lengths().ravel())
@@ -286,9 +294,7 @@ def test_param_mesh_adapted_refines_high_lambda_region():
         p = np.atleast_2d(p)
         return np.where(p[:, 0] < 0.5, 4.0, 1.0)
 
-    mesh = generate_param_mesh(
-        dom, "lambda_adapted", target_edge=0.12, seed=5, lambda_inv_field=field
-    )
+    mesh = generate_param_mesh(dom, target_edge=0.12, seed=5, lambda_inv_field=field)
     mid = mesh.vertices[mesh.triangles].mean(axis=1)
     lengths = mesh.edge_lengths()
     left = lengths[mid[:, 0] < 0.4].ravel()
@@ -309,29 +315,33 @@ def test_dart_grid_stays_bounded_at_a_tiny_radius():
 
 def test_param_mesh_validation():
     dom = preset_domain("square")
-    with pytest.raises(ValueError, match="mode"):
-        generate_param_mesh(dom, "adaptive")
     with pytest.raises(ValueError, match="target_edge"):
-        generate_param_mesh(dom, "uniform", target_edge=0.0)
+        generate_param_mesh(dom, target_edge=0.0)
     with pytest.raises(ValueError, match="extent"):
-        generate_param_mesh(dom, "uniform", target_edge=5.0)
-    with pytest.raises(ValueError, match="lambda_inv_field"):
-        generate_param_mesh(dom, "lambda_adapted", target_edge=0.1)
+        generate_param_mesh(dom, target_edge=5.0)
     with pytest.raises(ValueError, match="positive finite"):
         generate_param_mesh(
-            dom, "lambda_adapted", target_edge=0.1,
+            dom, target_edge=0.1,
             lambda_inv_field=lambda p: np.full(len(np.atleast_2d(p)), -1.0),
         )
+
+
+def test_param_mesh_refuses_a_field_of_the_wrong_length():
+    # at least 256 values: right for the probe, too many for the shorter
+    # calls that follow, which an unchecked field turns into a 112-vertex mesh
+    with pytest.raises(ValueError, match="one positive finite value per point"):
+        generate_param_mesh(preset_domain("disk"), target_edge=0.2, seed=0,
+                            lambda_inv_field=lambda p: np.ones(max(len(p), 256)))
 
 
 @pytest.mark.parametrize("mode", ["uniform", "lambda_adapted"])
 def test_param_mesh_past_the_vertex_limit_is_refused_at_once(mode):
     # the ring of 840k points is within the polyline limit; with the darts
     # it would pass the vertex limit, and nothing is placed before the check
+    field = None if mode == "uniform" else (lambda p: np.ones(len(p)))
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=r"past the limit of 262144 \(2\*\*18\) vertices"):
-        generate_param_mesh(preset_domain("disk"), mode, target_edge=1e-5,
-                            lambda_inv_field=lambda p: np.ones(len(p)))
+        generate_param_mesh(preset_domain("disk"), target_edge=1e-5, lambda_inv_field=field)
     assert time.perf_counter() - t0 < 1.0
     # at most 57000 ring points on the unit square: with 205000 darts they
     # are just inside the limit, with 205200 just past it
@@ -446,7 +456,7 @@ def test_reconstruct_planar_identity():
         rng.uniform(0, 1, (300, 2)),
         np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.float64),
     ])
-    result = reconstruct_surface(mapped, mapped, dom, "uniform", target_edge=0.15)
+    result = reconstruct_surface(mapped, mapped, dom, target_edge=0.15)
     kept = result.kept_vertices
     assert kept.sum() >= 0.9 * len(result.param.vertices)
     np.testing.assert_allclose(
@@ -464,8 +474,7 @@ def test_reconstruct_hemisphere_height_accuracy():
     z = np.sqrt(1.0 - (xy ** 2).sum(axis=1))
     surface_pts = np.column_stack([xy, z])
     result = reconstruct_surface(
-        xy, surface_pts, preset_domain("disk"), "uniform",
-        target_edge=0.15, seed=2,
+        xy, surface_pts, preset_domain("disk"), target_edge=0.15, seed=2,
     )
     got = result.surface.vertices
     inner = np.linalg.norm(got[:, :2], axis=1) < 0.8
@@ -478,7 +487,7 @@ def test_reconstruct_error_when_nothing_locatable():
     mapped = np.array([[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]])
     original = mapped.copy()
     with pytest.raises(ValueError, match="located"):
-        reconstruct_surface(mapped, original, dom, "uniform", target_edge=0.2)
+        reconstruct_surface(mapped, original, dom, target_edge=0.2)
 
 
 def test_reconstruct_lambda_values_match_separate_field():
@@ -501,16 +510,16 @@ def test_reconstruct_lambda_values_match_separate_field():
         return out
 
     dom = preset_domain("disk")
-    want = reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+    want = reconstruct_surface(xy, surface_pts, dom, target_edge=0.15,
                                seed=1, lambda_inv_field=field)
-    got = reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+    got = reconstruct_surface(xy, surface_pts, dom, target_edge=0.15,
                               seed=1, lambda_inv_values=vals)
     assert np.array_equal(got.param.vertices, want.param.vertices)
     assert np.array_equal(got.surface.vertices, want.surface.vertices)
     assert np.array_equal(got.surface.triangles, want.surface.triangles)
     with pytest.raises(ValueError, match="not both"):
-        reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+        reconstruct_surface(xy, surface_pts, dom, target_edge=0.15,
                             lambda_inv_field=field, lambda_inv_values=vals)
     with pytest.raises(ValueError, match="values"):
-        reconstruct_surface(xy, surface_pts, dom, "lambda_adapted", target_edge=0.15,
+        reconstruct_surface(xy, surface_pts, dom, target_edge=0.15,
                             lambda_inv_values=vals[:-1])
