@@ -423,14 +423,15 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    adapted = args.mode == "lambda_adapted"
+    if adapted != bool(args.lambda_checkpoint):
+        raise ConfigError("--lambda-checkpoint goes with --mode lambda_adapted, and only with it")
     cloud = _read(pcio.load_cloud, args.input)
     mapped = _checkpoint_output(args.checkpoint, cloud)
     domain = _load_domain(args.domain_preset, args.domain_file or None)
 
     lam_vals = None
-    if args.mode == "lambda_adapted":
-        if not args.lambda_checkpoint:
-            raise ConfigError("lambda_adapted mode needs --lambda-checkpoint")
+    if adapted:
         lam_vals = _checkpoint_output(args.lambda_checkpoint, cloud, "lambda checkpoint").ravel()
 
     result = reconstruct_surface(mapped, cloud, domain, target_edge=args.target_edge,

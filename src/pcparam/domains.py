@@ -374,19 +374,12 @@ def load_domain(path) -> Domain:
 # --- shipped presets ---------------------------------------------------------
 
 
-def _half_disk_hole(cx: float, cy: float, r: float, flat_edge: str) -> list[Segment]:
-    """Half-disk loop; flat_edge names where the straight side sits."""
-    if flat_edge == "up":  # lower half-disk, chord on top
-        return [
-            Arc((cx, cy), r, math.pi, 0.0, ccw=True),
-            Line((cx + r, cy), (cx - r, cy)),
-        ]
-    if flat_edge == "down":  # upper half-disk, chord on the bottom
-        return [
-            Arc((cx, cy), r, 0.0, math.pi, ccw=True),
-            Line((cx - r, cy), (cx + r, cy)),
-        ]
-    raise ValueError(f"flat_edge must be 'up' or 'down', got {flat_edge!r}")
+def _half_disk_hole(cx: float, cy: float, r: float) -> list[Segment]:
+    """Lower half-disk loop, its chord on top."""
+    return [
+        Arc((cx, cy), r, math.pi, 0.0, ccw=True),
+        Line((cx + r, cy), (cx - r, cy)),
+    ]
 
 
 def _car_domain() -> Domain:
@@ -412,35 +405,34 @@ def _car_domain() -> Domain:
     return Domain([loop])
 
 
-def _build_preset(name: str) -> Domain:
-    if name == "square":
-        return Domain(
-            [[
-                Line((0.0, 0.0), (1.0, 0.0)),
-                Line((1.0, 0.0), (1.0, 1.0)),
-                Line((1.0, 1.0), (0.0, 1.0)),
-                Line((0.0, 1.0), (0.0, 0.0)),
-            ]]
-        )
-    if name == "disk":
-        return Domain([[Arc((0.0, 0.0), 1.0, 0.0, 0.0, ccw=True)]])
-    if name == "smiling_face":
-        return Domain(
-            [
-                [Arc((0.0, 0.0), 1.0, 0.0, 0.0, ccw=True)],
-                _half_disk_hole(-0.35, 0.30, 0.15, "up"),
-                _half_disk_hole(0.35, 0.30, 0.15, "up"),
-                _half_disk_hole(0.0, -0.30, 0.30, "down"),
-            ]
-        )
-    if name == "car":
-        return _car_domain()
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-
-
-PRESETS = ("square", "disk", "smiling_face", "car")
+_PRESET_BUILDERS = {
+    "square": lambda: Domain(
+        [[
+            Line((0.0, 0.0), (1.0, 0.0)),
+            Line((1.0, 0.0), (1.0, 1.0)),
+            Line((1.0, 1.0), (0.0, 1.0)),
+            Line((0.0, 1.0), (0.0, 0.0)),
+        ]]
+    ),
+    "disk": lambda: Domain([[Arc((0.0, 0.0), 1.0, 0.0, 0.0, ccw=True)]]),
+    "smiling_face": lambda: Domain(
+        [
+            [Arc((0.0, 0.0), 1.0, 0.0, 0.0, ccw=True)],
+            _half_disk_hole(-0.35, 0.30, 0.15),
+            _half_disk_hole(0.35, 0.30, 0.15),
+            [  # the mouth: an upper half-disk, chord on the bottom
+                Arc((0.0, -0.30), 0.30, 0.0, math.pi, ccw=True),
+                Line((-0.30, -0.30), (0.30, -0.30)),
+            ],
+        ]
+    ),
+    "car": _car_domain,
+}
+PRESETS = tuple(_PRESET_BUILDERS)
 
 
 def preset_domain(name: str) -> Domain:
     """One of the shipped domains: square, disk, smiling_face, car."""
-    return _build_preset(name)
+    if name not in _PRESET_BUILDERS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return _PRESET_BUILDERS[name]()

@@ -291,38 +291,32 @@ class _Triangulator:
         self.last = t
 
 
-def _dedup_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in first-occurrence order, and the kept row indices."""
-    _, first = np.unique(points, axis=0, return_index=True)
-    if len(first) == len(points):
-        return points, np.arange(len(points))
-    keep = np.sort(first)
-    return points[keep], keep
-
-
 def delaunay(points) -> TriangleMesh:
     """Delaunay triangulation of a planar cloud.
 
-    Exact duplicates are merged (first occurrence kept) with a
-    DuplicatePointsWarning. Triangles come out ccw, rotated so the smallest
-    vertex index leads, sorted lexicographically; exact co-circular ties
-    follow index rank, so the result depends on the indexed points alone.
-    Raises on fewer than 3 distinct points or a fully collinear cloud.
+    The vertices are the rows of `points` as given and the triangles name
+    them; each distinct point is triangulated once, at its first row, so a
+    repeated row is in no triangle (a DuplicatePointsWarning counts them).
+    Triangles come out ccw, rotated so the smallest vertex index leads,
+    sorted lexicographically; exact co-circular ties follow index rank, so
+    the result depends on the indexed points alone. Raises on fewer than 3
+    distinct points or a fully collinear cloud.
     """
     pts = as_cloud(points, dim=2)
-    n_in = len(pts)
-    pts, _ = _dedup_points(pts)
-    if len(pts) < n_in:
+    _, first = np.unique(pts, axis=0, return_index=True)
+    keep = np.sort(first)
+    if len(keep) < len(pts):
         warnings.warn(
-            f"{n_in - len(pts)} of {n_in} points were exact duplicates, merged before "
-            "triangulation", DuplicatePointsWarning, stacklevel=2,
+            f"{len(pts) - len(keep)} of {len(pts)} points were exact duplicates, merged "
+            "before triangulation", DuplicatePointsWarning, stacklevel=2,
         )
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 distinct points, got {len(pts)}")
-    tri = _Triangulator(pts)
-    tri.insert(_snake_order(pts).tolist())
+    if len(keep) < 3:
+        raise ValueError(f"need at least 3 distinct points, got {len(keep)}")
+    distinct = pts[keep]
+    tri = _Triangulator(distinct)
+    tri.insert(_snake_order(distinct).tolist())
     tris = np.array(tri.tri, dtype=np.int64)
-    tris = tris[tris.max(axis=1) < len(pts)]
+    tris = keep[tris[tris.max(axis=1) < len(keep)]]
     if len(tris) == 0:
         raise ValueError("all points are collinear, no triangulation exists")
     tris = np.take_along_axis(tris, (tris.argmin(axis=1)[:, None] + np.arange(3)) % 3, axis=1)
@@ -581,16 +575,8 @@ class InverseInterpolator:
     def __init__(self, mapped, original):
         mapped = as_cloud(mapped, dim=2)
         _check_coord_bound(mapped, "mapped")
-        mapped_u, self._keep = _dedup_points(mapped)
-        self._n_mapped = len(mapped)
+        self.mesh = delaunay(mapped)
         self.original = self._per_point(original)
-        if len(self._keep) < len(mapped):
-            warnings.warn(
-                f"{len(mapped) - len(self._keep)} of {len(mapped)} mapped points were "
-                "exact duplicates, merged before triangulation",
-                DuplicatePointsWarning, stacklevel=3,
-            )
-        self.mesh = delaunay(mapped_u)
         # (start, direction, squared length, triangle) of the hull edges,
         # built on the first snap
         self._hull: tuple[np.ndarray, ...] | None = None
@@ -601,13 +587,13 @@ class InverseInterpolator:
         self._grid = _Grid(self._lo, self._hi, cell, tri_pts.min(axis=1), tri_pts.max(axis=1))
 
     def _per_point(self, values) -> np.ndarray:
-        """Values given per mapped point, as rows of the merged points."""
+        """Values given per mapped point, as one row per point."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
-        if len(values) != self._n_mapped:
-            raise ValueError(f"mapped has {self._n_mapped} points, values {len(values)}")
-        return values[self._keep]
+        if len(values) != len(self.mesh.vertices):
+            raise ValueError(f"mapped has {len(self.mesh.vertices)} points, values {len(values)}")
+        return values
 
     def _locate(self, q: np.ndarray) -> np.ndarray:
         """Per query, the lowest id of the triangles that contain it, or -1

@@ -24,7 +24,7 @@ from pcparam.cli import (
 from pcparam.domains import preset_domain
 from pcparam.geometry import TriangleMesh
 from pcparam.io import load_cloud, load_mesh, load_table, save_cloud, save_mesh
-from pcparam.meshing import delaunay
+from pcparam.meshing import DuplicatePointsWarning, delaunay
 from pcparam.neural import NetworkSpec, save_checkpoint
 from pcparam.optimizer import StageConfig, train
 
@@ -657,6 +657,23 @@ def test_eval_metrics(workdir, tiny_cloud_csv, fitted):
     assert sum(int(r[2]) for r in hr) == 3 * n_faces
 
 
+def test_eval_mesh_over_a_cloud_with_a_repeated_row(tmp_path, identity_setup):
+    # `delaunay` keeps every row, so its mesh is over the cloud as given
+    pts = identity_setup["points"]
+    cloud = np.vstack([pts[:1], pts])
+    cloud_csv, mesh_path = tmp_path / "dups.csv", tmp_path / "dups.obj"
+    save_cloud(cloud_csv, cloud)
+    with pytest.warns(DuplicatePointsWarning):
+        save_mesh(mesh_path, delaunay(cloud))
+    rc = main([
+        "eval", "--checkpoint", str(identity_setup["ckpt"]), "--input", str(cloud_csv),
+        "--out-dir", str(tmp_path / "ev"), "--sample-size", "64", "--mesh", str(mesh_path),
+    ])
+    assert rc == 0
+    _, rows = load_table(tmp_path / "ev" / "metrics.csv")
+    assert "mean_abs_angle" in {r[0] for r in rows}
+
+
 def _mesh_off_the_cloud(cloud: np.ndarray, same_count: bool) -> TriangleMesh:
     """A mesh that is not over the cloud: over its rows but one, or over the
     same number of rows with the first one moved."""
@@ -714,6 +731,20 @@ def test_boundary_from_mapped(workdir, identity_setup):
     assert {r[0] for r in rows} == {"0"}  # solid square: one loop
     svg = (out_dir / "boundary.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg
+
+
+def test_boundary_vertex_ids_are_input_rows(tmp_path):
+    # the second row repeats the first; `vertex` names rows of the input
+    mapped = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+    mapped_csv = tmp_path / "dups.csv"
+    save_cloud(mapped_csv, mapped)
+    proc = _run_pcparam("boundary", "--mapped", str(mapped_csv), "--h", "2",
+                        "--out-dir", str(tmp_path / "bnd"))
+    assert proc.returncode == 0, proc.stderr
+    _, rows = load_table(tmp_path / "bnd" / "loops.csv")
+    assert sorted(int(r[2]) for r in rows) == [0, 2, 3, 4]
+    for _, _, vid, x, y in rows:
+        assert [float(x), float(y)] == mapped[int(vid)].tolist()
 
 
 def test_boundary_on_a_cloud_past_the_coordinate_limit_exits_1(tmp_path):
@@ -788,6 +819,19 @@ def test_reconstruct_lambda_adapted(workdir, identity_setup):
     ])
     assert rc == 0
     assert len(load_mesh(out).triangles) > 10
+
+
+def test_reconstruct_uniform_refuses_a_lambda_checkpoint(tmp_path, identity_setup, caplog):
+    # uniform sizing never reads the checkpoint, so naming one is a mistake
+    rc = main([
+        "reconstruct", "--checkpoint", str(identity_setup["ckpt"]),
+        "--input", str(identity_setup["cloud"]), "--target-edge", "0.2",
+        "--lambda-checkpoint", str(tmp_path / "does_not_exist.json"),
+        "--out", str(tmp_path / "x.obj"),
+    ])
+    assert rc == 2
+    assert "--lambda-checkpoint" in caplog.text and "--mode lambda_adapted" in caplog.text
+    assert not (tmp_path / "x.obj").exists()
 
 
 def test_reconstruct_past_the_coordinate_bound_exits_1(tmp_path, identity_setup):

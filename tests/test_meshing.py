@@ -130,10 +130,23 @@ def test_delaunay_rejections_and_dedup():
         delaunay([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.warns(DuplicatePointsWarning, match="^1 of 4 points were exact duplicates"):
         mesh = delaunay([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert len(mesh.vertices) == 3
+    assert len(mesh.vertices) == 4
     with pytest.raises(ValueError, match="3 distinct"):
         with pytest.warns(DuplicatePointsWarning):
             delaunay([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+
+
+def test_delaunay_keeps_every_row_and_triangulates_first_rows():
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(size=(60, 2))
+    cloud = np.vstack([pts, pts[rng.integers(0, 60, 15)]])[rng.permutation(75)]
+    with pytest.warns(DuplicatePointsWarning, match="^15 of 75 points"):
+        mesh = delaunay(cloud)
+    assert np.array_equal(mesh.vertices, cloud)
+    keep = np.sort(np.unique(cloud, axis=0, return_index=True)[1])
+    # each first row is in a triangle and no repeat is; test_bitexact's
+    # ref_delaunay checks the triangles themselves
+    assert np.array_equal(np.unique(mesh.triangles), keep)
 
 
 @pytest.mark.parametrize("k", [-1000, -700, 300, 500, 900])
@@ -398,7 +411,7 @@ def test_interpolator_outside_and_snap():
 def test_interpolator_duplicate_mapped_rows():
     mapped = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     original = np.array([[10.0], [20.0], [99.0], [30.0]])
-    with pytest.warns(DuplicatePointsWarning, match="^1 of 4 mapped points were exact"):
+    with pytest.warns(DuplicatePointsWarning, match="^1 of 4 points were exact"):
         interp = InverseInterpolator(mapped, original)
     out, ok = interp([[0.0, 0.0]])
     assert ok[0]
