@@ -1347,7 +1347,7 @@ def _field(p):
 
 
 @pytest.mark.parametrize("mode", ["uniform", "lambda_adapted"])
-@pytest.mark.parametrize("name", ["disk", "square", "annulus"])
+@pytest.mark.parametrize("name", ["disk", "square", "annulus", "car", "smiling_face"])
 def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
     domain = _annulus() if name == "annulus" else preset_domain(name)
     field = _field if mode == "lambda_adapted" else None
@@ -1355,6 +1355,50 @@ def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
     vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, 4, field)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, triangles)
+
+
+@pytest.mark.parametrize("name, mode, seed", [
+    ("disk", "uniform", 1),
+    ("disk", "lambda_adapted", 3),
+    ("annulus", "uniform", 2),
+    ("car", "lambda_adapted", 1),
+    ("smiling_face", "lambda_adapted", 4),
+])
+def test_param_mesh_asks_what_a_round_at_a_time_asks(monkeypatch, name, mode, seed):
+    # the field is a caller's function and may keep state from query to
+    # query, so the batched rounds must draw the reference loop's samples
+    # and ask the field for its points in its order; in each case the
+    # four-miss stop lands inside a batch, and only the rounds drawn past
+    # it, discarded, follow
+    domain = _annulus() if name == "annulus" else preset_domain(name)
+    draws, asked = {"mesh": [], "ref": []}, {"mesh": [], "ref": []}
+    sample_area = Domain.sample_area
+
+    def recording(into):
+        def sample(self, n, rng):
+            into.append(sample_area(self, n, rng))
+            return into[-1]
+
+        return sample
+
+    def field(into):
+        def at(p):
+            into.append(np.array(p, dtype=np.float64))
+            return _field(p)
+
+        return at if mode == "lambda_adapted" else None
+
+    monkeypatch.setattr(Domain, "sample_area", recording(draws["mesh"]))
+    mesh = generate_param_mesh(domain, 0.1, seed, field(asked["mesh"]))
+    monkeypatch.setattr(Domain, "sample_area", recording(draws["ref"]))
+    vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, seed, field(asked["ref"]))
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
+    for calls in (draws, asked) if mode == "lambda_adapted" else (draws,):
+        used = len(calls["ref"])
+        assert all(map(np.array_equal, calls["mesh"][:used], calls["ref"]))
+        past = calls["mesh"][used:]
+        assert 0 < len(past) < 8 and all(len(p) == 512 for p in past)
 
 
 @pytest.mark.parametrize("name", ["disk", "square", "annulus"])
@@ -1675,14 +1719,21 @@ def test_triangulator_does_not_depend_on_insertion_order(name):
 
 
 @pytest.mark.parametrize("name", sorted(DELAUNAY_CLOUDS))
-def test_triangulator_links_are_mutual(name):
+def test_triangulator_links_are_mutual(monkeypatch, name):
     # a back-pointer set by the wrong rule can leave the final triangles
-    # right on many inputs, so the links are checked on their own
-    pts = DELAUNAY_CLOUDS[name]()
-    _, first = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
-    tri = _Triangulator(pts)
-    tri.insert(meshing._snake_order(pts).tolist())
+    # right on many inputs, so the links are checked on their own, on the
+    # triangulator that `delaunay` builds, in the order it inserts in
+    built = []
+
+    class Recording(_Triangulator):
+        def __init__(self, points):
+            super().__init__(points)
+            built.append(self)
+
+    monkeypatch.setattr(meshing, "_Triangulator", Recording)
+    _delaunay_quiet(DELAUNAY_CLOUDS[name]())
+    (tri,) = built
+    n = tri.n
     edges = {}
     for t, (a, b, c) in enumerate(tri.tri):
         for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
@@ -1692,7 +1743,7 @@ def test_triangulator_links_are_mutual(name):
             o = tri.nbr[t][k]
             if o < 0:
                 assert (v, u) not in edges
-                assert {u, v} <= {len(pts), len(pts) + 1, len(pts) + 2}
+                assert {u, v} <= {n, n + 1, n + 2}
             else:
                 assert edges[(v, u)][0] == o
                 assert tri.nbr[o][edges[(v, u)][1]] == t

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -899,6 +900,68 @@ def test_reconstruct_lambda_adapted_needs_checkpoint(workdir, identity_setup):
         "--mode", "lambda_adapted", "--out", str(workdir / "x.obj"),
     ])
     assert rc == 2
+
+
+def _degenerate_clouds():
+    """Seeded planar clouds that the meshing commands must take or refuse
+    cleanly, with the --h and --target-edge of each run."""
+    rng = np.random.default_rng(81)
+    disk = rng.uniform(-1.0, 1.0, (400, 2))
+    disk = disk[(disk ** 2).sum(axis=1) < 1.0]
+    t = np.sort(rng.uniform(-1.0, 1.0, 40))
+    normal = ("0.3", "0.2")
+    return {
+        "duplicates": (np.repeat(disk[:60], 3, axis=0), normal),
+        "collinear": (np.column_stack([t, 0.5 * t]), normal),
+        "collinear_plus_one": (np.vstack([np.column_stack([t, 0.5 * t]), [[0.0, 0.4]]]), normal),
+        "coincident": (np.tile([[0.3, -0.2]], (12, 1)), normal),
+        "scale_1e-150": (disk * 1e-150, normal),
+        "scale_1e150": (disk * 1e150, normal),
+        "scale_1e-300": (disk * 1e-300, normal),
+        "one_point": (disk[:1], normal),
+        "two_points": (disk[:2], normal),
+        "two_distinct_of_three": (disk[[0, 1, 0]], normal),
+        "tiny_h_and_edge": (disk, ("1e-300", "1e-300")),
+        "small_h_and_edge": (disk, ("1e-9", "1e-5")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_clouds()))
+def test_meshing_commands_take_or_refuse_degenerate_clouds_cleanly(tmp_path, caplog, name):
+    # boundary and both reconstruct modes exit 0 with finite outputs, or 1
+    # or 2 with a one-line message; a RuntimeWarning is raised as an error,
+    # so none may occur, and no exception may leave `main`
+    cloud, (h, edge) = _degenerate_clouds()[name]
+    save_cloud(tmp_path / "cloud.csv", cloud)
+    ckpt, lam = tmp_path / "map.ckpt.json", tmp_path / "lambda.ckpt.json"
+    save_checkpoint(ckpt, NetworkSpec(2, (), 2), np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+    save_checkpoint(lam, NetworkSpec(2, (), 1, output_activation="softplus"),
+                    np.array([0.0, 0.0, 0.5]))
+    recon = ["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "cloud.csv"),
+             "--domain-preset", "disk", "--target-edge", edge]
+    runs = {
+        "boundary": ["boundary", "--mapped", str(tmp_path / "cloud.csv"), "--h", h,
+                     "--out-dir", str(tmp_path / "bnd")],
+        "uniform": [*recon, "--out", str(tmp_path / "uniform.obj")],
+        "adapted": [*recon, "--mode", "lambda_adapted", "--lambda-checkpoint", str(lam),
+                    "--out", str(tmp_path / "adapted.obj")],
+    }
+    for run, argv in runs.items():
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        if rc == 0:
+            assert errors == [], (run, errors)
+            if run == "boundary":
+                _, rows = load_table(tmp_path / "bnd" / "loops.csv")
+                assert rows and np.isfinite(np.array(rows, dtype=np.float64)).all()
+            else:
+                assert np.isfinite(load_mesh(argv[-1]).vertices).all()
+        else:
+            assert rc in (1, 2), (run, rc)
+            assert len(errors) == 1 and "\n" not in errors[0], (run, errors)
 
 
 # ---------------------------------------------------------------------------
