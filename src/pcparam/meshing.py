@@ -1,29 +1,24 @@
 """Delaunay triangulation, pruning, boundary loops, mesh generation, lifting.
 
-The triangulator is incremental Bowyer-Watson with a large synthetic bounding
-triangle. It inserts the points in a BRIO order, rounds of doubling size
-cut from a fixed-seed permutation, each walked along a grid snake, so that
-cavities stay small and each point location walk is short. It keeps
-corners and neighbours in flat lists per triangle slot: about 18 us a point
-on a 1889-point disk footprint and 24 on 2**16 uniform points, against 21
-and 29 along one grid snake (medians of 6 alternating process pairs, 2
-vCPUs). Orientation and in-circle predicates run a fast float path with
-a forward error bound and fall back to exact integer arithmetic (doubles
-are dyadic rationals) when the float sign is not certain. Exact
-co-circular ties are then broken by index rank, a symbolic perturbation
-(Edelsbrunner & Muecke 1990), not by insertion order: the result is the
-Delaunay triangulation of the index-perturbed points, the same for every
-insertion order. The bounding triangle sits 1e10 data-diameters
-out; hulls that are collinear to within one part in 1e10 of that could in
-principle interact with it, which is far beyond anything the samplers here
-produce. Its corners overflow for coordinates past about 4.5e297, and such a
-cloud is rejected with a ValueError that names the limit.
+The triangulator is incremental Bowyer-Watson with one symbolic vertex at
+infinity: each hull edge carries a ghost triangle to it, so the result is
+exact at every finite scale, however thin the cloud. It inserts the points
+in a BRIO order, rounds of doubling size cut from a fixed-seed permutation,
+each walked along a grid snake, so that cavities stay small and each point
+location walk is short. It keeps corners and neighbours in flat lists per
+triangle slot: about 18 us a point on a 1889-point disk footprint and 24 on
+2**16 uniform points (2 vCPUs). Orientation and in-circle predicates run a
+fast float path with a forward error bound and fall back to exact integer
+arithmetic (doubles are dyadic rationals) when the float sign is not
+certain. Exact co-circular ties are then broken by index rank, a symbolic
+perturbation (Edelsbrunner & Muecke 1990), not by insertion order: the
+result is the Delaunay triangulation of the index-perturbed points, the
+same for every insertion order.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -130,7 +125,7 @@ def _snake_order(points: np.ndarray) -> np.ndarray:
     the last one inserted.
     """
     rows = max(1, int(math.sqrt(len(points) / 4.0)))
-    x, y = points[:, 0], points[:, 1]
+    x, y = points[:, 0], points[:, 1] / 2.0  # halved, so the extent stays finite
     lo, hi = y.min(), y.max()
     strip = np.zeros(len(points), dtype=np.int64)
     if hi > lo:
@@ -157,55 +152,42 @@ def _brio_order(points: np.ndarray) -> np.ndarray:
     return np.concatenate([r[_snake_order(points[r])] for r in rounds])
 
 
-# the bounding triangle sits this many data spans out; its corners are finite
-# while every |coordinate| stays below about _COORD_LIMIT
-_SUPER_SPANS = 1e10
-_COORD_LIMIT = sys.float_info.max / (4.0 * _SUPER_SPANS)
-
-
 class _Triangulator:
-    """Incremental Delaunay over a fixed point array plus 3 bounding vertices.
+    """Incremental Delaunay over a fixed point array plus one vertex at infinity.
 
     Slot t of `tri` holds a ccw triangle and slot t of `nbr` the slots across
-    its edges (corner k, corner k + 1), -1 past the bounding triangle. Exact
-    ties go by index rank (`_conflict_tie`), so the triangulation does not
-    depend on the order `insert` takes the points in.
+    its edges (corner k, corner k + 1). The vertex at infinity is index n and
+    has no coordinates: each hull edge carries a ghost triangle (u, v, n), the
+    outside left of u -> v (Cheng, Dey & Shewchuk 2012, ch. 3), so every link
+    is a slot. Exact in-circle ties go by index rank (`_conflict_tie`) and a
+    ghost's conflict test has none, so the triangulation does not depend on
+    the order `insert` takes the points in. The points must be distinct.
     """
 
     def __init__(self, points: np.ndarray):
-        n = len(points)
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
-        center = (lo + hi) / 2.0
-        span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-        m = _SUPER_SPANS * span
-        supers = np.array(
-            [
-                [center[0] - 2.0 * m, center[1] - m],
-                [center[0] + 2.0 * m, center[1] - m],
-                [center[0], center[1] + 2.0 * m],
-            ]
-        )
-        if not np.isfinite(supers).all():
-            raise ValueError(
-                "coordinates too large to triangulate: the bounding triangle, "
-                f"{_SUPER_SPANS:g} spans out, overflows; |x| and |y| must stay below "
-                f"about {_COORD_LIMIT:.3g}"
-            )
-        self.n = n
-        self.pts = list(map(tuple, np.vstack([points, supers]).tolist()))
-        self.tri: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-        self.nbr: list[list[int]] = [[-1, -1, -1]]
-        self.mark = [-1]  # the point whose cavity last held the slot
+        self.n = n = len(points)
+        self.pts = list(map(tuple, points.tolist()))
+        # start from the first two rows and the first row off their line
+        (ax, ay), (bx, by) = self.pts[:2]
+        for c, (cx, cy) in enumerate(self.pts[2:], 2):
+            side = orient2d(ax, ay, bx, by, cx, cy)
+            if side:
+                break
+        else:
+            raise ValueError("all points are collinear, no triangulation exists")
+        a, b = (0, 1) if side > 0 else (1, 0)
+        self.first = (a, b, c)
+        self.tri: list[tuple[int, int, int]] = [(a, b, c), (b, a, n), (c, b, n), (a, c, n)]
+        self.nbr: list[list[int]] = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+        self.mark = [-1] * 4  # the point whose cavity last held the slot
         self.last = 0  # the slot the next walk starts from
 
     def _conflict_tie(self, t: int, pi: int) -> bool:
-        """Whether point pi lies in the circumcircle of triangle t, exactly.
+        """Whether point pi lies in the circumcircle of real triangle t, exactly.
 
         A tie is decided as if each point's lift onto the paraboloid were
-        raised by an infinitesimal that grows with its index rank, the
-        bounding vertices ranking below every real point (Edelsbrunner &
-        Muecke 1990, "Simulation of Simplicity"). The highest-ranked of the
+        raised by an infinitesimal that grows with its index rank (Edelsbrunner
+        & Muecke 1990, "Simulation of Simplicity"). The highest-ranked of the
         four decides: the query counts as outside (the rule of index-order
         insertion), a corner gives the orientation of the other three. Four
         distinct cocircular points never have three collinear.
@@ -216,36 +198,44 @@ class _Triangulator:
         sign = incircle(ax, ay, bx, by, cx, cy, dx, dy)
         if sign:
             return sign > 0
-        ra, rb, rc = (-1 if v >= self.n else v for v in (a, b, c))
-        top = max(ra, rb, rc)
+        top = max(a, b, c)
         if pi > top:
             return False
-        if ra == top:
+        if a == top:
             return orient2d(bx, by, cx, cy, dx, dy) > 0
-        if rb == top:
+        if b == top:
             return orient2d(cx, cy, ax, ay, dx, dy) > 0
         return orient2d(ax, ay, bx, by, dx, dy) > 0
 
     def insert(self, order) -> None:
-        """Insert the points of `order` one at a time.
+        """Insert the points of `order` one at a time, skipping the three that
+        `__init__` started from.
 
         A visibility walk from the slot made last crosses the first edge with
-        the point strictly on its right, never the edge it came in by. On a
-        Delaunay triangulation it cannot cycle (Edelsbrunner 1990), so a walk
-        not settled after 4 * triangles + 64 steps raises RuntimeError. The
-        cavity, every triangle whose circumcircle holds the point, grows from
+        the point strictly on its right, never the edge it came in by; from a
+        ghost it steps back across its edge unless the point is beyond it. On
+        a Delaunay triangulation it cannot cycle (Edelsbrunner 1990), so a
+        walk not settled after 4 * triangles + 64 steps raises RuntimeError.
+        The cavity, every triangle in conflict with the point, grows from
         there across edges; its slots and two new ones take the new fan. The
         float filters of `orient2d` and of the in-circle test are inlined; the
         exact paths and the tie rule run only where a filter cannot decide.
         """
-        pts, tri, nbr, mark = self.pts, self.tri, self.nbr, self.mark
-        fan = [0] * len(pts)  # the new triangle that each rim vertex leads
-        t = self.last
+        pts, tri, nbr, mark, n = self.pts, self.tri, self.nbr, self.mark, self.n
+        fan = [0] * n + [-1]  # the new triangle that each rim vertex leads
+        t, first = self.last, self.first
         for pi in order:
+            if pi in first:
+                continue
             px, py = pts[pi]
             came = -1  # the vertex the entry edge ends at, in the last triangle
             for _ in range(4 * len(tri) + 64):
                 a, b, c = tri[t]
+                if c == n:
+                    if orient2d(*pts[a], *pts[b], px, py) > 0:
+                        break
+                    t, came = nbr[t][0], -1
+                    continue
                 for k, u, v in ((0, a, b), (1, b, c), (2, c, a)):
                     if u == came:
                         continue
@@ -258,8 +248,6 @@ class _Triangulator:
                             else _orient_exact(ux, uy, vx, vy, px, py) >= 0):
                         continue
                     t, came = nbr[t][k], v
-                    if t < 0:
-                        raise RuntimeError("point escaped the bounding triangle")
                     break
                 else:
                     break
@@ -272,10 +260,15 @@ class _Triangulator:
             for t in cavity:
                 corners = tri[t]
                 for k, o in enumerate(nbr[t]):
-                    if o >= 0 and mark[o] == pi:
+                    if mark[o] == pi:
                         continue
-                    if o >= 0:
-                        a, b, c = tri[o]
+                    a, b, c = tri[o]
+                    if c == n:  # a ghost: the point beyond its edge or on its open segment
+                        (ax, ay), (bx, by) = pts[a], pts[b]
+                        side = orient2d(ax, ay, bx, by, px, py)
+                        hit = side > 0 or side == 0 and (ax < px < bx or bx < px < ax
+                                                         or ay < py < by or by < py < ay)
+                    else:
                         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
                         adx, ady, bdx, bdy = ax - px, ay - py, bx - px, by - py
                         cdx, cdy = cx - px, cy - py
@@ -288,13 +281,14 @@ class _Triangulator:
                         permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
                                      + (abs(cdxady) + abs(adxcdy)) * blift
                                      + (abs(adxbdy) + abs(bdxady)) * clift)
-                        if (det > 0 if permanent >= _FILTER_FLOOR
-                                and abs(det) > _INCIRCLE_BOUND * permanent
-                                else self._conflict_tie(o, pi)):
-                            mark[o] = pi
-                            cavity.append(o)
-                            continue
-                    edges.append((corners[k], corners[k - 2], o))
+                        hit = (det > 0 if permanent >= _FILTER_FLOOR
+                               and abs(det) > _INCIRCLE_BOUND * permanent
+                               else self._conflict_tie(o, pi))
+                    if hit:
+                        mark[o] = pi
+                        cavity.append(o)
+                    else:
+                        edges.append((corners[k], corners[k - 2], o))
             # a cavity of k triangles has a rim of k + 2 edges
             cavity += (len(tri), len(tri) + 1)
             tri += ((), ())
@@ -303,12 +297,19 @@ class _Triangulator:
             for t, (u, v, o) in zip(cavity, edges):
                 tri[t] = (u, v, pi)
                 nbr[t] = [o, 0, 0]
-                if o >= 0:
-                    nbr[o][tri[o].index(v)] = t
+                nbr[o][tri[o].index(v)] = t
                 fan[u] = t
             for u, v, _ in edges:
                 nbr[fan[u]][1] = fan[v]
                 nbr[fan[v]][2] = fan[u]
+            g = fan[n]
+            if g >= 0:
+                # n is on the rim: turn (n, y, pi) and (x, n, pi) to put n last
+                h = nbr[g][2]
+                (_, y, _), (x, _, _), ng, nh = tri[g], tri[h], nbr[g], nbr[h]
+                tri[g], nbr[g] = (y, pi, n), [ng[1], ng[2], ng[0]]
+                tri[h], nbr[h] = (pi, x, n), [nh[2], nh[0], nh[1]]
+                fan[n] = -1
         self.last = t
 
 
@@ -337,17 +338,17 @@ def delaunay(points) -> TriangleMesh:
     tri = _Triangulator(distinct)
     tri.insert(_brio_order(distinct).tolist())
     tris = np.array(tri.tri, dtype=np.int64)
-    tris = keep[tris[tris.max(axis=1) < len(keep)]]
-    if len(tris) == 0:
-        raise ValueError("all points are collinear, no triangulation exists")
+    tris = keep[tris[tris[:, 2] < len(keep)]]
     tris = np.take_along_axis(tris, (tris.argmin(axis=1)[:, None] + np.arange(3)) % 3, axis=1)
     return TriangleMesh(pts, tris[np.lexsort(tris.T[::-1])])
 
 
 def prune_long_faces(mesh: TriangleMesh, h: float) -> TriangleMesh:
-    """Drop every face whose longest edge exceeds h; vertices are kept."""
+    """Drop every face whose longest edge exceeds h; vertices are kept. A vertex
+    coordinate past `geometry._COORD_BOUND` is refused: edge lengths overflow."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive, got {h}")
+    _check_coord_bound(mesh.vertices, "mesh vertex")
     keep = mesh.edge_lengths().max(axis=1) <= h
     return TriangleMesh(mesh.vertices.copy(), mesh.triangles[keep])
 
@@ -607,10 +608,7 @@ class InverseInterpolator:
     within 1e-9 of the triangulated region are snapped onto it; queries
     farther outside are flagged out in the returned mask (their output row is
     NaN). A query that equals a corner of its triangle bit for bit returns
-    that mapped point's original point exactly. Every mapped point is a
-    corner of each triangle that contains it; a hull collinear to within
-    the module docstring's tolerance could leave one in no triangle, and it
-    is then snapped like any outside query. A mapped point or query of
+    that mapped point's original point exactly. A mapped point or query of
     magnitude `geometry._COORD_BOUND` or more is rejected with a
     ValueError, since the distances and predicates on it would overflow.
 

@@ -19,6 +19,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -340,7 +341,8 @@ class RefTriangulator:
     Each point goes in after every lower index, so it always ranks highest
     in its in-circle tests, and an exact tie counts it as outside. This is
     the Delaunay triangulation that the index-rank tie rule reproduces for
-    any insertion order.
+    any insertion order. Its bounding triangle sits 1e10 spans out, so it
+    cannot judge thin clouds; tests/test_meshing.py checks those by count.
     """
 
     def __init__(self, points):
@@ -1738,15 +1740,20 @@ def test_triangulator_links_are_mutual(monkeypatch, name):
     for t, (a, b, c) in enumerate(tri.tri):
         for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
             edges[(u, v)] = (t, k)
+    assert len(edges) == 3 * len(tri.tri)  # no directed edge twice
     for t, (a, b, c) in enumerate(tri.tri):
         for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
             o = tri.nbr[t][k]
-            if o < 0:
-                assert (v, u) not in edges
-                assert {u, v} <= {n, n + 1, n + 2}
-            else:
-                assert edges[(v, u)][0] == o
-                assert tri.nbr[o][edges[(v, u)][1]] == t
+            assert o >= 0
+            assert edges[(v, u)][0] == o
+            assert tri.nbr[o][edges[(v, u)][1]] == t
+    # the vertex at infinity n is the last corner of every ghost, and each
+    # ghost's real edge is the reverse of exactly one real triangle's edge
+    real = [t for t in tri.tri if n not in t]
+    ghosts = [t for t in tri.tri if n in t]
+    assert ghosts and all(g[2] == n for g in ghosts)
+    real_edges = Counter((u, v) for a, b, c in real for u, v in ((a, b), (b, c), (c, a)))
+    assert all(real_edges[(b, a)] == 1 for a, b, _ in ghosts)
 
 
 def test_triangulator_walk_stops_at_its_step_bound():
@@ -1756,10 +1763,18 @@ def test_triangulator_walk_stops_at_its_step_bound():
     tri = _Triangulator(pts)
     tri.insert(range(len(pts) - 1))
     px, py = pts[-1]
-    a, b, c = tri.tri[tri.last]
-    k = next(k for k, (u, v) in enumerate(((a, b), (b, c), (c, a)))
-             if orient2d(*tri.pts[u], *tri.pts[v], px, py) < 0)
-    tri.nbr[tri.last][k] = tri.last
+    # the walk starts from the first real triangle, tri.last if it is one,
+    # with the point strictly right of an edge; a ghost's corner at infinity
+    # has no coordinates
+    for t in [tri.last, *range(len(tri.tri))]:
+        a, b, c = tri.tri[t]
+        k = None if tri.n in (a, b, c) else next(
+            (k for k, (u, v) in enumerate(((a, b), (b, c), (c, a)))
+             if orient2d(*tri.pts[u], *tri.pts[v], px, py) < 0), None)
+        if k is not None:
+            break
+    tri.last = t
+    tri.nbr[t][k] = t
     bound = 4 * len(tri.tri) + 64
     raised = []
 

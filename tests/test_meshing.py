@@ -149,7 +149,7 @@ def test_delaunay_keeps_every_row_and_triangulates_first_rows():
     assert np.array_equal(np.unique(mesh.triangles), keep)
 
 
-@pytest.mark.parametrize("k", [-1000, -700, 300, 500, 900])
+@pytest.mark.parametrize("k", [-1000, -700, 300, 500, 900, 990, 1000, 1020])
 def test_delaunay_scale_invariant_at_extreme_scales(k):
     # products in the float filters underflow or overflow at these scales;
     # the exact path must decide instead, silently, and scaling the points
@@ -162,13 +162,47 @@ def test_delaunay_scale_invariant_at_extreme_scales(k):
     np.testing.assert_array_equal(scaled, unit)
 
 
-def test_delaunay_rejects_coordinates_past_the_limit():
-    # the bounding triangle sits 1e10 spans out; past about 4.49e297 its
-    # corners overflowed and the exact predicates raised a bare OverflowError
-    pts = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
-    np.testing.assert_array_equal(delaunay(pts * 2.0**988).triangles, delaunay(pts).triangles)
-    with pytest.raises(ValueError, match=r"must stay below about 4\.49e\+297"):
-        delaunay(pts * 2.0**990)
+def test_delaunay_takes_a_cloud_wider_than_the_largest_float():
+    # the extent, 2**1024, overflows; the insertion order must not warn
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
+    pts[:2] = [[-1.0, -1.0], [1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = delaunay(pts * 2.0**1023).triangles
+    np.testing.assert_array_equal(wide, delaunay(pts).triangles)
+
+
+@pytest.mark.parametrize("off", [1e-8, 1e-11, 1e-14, 1e-100, 1e-300])
+def test_delaunay_fans_a_thin_cloud_from_its_apex(off):
+    # 50 points on y = 0 and one above them: every triangle needs the apex,
+    # and it sees all 49 gaps, however low it sits
+    pts = np.vstack([np.column_stack([np.linspace(0.0, 1.0, 50), np.zeros(50)]),
+                     [[0.5 + 1 / 98, off]]])
+    tris = delaunay(pts).triangles
+    assert len(tris) == 49
+    assert (tris == 50).any(axis=1).all()
+
+
+def _hull_size(pts):
+    """Vertices of the convex hull by Andrew's monotone chain on the exact
+    `orient2d`, no three of them collinear."""
+    def chain(seq):
+        hull = []
+        for q in seq:
+            while len(hull) >= 2 and orient2d(*hull[-2], *hull[-1], *q) <= 0:
+                hull.pop()
+            hull.append(q)
+        return hull
+
+    srt = sorted(map(tuple, pts.tolist()))
+    return len(chain(srt)) + len(chain(srt[::-1])) - 2
+
+
+@pytest.mark.parametrize("height", [1e-12, 1e-15, 1e-300])
+def test_delaunay_triangulates_a_thin_strip_whole(height):
+    # a triangulation of n points with h on the hull has 2n - 2 - h triangles
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2)) * [1.0, height]
+    assert len(delaunay(pts).triangles) == 2 * 200 - 2 - _hull_size(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +234,18 @@ def test_prune_mesh_without_triangles():
     assert pruned.triangles.shape == (0, 3)
     np.testing.assert_array_equal(pruned.vertices, mesh.vertices)
     assert pruned.vertices is not mesh.vertices
+
+
+def test_prune_refuses_vertices_past_the_coordinate_bound():
+    # squared edge lengths overflow past about 1e154, and an infinite length
+    # would read every face as too long
+    mesh = _unit_square_mesh()
+    near = TriangleMesh(mesh.vertices * 2.0**490, mesh.triangles)
+    np.testing.assert_array_equal(prune_long_faces(near, 1.5 * 2.0**490).triangles,
+                                  mesh.triangles)
+    far = TriangleMesh(mesh.vertices * 2.0**600, mesh.triangles)
+    with pytest.raises(ValueError, match=r"mesh vertex coordinates .* below 1e\+150"):
+        prune_long_faces(far, 1e300)
 
 
 def test_prune_idempotent_and_monotone():
