@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "as_cloud",
     "TriangleMesh",
-    "pairwise_distances",
     "hausdorff_exact",
     "modified_hausdorff_exact",
     "AngleDistortionReport",
@@ -250,19 +249,6 @@ def _row_tiles(a: np.ndarray, b: np.ndarray, spare: int = 0, scale: int = 1,
         yield t, _sq_dists_into(lhs[:, t], rhs[:, :, first:], sq, scratch), scratch, spares
 
 
-def pairwise_distances(a, b) -> np.ndarray:
-    """Euclidean distance matrix D with D[i, k] = |a_i - b_k|.
-
-    Computed by explicit coordinate differences so each entry equals the
-    per-pair scalar recomputation bit for bit (no cancellation tricks).
-    """
-    a, b = _same_dim_clouds(a, b)
-    d = np.empty((len(a), len(b)))
-    for t, sq, _, _ in _row_tiles(a, b):
-        np.sqrt(sq, out=d[t])
-    return d
-
-
 # ---------------------------------------------------------------------------
 # uniform-grid bucket index
 # ---------------------------------------------------------------------------
@@ -462,12 +448,11 @@ def modified_hausdorff_exact(a, b) -> float:
 class AngleDistortionReport:
     """Per-corner angle differences between a reference mesh and its image.
 
-    Entries are (triangle id, corner id in {0,1,2}, theta - phi) where theta
-    is the reference angle and phi the mapped one, in radians.
+    diffs holds theta - phi per corner, theta the reference angle and phi
+    the mapped one, in radians, triangle-major: entry 3 t + c is corner c
+    of triangle t, the angle at its vertex c.
     """
 
-    triangle_ids: np.ndarray
-    corner_ids: np.ndarray
     diffs: np.ndarray
     mean_abs: float
     hist_edges: np.ndarray = field(repr=False)
@@ -513,12 +498,8 @@ def angle_distortion(
     theta = _corner_angles(reference.vertices, tris, "reference")
     phi = _corner_angles(mapped, tris, "mapped")
     diffs = (theta - phi).ravel()
-    tri_ids = np.repeat(np.arange(len(tris), dtype=np.int64), 3)
-    corner_ids = np.tile(np.arange(3, dtype=np.int64), len(tris))
     counts, edges = np.histogram(diffs, bins=n_bins, range=(-np.pi, np.pi))
     return AngleDistortionReport(
-        triangle_ids=tri_ids,
-        corner_ids=corner_ids,
         diffs=diffs,
         mean_abs=float(np.abs(diffs).mean()) if diffs.size else 0.0,
         hist_edges=edges,

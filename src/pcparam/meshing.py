@@ -414,22 +414,19 @@ _DART_ROUNDS, _DART_BATCH, _DART_ROUNDS_AT_ONCE, _DART_MISSES = 400, 512, 8, 4
 def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
     """March every loop placing points at locally prescribed spacing.
 
-    radius_at maps an (n, 2) array of points to their spacings. A segment's
-    dense polyline steps an eighth of the spacing at its start. The dense
-    points of the loops so far are counted before a loop's are made: past
+    radius_at maps an (n, 2) array of points to their spacings, each a
+    function of its point alone; it is asked twice per loop, for the
+    segment starts and for the loop's dense points. A segment's dense
+    polyline steps an eighth of the spacing at its start. The dense points
+    of the loops so far are counted before a loop's are made: past
     `_MESH_VERTICES` ring points (one per eight dense points) plus `darts`,
     the most points that may join the ring later, a ValueError names the
-    limit, so at most 2**21 dense points are made. The spacing of a loop's
-    dense points is evaluated in one call over dense[1:], the points in the
-    order a one-point-at-a-time march would ask for them.
+    limit, so at most 2**21 dense points are made.
     """
-    def step_at(p) -> float:
-        return float(radius_at(np.asarray(p, dtype=np.float64).reshape(1, 2))[0])
-
     ring = []
     need = 0.0
     for loop in domain.loops:
-        fine = [step_at(seg.point_at(0.0)) / 8.0 for seg in loop]
+        fine = (radius_at(np.array([seg.point_at(0.0) for seg in loop])) / 8.0).tolist()
         need += sum(seg.length() / f for seg, f in zip(loop, fine))
         if not need / 8.0 + darts <= _MESH_VERTICES:
             raise ValueError(
@@ -440,15 +437,15 @@ def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
             )
         dense = np.vstack([seg.polyline(f) for seg, f in zip(loop, fine)])
         seg_len = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
-        step = radius_at(dense[1:])
+        step = radius_at(dense)
         placed = [dense[0]]
         acc = 0.0
         for i in range(1, len(dense)):
             acc += seg_len[i - 1]
-            if acc >= step[i - 1]:
+            if acc >= step[i]:
                 placed.append(dense[i])
                 acc = 0.0
-        if len(placed) >= 2 and np.linalg.norm(placed[-1] - placed[0]) < 0.5 * step_at(placed[0]):
+        if len(placed) >= 2 and np.linalg.norm(placed[-1] - placed[0]) < 0.5 * step[0]:
             placed.pop()
         ring.append(np.array(placed))
     return np.vstack(ring)
@@ -524,21 +521,22 @@ def generate_param_mesh(
     """Mesh the parameter domain with near-target edge lengths.
 
     Poisson-disk dart throwing at spacing 0.75 * target_edge. A field, a
-    callable (n, 2) -> (n,) of positive inverse factors, scales the spacing
-    at p by m / sqrt(lambda_inv_field(p)), m the median of its square root
-    over 256 probe points, so it shrinks where the field is large. Points
-    are the boundary ring plus accepted darts; faces come from Delaunay,
-    keeping those whose centroid lies in the domain.
+    pure function of each point from (n, 2) arrays to (n,) positive inverse
+    factors, scales the spacing at p by m / sqrt(lambda_inv_field(p)), m the
+    median of its square root over 256 probe points, so it shrinks where the
+    field is large. It is asked once for the probe, twice per boundary loop,
+    once for the ring and once per dart batch. Points are the boundary ring
+    plus accepted darts; faces come from Delaunay, keeping those whose
+    centroid lies in the domain.
 
     Darts come in rounds of 512 uniform candidates, until 4 rounds in a row
     land none or 400 rounds were drawn. `_throw_darts` takes the rounds in
     batches of 1, 2, 4, then 8 rounds, cut after a miss to the rounds left
-    before the stop may come. Each round is drawn and its radii asked of
-    the field in turn, as in a loop of one round at a time; the stop is
-    applied to the batch's per-round counts and the rounds drawn past it
-    are dropped, so the mesh is the one that loop makes. A target edge so small
-    that the ring plus every dart that could be accepted would pass
-    `_MESH_VERTICES` vertices is rejected with a ValueError at once.
+    before the stop may come. The stop is applied to the batch's per-round
+    counts and the rounds drawn past it are dropped, so the mesh is the one
+    a loop of one round at a time makes. A target edge so small that the
+    ring plus every dart that could be accepted would pass `_MESH_VERTICES`
+    vertices is rejected with a ValueError at once.
     """
     if not (np.isfinite(target_edge) and target_edge > 0):
         raise ValueError(f"target_edge must be positive, got {target_edge}")
@@ -567,11 +565,8 @@ def generate_param_mesh(
         grow = min(2 * grow or 1, _DART_ROUNDS_AT_ONCE)
         # after a miss the batch ends where the stop may first come
         batch = min(grow, _DART_MISSES - misses if misses else grow, _DART_ROUNDS - rounds)
-        cand, crad = [], []
-        for _ in range(batch):
-            cand.append(domain.sample_area(_DART_BATCH, rng))
-            crad.append(radius_at(cand[-1]))
-        cand, crad = np.vstack(cand), np.concatenate(crad)
+        cand = np.vstack([domain.sample_area(_DART_BATCH, rng) for _ in range(batch)])
+        crad = radius_at(cand)
         took = _throw_darts(np.vstack(accepted), np.concatenate(radii), cand, crad, lo, hi)
         used = 0
         for landed in np.bincount(took // _DART_BATCH, minlength=batch).tolist():
@@ -717,7 +712,9 @@ class InverseInterpolator:
         n = len(queries)
         out = np.full((n, values.shape[1]), np.nan)
         ok = np.zeros(n, dtype=bool)
-        tid = self._locate(queries)
+        # a dart round at a time: a batch's blocks made megabytes of fresh pages
+        parts = np.split(queries, range(_DART_BATCH, n, _DART_BATCH))
+        tid = np.concatenate([self._locate(part) for part in parts])
         where = queries.copy()
         outer = np.flatnonzero(tid < 0)
         if len(outer):

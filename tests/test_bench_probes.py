@@ -25,6 +25,7 @@ PROBES = Path(__file__).resolve().parents[1] / "bench" / "probes.py"
 # names the probes still patch although the program dropped them; the next
 # benchmark change removes them from bench/probes.py
 STALE = [
+    "pcparam.geometry.pairwise_distances",
     "pcparam.losses.boltzmann_rows",
     "pcparam.losses.boltzmann_rows_grad",
     "pcparam.losses.pairwise_distances",

@@ -4,9 +4,10 @@ Each reference below is the straightforward expression: fresh temporaries,
 the (n, m, d) difference tensor, dense n x n energies, a second forward pass
 in backward, a test of every triangle per query for the inverse
 interpolator, a test against every accepted point for dart throwing, a
-spacing query per boundary point, Delaunay insertion in index order, a
-slanted ray cast with rotated retries for domain membership, a dict of
-tuple keys for the edges of a mesh and the boundary walk over it.
+spacing query per boundary point, Delaunay insertion in index order and,
+for thin clouds, exact empty circumcircles and hull area, a slanted ray
+cast with rotated retries for domain membership, a dict of tuple keys for
+the edges of a mesh and the boundary walk over it.
 Most kernels must reproduce them exactly (np.array_equal), not just closely,
 because training runs thousands of steps on them and the golden outputs pin
 every bit. The two row-tiled energies, `hand_with_grad` and `leg_with_grad`,
@@ -39,7 +40,6 @@ from pcparam.geometry import (
     _edge_table,
     hausdorff_exact,
     modified_hausdorff_exact,
-    pairwise_distances,
     sampling_gap_estimate,
 )
 from pcparam.losses import (
@@ -74,6 +74,14 @@ from pcparam.neural import NetworkSpec, _sigmoid, backward, forward, init_params
 def ref_sq_dists(a, b):
     diff = a[:, None, :] - b[None, :, :]
     return (diff * diff).sum(axis=2)
+
+
+def tiled_sq_dists(a, b):
+    """The squared distances of `geometry._row_tiles`, put together."""
+    out = np.empty((len(a), len(b)))
+    for t, sq, _, _ in geometry._row_tiles(a, b):
+        out[t] = sq
+    return out
 
 
 def ref_row_min_sq(a, b):
@@ -342,7 +350,7 @@ class RefTriangulator:
     in its in-circle tests, and an exact tie counts it as outside. This is
     the Delaunay triangulation that the index-rank tie rule reproduces for
     any insertion order. Its bounding triangle sits 1e10 spans out, so it
-    cannot judge thin clouds; tests/test_meshing.py checks those by count.
+    cannot judge thin clouds; `exact_delaunay_faults` judges those.
     """
 
     def __init__(self, points):
@@ -412,6 +420,65 @@ def ref_delaunay(points):
     _, first = np.unique(pts, axis=0, return_index=True)
     keep = np.sort(first)
     return canonical_triangles(keep[RefTriangulator(pts[keep]).run()])
+
+
+def exact_delaunay_faults(points, triangles):
+    """The ways in which `triangles` fail to be a Delaunay triangulation of
+    the distinct `points`, decided exactly; [] when there are none.
+
+    Every double is a dyadic rational, so the coordinates become integers
+    over one common power-of-two denominator, and the signs below are those
+    of integer polynomials. Each triangle must be ccw with no point strictly
+    inside its circumcircle. The triangles must tile the convex hull: their
+    areas add up to its area, and there are 2 n - 2 - b of them, b the
+    points on the hull's boundary, with every point in at least one. This
+    needs no far bounding triangle, so unlike `RefTriangulator` it judges
+    clouds of any thinness.
+    """
+    ratios = [v.as_integer_ratio() for v in np.asarray(points, dtype=np.float64).ravel().tolist()]
+    den = max(d for _, d in ratios)
+    ints = [num * (den // d) for num, d in ratios]
+    pts = list(zip(ints[0::2], ints[1::2]))
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def chain(seq):
+        hull = []
+        for q in seq:
+            while len(hull) >= 2 and orient(hull[-2], hull[-1], q) <= 0:
+                hull.pop()
+            hull.append(q)
+        return hull[:-1]
+
+    srt = sorted(pts)
+    hull = chain(srt) + chain(srt[::-1])  # ccw, no three collinear
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    on_hull = sum(min(orient(a, b, p) for a, b in edges) == 0 for p in pts)
+    faults = []
+    twice_area = 0
+    for t in np.asarray(triangles).tolist():
+        a, b, c = (pts[k] for k in t)
+        det = orient(a, b, c)
+        twice_area += det
+        if det <= 0:
+            faults.append(f"triangle {t} is not ccw")
+            continue
+        for k, (dx, dy) in enumerate(pts):
+            adx, ady, bdx, bdy = a[0] - dx, a[1] - dy, b[0] - dx, b[1] - dy
+            cdx, cdy = c[0] - dx, c[1] - dy
+            if ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+                    + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+                    + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)) > 0:
+                faults.append(f"point {k} is inside the circumcircle of {t}")
+    if twice_area != sum(orient(hull[0], a, b) for a, b in edges):
+        faults.append("the triangles' areas do not add up to the hull's")
+    n = len(pts)
+    if len(triangles) != 2 * n - 2 - on_hull:
+        faults.append(f"{len(triangles)} triangles, not 2 n - 2 - b = {2 * n - 2 - on_hull}")
+    if len(np.unique(triangles)) != n:
+        faults.append("a point is in no triangle")
+    return faults
 
 
 def ref_boundary_ring(domain, step_at):
@@ -561,7 +628,7 @@ def test_sq_dists_matches_difference_tensor(dim, n, m):
     rng = np.random.default_rng(n + m + dim)
     a = _cloud(rng, n, dim)
     b = _cloud(rng, m, dim)
-    assert np.array_equal(pairwise_distances(a, b), np.sqrt(ref_sq_dists(a, b)))
+    assert np.array_equal(tiled_sq_dists(a, b), ref_sq_dists(a, b))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -569,8 +636,8 @@ def test_sq_dists_with_duplicate_points(dim):
     rng = np.random.default_rng(4)
     a = _cloud(rng, 50, dim)
     a = np.vstack([a, a[:20], a[:1], a[:1]])
-    d = pairwise_distances(a, a)
-    assert np.array_equal(d, np.sqrt(ref_sq_dists(a, a)))
+    d = tiled_sq_dists(a, a)
+    assert np.array_equal(d, ref_sq_dists(a, a))
     assert d[0, 50] == 0.0 and d[70, 71] == 0.0
     assert np.array_equal(np.diag(d), np.zeros(len(a)))
 
@@ -811,7 +878,7 @@ def test_row_tiles_match_difference_tensor(monkeypatch, tile, dim, n, m):
     b[-1] = a[0]  # a coincident pair
     monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
     want = ref_sq_dists(a, b)
-    assert np.array_equal(pairwise_distances(a, b), np.sqrt(want))
+    assert np.array_equal(tiled_sq_dists(a, b), want)
     assert np.array_equal(geometry._dense_row_min_sq(a, b), want.min(axis=1))
     tiles = [(t, sq.shape) for t, sq, _, _ in geometry._row_tiles(a, b, 2)]
     assert [t.start for t, _ in tiles] == [0] + [t.stop for t, _ in tiles[:-1]]
@@ -1367,13 +1434,12 @@ def test_param_mesh_matches_all_pairs_dart_throwing(name, mode):
     ("smiling_face", "lambda_adapted", 4),
 ])
 def test_param_mesh_asks_what_a_round_at_a_time_asks(monkeypatch, name, mode, seed):
-    # the field is a caller's function and may keep state from query to
-    # query, so the batched rounds must draw the reference loop's samples
-    # and ask the field for its points in its order; in each case the
-    # four-miss stop lands inside a batch, and only the rounds drawn past
-    # it, discarded, follow
+    # the batched rounds must draw the reference loop's samples in its
+    # order; in each case the four-miss stop lands inside a batch, and only
+    # the rounds drawn past it, discarded, follow
     domain = _annulus() if name == "annulus" else preset_domain(name)
-    draws, asked = {"mesh": [], "ref": []}, {"mesh": [], "ref": []}
+    draws = {"mesh": [], "ref": []}
+    field = _field if mode == "lambda_adapted" else None
     sample_area = Domain.sample_area
 
     def recording(into):
@@ -1383,45 +1449,60 @@ def test_param_mesh_asks_what_a_round_at_a_time_asks(monkeypatch, name, mode, se
 
         return sample
 
-    def field(into):
-        def at(p):
-            into.append(np.array(p, dtype=np.float64))
-            return _field(p)
-
-        return at if mode == "lambda_adapted" else None
-
     monkeypatch.setattr(Domain, "sample_area", recording(draws["mesh"]))
-    mesh = generate_param_mesh(domain, 0.1, seed, field(asked["mesh"]))
+    mesh = generate_param_mesh(domain, 0.1, seed, field)
     monkeypatch.setattr(Domain, "sample_area", recording(draws["ref"]))
-    vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, seed, field(asked["ref"]))
+    vertices, triangles = ref_generate_param_mesh(domain, mode, 0.1, seed, field)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, triangles)
-    for calls in (draws, asked) if mode == "lambda_adapted" else (draws,):
-        used = len(calls["ref"])
-        assert all(map(np.array_equal, calls["mesh"][:used], calls["ref"]))
-        past = calls["mesh"][used:]
-        assert 0 < len(past) < 8 and all(len(p) == 512 for p in past)
+    used = len(draws["ref"])
+    assert all(map(np.array_equal, draws["mesh"][:used], draws["ref"]))
+    past = draws["mesh"][used:]
+    assert 0 < len(past) < 8 and all(len(p) == 512 for p in past)
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "smiling_face"])
+def test_param_mesh_asks_the_field_once_per_dart_batch(monkeypatch, name):
+    # the field is a pure function of each point, asked for whole arrays:
+    # once for the probe, twice per boundary loop, once for the ring's
+    # radii and once per batch of dart rounds, with the batch's candidates
+    domain = _annulus() if name == "annulus" else preset_domain(name)
+    asked, batches = [], []
+    throw_darts = meshing._throw_darts
+
+    def spy(acc, arad, cand, crad, lo, hi):
+        batches.append(cand)
+        return throw_darts(acc, arad, cand, crad, lo, hi)
+
+    def field(p):
+        asked.append(p)
+        return _field(p)
+
+    monkeypatch.setattr(meshing, "_throw_darts", spy)
+    generate_param_mesh(domain, 0.1, 2, field)
+    ring = 1 + 2 * len(domain.loops)
+    assert len(asked) == ring + 1 + len(batches)
+    assert len(asked[0]) == 256
+    assert all(map(np.array_equal, asked[ring + 1:], batches))
+    assert max(map(len, batches)) > 512
 
 
 @pytest.mark.parametrize("name", ["disk", "square", "annulus"])
 def test_boundary_ring_matches_point_by_point_march(name):
-    # the spacing field is a caller's function and may keep state from query
-    # to query, so the batched march must ask for the same points in the
-    # same order, not only get the same spacings
+    # the spacing is a pure function of each point, so the march asks for it
+    # twice per loop, for the segment starts and for the dense points
     domain = _annulus() if name == "annulus" else preset_domain(name)
-    asked, ref_asked = [], []
+    asked = []
 
     def radius_at(p):
-        asked.extend(map(tuple, p.tolist()))
+        asked.append(p)
         return 0.05 / np.sqrt(_field(p))
 
     def step_at(p):
-        p = np.asarray(p, dtype=np.float64).reshape(1, 2)
-        ref_asked.extend(map(tuple, p.tolist()))
         return float(0.05 / np.sqrt(_field(p))[0])
 
     assert np.array_equal(_boundary_ring(domain, radius_at), ref_boundary_ring(domain, step_at))
-    assert asked == ref_asked
+    assert len(asked) == 2 * len(domain.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -1704,6 +1785,24 @@ def test_delaunay_matches_index_order_insertion(name, shuffled):
     if shuffled:
         pts = pts[np.random.default_rng(63).permutation(len(pts))]
     assert np.array_equal(_delaunay_quiet(pts), ref_delaunay(pts))
+
+
+def _thin_fan(off):
+    """50 points on y = 0 and an apex `off` above them: every triangle needs
+    the apex, and it sees all 49 gaps."""
+    line = np.column_stack([np.linspace(0.0, 1.0, 50), np.zeros(50)])
+    return np.vstack([line, [[0.5 + 1 / 98, off]]])
+
+
+@pytest.mark.parametrize("points", [
+    *(pytest.param(lambda off=off: _thin_fan(off), id=f"fan-{off:g}")
+      for off in (1e-8, 1e-11, 1e-14, 1e-100, 1e-300)),
+    *(pytest.param(lambda h=h: np.random.default_rng(0).uniform(0.0, 1.0, (200, 2)) * [1.0, h],
+                   id=f"strip-{h:g}") for h in (1e-12, 1e-15, 1e-300)),
+])
+def test_delaunay_of_a_thin_cloud_is_exactly_delaunay(points):
+    pts = points()
+    assert exact_delaunay_faults(pts, delaunay(pts).triangles) == []
 
 
 @pytest.mark.parametrize(

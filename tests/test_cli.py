@@ -379,6 +379,25 @@ def test_a_bad_net_value_names_its_key(tmp_path, tiny_cloud_csv, caplog, over, m
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("over, message", [
+    (None, "config must be a JSON object"),
+    ({"objective": [1.0]}, "config key 'objective' must be an object"),
+    ({"domain": "square"}, "config key 'domain' must be an object"),
+    ({"map_net": [8]}, "config key 'map_net' must be an object"),
+    ({"landmarks": [[0]]}, "landmarks[0] must be an object"),
+    ({"eval_mesh": 3}, "eval_mesh must be a path or null, got 3"),
+    ({"objective": {"beta1": 0, "beta2": 1.0}}, "fixed_boundary mode needs beta1 > 0"),
+])
+def test_print_effective_config_refuses_a_malformed_config(tmp_path, tiny_cloud_csv, caplog,
+                                                           over, message):
+    # over None: a config that is a JSON list, not an object
+    cfg = _tiny_config(tiny_cloud_csv, tmp_path / "o")
+    path = _write_config(tmp_path / "c.json", [cfg] if over is None else {**cfg, **over})
+    assert main(["fit", "--config", path, "--print-effective-config"]) == 2
+    prefix = f"config error: {path}: " if over is None else "config error: "
+    assert f"{prefix}{message}" in caplog.messages
+
+
 def test_readme_quick_start_config_prints(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -1094,6 +1113,15 @@ def test_plot_malformed_table_exits_2(tmp_path, caplog, name, text, message, kin
 # ---------------------------------------------------------------------------
 
 
+def test_plot_scatter_of_one_column_exits_2(tmp_path, caplog):
+    table = tmp_path / "one.csv"
+    table.write_text("x\n0.1\n0.2\n")
+    out = tmp_path / "x.svg"
+    assert main(["plot", "--input", str(table), "--kind", "scatter", "--out", str(out)]) == 2
+    assert f"config error: {table}: scatter needs at least 2 columns" in caplog.messages
+    assert not out.exists()
+
+
 def test_audit_extremum(workdir):
     out = workdir / "audit.csv"
     assert main(["audit", "--kind", "extremum", "--trials", "40",
@@ -1147,6 +1175,21 @@ def test_audit_malformed_lambda_table_exits_2(range_inputs, tmp_path, caplog, na
     assert main(argv) == 2
     assert f"config error: {table.parent / message}" in caplog.text
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_audit_distortion_bound_on_a_mesh_without_faces_exits_1(tmp_path, caplog):
+    mesh = tmp_path / "bare.obj"
+    mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    mapped, lam = tmp_path / "mapped.csv", tmp_path / "lam.csv"
+    save_cloud(mapped, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    from pcparam.io import save_table
+
+    save_table(lam, ["lambda_inv"], [[0.5]] * 3)
+    out = tmp_path / "b.csv"
+    assert main(["audit", "--kind", "distortion-bound", "--mesh", str(mesh),
+                 "--mapped", str(mapped), "--lambda-inv", str(lam), "--out", str(out)]) == 1
+    assert "runtime failure: mesh has no triangles" in caplog.messages
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,11 @@ import pytest
 from pcparam.geometry import (
     TriangleMesh,
     _edge_table,
+    _row_tiles,
     angle_distortion,
     as_cloud,
     hausdorff_exact,
     modified_hausdorff_exact,
-    pairwise_distances,
     sampling_gap_estimate,
 )
 
@@ -81,11 +81,19 @@ def test_edge_lengths_and_areas():
     assert mesh3.triangle_areas().sum() == pytest.approx(np.sqrt(2.0))
 
 
+def _distances(a, b):
+    """The dense distance matrix, from the row tiles of `_row_tiles`."""
+    d = np.empty((len(a), len(b)))
+    for t, sq, _, _ in _row_tiles(a, b):
+        np.sqrt(sq, out=d[t])
+    return d
+
+
 def test_pairwise_distances_bitwise():
     rng = np.random.default_rng(0)
     a = rng.normal(0, 1, (13, 3))
     b = rng.normal(0, 1, (9, 3))
-    d = pairwise_distances(a, b)
+    d = _distances(a, b)
     for i in range(13):
         for j in range(9):
             expect = np.sqrt(((a[i] - b[j]) ** 2).sum())
@@ -93,7 +101,7 @@ def test_pairwise_distances_bitwise():
 
 
 def _brute_hausdorff(a, b):
-    d = pairwise_distances(a, b)
+    d = _distances(a, b)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
@@ -135,7 +143,7 @@ def test_angle_distortion_known_shear():
     sheared = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     report = angle_distortion(mesh, sheared)
     # corner 0: pi/2 -> pi/4, corner 1: pi/4 -> pi/2, corner 2 unchanged
-    diffs = dict(zip(report.corner_ids, report.diffs))
+    diffs = report.diffs  # triangle-major, so corner c of the one triangle is entry c
     assert diffs[0] == pytest.approx(np.pi / 2 - np.pi / 4, abs=1e-12)
     assert diffs[1] == pytest.approx(np.pi / 4 - np.pi / 2, abs=1e-12)
     assert diffs[2] == pytest.approx(0.0, abs=1e-12)
