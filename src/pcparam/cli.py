@@ -238,12 +238,12 @@ def _run_objects(eff: dict, input_dim: int):
 
 
 def _check_numeric_flags(args) -> None:
-    """Reject a numeric flag whose value is not > 0, NaN included, or a
-    negative --seed, naming it."""
+    """Reject a numeric flag whose value is not > 0 and finite, NaN and inf
+    included, or a negative --seed, naming it."""
     for dest in ("sample_size", "bins", "h", "target_edge", "n", "trials", "sigma"):
-        value = getattr(args, dest, 1)
-        if not value > 0:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be positive, got {value}")
+        value, flag = getattr(args, dest, 1), dest.replace("_", "-")
+        if not 0 < value < np.inf:
+            raise ConfigError(f"--{flag} must be positive and finite, got {value}")
     seed = getattr(args, "seed", 0)
     if seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")

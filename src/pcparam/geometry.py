@@ -265,12 +265,23 @@ class _Grid:
     grid of Bridson 2007, "Fast Poisson disk sampling in arbitrary
     dimensions"). Cells are numbered x * ny + y, so the cells of one column
     are consecutive, and so are the items filed in them.
+
+    [lo, hi] is the box of all the items. Without a cell, the side is the
+    largest of `_one_per_cell`, sqrt(mean(w h) / 4) and mean(w + h) / 4 over
+    the planar sides w, h of the boxes, or 1.0 when all are 0. A box spans
+    under (w / cell + 2) (h / cell + 2) cells, so under 16 entries are filed
+    per item however long the boxes are (as on a fan). Under the coordinate
+    bound w h < 4e300, so the means of fewer than 4e7 items are finite.
     """
 
-    def __init__(self, lo, hi, cell: float, bmin: np.ndarray, bmax: np.ndarray):
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.cell = float(cell)
-        self.shape = np.floor(self.scaled(np.asarray(hi, dtype=np.float64))).astype(np.int64) + 1
+    def __init__(self, bmin: np.ndarray, bmax: np.ndarray, cell: float | None = None):
+        self.lo, self.hi = bmin[:, :2].min(axis=0), bmax[:, :2].max(axis=0)
+        if cell is None:
+            w, h = (bmax[:, :2] - bmin[:, :2]).T
+            cell = max(_one_per_cell(self.hi - self.lo, len(bmin)),
+                       math.sqrt(np.mean(w * h) / 4.0), np.mean(w + h) / 4.0)
+        self.cell = float(cell) or 1.0
+        self.shape = np.floor(self.scaled(self.hi)).astype(np.int64) + 1
         ny = int(self.shape[1])
         x0, y0 = self.cells(bmin)
         x1, y1 = self.cells(bmax)
@@ -339,16 +350,6 @@ def _one_per_cell(extent: np.ndarray, m: int) -> float:
     return max(math.sqrt(w / m) * math.sqrt(h), max(w, h) / m)
 
 
-def _point_grid(b: np.ndarray) -> _Grid:
-    """Grid over the first two coordinates of b, about one point per cell;
-    the cell is finite for any b within the coordinate bound."""
-    lo = b[:, :2].min(axis=0)
-    hi = b[:, :2].max(axis=0)
-    cell = _one_per_cell(hi - lo, len(b))
-    # all of b at one planar point: any side gives a single cell
-    return _Grid(lo, hi, cell if cell > 0 else 1.0, b, b)
-
-
 def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min_k |a_i - b_k|^2 for every row i, exactly: the bits of the row
     minima of the dense squared distances, for validated clouds of one
@@ -371,7 +372,7 @@ def _row_min_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the tiles of `_row_tiles`, however b is laid out, even when it collapses
     into one cell.
     """
-    grid = _point_grid(b)
+    grid = _Grid(b, b)
     bs = b[grid.items].T.copy()  # b in cell order, one row per coordinate
     best = np.full(len(a), np.inf)
     for span, cnt, pos in grid.blocks(a, ring=1):

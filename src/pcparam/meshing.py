@@ -41,7 +41,8 @@ __all__ = [
 
 
 class DuplicatePointsWarning(UserWarning):
-    """Raised as a warning record when exact duplicate points are merged."""
+    """Raised as a warning record when a cloud holds exact duplicates; `delaunay`
+    keeps every row and triangulates each distinct point once, at its first row."""
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def _boundary_ring(domain: Domain, radius_at, darts: int = 0) -> np.ndarray:
     return np.vstack(ring)
 
 
-def _clashes(pts, rad, q, qrad, lo, hi):
+def _clashes(pts, rad, q, qrad):
     """(row of q, row of pts) of every pair closer than half the sum of
     their radii, per block of `_Grid.blocks`.
 
@@ -466,8 +467,8 @@ def _clashes(pts, rad, q, qrad, lo, hi):
     adds the two squares once: sqrt(dx * dx + dy * dy).
     """
     reach = 0.5 * (float(rad.max()) + float(qrad.max()))
-    cell = max(reach * (1.0 + 1e-6), _one_per_cell(hi - lo, 16 * len(pts)))
-    grid = _Grid(lo, hi, cell, pts, pts)
+    cell = max(reach * (1.0 + 1e-6), _one_per_cell(np.ptp(pts, axis=0), 16 * len(pts)))
+    grid = _Grid(pts, pts, cell)
     (px, py), (qx, qy) = pts.T, q.T
     for span, cnt, pos in grid.blocks(q, ring=1):
         rows = np.repeat(np.arange(span.start, span.stop), cnt)
@@ -478,7 +479,7 @@ def _clashes(pts, rad, q, qrad, lo, hi):
         yield rows[bad], nbr[bad]
 
 
-def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
+def _throw_darts(acc, arad, cand, crad) -> np.ndarray:
     """Rows of `cand` accepted in order by Poisson-disk dart throwing.
 
     A candidate p of radius rp is accepted iff every point accepted so far,
@@ -488,13 +489,13 @@ def _throw_darts(acc, arad, cand, crad, lo, hi) -> np.ndarray:
     whose list of earlier clashing candidates holds none taken.
     """
     live = np.ones(len(cand), dtype=bool)
-    for rows, _ in _clashes(acc, arad, cand, crad, lo, hi):
+    for rows, _ in _clashes(acc, arad, cand, crad):
         live[rows] = False
     live = np.flatnonzero(live)
     earlier: list[list[int]] = [[] for _ in live]
     if len(live) > 1:
         pts, rad = cand[live], crad[live]
-        for rows, nbr in _clashes(pts, rad, pts, rad, lo, hi):
+        for rows, nbr in _clashes(pts, rad, pts, rad):
             before = nbr < rows
             for i, j in zip(rows[before].tolist(), nbr[before].tolist()):
                 earlier[i].append(j)
@@ -567,7 +568,7 @@ def generate_param_mesh(
         batch = min(grow, _DART_MISSES - misses if misses else grow, _DART_ROUNDS - rounds)
         cand = np.vstack([domain.sample_area(_DART_BATCH, rng) for _ in range(batch)])
         crad = radius_at(cand)
-        took = _throw_darts(np.vstack(accepted), np.concatenate(radii), cand, crad, lo, hi)
+        took = _throw_darts(np.vstack(accepted), np.concatenate(radii), cand, crad)
         used = 0
         for landed in np.bincount(took // _DART_BATCH, minlength=batch).tolist():
             used += 1
@@ -610,11 +611,11 @@ class InverseInterpolator:
     A query's triangle is the lowest-id triangle of `mesh` that contains
     it, edges and corners counted as inside, as the exact `orient2d`
     decides; so it depends on the query and the mesh alone, not on the
-    order of the queries or on earlier calls. A grid of the triangles gives
-    the queries their candidates in the blocks of `_Grid.blocks`, and the
-    float filter of `orient2d` decides most (query, triangle) pairs of a
-    block at once, strictly inside or certainly outside. A pair the filter
-    cannot decide takes the scalar `orient2d`.
+    order of the queries or on earlier calls. A grid of the triangles, with
+    under 16 entries per triangle (`_Grid`), gives the queries candidates in
+    the blocks of `_Grid.blocks`; the float filter of `orient2d` decides most
+    pairs of a block at once, strictly inside or certainly outside, and the
+    scalar `orient2d` the rest.
     """
 
     snap_tolerance = 1e-9
@@ -628,10 +629,7 @@ class InverseInterpolator:
         # built on the first snap
         self._hull: tuple[np.ndarray, ...] | None = None
         tri_pts = self.mesh.vertices[self.mesh.triangles]
-        self._lo = self.mesh.vertices.min(axis=0)
-        self._hi = self.mesh.vertices.max(axis=0)
-        cell = _one_per_cell(self._hi - self._lo, len(self.mesh.triangles))
-        self._grid = _Grid(self._lo, self._hi, cell, tri_pts.min(axis=1), tri_pts.max(axis=1))
+        self._grid = _Grid(tri_pts.min(axis=1), tri_pts.max(axis=1))
 
     def _per_point(self, values) -> np.ndarray:
         """Values given per mapped point, as one row per point."""
@@ -646,7 +644,7 @@ class InverseInterpolator:
         """Per query, the lowest id of the triangles that contain it, or -1
         when none does."""
         found = np.full(len(q), -1, dtype=np.int64)
-        inbox = ((q >= self._lo) & (q <= self._hi)).all(axis=1)
+        inbox = ((q >= self._grid.lo) & (q <= self._grid.hi)).all(axis=1)
         tris, pts = self.mesh.triangles, self.mesh.vertices
         idx = np.flatnonzero(inbox)
         for span, cnt, pos in self._grid.blocks(q[idx]):

@@ -994,7 +994,7 @@ def _dyadic_edges():
     lattice = np.stack(np.meshgrid(np.arange(33), np.arange(33)), -1).reshape(-1, 2) / 32.0
     inner = lattice[(lattice > 0).any(axis=1) & (lattice < 1).any(axis=1)]
     b = np.vstack([[[0.0, 0.0], [1.0, 1.0]], inner[rng.choice(len(inner), 1022, replace=False)]])
-    assert geometry._point_grid(b).cell == 1.0 / 32.0
+    assert geometry._Grid(b, b).cell == 1.0 / 32.0
     a = np.stack(np.meshgrid(np.arange(-32, 97), np.arange(-32, 97)), -1).reshape(-1, 2) / 64.0
     return a, b
 
@@ -1008,7 +1008,8 @@ def _edge_straddling(m, rng):
     up by almost 2^-53, where floats near the edge are far denser: a
     certainty test without a margin for that rounding takes the candidate."""
     lo, hi = -1.0, 1.0
-    grid = geometry._point_grid(np.vstack([[[lo, lo], [hi, hi]]] * m)[:m])
+    corners = np.vstack([[[lo, lo], [hi, hi]]] * m)[:m]
+    grid = geometry._Grid(corners, corners)
     c = grid.cell
 
     def col(x):
@@ -1470,9 +1471,9 @@ def test_param_mesh_asks_the_field_once_per_dart_batch(monkeypatch, name):
     asked, batches = [], []
     throw_darts = meshing._throw_darts
 
-    def spy(acc, arad, cand, crad, lo, hi):
+    def spy(acc, arad, cand, crad):
         batches.append(cand)
-        return throw_darts(acc, arad, cand, crad, lo, hi)
+        return throw_darts(acc, arad, cand, crad)
 
     def field(p):
         asked.append(p)
@@ -1574,7 +1575,7 @@ def test_grid_blocks_hold_each_querys_candidates_within_the_tile(monkeypatch, ti
     rng = np.random.default_rng(95 + ring)
     bmin = rng.uniform(0.0, 1.0, (300, 2))
     bmax = bmin + rng.uniform(0.0, 0.2, (300, 2))
-    grid = geometry._Grid((0.0, 0.0), (1.2, 1.2), 0.05, bmin, bmax)
+    grid = geometry._Grid(bmin, bmax, 0.05)
     pts = rng.uniform(-0.1, 1.3, (500, 2))
     monkeypatch.setattr(geometry, "_TILE_ELEMS", tile)
     blocks = list(grid.blocks(pts, ring))
@@ -1593,23 +1594,63 @@ def test_grid_blocks_hold_each_querys_candidates_within_the_tile(monkeypatch, ti
             assert np.array_equal(np.bincount(items, minlength=len(bmin)), wide * high)
 
 
+@pytest.mark.parametrize("boxes", ["random", "fan", "segments", "squares_and_points",
+                                   "tiny_and_huge"])
+def test_grid_files_fewer_than_16_entries_per_item(boxes):
+    # a box of sides w, h spans fewer than w / cell + 2 by h / cell + 2
+    # cells, and the cell is at least sqrt(mean(w h) / 4) and
+    # mean(w + h) / 4, so however the boxes are shaped the grid files fewer
+    # than 16 entries per item: on a fan every triangle's box spans centre
+    # to rim, and cells of one triangle each filed about n^2 / 11 entries;
+    # unit segments have no area, and cells of one each span 27 of them;
+    # 100 unit squares among 2900 points each span about 3000 such cells
+    rng = np.random.default_rng(96)
+    if boxes == "random":
+        bmin = rng.uniform(-1.0, 1.0, (3000, 2))
+        bmax = bmin + rng.exponential(0.3, (3000, 2))
+    elif boxes == "fan":
+        rim = np.arange(1, 4001)
+        corners = _fan(4000)[np.column_stack([np.zeros_like(rim), rim, rim % 4000 + 1])]
+        bmin, bmax = corners.min(axis=1), corners.max(axis=1)
+    elif boxes == "segments":
+        bmin = rng.uniform(0.0, 1.0, (3000, 2))
+        bmax = bmin + np.where(np.arange(3000)[:, None] % 2, [1.0, 0.0], [0.0, 1.0])
+    elif boxes == "squares_and_points":
+        bmin = np.vstack([np.zeros((100, 2)), rng.uniform(0.0, 1.0, (2900, 2))])
+        bmax = np.vstack([np.ones((100, 2)), bmin[100:]])
+    else:
+        centre = rng.uniform(-1.0, 1.0, (3000, 2)) * 10.0 ** rng.uniform(-10, 100, (3000, 1))
+        half = 10.0 ** rng.uniform(-300, 100, (3000, 2))
+        bmin, bmax = centre - half, centre + half
+    grid = geometry._Grid(bmin, bmax)
+    assert len(grid.items) <= 16 * len(bmin)
+    assert np.isfinite(grid.cell) and grid.cell > 0
+
+
 def test_interpolator_memory_is_bounded_when_every_triangle_meets_the_centre():
-    # each of 4096 queries within 0.05 of a 2001-point fan's centre has 482
-    # to 2000 candidates, 4.8 million pairs in all; in blocks of
-    # `_TILE_ELEMS` pairs the traced peak is about 6 MB, where blocks of 4096
-    # queries peaked at about 800 MB
+    # every triangle of an 8001-point fan meets its centre, so every box
+    # spans centre to rim: cells of one triangle each filed 5.6 million
+    # (triangle, cell) entries and traced 214 MB to build, and the cell rule
+    # of `_Grid` files fewer than 16 per triangle. Each of 1024 queries
+    # within 0.05 of the centre has 3888 to 8000 candidates, 8 million pairs
+    # in all; in blocks of `_TILE_ELEMS` pairs the traced peak is a few MB,
+    # where blocks of 4096 queries peaked at about 800 MB on a 2001-point fan
     rng = np.random.default_rng(36)
-    mapped = _fan(2000)
-    interp = InverseInterpolator(mapped, rng.normal(size=(len(mapped), 3)))
-    r = 0.05 * np.sqrt(rng.uniform(size=4096))
-    th = rng.uniform(0.0, 2.0 * np.pi, 4096)
+    mapped = _fan(8000)
+    r = 0.05 * np.sqrt(rng.uniform(size=1024))
+    th = rng.uniform(0.0, 2.0 * np.pi, 1024)
     queries = np.column_stack([r * np.cos(th), r * np.sin(th)])
     tracemalloc.start()
     try:
+        interp = InverseInterpolator(mapped, rng.normal(size=(len(mapped), 3)))
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         _, ok = interp(queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert build < 16 * 2**20, f"build peak {build / 2**20:.1f} MB"
+    assert len(interp._grid.items) <= 16 * len(interp.mesh.triangles)
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert ok.all()
     assert np.array_equal(interp._locate(queries), ref_locate(interp.mesh, queries))
@@ -1643,7 +1684,7 @@ def test_dart_batch_past_the_tile_matches_all_pairs_throwing(monkeypatch):
     cand = rng.uniform(0.0, 1.0, (2048, 2))
     crad = rng.uniform(5e-4, 0.04, len(cand))
     seen = _spy_blocks(monkeypatch)
-    took = _throw_darts(acc, arad, cand, crad, np.zeros(2), np.ones(2))
+    took = _throw_darts(acc, arad, cand, crad)
     assert len(seen) >= 2 and sum(len(pos) for _, _, pos in seen) > geometry._TILE_ELEMS
     assert 0 < len(took) < len(cand)
     assert np.array_equal(took, ref_throw_darts(acc, arad, cand, crad))

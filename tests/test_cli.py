@@ -926,11 +926,15 @@ def test_reconstruct_lambda_adapted_needs_checkpoint(workdir, identity_setup):
 
 def _degenerate_clouds():
     """Seeded planar clouds that the meshing commands must take or refuse
-    cleanly, with the --h and --target-edge of each run."""
+    cleanly, with the --h and --target-edge of each run. The fan, a centre
+    and 2000 rim points, triangulates into thin spokes that all meet the
+    centre, and every command must take it."""
     rng = np.random.default_rng(81)
     disk = rng.uniform(-1.0, 1.0, (400, 2))
     disk = disk[(disk ** 2).sum(axis=1) < 1.0]
     t = np.sort(rng.uniform(-1.0, 1.0, 40))
+    th = 2.0 * np.pi * np.arange(2000) / 2000
+    fan = np.vstack([[0.0, 0.0], np.column_stack([np.cos(th), np.sin(th)])])
     normal = ("0.3", "0.2")
     return {
         "duplicates": (np.repeat(disk[:60], 3, axis=0), normal),
@@ -945,6 +949,7 @@ def _degenerate_clouds():
         "two_distinct_of_three": (disk[[0, 1, 0]], normal),
         "tiny_h_and_edge": (disk, ("1e-300", "1e-300")),
         "small_h_and_edge": (disk, ("1e-9", "1e-5")),
+        "fan": (fan, ("2", "0.2")),
     }
 
 
@@ -974,6 +979,7 @@ def test_meshing_commands_take_or_refuse_degenerate_clouds_cleanly(tmp_path, cap
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(argv)
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert rc == 0 or name != "fan", (run, errors)
         if rc == 0:
             assert errors == [], (run, errors)
             if run == "boundary":
@@ -1320,19 +1326,22 @@ def test_fit_malformed_file_exits_2_naming_it(tmp_path, tiny_cloud_csv, caplog, 
     ("eval", "--bins", "0"),
     ("boundary", "--h", "-1"),
     ("boundary", "--h", "nan"),
+    ("boundary", "--h", "inf"),
     ("reconstruct", "--target-edge", "0"),
     ("reconstruct", "--target-edge", "-1"),
+    ("reconstruct", "--target-edge", "inf"),
     ("sample-domain", "--n", "0"),
     ("plot", "--bins", "0"),
     ("audit-extremum", "--trials", "0"),
     ("audit-bound", "--sigma", "0"),
+    ("audit-bound", "--sigma", "inf"),
 ])
 def test_nonpositive_numeric_flag_exits_2_naming_it(range_inputs, caplog, command, flag, value):
     argv = range_inputs[command]
     assert main(argv) == 0
     caplog.clear()
     assert main([*argv, flag, value]) == 2
-    assert f"{flag} must be positive, got " in caplog.text
+    assert f"{flag} must be positive and finite, got " in caplog.text
 
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct", "sample-domain", "audit-extremum"])

@@ -367,8 +367,7 @@ def test_dart_grid_stays_bounded_at_a_tiny_radius():
     # one cell per dart radius would make 1e18 cells on the unit box
     rng = np.random.default_rng(4)
     acc, cand = rng.uniform(0, 1, (50, 2)), rng.uniform(0, 1, (512, 2))
-    took = _throw_darts(acc, np.full(50, 1e-9), cand, np.full(512, 1e-9),
-                        np.zeros(2), np.ones(2))
+    took = _throw_darts(acc, np.full(50, 1e-9), cand, np.full(512, 1e-9))
     np.testing.assert_array_equal(took, np.arange(512))
 
 
